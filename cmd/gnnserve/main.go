@@ -7,9 +7,11 @@
 //	GET  /stats                      → latency/throughput/cache counters
 //	GET  /healthz                    → liveness + model identity
 //
-// Concurrent requests are coalesced into minibatches (bounded wait,
-// bounded batch) so the engine amortizes its fixed per-batch cost the
-// same way training does.
+// Concurrent requests are coalesced by group commit: an idle engine
+// answers a request at once, and whatever arrives while it is busy rides
+// the next flush together (up to -max-batch vertices), so the engine
+// amortizes its fixed per-batch cost under load without adding latency
+// when there is none.
 package main
 
 import (
@@ -41,8 +43,7 @@ func main() {
 		policy    = flag.String("cache-policy", "lru", "feature cache policy (none,static,freq,fifo,lru)")
 		ratio     = flag.Float64("cache-ratio", 0.1, "feature cache capacity as a fraction of the graph's float32 feature bytes")
 		precision = flag.String("precision", "float32", "cached feature storage precision (float32, float16, int8)")
-		maxBatch  = flag.Int("max-batch", 256, "coalescer: flush when this many vertices are pending")
-		maxWait   = flag.Duration("max-wait", 2*time.Millisecond, "coalescer: flush the oldest request after waiting this long")
+		maxBatch  = flag.Int("max-batch", 256, "coalescer: most vertices one flush carries")
 		reqLimit  = flag.Int("request-limit", 1024, "maximum vertices in a single /predict request")
 		batchSize = flag.Int("batch-size", 512, "engine minibatch size")
 		prefetch  = flag.Int("prefetch", 0, "engine pipeline depth (<= 0 inline; results identical at any depth)")
@@ -101,7 +102,6 @@ func main() {
 	srv, err := serve.New(serve.Config{
 		Engine:      eng,
 		MaxBatch:    *maxBatch,
-		MaxWait:     *maxWait,
 		MaxVertices: *reqLimit,
 	})
 	if err != nil {
@@ -109,7 +109,17 @@ func main() {
 	}
 	defer srv.Close()
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	// Bodies are at most 1 MiB and replies a few KiB, so these only cut
+	// off peers that stall; a flush queued behind a busy engine is well
+	// inside the write budget.
+	httpSrv := &http.Server{
+		Addr:              *addr,
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       15 * time.Second,
+		WriteTimeout:      30 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	go func() {

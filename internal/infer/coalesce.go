@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"gnnavigator/internal/faultinject"
 )
@@ -15,33 +14,33 @@ import (
 // being tiny. A GNN forward pass over 1 target costs nearly as much
 // fixed overhead as one over 100, and the feature plane amortizes far
 // better over a wide gather — so concurrent requests are merged into
-// one engine Predict per flush. A flush happens when the pending batch
-// reaches MaxBatch vertices or the oldest request has waited MaxWait,
-// whichever comes first: bounded wait, bounded batch.
+// one engine Predict per flush.
+//
+// The flush rule is group commit: Predict appends to one pending queue,
+// and the single dispatcher, whenever the engine is idle, takes what is
+// pending (up to MaxBatch vertices) and flushes it now. Requests that
+// arrive during a flush form the next batch. Nothing ever waits for
+// company, so width tracks load by itself: one request per flush on an
+// idle server, wide flushes on a busy one.
 
 // ErrCoalescerClosed is returned by Predict after Close.
 var ErrCoalescerClosed = errors.New("infer: coalescer closed")
 
-// Defaults for CoalescerConfig's zero values.
-const (
-	defaultMaxBatch = 256
-	defaultMaxWait  = 2 * time.Millisecond
-)
+const defaultMaxBatch = 256
 
-// CoalescerConfig tunes the batching knobs.
+// CoalescerConfig tunes the coalescer.
 type CoalescerConfig struct {
-	// MaxBatch flushes as soon as the pending requests hold this many
-	// target vertices (default 256). A single request larger than
-	// MaxBatch still flushes whole — the engine chunks it internally.
+	// MaxBatch bounds one flush: queued requests join it in arrival
+	// order while their target vertices fit (default 256). A single
+	// request larger than MaxBatch flushes alone, whole — the engine
+	// chunks it internally.
 	MaxBatch int
-	// MaxWait bounds how long the first request of a batch waits for
-	// company before the batch flushes anyway (default 2ms).
-	MaxWait time.Duration
 }
 
 type coalReq struct {
+	ctx     context.Context
 	targets []int32
-	resp    chan coalResp
+	resp    chan coalResp // buffered: its one answer never blocks the sender
 }
 
 type coalResp struct {
@@ -54,12 +53,12 @@ type coalResp struct {
 type Coalescer struct {
 	eng      *Engine
 	maxBatch int
-	maxWait  time.Duration
 
-	reqCh     chan *coalReq
-	done      chan struct{}
-	wg        sync.WaitGroup
-	closeOnce sync.Once
+	mu      sync.Mutex
+	arrived *sync.Cond // signalled on enqueue and on Close; the dispatcher waits
+	pending []*coalReq // arrival order; every entry is answered exactly once unless its ctx ends first
+	closed  bool
+	wg      sync.WaitGroup
 
 	flushes      atomic.Int64
 	flushedVerts atomic.Int64
@@ -70,16 +69,8 @@ func NewCoalescer(eng *Engine, cfg CoalescerConfig) *Coalescer {
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = defaultMaxBatch
 	}
-	if cfg.MaxWait <= 0 {
-		cfg.MaxWait = defaultMaxWait
-	}
-	c := &Coalescer{
-		eng:      eng,
-		maxBatch: cfg.MaxBatch,
-		maxWait:  cfg.MaxWait,
-		reqCh:    make(chan *coalReq),
-		done:     make(chan struct{}),
-	}
+	c := &Coalescer{eng: eng, maxBatch: cfg.MaxBatch}
+	c.arrived = sync.NewCond(&c.mu)
 	c.wg.Add(1)
 	go c.dispatch()
 	return c
@@ -87,34 +78,43 @@ func NewCoalescer(eng *Engine, cfg CoalescerConfig) *Coalescer {
 
 // Predict enqueues targets, waits for the flush that carries them, and
 // returns one class per target (in target order). The context is
-// honored end to end at request granularity: a caller whose ctx expires
-// while queued or in flight unblocks immediately with ctx.Err().
+// honored at request granularity: a caller whose ctx ends while queued
+// or in flight unblocks immediately with ctx.Err(), and a request whose
+// ctx ended before the dispatcher reached it is never computed.
 func (c *Coalescer) Predict(ctx context.Context, targets []int32) ([]int32, error) {
 	if len(targets) == 0 {
 		return nil, fmt.Errorf("infer: empty target set")
 	}
-	r := &coalReq{targets: targets, resp: make(chan coalResp, 1)}
-	var ctxDone <-chan struct{}
-	if ctx != nil {
-		ctxDone = ctx.Done()
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	select {
-	case c.reqCh <- r:
-	case <-ctxDone:
-		return nil, ctx.Err()
-	case <-c.done:
+	r := &coalReq{ctx: ctx, targets: targets, resp: make(chan coalResp, 1)}
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
 		return nil, ErrCoalescerClosed
 	}
+	c.pending = append(c.pending, r)
+	c.mu.Unlock()
+	c.arrived.Signal()
 	select {
 	case resp := <-r.resp:
 		return resp.classes, resp.err
-	case <-ctxDone:
-		// The flush still answers into the buffered resp channel; the
-		// result is simply abandoned.
+	case <-ctx.Done():
+		// If a flush already carries the request its answer lands in the
+		// buffered resp channel and is abandoned.
 		return nil, ctx.Err()
-	case <-c.done:
-		return nil, ErrCoalescerClosed
 	}
+}
+
+// Queued reports how many requests are waiting for a flush — not the
+// ones the running flush carries. It is 0 on an idle coalescer and grows
+// only while the engine is busy. A request whose context ended while
+// queued is counted until the dispatcher next assembles a batch.
+func (c *Coalescer) Queued() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.pending)
 }
 
 // Flushes reports how many coalesced batches have been flushed.
@@ -129,67 +129,85 @@ func (c *Coalescer) MeanBatch() float64 {
 	return float64(c.flushedVerts.Load()) / float64(f)
 }
 
-// Close stops the dispatcher. In-flight flushes complete (their callers
-// get results); requests still queued when the dispatcher exits get
-// ErrCoalescerClosed via Predict's done case.
+// Close stops the dispatcher and returns once it has exited. The flush
+// in flight completes and its callers get results; every request still
+// queued is answered with ErrCoalescerClosed, as is any later Predict.
 func (c *Coalescer) Close() {
-	c.closeOnce.Do(func() { close(c.done) })
+	c.mu.Lock()
+	c.closed = true
+	c.mu.Unlock()
+	c.arrived.Signal()
 	c.wg.Wait()
 }
 
-// dispatch is the single flusher goroutine: take one request, gather
-// company until the batch fills or the wait expires, flush, repeat.
+// dispatch is the single flusher goroutine: take what is pending, flush
+// it, repeat; park only when nothing is.
 func (c *Coalescer) dispatch() {
 	defer c.wg.Done()
-	timer := time.NewTimer(c.maxWait)
-	defer timer.Stop()
 	for {
-		var first *coalReq
-		select {
-		case first = <-c.reqCh:
-		case <-c.done:
+		batch, verts, closed := c.take()
+		if closed {
+			failBatch(batch, ErrCoalescerClosed)
 			return
 		}
-		batch := []*coalReq{first}
-		verts := len(first.targets)
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
+		c.flush(batch, verts)
+	}
+}
+
+// take blocks until there is something to flush and removes it from the
+// head of the queue: requests in arrival order while they fit in
+// maxBatch vertices (the first always fits). Requests whose context has
+// already ended are dropped here — their callers have returned ctx.Err()
+// — so their vertices are never computed. After Close it returns the
+// whole remaining queue with closed set.
+func (c *Coalescer) take() (batch []*coalReq, verts int, closed bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for {
+		if c.closed {
+			batch, c.pending = c.pending, nil
+			return batch, 0, true
 		}
-		timer.Reset(c.maxWait)
-	fill:
-		for verts < c.maxBatch {
-			select {
-			case r := <-c.reqCh:
+		n := 0
+		for _, r := range c.pending {
+			if r.ctx.Err() == nil {
+				if len(batch) > 0 && verts+len(r.targets) > c.maxBatch {
+					break
+				}
 				batch = append(batch, r)
 				verts += len(r.targets)
-			case <-timer.C:
-				break fill
-			case <-c.done:
-				c.flush(batch, verts)
-				return
 			}
+			n++
 		}
-		c.flush(batch, verts)
+		// Shift the remainder down so the queue's backing array is
+		// reused and taken requests are not pinned by it.
+		rest := copy(c.pending, c.pending[n:])
+		clear(c.pending[rest:])
+		c.pending = c.pending[:rest]
+		if len(batch) > 0 {
+			return batch, verts, false
+		}
+		c.arrived.Wait()
+	}
+}
+
+// failBatch answers every request of batch with err.
+func failBatch(batch []*coalReq, err error) {
+	for _, r := range batch {
+		r.resp <- coalResp{err: err}
 	}
 }
 
 // flush runs one coalesced engine Predict and scatters the per-vertex
 // classes back to each request. Cross-request duplicate targets are
 // collapsed inside Engine.Predict, so the union is passed as-is and the
-// returned classes align with it positionally.
+// returned classes align with it positionally. The run is not bound to
+// any one request's context: it serves all of them.
 func (c *Coalescer) flush(batch []*coalReq, verts int) {
 	c.flushes.Add(1)
 	c.flushedVerts.Add(int64(verts))
-	fail := func(err error) {
-		for _, r := range batch {
-			r.resp <- coalResp{err: err}
-		}
-	}
 	if err := faultinject.Fire(faultinject.ServeFlush); err != nil {
-		fail(fmt.Errorf("infer: flush: %w", err))
+		failBatch(batch, fmt.Errorf("infer: flush: %w", err))
 		return
 	}
 	union := make([]int32, 0, verts)
@@ -198,7 +216,7 @@ func (c *Coalescer) flush(batch []*coalReq, verts int) {
 	}
 	pred, err := c.eng.Predict(context.Background(), union)
 	if err != nil {
-		fail(err)
+		failBatch(batch, err)
 		return
 	}
 	off := 0

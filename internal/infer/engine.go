@@ -21,7 +21,12 @@
 // contract and the model workspace all assume one run at a time, so an
 // Engine serializes Predict/Accuracy calls behind an internal mutex.
 // Concurrent callers coalesce better through a Coalescer (coalesce.go),
-// which batches them into one Predict per flush.
+// which batches them into one Predict per flush. The same mutex guards
+// Predict's resident gather buffer: inline runs (Prefetch <= 0, the
+// serving default) gather into it instead of allocating a feature matrix
+// per call, which is most of what a small Predict would otherwise
+// allocate. Accuracy keeps nothing: its batches are BatchSize wide, and
+// a training run would hold that matrix between epochs for no gain.
 package infer
 
 import (
@@ -107,6 +112,9 @@ type Prediction struct {
 type Engine struct {
 	cfg Config
 	mu  sync.Mutex
+	// scratch is Predict's inline gather buffer, kept across calls;
+	// guarded by mu.
+	scratch pipeline.Scratch
 }
 
 // New validates cfg, applies defaults, and attaches a workspace arena
@@ -155,8 +163,10 @@ func (e *Engine) Source() cache.FeatureSource { return e.cfg.Source }
 // run is the one pipeline loop both entry points share: sample → gather
 // (through the feature plane when one is configured) → forward, with
 // the workspace recycled after each batch's visit. Batches arrive in
-// strictly increasing index order at any prefetch depth.
-func (e *Engine) run(ctx context.Context, targets []int32, visit func(b *pipeline.Batch, logits *tensor.Dense) error) error {
+// strictly increasing index order at any prefetch depth. scratch, when
+// non-nil, is the gather buffer an inline run fills instead of a fresh
+// one; it must be guarded by e.mu.
+func (e *Engine) run(ctx context.Context, targets []int32, scratch *pipeline.Scratch, visit func(b *pipeline.Batch, logits *tensor.Dense) error) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	ws := e.cfg.Model.Workspace()
@@ -170,6 +180,7 @@ func (e *Engine) run(ctx context.Context, targets []int32, visit func(b *pipelin
 		Targets:   targets,
 		Gather:    true,
 		Prefetch:  e.cfg.Prefetch,
+		Scratch:   scratch,
 		Ctx:       ctx,
 	}, func(b *pipeline.Batch) error {
 		logits, err := e.cfg.Model.Forward(b.MB, b.Feats, false)
@@ -197,7 +208,7 @@ func (e *Engine) Accuracy(ctx context.Context, idx []int32, limit int) (float64,
 		idx = idx[:limit]
 	}
 	var correct, total int
-	err := e.run(ctx, idx, func(b *pipeline.Batch, logits *tensor.Dense) error {
+	err := e.run(ctx, idx, nil, func(b *pipeline.Batch, logits *tensor.Dense) error {
 		correct += int(nn.Accuracy(logits, b.Labels) * float64(len(b.Labels)))
 		total += len(b.Labels)
 		return nil
@@ -237,7 +248,7 @@ func (e *Engine) Predict(ctx context.Context, targets []int32) (*Prediction, err
 	classes := make([]int32, len(uniq))
 	p := &Prediction{}
 	row := 0
-	err := e.run(ctx, uniq, func(b *pipeline.Batch, lg *tensor.Dense) error {
+	err := e.run(ctx, uniq, &e.scratch, func(b *pipeline.Batch, lg *tensor.Dense) error {
 		// uniq has no repeats and evaluation order is unshuffled, so each
 		// batch's targets are exactly its chunk of uniq, in order: rows
 		// append sequentially.

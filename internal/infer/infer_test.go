@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
-	"sync"
+	"slices"
 	"testing"
 	"time"
 
@@ -13,6 +13,8 @@ import (
 	"gnnavigator/internal/faultinject"
 	"gnnavigator/internal/graph"
 	"gnnavigator/internal/infer"
+	"gnnavigator/internal/infer/infertest"
+	"gnnavigator/internal/leakcheck"
 	"gnnavigator/internal/model"
 	"gnnavigator/internal/nn"
 	"gnnavigator/internal/pipeline"
@@ -245,6 +247,61 @@ func TestPredictMatchesCachedSource(t *testing.T) {
 	}
 }
 
+// TestResidentScratchIsBitwiseInvisible: the engine keeps Predict's
+// inline gather buffer across calls. A fresh engine's first call has
+// nothing resident and allocates exactly as a scratch-less run does; a
+// warm engine gathers into a buffer still holding a larger, different
+// call's rows. Every logit must be identical bit for bit at every
+// prefetch depth (the async path ignores the scratch), and Accuracy on
+// the warm engine — which keeps no buffer of its own — must still match
+// the frozen scratch-less loop.
+func TestResidentScratchIsBitwiseInvisible(t *testing.T) {
+	d, m := evalFixture(t)
+	small, big := d.ValIdx[:40], d.ValIdx[300:1000]
+	wantAcc, err := frozenEvaluate(m, d.Graph, d.ValIdx, 600, 3, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, depth := range []int{0, 1, 4} {
+		cfg := infer.Config{Graph: d.Graph, Model: m, Seed: 3, Prefetch: depth}
+		fresh, err := infer.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.Predict(context.Background(), small)
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm, err := infer.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := warm.Predict(context.Background(), big); err != nil {
+			t.Fatal(err)
+		}
+		got, err := warm.Predict(context.Background(), small)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.Classes, want.Classes) {
+			t.Errorf("prefetch %d: classes differ on a warm engine", depth)
+		}
+		for i, v := range got.Logits.Data {
+			if math.Float64bits(v) != math.Float64bits(want.Logits.Data[i]) {
+				t.Fatalf("prefetch %d: logit %d = %v on a warm engine, %v on a fresh one (not bitwise)",
+					depth, i, v, want.Logits.Data[i])
+			}
+		}
+		acc, err := warm.Accuracy(context.Background(), d.ValIdx, 600)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(acc) != math.Float64bits(wantAcc) {
+			t.Errorf("prefetch %d: accuracy %v on a warm engine, frozen reference %v (not bitwise)", depth, acc, wantAcc)
+		}
+	}
+}
+
 func TestEngineValidation(t *testing.T) {
 	d, m := evalFixture(t)
 	if _, err := infer.New(infer.Config{Model: m}); err == nil {
@@ -294,121 +351,269 @@ func TestPredictHonorsContext(t *testing.T) {
 	}
 }
 
-// TestCoalescerMergesConcurrentRequests: concurrent callers must each
-// get exactly the answer a solo Predict would give them, and with a
-// generous window the dispatcher should need fewer flushes than there
-// were requests. Fanout-limited sampling draws different neighborhoods
-// depending on who shares the batch, so per-request equality is pinned
-// with a full-neighborhood sampler (fanout <= 0 takes every neighbor
-// and consumes no RNG): each target's logits are then a function of the
-// target alone, whatever batch it rides in.
-func TestCoalescerMergesConcurrentRequests(t *testing.T) {
+// The coalescer tests hold a flush in flight with an infertest.Gate around
+// the engine's sampler and watch Coalescer.Queued before letting it go,
+// so they pin what the dispatcher does while the engine is busy — not
+// what happened to fit in a time window.
+
+// fullNeighborhood is the sampler per-request equality is pinned with.
+// Fanout-limited sampling draws different neighborhoods depending on who
+// shares the batch; fanout <= 0 takes every neighbor and consumes no
+// RNG, so each target's logits are a function of the target alone,
+// whatever batch it rides in.
+func fullNeighborhood() sample.Sampler { return &sample.NodeWise{Fanouts: []int{0, 0}} }
+
+func gatedCoalescer(t *testing.T, smp sample.Sampler, maxBatch int) (*infer.Engine, *infertest.Gate, *infer.Coalescer) {
+	t.Helper()
 	d, m := evalFixture(t)
-	eng, err := infer.New(infer.Config{
-		Graph: d.Graph, Model: m, Seed: 3,
-		Sampler: &sample.NodeWise{Fanouts: []int{0, 0}},
-	})
+	gate := infertest.NewGate(smp)
+	eng, err := infer.New(infer.Config{Graph: d.Graph, Model: m, Seed: 3, Sampler: gate})
 	if err != nil {
 		t.Fatal(err)
 	}
+	col := infer.NewCoalescer(eng, infer.CoalescerConfig{MaxBatch: maxBatch})
+	t.Cleanup(col.Close)
+	return eng, gate, col
+}
+
+// pending is one Coalescer.Predict running on its own goroutine.
+type pending struct {
+	done    chan struct{}
+	classes []int32
+	err     error
+}
+
+func goPredict(ctx context.Context, col *infer.Coalescer, targets []int32) *pending {
+	p := &pending{done: make(chan struct{})}
+	go func() {
+		defer close(p.done)
+		p.classes, p.err = col.Predict(ctx, targets)
+	}()
+	return p
+}
+
+// stallFlush sends one request into an idle coalescer with the gate
+// armed and returns once its flush is in flight, stalled in the sampler.
+func stallFlush(t *testing.T, gate *infertest.Gate, col *infer.Coalescer, targets []int32) (blocker *pending, release func()) {
+	t.Helper()
+	entered, release := gate.StallNext()
+	t.Cleanup(release)
+	blocker = goPredict(context.Background(), col, targets)
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the stalled flush never reached the sampler")
+	}
+	return blocker, release
+}
+
+// waitQueued polls the queue gauge until it reads want.
+func waitQueued(t *testing.T, col *infer.Coalescer, want int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for col.Queued() != want {
+		if time.Now().After(deadline) {
+			t.Fatalf("queued = %d, want %d", col.Queued(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// flushedVerts is the total width of all flushes so far.
+func flushedVerts(col *infer.Coalescer) int {
+	return int(math.Round(col.MeanBatch() * float64(col.Flushes())))
+}
+
+func triple(i int) []int32 { return []int32{int32(3 * i), int32(3*i + 1), int32(3*i + 2)} }
+
+// TestCoalescerMergesConcurrentRequests pins the group-commit rule: a
+// lone request on an idle coalescer is exactly one flush of its own
+// width; requests that queue behind a busy engine ride the next flush
+// together; and every caller gets exactly the answer a solo Predict
+// would give it.
+func TestCoalescerMergesConcurrentRequests(t *testing.T) {
+	eng, gate, col := gatedCoalescer(t, fullNeighborhood(), 4096)
 	const clients = 8
 	want := make([][]int32, clients)
-	reqs := make([][]int32, clients)
-	for i := range reqs {
-		reqs[i] = []int32{int32(3 * i), int32(3*i + 1), int32(3*i + 2)}
-		p, err := eng.Predict(context.Background(), reqs[i])
+	for i := range want {
+		p, err := eng.Predict(context.Background(), triple(i))
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[i] = p.Classes
 	}
-	col := infer.NewCoalescer(eng, infer.CoalescerConfig{MaxBatch: 4096, MaxWait: 300 * time.Millisecond})
-	defer col.Close()
-	var wg sync.WaitGroup
-	errs := make([]error, clients)
-	got := make([][]int32, clients)
-	start := make(chan struct{})
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			<-start
-			got[i], errs[i] = col.Predict(context.Background(), reqs[i])
-		}(i)
-	}
-	close(start)
-	wg.Wait()
-	for i := range got {
-		if errs[i] != nil {
-			t.Fatalf("client %d: %v", i, errs[i])
-		}
-		for j := range want[i] {
-			if got[i][j] != want[i][j] {
-				t.Errorf("client %d target %d: class %d, want %d", i, j, got[i][j], want[i][j])
-			}
-		}
-	}
-	if f := col.Flushes(); f >= clients {
-		t.Errorf("nothing coalesced: %d flushes for %d concurrent requests", f, clients)
-	}
-	if mb := col.MeanBatch(); mb < 3 {
-		t.Errorf("mean batch %v, want >= a single request's 3 vertices", mb)
-	}
-}
 
-// TestCoalescerSplitsAtMaxBatch: with a tiny vertex budget the same
-// concurrent burst must split across several flushes — and still answer
-// every request correctly.
-func TestCoalescerSplitsAtMaxBatch(t *testing.T) {
-	d, m := evalFixture(t)
-	eng, err := infer.New(infer.Config{Graph: d.Graph, Model: m, Seed: 3})
+	// Idle: no company to wait for, so none is waited for.
+	got, err := col.Predict(context.Background(), triple(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := infer.NewCoalescer(eng, infer.CoalescerConfig{MaxBatch: 4, MaxWait: 300 * time.Millisecond})
-	defer col.Close()
-	const clients = 6
-	var wg sync.WaitGroup
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			targets := []int32{int32(3 * i), int32(3*i + 1), int32(3*i + 2)}
-			classes, err := col.Predict(context.Background(), targets)
-			if err != nil {
-				t.Errorf("client %d: %v", i, err)
-				return
-			}
-			if len(classes) != len(targets) {
-				t.Errorf("client %d: %d classes for %d targets", i, len(classes), len(targets))
-			}
-		}(i)
+	if !slices.Equal(got, want[0]) {
+		t.Errorf("lone request: classes %v, solo engine says %v", got, want[0])
 	}
-	wg.Wait()
-	if f := col.Flushes(); f < 2 {
-		t.Errorf("MaxBatch 4 never split an 18-vertex burst: %d flushes", f)
+	if f, v := col.Flushes(), flushedVerts(col); f != 1 || v != 3 {
+		t.Fatalf("lone request on an idle coalescer: %d flushes of %d vertices in all, want 1 of 3", f, v)
+	}
+	if q := col.Queued(); q != 0 {
+		t.Fatalf("idle coalescer reports %d queued", q)
+	}
+
+	// Busy: width grows with what queued during the stalled flush.
+	blocker, release := stallFlush(t, gate, col, triple(0))
+	reqs := make([]*pending, clients)
+	for i := range reqs {
+		reqs[i] = goPredict(context.Background(), col, triple(i))
+	}
+	waitQueued(t, col, clients)
+	if f := col.Flushes(); f != 2 {
+		t.Fatalf("%d flushes while the engine is stalled, want 2 (nothing may start behind a running flush)", f)
+	}
+	release()
+	<-blocker.done
+	if blocker.err != nil {
+		t.Fatalf("stalled request: %v", blocker.err)
+	}
+	for i, r := range reqs {
+		<-r.done
+		if r.err != nil {
+			t.Fatalf("client %d: %v", i, r.err)
+		}
+		if !slices.Equal(r.classes, want[i]) {
+			t.Errorf("client %d: coalesced classes %v, solo %v", i, r.classes, want[i])
+		}
+	}
+	if f, v := col.Flushes(), flushedVerts(col); f != 3 || v != 3+3+3*clients {
+		t.Errorf("%d requests queued behind one flush: %d flushes of %d vertices in all, want 3 of %d",
+			clients, f, v, 3+3+3*clients)
+	}
+}
+
+// TestCoalescerSplitsAtMaxBatch: MaxBatch bounds a flush. Requests join
+// in arrival order while they fit, so a queue of 3+3+3+7+3+3 vertices
+// behind a 6-vertex bound leaves as [3 3] [3] [7] [3 3]: the request
+// that does not fit starts the next flush, and one larger than the bound
+// flushes alone, whole.
+func TestCoalescerSplitsAtMaxBatch(t *testing.T) {
+	_, gate, col := gatedCoalescer(t, infer.EvalSampler(2), 6)
+	blocker, release := stallFlush(t, gate, col, triple(0))
+	sizes := []int{3, 3, 3, 7, 3, 3}
+	reqs := make([]*pending, len(sizes))
+	next := int32(100)
+	for i, n := range sizes {
+		targets := make([]int32, n)
+		for j := range targets {
+			targets[j] = next
+			next++
+		}
+		reqs[i] = goPredict(context.Background(), col, targets)
+		waitQueued(t, col, i+1) // one at a time: arrival order is the queue order
+	}
+	release()
+	<-blocker.done
+	for i, r := range reqs {
+		<-r.done
+		if r.err != nil {
+			t.Fatalf("request %d: %v", i, r.err)
+		}
+		if len(r.classes) != sizes[i] {
+			t.Errorf("request %d: %d classes for %d targets", i, len(r.classes), sizes[i])
+		}
+	}
+	if f, v := col.Flushes(), flushedVerts(col); f != 1+4 || v != 3+22 {
+		t.Errorf("22 queued vertices behind MaxBatch 6: %d flushes of %d vertices in all, want 5 of 25", f, v)
 	}
 }
 
 func TestCoalescerCloseAndContext(t *testing.T) {
-	d, m := evalFixture(t)
-	eng, err := infer.New(infer.Config{Graph: d.Graph, Model: m, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	col := infer.NewCoalescer(eng, infer.CoalescerConfig{})
+	_, gate, col := gatedCoalescer(t, infer.EvalSampler(2), 0)
 	if _, err := col.Predict(context.Background(), nil); err == nil {
 		t.Error("empty request accepted")
 	}
-	ctx, cancel := context.WithCancel(context.Background())
+	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := col.Predict(ctx, []int32{1}); err == nil {
-		t.Error("cancelled request returned no error")
+	if _, err := col.Predict(cancelled, []int32{1}); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled request returned %v, want context.Canceled", err)
 	}
-	col.Close()
+
+	// Close with a flush in flight and a non-empty queue: the flush
+	// completes, every queued waiter is answered with ErrCoalescerClosed.
+	blocker, release := stallFlush(t, gate, col, triple(0))
+	const waiters = 4
+	reqs := make([]*pending, waiters)
+	for i := range reqs {
+		reqs[i] = goPredict(context.Background(), col, triple(i+1))
+	}
+	waitQueued(t, col, waiters)
+	closed := make(chan struct{})
+	go func() {
+		defer close(closed)
+		col.Close()
+	}()
+	// Close is in effect once Predict refuses; a cancelled probe leaves
+	// nothing behind if it got in before that.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if _, err := col.Predict(cancelled, []int32{1}); errors.Is(err, infer.ErrCoalescerClosed) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("Close never took effect")
+		}
+	}
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a flush was in flight")
+	default:
+	}
+	release()
+	<-closed
+	<-blocker.done
+	if blocker.err != nil || len(blocker.classes) != 3 {
+		t.Errorf("flush in flight at Close: classes %v, err %v; want it to complete", blocker.classes, blocker.err)
+	}
+	for i, r := range reqs {
+		<-r.done
+		if !errors.Is(r.err, infer.ErrCoalescerClosed) {
+			t.Errorf("queued waiter %d got (%v, %v), want ErrCoalescerClosed", i, r.classes, r.err)
+		}
+	}
+	if f := col.Flushes(); f != 1 {
+		t.Errorf("%d flushes, want 1: nothing queued may run after Close", f)
+	}
 	col.Close() // idempotent
 	if _, err := col.Predict(context.Background(), []int32{1}); !errors.Is(err, infer.ErrCoalescerClosed) {
 		t.Errorf("Predict after Close returned %v, want ErrCoalescerClosed", err)
+	}
+	leakcheck.Check(t, leakcheck.Dispatcher)
+}
+
+// TestChaosCancelledWhileQueued: a request cancelled while it waits
+// behind a busy engine has already returned ctx.Err(); the next flush
+// must not carry its vertices.
+func TestChaosCancelledWhileQueued(t *testing.T) {
+	_, gate, col := gatedCoalescer(t, infer.EvalSampler(2), 0)
+	blocker, release := stallFlush(t, gate, col, triple(0))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	doomed := goPredict(ctx, col, []int32{10, 11, 12, 13, 14})
+	waitQueued(t, col, 1)
+	kept := goPredict(context.Background(), col, []int32{20, 21})
+	waitQueued(t, col, 2)
+	cancel()
+	<-doomed.done
+	if !errors.Is(doomed.err, context.Canceled) {
+		t.Fatalf("cancelled request returned %v, want context.Canceled", doomed.err)
+	}
+	release()
+	<-blocker.done
+	<-kept.done
+	if blocker.err != nil || kept.err != nil {
+		t.Fatalf("surviving requests failed: %v, %v", blocker.err, kept.err)
+	}
+	if len(kept.classes) != 2 {
+		t.Errorf("kept request: %d classes for 2 targets", len(kept.classes))
+	}
+	if f, v := col.Flushes(), flushedVerts(col); f != 2 || v != 3+2 {
+		t.Errorf("%d flushes of %d vertices in all, want 2 of 5: the cancelled request's 5 vertices must not be computed", f, v)
 	}
 }
 
@@ -422,7 +627,7 @@ func TestChaosServeFlush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := infer.NewCoalescer(eng, infer.CoalescerConfig{MaxWait: time.Millisecond})
+	col := infer.NewCoalescer(eng, infer.CoalescerConfig{})
 	defer col.Close()
 	faultinject.Arm(faultinject.ServeFlush, faultinject.Spec{Kind: faultinject.Error, Count: 1})
 	if _, err := col.Predict(context.Background(), []int32{1, 2}); !errors.Is(err, faultinject.ErrInjected) {

@@ -4,30 +4,18 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"gnnavigator/internal/faultinject"
+	"gnnavigator/internal/leakcheck"
 )
 
-// waitForGoroutines polls until the goroutine count returns to (near) the
-// baseline. Tensor-pool workers are resident by design, so callers must
-// capture the baseline after warming the pool; only growth beyond the
-// pre-call count is a pipeline leak.
-func waitForGoroutines(t *testing.T, baseline int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= baseline {
-			return
-		}
-		runtime.Gosched()
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatalf("goroutine leak: %d before, %d after", baseline, runtime.NumGoroutine())
-}
+// Teardown is checked with leakcheck: a leaked stage goroutine is
+// identified by its frames, so the tensor pool's resident workers —
+// spawned lazily, possibly during the very run under test — never read
+// as leaks.
 
 // TestChaosConsumerErrorNoGoroutineLeak: a consumer error mid-epoch must
 // shut every stage goroutine down (sampler and gather for the split
@@ -40,7 +28,6 @@ func TestChaosConsumerErrorNoGoroutineLeak(t *testing.T) {
 			cfg.Prefetch = 4
 			cfg.CoupledSampler = coupled
 			boom := errors.New("consumer boom")
-			before := runtime.NumGoroutine()
 			n := 0
 			done := false
 			err := Run(cfg, func(b *Batch) error {
@@ -60,7 +47,7 @@ func TestChaosConsumerErrorNoGoroutineLeak(t *testing.T) {
 			if n != 5 {
 				t.Fatalf("consumed %d batches, want 5", n)
 			}
-			waitForGoroutines(t, before)
+			leakcheck.Check(t, leakcheck.PipelineStage)
 		})
 	}
 }
@@ -80,7 +67,6 @@ func TestChaosInjectedStageErrors(t *testing.T) {
 					cfg.Prefetch = prefetch
 					cfg.CoupledSampler = coupled
 					faultinject.Arm(point, faultinject.Spec{Kind: faultinject.Error, After: 3, Count: 1})
-					before := runtime.NumGoroutine()
 					n := 0
 					err := Run(cfg, func(b *Batch) error { n++; return nil }, nil)
 					if !errors.Is(err, faultinject.ErrInjected) {
@@ -89,7 +75,7 @@ func TestChaosInjectedStageErrors(t *testing.T) {
 					if n > 3 {
 						t.Fatalf("consumed %d batches past the injected failure at hit 3", n)
 					}
-					waitForGoroutines(t, before)
+					leakcheck.Check(t, leakcheck.PipelineStage)
 				})
 			}
 		}
@@ -107,12 +93,11 @@ func TestChaosStagePanicContained(t *testing.T) {
 			cfg.Epochs = 2
 			cfg.Prefetch = prefetch
 			faultinject.Arm(faultinject.PipelineSample, faultinject.Spec{Kind: faultinject.Panic, After: 2, Count: 1})
-			before := runtime.NumGoroutine()
 			err := Run(cfg, func(b *Batch) error { return nil }, nil)
 			if err == nil || !strings.Contains(err.Error(), "injected panic") {
 				t.Fatalf("Run returned %v, want contained injected panic", err)
 			}
-			waitForGoroutines(t, before)
+			leakcheck.Check(t, leakcheck.PipelineStage)
 		})
 	}
 }
@@ -123,7 +108,6 @@ func TestChaosStagePanicContained(t *testing.T) {
 func TestChaosConsumerPanicContained(t *testing.T) {
 	cfg := testConfig(t)
 	cfg.Prefetch = 3
-	before := runtime.NumGoroutine()
 	n := 0
 	err := Run(cfg, func(b *Batch) error {
 		n++
@@ -135,7 +119,7 @@ func TestChaosConsumerPanicContained(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "consumer boom") {
 		t.Fatalf("Run returned %v, want contained consumer panic", err)
 	}
-	waitForGoroutines(t, before)
+	leakcheck.Check(t, leakcheck.PipelineStage)
 }
 
 // TestChaosContextCancel: cancelling the run context stops the pipeline
@@ -151,7 +135,6 @@ func TestChaosContextCancel(t *testing.T) {
 				cfg.Prefetch = prefetch
 				cfg.CoupledSampler = coupled
 				cfg.Ctx = ctx
-				before := runtime.NumGoroutine()
 				n := 0
 				err := Run(cfg, func(b *Batch) error {
 					n++
@@ -163,7 +146,7 @@ func TestChaosContextCancel(t *testing.T) {
 				if !errors.Is(err, context.Canceled) {
 					t.Fatalf("Run returned %v, want context.Canceled", err)
 				}
-				waitForGoroutines(t, before)
+				leakcheck.Check(t, leakcheck.PipelineStage)
 			})
 		}
 	}

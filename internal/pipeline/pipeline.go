@@ -132,6 +132,13 @@ type bufferSet struct {
 	labels []int32
 }
 
+// Scratch is a gather buffer that outlives one Run: a caller that issues
+// many short inline runs (the inference engine, one per request) holds
+// one and passes it as Config.Scratch, so the feature matrix is grown
+// once instead of allocated and zeroed per run. The zero value is ready.
+// It must not be shared by concurrent runs.
+type Scratch struct{ buf bufferSet }
+
 // Config wires one pipeline run.
 type Config struct {
 	Graph   *graph.Graph
@@ -179,6 +186,13 @@ type Config struct {
 	// never racing ahead of the cache. Static caches don't need this:
 	// their residency is immutable, so Contains is order-independent.
 	CoupledSampler bool
+
+	// Scratch, when non-nil, is the buffer set the inline path (Prefetch
+	// <= 0) gathers into instead of a fresh one; Batch.Feats and
+	// Batch.Labels then alias it, still valid only until the consumer
+	// callback returns. Outputs are identical either way. The async path
+	// owns its ring and ignores it.
+	Scratch *Scratch
 
 	// Ctx, when non-nil, cancels the run: every stage checks it between
 	// batches, and Run returns ctx.Err() after tearing the stages down.
@@ -340,6 +354,9 @@ func Run(cfg Config, consume func(*Batch) error, epochEnd func(epoch int) error)
 // functions, executed synchronously per batch with a single buffer set.
 func runInline(cfg Config, consume func(*Batch) error, epochEnd func(epoch int) error) error {
 	buf := &bufferSet{}
+	if cfg.Scratch != nil {
+		buf = &cfg.Scratch.buf
+	}
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		for i, targets := range cfg.plan(epoch) {
 			if err := cfg.ctxErr(); err != nil {

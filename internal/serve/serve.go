@@ -1,10 +1,13 @@
 // Package serve is the HTTP front of the inference engine: a stdlib
-// net/http service that loads a trained model (model.Load), coalesces
-// concurrent /predict requests into minibatches through infer.Coalescer,
-// gathers features through whatever feature plane the engine was built
-// with, and reports serving statistics (p50/p99 latency, throughput,
-// cache hit rate). cmd/gnnserve wires it to flags; benchtab's serve
-// bench drives it with closed-loop load.
+// net/http service over a loaded infer.Engine that coalesces concurrent
+// /predict requests into minibatches through infer.Coalescer (group
+// commit: an idle engine answers a lone request at once, a busy one
+// answers everything that queued behind it in one flush), gathers
+// features through whatever feature plane the engine was built with, and
+// reports serving statistics (p50/p99 latency, throughput, queue depth,
+// flush width, cache hit rate). cmd/gnnserve wires it to flags; the
+// bench/ serve-zipf and serve-scan workloads drive it with closed-loop
+// load.
 package serve
 
 import (
@@ -30,10 +33,9 @@ const latencyWindow = 16384
 type Config struct {
 	// Engine is the loaded inference engine requests run on.
 	Engine *infer.Engine
-	// MaxBatch and MaxWait tune the request coalescer (its defaults
-	// apply when zero).
+	// MaxBatch bounds one coalesced flush, in vertices (the coalescer's
+	// default applies when zero).
 	MaxBatch int
-	MaxWait  time.Duration
 	// MaxVertices bounds a single request's target count (default 1024):
 	// a request larger than the coalescer's whole batch budget should be
 	// split by the client, not monopolize the engine.
@@ -68,14 +70,14 @@ func New(cfg Config) (*Server, error) {
 	}
 	return &Server{
 		eng:   cfg.Engine,
-		coal:  infer.NewCoalescer(cfg.Engine, infer.CoalescerConfig{MaxBatch: cfg.MaxBatch, MaxWait: cfg.MaxWait}),
+		coal:  infer.NewCoalescer(cfg.Engine, infer.CoalescerConfig{MaxBatch: cfg.MaxBatch}),
 		maxV:  cfg.MaxVertices,
 		start: time.Now(),
 	}, nil
 }
 
-// Close stops the coalescer; in-flight requests complete or get
-// infer.ErrCoalescerClosed.
+// Close stops the coalescer: the flush in flight completes, requests
+// still queued get infer.ErrCoalescerClosed.
 func (s *Server) Close() { s.coal.Close() }
 
 // Handler returns the route mux.
@@ -151,6 +153,7 @@ type Stats struct {
 	Requests         int64   `json:"requests"`
 	Errors           int64   `json:"errors"`
 	Vertices         int64   `json:"vertices"`
+	Queued           int     `json:"queued"`
 	Flushes          int64   `json:"flushes"`
 	MeanBatch        float64 `json:"mean_batch"`
 	HitRate          float64 `json:"hit_rate"`
@@ -167,6 +170,7 @@ func (s *Server) Snapshot() Stats {
 		Requests:  s.requests.Load(),
 		Errors:    s.errors.Load(),
 		Vertices:  s.vertices.Load(),
+		Queued:    s.coal.Queued(),
 		Flushes:   s.coal.Flushes(),
 		MeanBatch: s.coal.MeanBatch(),
 		UptimeSec: time.Since(s.start).Seconds(),

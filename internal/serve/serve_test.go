@@ -15,11 +15,21 @@ import (
 	"gnnavigator/internal/dataset"
 	"gnnavigator/internal/faultinject"
 	"gnnavigator/internal/infer"
+	"gnnavigator/internal/infer/infertest"
+	"gnnavigator/internal/leakcheck"
 	"gnnavigator/internal/model"
+	"gnnavigator/internal/sample"
 	"gnnavigator/internal/serve"
 )
 
 func testServer(t *testing.T, cfg serve.Config) (*serve.Server, *httptest.Server, *infer.Engine) {
+	t.Helper()
+	return testServerWith(t, cfg, nil)
+}
+
+// testServerWith is testServer with the engine's sampler chosen by the
+// caller (nil: the engine's default).
+func testServerWith(t *testing.T, cfg serve.Config, smp sample.Sampler) (*serve.Server, *httptest.Server, *infer.Engine) {
 	t.Helper()
 	d, err := dataset.Load(dataset.OgbnArxiv)
 	if err != nil {
@@ -32,7 +42,7 @@ func testServer(t *testing.T, cfg serve.Config) (*serve.Server, *httptest.Server
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := infer.New(infer.Config{Graph: d.Graph, Model: m, Seed: 11})
+	eng, err := infer.New(infer.Config{Graph: d.Graph, Model: m, Seed: 11, Sampler: smp})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,34 +180,78 @@ func TestStatsAndHealthz(t *testing.T) {
 	}
 }
 
-// TestConcurrentRequestsCoalesce: a synchronized burst against a
-// generous wait window must answer every request and need fewer engine
-// flushes than there were requests.
+// TestConcurrentRequestsCoalesce: requests that arrive while the engine
+// is busy queue (visible as "queued" in /stats) and are all answered by
+// the one flush that follows; none of it depends on a time window.
 func TestConcurrentRequestsCoalesce(t *testing.T) {
-	srv, ts, _ := testServer(t, serve.Config{MaxWait: 300 * time.Millisecond})
+	gate := infertest.NewGate(infer.EvalSampler(2))
+	srv, ts, _ := testServerWith(t, serve.Config{}, gate)
+	entered, release := gate.StallNext()
+	defer release()
 	const clients = 8
 	var wg sync.WaitGroup
-	start := make(chan struct{})
-	for i := 0; i < clients; i++ {
+	post := func(i int) {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			<-start
 			resp, out := postPredict(t, ts.URL, fmt.Sprintf(`{"vertices":[%d,%d]}`, 3*i, 3*i+1))
 			if resp.StatusCode != http.StatusOK {
 				t.Errorf("client %d: status %d: %s", i, resp.StatusCode, out["error"])
 			}
-		}(i)
+		}()
 	}
-	close(start)
+	post(clients) // its flush stalls in the sampler
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the stalled flush never reached the sampler")
+	}
+	for i := 0; i < clients; i++ {
+		post(i)
+	}
+	var st serve.Stats
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		resp, err := http.Get(ts.URL + "/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Queued == clients {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("/stats queued = %d, want %d behind the stalled flush", st.Queued, clients)
+		}
+	}
+	if st.Flushes != 1 {
+		t.Errorf("%d flushes while the engine is stalled, want 1", st.Flushes)
+	}
+	release()
 	wg.Wait()
-	st := srv.Snapshot()
-	if st.Requests != clients || st.Errors != 0 {
+	st = srv.Snapshot()
+	if st.Requests != clients+1 || st.Errors != 0 || st.Queued != 0 {
 		t.Errorf("counters off: %+v", st)
 	}
-	if st.Flushes >= clients {
-		t.Errorf("nothing coalesced: %d flushes for %d concurrent requests", st.Flushes, clients)
+	if st.Flushes != 2 || st.MeanBatch != float64(2+2*clients)/2 {
+		t.Errorf("%d requests queued behind one flush: %d flushes, mean width %v; want 2 flushes, mean %v",
+			clients, st.Flushes, st.MeanBatch, float64(2+2*clients)/2)
 	}
+}
+
+// TestCloseLeavesNoGoroutines: once the listener and the server are
+// closed, neither a handler nor the coalescer's dispatcher remains.
+func TestCloseLeavesNoGoroutines(t *testing.T) {
+	srv, ts, _ := testServer(t, serve.Config{})
+	if resp, out := postPredict(t, ts.URL, `{"vertices":[1,2]}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, out["error"])
+	}
+	ts.Close()
+	srv.Close()
+	leakcheck.Check(t, leakcheck.ServeHandler, leakcheck.Dispatcher)
 }
 
 // TestChaosServeDecode arms the serve/decode injection point: the

@@ -2,12 +2,11 @@ package tensor
 
 import (
 	"errors"
-	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"gnnavigator/internal/faultinject"
+	"gnnavigator/internal/leakcheck"
 )
 
 // mustRecoverWorkerPanic runs fn and asserts it panics with a
@@ -81,7 +80,6 @@ func TestChaosDispatcherShardPanicWaitsForSiblings(t *testing.T) {
 // TestChaosForEachIndexPanicContained: a panicking task stops the
 // fan-out, all task goroutines exit, and the panic rethrows wrapped.
 func TestChaosForEachIndexPanicContained(t *testing.T) {
-	before := runtime.NumGoroutine()
 	mustRecoverWorkerPanic(t, "boom-task", func() {
 		ForEachIndex(100, 4, func(i int) {
 			if i == 7 {
@@ -89,7 +87,7 @@ func TestChaosForEachIndexPanicContained(t *testing.T) {
 			}
 		})
 	})
-	waitForGoroutines(t, before)
+	leakcheck.Check(t, leakcheck.FanOutTask)
 }
 
 // TestChaosForEachIndexErrContainsPanics: the fallible fan-out converts
@@ -144,20 +142,4 @@ func TestChaosTensorWorkerInjection(t *testing.T) {
 			t.Fatalf("contained panic lost the injected sentinel: %v", wp.Value)
 		}
 	}
-}
-
-// waitForGoroutines polls until the goroutine count returns to (near)
-// the baseline; pool workers are resident by design, so only growth
-// beyond the pre-call count is a leak.
-func waitForGoroutines(t *testing.T, baseline int) {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= baseline {
-			return
-		}
-		runtime.Gosched()
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatalf("goroutine leak: %d before, %d after", baseline, runtime.NumGoroutine())
 }
