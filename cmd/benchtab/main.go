@@ -9,9 +9,8 @@
 // Experiments: fig1a, fig1b, fig5, fig6, table1, table2,
 // ablation-pruning, ablation-cache, ablation-pipeline, all.
 //
-// Perf tooling: -parallel-bench, -pipeline-bench, -sample-bench and
-// -cache-bench write the BENCH_*.json trajectory files;
-// -cpuprofile/-memprofile capture pprof profiles of whichever mode runs.
+// -cpuprofile/-memprofile capture pprof profiles of the run. Wall time,
+// memory and latency of the stack itself are measured by bench/.
 package main
 
 import (
@@ -45,28 +44,6 @@ func main() {
 		full     = flag.Bool("full", false, "full fidelity (slower, evaluation defaults)")
 		procs    = flag.Int("procs", 0, "tensor kernel workers (0 = GOMAXPROCS / $GNNAV_PROCS; 1 = serial)")
 		prefetch = flag.Int("prefetch", 0, "minibatch pipeline depth (0 = $GNNAV_PREFETCH or inline; results identical at any depth)")
-		parBench = flag.Bool("parallel-bench", false, "measure serial vs 2/4/8-worker speedups and write BENCH_parallel.json")
-		parOut   = flag.String("parallel-out", "BENCH_parallel.json", "output path for -parallel-bench")
-		pipBench = flag.Bool("pipeline-bench", false, "measure serial vs prefetch-1/2/4 epoch times and write BENCH_pipeline.json")
-		pipOut   = flag.String("pipeline-out", "BENCH_pipeline.json", "output path for -pipeline-bench")
-		smpBench = flag.Bool("sample-bench", false, "measure map-based vs frontier-table sampler throughput and write BENCH_sample.json")
-		smpOut   = flag.String("sample-out", "BENCH_sample.json", "output path for -sample-bench")
-		cchBench = flag.Bool("cache-bench", false, "measure map+list vs sharded array-backed cache throughput and write BENCH_cache.json")
-		cchOut   = flag.String("cache-out", "BENCH_cache.json", "output path for -cache-bench")
-		dseBench = flag.Bool("dse-bench", false, "measure serial vs parallel design-space exploration + calibration collection and write BENCH_dse.json")
-		dseOut   = flag.String("dse-out", "BENCH_dse.json", "output path for -dse-bench")
-		dseQuick = flag.Bool("dse-quick", false, "shrink -dse-bench to a tiny space and {1,2} workers (CI smoke)")
-		plnBench = flag.Bool("plan-bench", false, "measure live sampling vs compiled-plan replay and plan-shared calibration collection, writing BENCH_plan.json")
-		plnOut   = flag.String("plan-out", "BENCH_plan.json", "output path for -plan-bench")
-		plnQuick = flag.Bool("plan-quick", false, "shrink -plan-bench to one epoch and fewer probes (CI smoke)")
-		mltBench = flag.Bool("multi-bench", false, "measure 1/2/4-device training throughput + halo/all-reduce traffic (bitwise-gated against K=1) and write BENCH_multi.json")
-		mltOut   = flag.String("multi-out", "BENCH_multi.json", "output path for -multi-bench")
-		mltQuick = flag.Bool("multi-quick", false, "shrink -multi-bench to one epoch and one timing rep (CI smoke)")
-		svBench  = flag.Bool("serve-bench", false, "drive the HTTP serving stack with uniform + Zipf closed-loop load and write BENCH_serve.json")
-		svOut    = flag.String("serve-out", "BENCH_serve.json", "output path for -serve-bench")
-		svModel  = flag.String("serve-model", "", "model file for -serve-bench (trained and saved there if absent; empty = throwaway temp)")
-		svURL    = flag.String("serve-url", "", "drive a running gnnserve at this base URL instead of an in-process server (with -serve-bench)")
-		svQuick  = flag.Bool("serve-quick", false, "shrink -serve-bench's client fleet (CI smoke)")
 		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProf  = flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
 		timeout  = flag.Duration("timeout", 0, "wall-clock watchdog (0 = none): exit with status 124 if the run exceeds this, so a hang fails a build instead of wedging it")
@@ -101,17 +78,7 @@ func main() {
 			log.Fatalf("cpuprofile: %v", err)
 		}
 	}
-	err := dispatch(*exp, *full, benchModes{
-		parBench: *parBench, parOut: *parOut,
-		pipBench: *pipBench, pipOut: *pipOut,
-		smpBench: *smpBench, smpOut: *smpOut,
-		cchBench: *cchBench, cchOut: *cchOut,
-		dseBench: *dseBench, dseOut: *dseOut, dseQuick: *dseQuick,
-		plnBench: *plnBench, plnOut: *plnOut, plnQuick: *plnQuick,
-		mltBench: *mltBench, mltOut: *mltOut, mltQuick: *mltQuick,
-		svBench: *svBench, svOut: *svOut, svModel: *svModel,
-		svURL: *svURL, svQuick: *svQuick,
-	})
+	err := dispatch(*exp, *full)
 	if *cpuProf != "" {
 		pprof.StopCPUProfile()
 	}
@@ -131,84 +98,9 @@ func main() {
 	}
 }
 
-// benchModes bundles the perf-tooling flags so dispatch doesn't grow a
-// positional parameter triple per bench mode.
-type benchModes struct {
-	parBench bool
-	parOut   string
-	pipBench bool
-	pipOut   string
-	smpBench bool
-	smpOut   string
-	cchBench bool
-	cchOut   string
-	dseBench bool
-	dseOut   string
-	dseQuick bool
-	plnBench bool
-	plnOut   string
-	plnQuick bool
-	mltBench bool
-	mltOut   string
-	mltQuick bool
-	svBench  bool
-	svOut    string
-	svModel  string
-	svURL    string
-	svQuick  bool
-}
-
-// dispatch runs exactly one benchtab mode; profiles (if any) bracket it.
-func dispatch(exp string, full bool, m benchModes) error {
-	if m.parBench {
-		if err := runParallelBench(m.parOut); err != nil {
-			return fmt.Errorf("parallel-bench: %w", err)
-		}
-		return nil
-	}
-	if m.pipBench {
-		if err := runPipelineBench(m.pipOut); err != nil {
-			return fmt.Errorf("pipeline-bench: %w", err)
-		}
-		return nil
-	}
-	if m.smpBench {
-		if err := runSampleBench(m.smpOut); err != nil {
-			return fmt.Errorf("sample-bench: %w", err)
-		}
-		return nil
-	}
-	if m.cchBench {
-		if err := runCacheBench(m.cchOut); err != nil {
-			return fmt.Errorf("cache-bench: %w", err)
-		}
-		return nil
-	}
-	if m.dseBench {
-		if err := runDSEBench(m.dseOut, m.dseQuick); err != nil {
-			return fmt.Errorf("dse-bench: %w", err)
-		}
-		return nil
-	}
-	if m.plnBench {
-		if err := runPlanBench(m.plnOut, m.plnQuick); err != nil {
-			return fmt.Errorf("plan-bench: %w", err)
-		}
-		return nil
-	}
-	if m.mltBench {
-		if err := runMultiBench(m.mltOut, m.mltQuick); err != nil {
-			return fmt.Errorf("multi-bench: %w", err)
-		}
-		return nil
-	}
-	if m.svBench {
-		if err := runServeBench(m.svOut, m.svModel, m.svURL, m.svQuick); err != nil {
-			return fmt.Errorf("serve-bench: %w", err)
-		}
-		return nil
-	}
-
+// dispatch runs the named experiment (or all of them); profiles (if
+// any) bracket it.
+func dispatch(exp string, full bool) error {
 	fidelity := experiments.Quick
 	if full {
 		fidelity = experiments.Full

@@ -392,7 +392,7 @@ func RunWith(cfg Config, opts Options) (*Perf, error) {
 	// that expectation divided by the measured batch, capped by the plain
 	// linear scale. Without this, products-scale workloads would absurdly
 	// touch the whole 2.4M-vertex graph every iteration.
-	fullBound := analyticFullBound(cfg, ds)
+	fullBound := AnalyticFullBound(cfg, ds)
 	nFull := float64(ds.FullVertices)
 	collisionFull := nFull * (1 - math.Exp(-fullBound/nFull))
 	effScale := func(measuredVi int) float64 {
@@ -407,12 +407,12 @@ func RunWith(cfg Config, opts Options) (*Perf, error) {
 		}
 		return s
 	}
-	featShare := featureFLOPShare(cfg, g.FeatDim)
+	featShare := FeatureFLOPShare(cfg, g.FeatDim)
 	// Full-scale all-reduce payload per step: |Φ| scalars at the 4-byte
 	// transfer currency (the simulator applies the ring wire factor).
 	var arBytes float64
 	if devices > 1 {
-		arBytes = float64(paramsAtFullScale(mdl, ds, cfg)) * 4
+		arBytes = float64(ParamsAtFullScale(cfg, ds)) * 4
 	}
 
 	perf := &Perf{Feasible: true}
@@ -629,7 +629,7 @@ func RunWith(cfg Config, opts Options) (*Perf, error) {
 		Devices:        devices,
 	}
 	mem := sim.EstimateMemory(sim.MemoryVolumes{
-		ModelParams:       paramsAtFullScale(mdl, ds, cfg),
+		ModelParams:       ParamsAtFullScale(cfg, ds),
 		CacheVertices:     prec.EffectiveCacheRows(cfg.CacheRatio, float64(ds.FullVertices), ds.FullFeatDim),
 		PeakBatchVertices: perf.PeakBatchSize,
 		PeakBatchEdges:    perf.PeakBatchEdges,
@@ -718,10 +718,11 @@ func CompilePlan(cfg Config) (*plan.Plan, error) {
 	return plan.Shared(g, preSmp, key, ds.TrainIdx)
 }
 
-// analyticFullBound is the τ=1 bound of Eq. 12 at paper scale: the
+// AnalyticFullBound is the τ=1 bound of Eq. 12 at paper scale: the
 // maximum distinct vertices one batch can touch, with fanouts capped by
-// the full-scale average degree.
-func analyticFullBound(cfg Config, ds *dataset.Dataset) float64 {
+// the full-scale average degree. The estimator prices its predictions
+// with the same rule.
+func AnalyticFullBound(cfg Config, ds *dataset.Dataset) float64 {
 	b0 := float64(cfg.BatchSize)
 	switch cfg.Sampler {
 	case SamplerSAINT:
@@ -745,28 +746,41 @@ func analyticFullBound(cfg Config, ds *dataset.Dataset) float64 {
 	}
 }
 
-// featureFLOPShare estimates the fraction of model FLOPs proportional to
+// FeatureFLOPShare estimates the fraction of model FLOPs proportional to
 // the input feature dimension: the first layer's dense work dominates when
 // in >> hidden.
-func featureFLOPShare(cfg Config, featDim int) float64 {
+func FeatureFLOPShare(cfg Config, featDim int) float64 {
 	in := float64(featDim)
 	rest := float64(cfg.Hidden) * float64(max(cfg.Layers-1, 1))
 	return in / (in + rest)
 }
 
-// paramsAtFullScale adjusts |Φ| for the paper-scale input feature
-// dimension: the first layer's weight matrix grows with n_attr.
-func paramsAtFullScale(m *model.Model, ds *dataset.Dataset, cfg Config) int {
-	p := m.NumParams()
-	// First layer in-dim contribution scales from scaled FeatDim to full.
-	delta := (ds.FullFeatDim - ds.Graph.FeatDim) * cfg.Hidden
-	if cfg.Layers == 1 {
-		delta = (ds.FullFeatDim - ds.Graph.FeatDim) * ds.Graph.NumClasses
+// ParamsAtFullScale is |Φ| at paper scale in closed form: what
+// model.New builds for cfg when the first layer's input is the full
+// attribute dimension (weights + bias per layer; SAGE carries a self
+// and a neighbor path, GAT two attention vectors of the output width
+// whatever the head count).
+func ParamsAtFullScale(cfg Config, ds *dataset.Dataset) int {
+	total := 0
+	for l := 0; l < cfg.Layers; l++ {
+		li := cfg.Hidden
+		if l == 0 {
+			li = ds.FullFeatDim
+		}
+		lo := cfg.Hidden
+		if l == cfg.Layers-1 {
+			lo = ds.Graph.NumClasses
+		}
+		switch cfg.Model {
+		case model.SAGE:
+			total += 2*li*lo + 2*lo
+		case model.GAT:
+			total += li*lo + 3*lo
+		default:
+			total += li*lo + lo
+		}
 	}
-	if cfg.Model == model.SAGE {
-		delta *= 2 // self + neighbor paths
-	}
-	return p + max(delta, 0)
+	return total
 }
 
 // Evaluate measures accuracy of mdl on the given vertices using a

@@ -92,8 +92,8 @@ func (p Policy) Dynamic() bool { return p == FIFO || p == LRU || p == Opt }
 func (p Policy) Prefilled() bool { return p == Static || p == Freq }
 
 // Kernel is the lookup/update surface shared by the array-backed Cache
-// and the frozen MapReference: what the feature plane (source.go), the
-// equivalence tests and benchtab -cache-bench program against.
+// and the frozen MapReference: what the feature plane (source.go) and
+// the equivalence tests program against.
 type Kernel interface {
 	Policy() Policy
 	Capacity() int
@@ -172,13 +172,12 @@ type Cache struct {
 	hits, misses, updates atomic.Int64
 }
 
-// defaultAdmissionOrder resolves the admission order a policy's
-// plain constructor (New, NewMapReference, NewShards) can derive on its
-// own: Static pre-fills from g's degree order; Freq needs a pre-sampled
-// frequency order the caller must supply through the named WithOrder
-// constructor; Opt is script-driven (NewOpt), not order-driven. This is
-// the one shared home for the admission-order rules all six cache
-// constructors used to restate.
+// defaultAdmissionOrder resolves the admission order a policy's plain
+// constructor (New, NewMapReference) can derive on its own: Static
+// pre-fills from g's degree order; Freq needs a pre-sampled frequency
+// order the caller must supply through the named WithOrder constructor;
+// Opt is script-driven (NewOpt), not order-driven. This is the one
+// shared home for the admission-order rules of every cache constructor.
 func defaultAdmissionOrder(policy Policy, g *graph.Graph, withOrder string) ([]int32, error) {
 	switch policy {
 	case Freq:

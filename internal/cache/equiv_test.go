@@ -2,7 +2,6 @@ package cache
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 
 	"gnnavigator/internal/gen"
@@ -180,82 +179,5 @@ func TestFreqPrefill(t *testing.T) {
 	}
 	if _, err := New(Freq, 3, g); err == nil {
 		t.Error("New accepted freq without an admission order")
-	}
-}
-
-// TestShardsEmptyShardOrder: a prefilled shard whose vertex residue
-// class has no entry in the admission order is a valid (empty) shard,
-// not a construction error.
-func TestShardsEmptyShardOrder(t *testing.T) {
-	g := testGraph(t)
-	order := []int32{0, 4, 8} // residue class 0 mod 4 only
-	s, err := NewShardsWithOrder(Freq, 100, 4, g, order)
-	if err != nil {
-		t.Fatalf("empty shard order rejected: %v", err)
-	}
-	if s.Len() != 3 {
-		t.Errorf("Len = %d, want 3", s.Len())
-	}
-	if !s.Contains(4) || s.Contains(1) {
-		t.Error("residency wrong after sparse prefill")
-	}
-}
-
-// TestShardsDeterministicAcrossWorkers drives a 4-shard cache with 1, 2
-// and 4 writer goroutines (each owning whole shards) and requires
-// identical aggregate hits/misses/updates — the ownership contract that
-// makes the sharded plane deterministic. Run under -race (CI does) this
-// also proves shard independence.
-func TestShardsDeterministicAcrossWorkers(t *testing.T) {
-	g := testGraph(t)
-	stream := accessStream(t, g, 40, 256, 31)
-	const nShards = 4
-	for _, policy := range []Policy{Static, FIFO, LRU} {
-		run := func(workers int) (int64, int64, int64) {
-			s, err := NewShards(policy, 300, nShards, g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Pre-split each batch by owning shard (outside the drive).
-			sub := make([][][]int32, nShards)
-			for _, batch := range stream {
-				perShard := make([][]int32, nShards)
-				for _, v := range batch {
-					i := s.ShardOf(v)
-					perShard[i] = append(perShard[i], v)
-				}
-				for i := range perShard {
-					sub[i] = append(sub[i], perShard[i])
-				}
-			}
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					var miss []int32
-					for i := w; i < nShards; i += workers {
-						shard := s.Shard(i)
-						for _, batch := range sub[i] {
-							miss = shard.LookupInto(miss[:0], batch)
-							shard.Update(miss)
-						}
-					}
-				}(w)
-			}
-			wg.Wait()
-			return s.Stats()
-		}
-		h1, m1, u1 := run(1)
-		for _, workers := range []int{2, 4} {
-			h, m, u := run(workers)
-			if h != h1 || m != m1 || u != u1 {
-				t.Errorf("%s: %d workers gave (%d,%d,%d), 1 worker (%d,%d,%d)",
-					policy, workers, h, m, u, h1, m1, u1)
-			}
-		}
-		if h1+m1 == 0 {
-			t.Errorf("%s: no accounting recorded", policy)
-		}
 	}
 }

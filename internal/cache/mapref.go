@@ -13,11 +13,9 @@ import (
 // This file preserves the pre-refactor implementation: a global
 // sync.Mutex around a map[int32]*list.Element plus a container/list
 // eviction order, with a map[int32]bool for static residency. It exists
-// for two reasons: the equivalence tests pin the array-backed Cache to
-// identical hits, misses and evictions for every policy, and `benchtab
-// -cache-bench` measures what dropping the map, the per-entry list
-// nodes and the global lock buys. It is reference code — do not
-// optimize it.
+// so the equivalence tests can pin the array-backed Cache to identical
+// hits, misses and evictions for every policy. It is reference code —
+// do not optimize it.
 
 // MapReference is the frozen map+list cache. It implements Kernel; all
 // methods are guarded by one global mutex, exactly as the old Cache was.

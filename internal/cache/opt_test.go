@@ -157,9 +157,6 @@ func TestOptConstruction(t *testing.T) {
 	if _, err := NewMapReference(Opt, 3, g); err == nil {
 		t.Error("NewMapReference accepted opt")
 	}
-	if _, err := NewShards(Opt, 8, 4, g); err == nil {
-		t.Error("NewShards accepted opt")
-	}
 	if _, err := NewOpt(3, g, nil); err == nil {
 		t.Error("NewOpt accepted a nil script")
 	}

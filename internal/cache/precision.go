@@ -150,7 +150,7 @@ func (p Precision) widen() widenFunc {
 // one feature row: dst[j] = float64(dequant(quant(src[j]))). For
 // Float32 this is the plain widening copy. The gather paths use the
 // same kernels pre-bound per source; this entry point serves the
-// equivalence tests and benchtab's quant micro-bench.
+// equivalence tests.
 func (p Precision) WidenRow(dst []float64, src []float32) { p.widen()(dst, src) }
 
 func widenFloat32(dst []float64, src []float32) {

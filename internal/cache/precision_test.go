@@ -269,26 +269,49 @@ func TestGatherConsistencyAcrossSources(t *testing.T) {
 	}
 }
 
-// TestPrecisionSourceAccounting pins the transfer pricing: an uncached
-// source prices every row at RowBytes, so the byte ratios between
-// precisions are exactly the payload-width ratios.
+// TestPrecisionSourceAccounting pins the transfer pricing: every
+// transferred row is priced at RowBytes, so the byte ratios between
+// precisions are exactly the payload-width ratios — on an uncached
+// source (every row moves) and behind an LRU of equal capacity in rows
+// (identical miss sequence at every precision, narrower payload).
 func TestPrecisionSourceAccounting(t *testing.T) {
 	g := testGraph(t)
 	if err := gen.AttachFeatures(rand.New(rand.NewSource(5)), g, make([]int32, g.NumVertices()), 2,
 		gen.FeatureSpec{Dim: 12, Noise: 0.5}); err != nil {
 		t.Fatal(err)
 	}
-	batch := accessStream(t, g, 1, 256, 31)[0]
-	bytesAt := func(p Precision) int64 {
-		s := NewGraphSourceAt(g, p)
-		st := s.Access(batch)
-		return st.TransferBytes
+	stream := accessStream(t, g, 20, 256, 31)
+	sources := map[string]func(p Precision) FeatureSource{
+		"uncached": func(p Precision) FeatureSource { return NewGraphSourceAt(g, p) },
+		"lru": func(p Precision) FeatureSource {
+			c, err := NewAtPrecision(LRU, 300, g, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return NewCachedSource(c, g)
+		},
 	}
-	f32 := bytesAt(Float32)
-	if got := bytesAt(Float16) * 2; got != f32 {
-		t.Errorf("float16 transfer not exactly half: %d vs %d", got/2, f32)
-	}
-	if got := bytesAt(Int8) * 4; got != f32 {
-		t.Errorf("int8 transfer not exactly a quarter: %d vs %d", got/4, f32)
+	for name, newSource := range sources {
+		bytesAt := func(p Precision) int64 {
+			s := newSource(p)
+			var sum int64
+			for _, batch := range stream {
+				sum += s.Access(batch).TransferBytes
+			}
+			if got := s.TransferredBytes(); got != sum {
+				t.Errorf("%s/%s: TransferredBytes %d != summed batch stats %d", name, p, got, sum)
+			}
+			return sum
+		}
+		f32 := bytesAt(Float32)
+		if f32 == 0 {
+			t.Fatalf("%s: no bytes transferred", name)
+		}
+		if got := bytesAt(Float16) * 2; got != f32 {
+			t.Errorf("%s: float16 transfer not exactly half: %d vs %d", name, got/2, f32)
+		}
+		if got := bytesAt(Int8) * 4; got != f32 {
+			t.Errorf("%s: int8 transfer not exactly a quarter: %d vs %d", name, got/4, f32)
+		}
 	}
 }

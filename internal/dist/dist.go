@@ -20,9 +20,9 @@
 // residency equals the single cache's residency exactly and every
 // miss/transfer counter matches K=1. Dynamic policies (fifo, lru) shard
 // the capacity proportionally to partition size; per-shard eviction is
-// then a different replacement policy than one global ring (the same
-// caveat cache.Shards documents), so volume counters may diverge from
-// K=1 while trained parameters and accuracy remain bitwise-identical.
+// then a different replacement policy than one global ring, so volume
+// counters may diverge from K=1 while trained parameters and accuracy
+// remain bitwise-identical.
 // The opt policy's clairvoyant script is compiled against one global
 // cache and is rejected upstream (backend.Config.Validate) at K > 1.
 package dist

@@ -599,33 +599,6 @@ func analyticEdges(cfg backend.Config, st GraphStats, vi float64) float64 {
 	}
 }
 
-// fullScaleBound is the τ=1 bound of Eq. 12 at paper scale (fanouts
-// capped by the full-scale average degree) — the same rule the backend
-// uses to cap its effective vertex scale.
-func fullScaleBound(cfg backend.Config, ds *dataset.Dataset) float64 {
-	b0 := float64(cfg.BatchSize)
-	switch cfg.Sampler {
-	case backend.SamplerSAINT:
-		return b0 * float64(cfg.WalkLength+1)
-	case backend.SamplerFastGCN:
-		total := b0
-		for _, k := range cfg.Fanouts {
-			total += float64(k) * b0 / 2
-		}
-		return total
-	default:
-		prod := b0
-		for _, k := range cfg.Fanouts {
-			kk := float64(k)
-			if kk > ds.FullAvgDegree {
-				kk = ds.FullAvgDegree
-			}
-			prod *= 1 + kk
-		}
-		return prod
-	}
-}
-
 // analyticBound is the τ=1 upper bound of Eq. 12, per sampler family.
 func analyticBound(cfg backend.Config, st GraphStats) float64 {
 	switch cfg.Sampler {
@@ -818,7 +791,7 @@ func (e *Estimator) Predict(cfg backend.Config) (Prediction, error) {
 	// Mirror the backend's effective-scale rule: the expected full-scale
 	// batch is the collision form N_full·(1-e^(-bound/N_full)).
 	nFull := float64(ds.FullVertices)
-	collisionFull := nFull * (1 - math.Exp(-fullScaleBound(cfg, ds)/nFull))
+	collisionFull := nFull * (1 - math.Exp(-backend.AnalyticFullBound(cfg, ds)/nFull))
 	scale := ds.Scale
 	if b := collisionFull / math.Max(vi, 1); b < scale {
 		scale = b
@@ -840,7 +813,7 @@ func (e *Estimator) Predict(cfg backend.Config) (Prediction, error) {
 	var haloBytes, arBytes float64
 	if k := float64(cfg.DeviceCount()); k > 1 {
 		haloBytes = vi * (k - 1) / k * float64(cfg.FeaturePrecision().RowBytes(ds.Graph.FeatDim))
-		arBytes = float64(analyticParams(cfg, ds)) * 4
+		arBytes = float64(backend.ParamsAtFullScale(cfg, ds)) * 4
 	}
 	vols := sim.BatchVolumes{
 		SampledVertices:  int(vi),
@@ -850,7 +823,7 @@ func (e *Estimator) Predict(cfg backend.Config) (Prediction, error) {
 		CacheUpdateOps:   int(updates),
 		SampledEdges:     int(edges),
 		FLOPs:            flops,
-		FeatureFLOPShare: featShare(cfg, ds),
+		FeatureFLOPShare: backend.FeatureFLOPShare(cfg, ds.Graph.FeatDim),
 		ScaledFeatDim:    ds.Graph.FeatDim,
 		Layers:           cfg.Layers,
 		WalkSteps:        walkSteps,
@@ -871,7 +844,7 @@ func (e *Estimator) Predict(cfg backend.Config) (Prediction, error) {
 		}
 	}
 	mem := sim.EstimateMemory(sim.MemoryVolumes{
-		ModelParams:       analyticParams(cfg, ds),
+		ModelParams:       backend.ParamsAtFullScale(cfg, ds),
 		CacheVertices:     cfg.FeaturePrecision().EffectiveCacheRows(cfg.CacheRatio, float64(ds.FullVertices), ds.FullFeatDim),
 		PeakBatchVertices: int(peak),
 		PeakBatchEdges:    int(edges * math.Max(e.peakRatio.Predict(f), 1)),
@@ -949,40 +922,6 @@ func fakeBlock(src, dst, edges int) sample.Block {
 		Offsets:  off,
 		Indices:  make([]int32, edges),
 	}
-}
-
-func featShare(cfg backend.Config, ds *dataset.Dataset) float64 {
-	in := float64(ds.Graph.FeatDim)
-	rest := float64(cfg.Hidden) * math.Max(float64(cfg.Layers-1), 1)
-	return in / (in + rest)
-}
-
-// analyticParams computes |Φ| at paper scale (first-layer weights grow
-// with the full attribute dimension).
-func analyticParams(cfg backend.Config, ds *dataset.Dataset) int {
-	in := ds.FullFeatDim
-	hidden := cfg.Hidden
-	out := ds.Graph.NumClasses
-	total := 0
-	for l := 0; l < cfg.Layers; l++ {
-		li := hidden
-		if l == 0 {
-			li = in
-		}
-		lo := hidden
-		if l == cfg.Layers-1 {
-			lo = out
-		}
-		switch cfg.Model {
-		case model.SAGE:
-			total += 2*li*lo + 2*lo
-		case model.GAT:
-			total += li*lo + 3*lo
-		default:
-			total += li*lo + lo
-		}
-	}
-	return total
 }
 
 func clamp(v, lo, hi float64) float64 {

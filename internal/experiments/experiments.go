@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§4) on the Go reproduction stack. Each experiment has a
 // Run* function that writes the same rows/series the paper reports to an
-// io.Writer and returns the structured results, so both the benchtab CLI
-// and the root-level testing.B benchmarks share one implementation.
+// io.Writer and returns the structured results; the benchtab CLI prints
+// them and this package's tests check them.
 //
 // Fidelity levels: Quick trims calibration budgets and sweep densities so
 // the full suite finishes in minutes; Full uses the evaluation defaults.

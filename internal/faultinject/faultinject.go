@@ -44,8 +44,8 @@ const (
 	// TensorWorker fires in the tensor worker pool, once per dispatched
 	// shard job (the sharded kernels' unit of work).
 	TensorWorker Point = "tensor/worker"
-	// CacheShard fires in Cache.Update — once per batch per cache, and
-	// once per shard per batch when the cache is sharded (cache.Shards).
+	// CacheShard fires in Cache.Update — once per batch per cache (under
+	// dist.Source each device's shard is a cache of its own).
 	CacheShard Point = "cache/shard"
 	// PlanSave fires in plan.SaveFile before the file is written; with
 	// Kind Corrupt it bit-flips the serialized payload instead, which the

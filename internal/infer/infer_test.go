@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 	"time"
@@ -200,6 +201,23 @@ func TestPredictAlignsDuplicates(t *testing.T) {
 	}
 }
 
+// lruEngine returns an engine over m whose gathers go through a cold LRU
+// feature plane holding 10 % of the rows — the serving configuration.
+func lruEngine(t *testing.T, d *dataset.Dataset, m *model.Model) *infer.Engine {
+	t.Helper()
+	c, err := cache.New(cache.LRU, d.Graph.NumVertices()/10, d.Graph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := infer.New(infer.Config{
+		Graph: d.Graph, Model: m, Seed: 3, Source: cache.NewCachedSource(c, d.Graph),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
 // TestPredictMatchesCachedSource: routing gathers through an LRU feature
 // plane must not change a single output bit (features are float32 at
 // rest in both routes), while the plane's transfer accounting shows up
@@ -215,17 +233,7 @@ func TestPredictMatchesCachedSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := cache.New(cache.LRU, d.Graph.NumVertices()/10, d.Graph)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cached, err := infer.New(infer.Config{
-		Graph: d.Graph, Model: m, Seed: 3, Source: cache.NewCachedSource(c, d.Graph),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := cached.Predict(context.Background(), targets)
+	got, err := lruEngine(t, d, m).Predict(context.Background(), targets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,6 +252,32 @@ func TestPredictMatchesCachedSource(t *testing.T) {
 	}
 	if want.Stats.Miss != 0 || want.Stats.CacheOps != 0 {
 		t.Errorf("direct run recorded cache activity: %+v", want.Stats)
+	}
+}
+
+// TestZipfBeatsUniformHitRate is the reason the serving plane is an LRU:
+// at equal capacity (10 % of the rows, cold start) the same number of
+// single-vertex Predict calls must hit more often when popularity is
+// Zipf-skewed than when every vertex is equally likely. A plane where
+// it does not is broken, not a tradeoff.
+func TestZipfBeatsUniformHitRate(t *testing.T) {
+	d, m := evalFixture(t)
+	nV := d.Graph.NumVertices()
+	hitRate := func(draw func() int32) float64 {
+		e := lruEngine(t, d, m)
+		for i := 0; i < 1500; i++ {
+			if _, err := e.Predict(context.Background(), []int32{draw()}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return e.Source().HitRate()
+	}
+	uniRNG := rand.New(rand.NewSource(17))
+	uniform := hitRate(func() int32 { return uniRNG.Int31n(int32(nV)) })
+	zipf := rand.NewZipf(rand.New(rand.NewSource(17)), 1.3, 1, uint64(nV-1))
+	skewed := hitRate(func() int32 { return int32(zipf.Uint64()) })
+	if skewed <= uniform {
+		t.Errorf("zipf hit rate %.3f not above uniform %.3f at equal capacity (%d rows)", skewed, uniform, nV/10)
 	}
 }
 

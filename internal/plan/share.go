@@ -60,7 +60,7 @@ func Shared(g *graph.Graph, smp sample.Sampler, key Key, targets []int32) (*Plan
 
 // Compiles reports how many plans Shared has compiled since the last
 // ResetCounters — the "each unique plan sampled exactly once" proof the
-// plan-bench and the calibration-sharing tests assert on.
+// calibration-sharing tests assert on.
 func Compiles() int64 { return compileCount.Load() }
 
 // CacheHits reports how many Shared calls were served from an already

@@ -13,11 +13,10 @@ import (
 //
 // This file preserves the pre-frontier implementation of every sampler:
 // per-block `map[int32]int32` position tables, `map[int32]bool` dedup
-// sets and growth-by-append index slices. It exists for two reasons:
-// the old-vs-new equivalence tests pin the stamped frontier path to be
+// sets and growth-by-append index slices. It exists so the old-vs-new
+// equivalence tests can pin the stamped frontier path to be
 // bitwise-identical to this reference (both consume the RNG in exactly
-// the same order), and `benchtab -sample-bench` measures the speedup of
-// dropping it. It is reference code — do not optimize it.
+// the same order). It is reference code — do not optimize it.
 
 // NewMapReference returns a frozen map-based sampler that consumes its
 // RNG identically to s and therefore produces bitwise-identical

@@ -26,8 +26,8 @@ import "sync"
 //
 // sync.Pool backing means the GC may trim idle buffers (its victim
 // cache keeps them for one extra cycle, so per-iteration reuse between
-// collections is unaffected — the epoch benchmarks confirm steady-state
-// allocs stay flat). The trade: the arena never pins memory an idle run
+// collections is unaffected — bench's go.mallocs_per_op on the train
+// workload shows steady-state allocs stay flat). The trade: the arena never pins memory an idle run
 // no longer needs.
 type Workspace struct {
 	mu    sync.Mutex
