@@ -38,14 +38,7 @@ func BenchmarkSubgraphSampling(b *testing.B) {
 // claim by numbers. On a single-core host the parallel variants mostly
 // measure dispatch overhead.
 
-func dense256(seed int64) *tensor.Dense {
-	rng := rand.New(rand.NewSource(seed))
-	m := tensor.New(256, 256)
-	for i := range m.Data {
-		m.Data[i] = rng.NormFloat64()
-	}
-	return m
-}
+func dense256(seed int64) *tensor.Dense { return randDense(seed, 256, 256) }
 
 // benchWorkers runs fn under "serial" (1) and "parallel" (4) worker
 // settings, restoring the previous setting afterwards.
@@ -64,51 +57,51 @@ func benchWorkers(b *testing.B, fn func(b *testing.B)) {
 	}
 }
 
-// BenchmarkMatMulSkipDense measures the sparse-skip kernel on fully dense
-// inputs: the delta vs the plain kernel (bench's tensor.matmul_gflops) is
-// the price of the always-taken aik == 0 compare, which is why the skip
-// lives only in MatMulSparseInto.
-func BenchmarkMatMulSkipDense(b *testing.B) {
-	m, n, out := dense256(1), dense256(2), tensor.New(256, 256)
-	benchWorkers(b, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			tensor.MatMulSparseInto(out, m, n)
-		}
-	})
-}
+// The two transposed layouts at the shapes a `train` step calls them
+// with: layer 0 (about 6000 rows in, 48 features, 64 hidden) and the
+// output layer (1024 targets, 64 hidden, 10 classes). bench's
+// tensor.matmul_gflops times a·b at the layer-0 shape; nothing else
+// times these two.
+var trainShapes = []struct {
+	name            string
+	rows, in, width int
+}{{"6000x48x64", 6000, 48, 64}, {"1024x64x10", 1024, 64, 10}}
 
-// BenchmarkMatMulSkipSparse measures the same kernel on a post-ReLU-like
-// input (half the entries exactly zero), where the skip wins.
-func BenchmarkMatMulSkipSparse(b *testing.B) {
-	m, n, out := dense256(1), dense256(2), tensor.New(256, 256)
+func randDense(seed int64, rows, cols int) *tensor.Dense {
+	rng := rand.New(rand.NewSource(seed))
+	m := tensor.New(rows, cols)
 	for i := range m.Data {
-		if m.Data[i] < 0 {
-			m.Data[i] = 0 // ReLU
-		}
+		m.Data[i] = rng.NormFloat64()
 	}
-	benchWorkers(b, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			tensor.MatMulSparseInto(out, m, n)
-		}
-	})
+	return m
 }
 
-func BenchmarkMatMulT1_256(b *testing.B) {
-	m, n, out := dense256(1), dense256(2), tensor.New(256, 256)
-	benchWorkers(b, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			tensor.MatMulT1Into(out, m, n)
-		}
-	})
+// BenchmarkMatMulT1 is dW = Xᵀ·dY.
+func BenchmarkMatMulT1(b *testing.B) {
+	for _, s := range trainShapes {
+		x, dy, dw := randDense(1, s.rows, s.in), randDense(2, s.rows, s.width), tensor.New(s.in, s.width)
+		b.Run(s.name, func(b *testing.B) {
+			benchWorkers(b, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					tensor.MatMulT1Into(dw, x, dy)
+				}
+			})
+		})
+	}
 }
 
-func BenchmarkMatMulT2_256(b *testing.B) {
-	m, n, out := dense256(1), dense256(2), tensor.New(256, 256)
-	benchWorkers(b, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			tensor.MatMulT2Into(out, m, n)
-		}
-	})
+// BenchmarkMatMulT2 is dX = dY·Wᵀ.
+func BenchmarkMatMulT2(b *testing.B) {
+	for _, s := range trainShapes {
+		dy, w, dx := randDense(1, s.rows, s.width), randDense(2, s.in, s.width), tensor.New(s.rows, s.in)
+		b.Run(s.name, func(b *testing.B) {
+			benchWorkers(b, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					tensor.MatMulT2Into(dx, dy, w)
+				}
+			})
+		})
+	}
 }
 
 func BenchmarkSoftmaxRows(b *testing.B) {

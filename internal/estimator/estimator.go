@@ -167,7 +167,7 @@ func probeAccuracy(d *dataset.Dataset) float64 {
 	for step := 0; step < 40; step++ {
 		logits := lin.Forward(x)
 		_, dl := nn.SoftmaxCrossEntropy(logits, labels)
-		lin.Backward(dl)
+		lin.BackwardParams(dl)
 		opt.Step(lin.Params())
 	}
 	xv := model.GatherFeatures(g, valIdx)

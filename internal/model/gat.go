@@ -116,9 +116,7 @@ func (l *gatLayer) Forward(blk *sample.Block, h *tensor.Dense) *tensor.Dense {
 
 	for hd := 0; hd < l.heads; hd++ {
 		z := l.ws.Get(h.Rows, l.perHead)
-		// Sparse-skip kernel: h is post-dropout (exact zeros at rate P
-		// during training), and the seed's MatMul skipped those terms.
-		tensor.MatMulSparseInto(z, h, l.w[hd].Value)
+		tensor.MatMulInto(z, h, l.w[hd].Value)
 		l.z[hd] = z
 		as, ad := l.aSrc[hd].Value.Data, l.aDst[hd].Value.Data
 		// Per-vertex score halves.
@@ -198,7 +196,7 @@ func (l *gatLayer) Forward(blk *sample.Block, h *tensor.Dense) *tensor.Dense {
 	return out
 }
 
-func (l *gatLayer) Backward(dy *tensor.Dense) *tensor.Dense {
+func (l *gatLayer) Backward(dy *tensor.Dense, needInput bool) *tensor.Dense {
 	blk := l.blk
 	nEdges := len(l.edgeSrc)
 	l.colSum = tensor.Grow(l.colSum, dy.Cols)
@@ -206,8 +204,11 @@ func (l *gatLayer) Backward(dy *tensor.Dense) *tensor.Dense {
 	for j, s := range l.colSum {
 		l.bias.Grad.Data[j] += s
 	}
-	dh := l.ws.GetZeroed(l.h.Rows, l.in)
-	dhHead := l.ws.Get(l.h.Rows, l.in)
+	var dh, dhHead *tensor.Dense
+	if needInput {
+		dh = l.ws.GetZeroed(l.h.Rows, l.in)
+		dhHead = l.ws.Get(l.h.Rows, l.in)
+	}
 	dwScratch := l.ws.Get(l.in, l.perHead)
 	for hd := 0; hd < l.heads; hd++ {
 		z := l.z[hd]
@@ -271,12 +272,13 @@ func (l *gatLayer) Backward(dy *tensor.Dense) *tensor.Dense {
 				dzd[j] += g * ad[j]
 			}
 		}
-		// Through z = h·W. Sparse variant: h is post-dropout, matching
-		// the forward projection's kernel choice.
-		tensor.MatMulT1SparseInto(dwScratch, l.h, dz)
+		// Through z = h·W.
+		tensor.MatMulT1Into(dwScratch, l.h, dz)
 		l.w[hd].Grad.AddInPlace(dwScratch)
-		tensor.MatMulT2Into(dhHead, dz, l.w[hd].Value)
-		dh.AddInPlace(dhHead)
+		if needInput {
+			tensor.MatMulT2Into(dhHead, dz, l.w[hd].Value)
+			dh.AddInPlace(dhHead)
+		}
 		l.ws.Put(dz)
 	}
 	l.ws.Put(dwScratch)

@@ -48,7 +48,11 @@ type Config struct {
 // convLayer is one graph convolution with cached state for backward.
 type convLayer interface {
 	Forward(blk *sample.Block, h *tensor.Dense) *tensor.Dense
-	Backward(dy *tensor.Dense) *tensor.Dense
+	// Backward accumulates the layer's parameter gradients and, when
+	// needInput is set, returns the gradient with respect to h (nil
+	// otherwise: the bottom layer's input is the feature matrix, which
+	// nothing trains).
+	Backward(dy *tensor.Dense, needInput bool) *tensor.Dense
 	Params() []*nn.Param
 	setWorkspace(ws *tensor.Workspace)
 	// FLOPs estimates the multiply-add count for a block with the given
@@ -98,15 +102,7 @@ func New(cfg Config) (*Model, error) {
 		case GCN:
 			layer = newGCNLayer(rng, fmt.Sprintf("gcn%d", l), in, out)
 		case SAGE:
-			sl := newSAGELayer(rng, fmt.Sprintf("sage%d", l), in, out)
-			// The self path consumes the layer input directly — post-
-			// dropout at layer 0, post-ReLU+dropout on hidden layers —
-			// so exact zeros abound during training and the zero-skip
-			// matmul pays. The neighbor path consumes a mean aggregate
-			// (dense even when its rows are sparse) and keeps the
-			// branch-free kernel.
-			sl.self.SparseInput = true
-			layer = sl
+			layer = newSAGELayer(rng, fmt.Sprintf("sage%d", l), in, out)
 		case GAT:
 			heads := cfg.Heads
 			if last {
@@ -207,18 +203,21 @@ func (m *Model) Forward(mb *sample.MiniBatch, feats *tensor.Dense, train bool) (
 }
 
 // Backward propagates dLogits through the network, accumulating parameter
-// gradients. It returns the gradient with respect to the input features
-// (rarely needed; callers may ignore it).
-func (m *Model) Backward(dLogits *tensor.Dense) *tensor.Dense {
+// gradients, and yields nothing else: the gradient with respect to the
+// input features has no reader, so layer 0 computes only its dW and db
+// and skips its dX matmuls, aggregate scatter and dropout mask — the
+// widest of each in the whole pass.
+func (m *Model) Backward(dLogits *tensor.Dense) {
 	d := dLogits
 	for l := len(m.layers) - 1; l >= 0; l-- {
 		if l < len(m.acts) {
 			d = m.acts[l].Backward(d)
 		}
-		d = m.layers[l].Backward(d)
-		d = m.dropouts[l].Backward(d)
+		d = m.layers[l].Backward(d, l > 0)
+		if l > 0 {
+			d = m.dropouts[l].Backward(d)
+		}
 	}
-	return d
 }
 
 // FLOPs estimates the batch's multiply-add count across all layers — the
@@ -362,8 +361,12 @@ func (l *gcnLayer) Forward(blk *sample.Block, h *tensor.Dense) *tensor.Dense {
 	return l.lin.Forward(agg)
 }
 
-func (l *gcnLayer) Backward(dy *tensor.Dense) *tensor.Dense {
-	dAgg := l.lin.Backward(dy)
+func (l *gcnLayer) Backward(dy *tensor.Dense, needInput bool) *tensor.Dense {
+	l.lin.BackwardParams(dy)
+	if !needInput {
+		return nil
+	}
+	dAgg := l.lin.BackwardInput(dy)
 	return meanAggregateBackward(l.ws, l.blk, dAgg, l.div, l.srcRows, true)
 }
 
@@ -417,10 +420,15 @@ func (l *sageLayer) Forward(blk *sample.Block, h *tensor.Dense) *tensor.Dense {
 	return ySelf
 }
 
-func (l *sageLayer) Backward(dy *tensor.Dense) *tensor.Dense {
-	dAgg := l.nb.Backward(dy)
+func (l *sageLayer) Backward(dy *tensor.Dense, needInput bool) *tensor.Dense {
+	l.nb.BackwardParams(dy)
+	l.self.BackwardParams(dy)
+	if !needInput {
+		return nil
+	}
+	dAgg := l.nb.BackwardInput(dy)
 	dh := meanAggregateBackward(l.ws, l.blk, dAgg, l.div, l.srcRows, false)
-	dDst := l.self.Backward(dy)
+	dDst := l.self.BackwardInput(dy)
 	// Scatter the self-path gradient into the dst prefix (disjoint rows).
 	tensor.ParallelRows(l.blk.DstCount, func(lo, hi int) {
 		for i := lo; i < hi; i++ {

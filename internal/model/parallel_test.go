@@ -1,6 +1,7 @@
 package model
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -55,8 +56,8 @@ func bigBatch(rng *rand.Rand) *sample.MiniBatch {
 }
 
 // runOnce builds a fresh model, runs forward + backward on a large
-// batch, and returns logits, input grads, and a parameter-grad snapshot.
-func runOnce(t *testing.T, kind Kind, heads int, ws *tensor.Workspace) (*tensor.Dense, *tensor.Dense, []*tensor.Dense) {
+// batch, and returns logits and a parameter-grad snapshot.
+func runOnce(t *testing.T, kind Kind, heads int, ws *tensor.Workspace) (*tensor.Dense, []*tensor.Dense) {
 	t.Helper()
 	m, err := New(Config{
 		Kind: kind, InDim: eqIn, Hidden: eqHid, OutDim: eqOut, Layers: 2,
@@ -76,12 +77,16 @@ func runOnce(t *testing.T, kind Kind, heads int, ws *tensor.Workspace) (*tensor.
 		t.Fatal(err)
 	}
 	dLogits := randFeats(rand.New(rand.NewSource(4)), logits.Rows, logits.Cols)
-	dIn := m.Backward(dLogits)
+	m.Backward(dLogits)
+	return logits.Clone(), cloneGrads(m)
+}
+
+func cloneGrads(m *Model) []*tensor.Dense {
 	var grads []*tensor.Dense
 	for _, p := range m.Params() {
 		grads = append(grads, p.Grad.Clone())
 	}
-	return logits.Clone(), dIn.Clone(), grads
+	return grads
 }
 
 // TestParallelModelBitwiseEqualSerial demands that a full forward +
@@ -92,18 +97,13 @@ func TestParallelModelBitwiseEqualSerial(t *testing.T) {
 	t.Cleanup(func() { tensor.SetParallelism(prev) })
 	for _, kind := range []Kind{GCN, SAGE, GAT} {
 		tensor.SetParallelism(1)
-		wantLogits, wantDIn, wantGrads := runOnce(t, kind, 2, nil)
+		wantLogits, wantGrads := runOnce(t, kind, 2, nil)
 
-		check := func(label string, logits, dIn *tensor.Dense, grads []*tensor.Dense) {
+		check := func(label string, logits *tensor.Dense, grads []*tensor.Dense) {
 			t.Helper()
 			for i, w := range wantLogits.Data {
 				if logits.Data[i] != w {
 					t.Fatalf("%s/%s: logits[%d] = %v, want %v (bitwise)", kind, label, i, logits.Data[i], w)
-				}
-			}
-			for i, w := range wantDIn.Data {
-				if dIn.Data[i] != w {
-					t.Fatalf("%s/%s: dIn[%d] = %v, want %v (bitwise)", kind, label, i, dIn.Data[i], w)
 				}
 			}
 			for p := range wantGrads {
@@ -116,11 +116,93 @@ func TestParallelModelBitwiseEqualSerial(t *testing.T) {
 		}
 
 		tensor.SetParallelism(4)
-		logits, dIn, grads := runOnce(t, kind, 2, nil)
-		check("parallel", logits, dIn, grads)
+		logits, grads := runOnce(t, kind, 2, nil)
+		check("parallel", logits, grads)
 
-		logits, dIn, grads = runOnce(t, kind, 2, tensor.NewWorkspace())
-		check("parallel+ws", logits, dIn, grads)
+		logits, grads = runOnce(t, kind, 2, tensor.NewWorkspace())
+		check("parallel+ws", logits, grads)
+	}
+}
+
+// chainBatch builds a random mini-batch of the given depth whose blocks
+// chain (block l's destinations are block l+1's sources).
+func chainBatch(rng *rand.Rand, layers int) *sample.MiniBatch {
+	nodes := make([]int32, 90*layers)
+	for i := range nodes {
+		nodes[i] = int32(i)
+	}
+	mb := &sample.MiniBatch{InputNodes: nodes, NumVertices: len(nodes)}
+	src := len(nodes)
+	for l := 0; l < layers; l++ {
+		dst := src - 80
+		offsets := make([]int32, dst+1)
+		var indices []int32
+		for i := 0; i < dst; i++ {
+			offsets[i] = int32(len(indices))
+			for f := rng.Intn(6); f > 0; f-- {
+				indices = append(indices, int32(rng.Intn(src)))
+			}
+		}
+		offsets[dst] = int32(len(indices))
+		mb.Blocks = append(mb.Blocks, sample.Block{SrcNodes: nodes[:src], DstCount: dst, Offsets: offsets, Indices: indices})
+		mb.NumEdges += len(indices)
+		src = dst
+	}
+	mb.Targets = nodes[:src]
+	return mb
+}
+
+// TestInputGradientIsDead proves the half of the backward pass that
+// Model.Backward skips is dead: with dropout on, the parameter gradients
+// it leaves equal, bit for bit, those of the same layers chained by hand
+// with needInput=true everywhere and the bottom dropout mask applied —
+// the pass as it ran while Backward still returned dX.
+func TestInputGradientIsDead(t *testing.T) {
+	for _, kind := range []Kind{GCN, SAGE, GAT} {
+		for _, layers := range []int{2, 3} {
+			m, err := New(Config{
+				Kind: kind, InDim: 7, Hidden: 6, OutDim: 3, Layers: layers,
+				Heads: 2, Dropout: 0.3, Seed: 5,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			mb := chainBatch(rand.New(rand.NewSource(int64(layers))), layers)
+			if err := mb.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			feats := randFeats(rand.New(rand.NewSource(3)), len(mb.InputNodes), 7)
+			m.SeedDropout(17)
+			logits, err := m.Forward(mb, feats, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dLogits := randFeats(rand.New(rand.NewSource(4)), logits.Rows, logits.Cols)
+			m.Backward(dLogits)
+			got := cloneGrads(m)
+
+			for _, p := range m.Params() {
+				p.ZeroGrad()
+			}
+			d := dLogits
+			for l := layers - 1; l >= 0; l-- {
+				if l < len(m.acts) {
+					d = m.acts[l].Backward(d)
+				}
+				d = m.layers[l].Backward(d, true)
+				d = m.dropouts[l].Backward(d)
+			}
+			if d.Rows != feats.Rows || d.Cols != feats.Cols {
+				t.Fatalf("%s/%d: full chain's dX is %dx%d, want %dx%d", kind, layers, d.Rows, d.Cols, feats.Rows, feats.Cols)
+			}
+			for p, want := range cloneGrads(m) {
+				for i, w := range want.Data {
+					if math.Float64bits(got[p].Data[i]) != math.Float64bits(w) {
+						t.Fatalf("%s/%d layers: grad %s[%d] = %v, want %v (bitwise)", kind, layers, m.Params()[p].Name, i, got[p].Data[i], w)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -48,14 +48,6 @@ type Linear struct {
 	W, B *Param
 	// WS, when non-nil, supplies output and scratch buffers.
 	WS *tensor.Workspace
-	// SparseInput selects the zero-skip matmuls (forward X·W and the
-	// backward dW = Xᵀ·dY, both of which stream X).
-	// Set it only when the layer's input provably carries exact zeros —
-	// a post-ReLU/dropout activation fed directly (e.g. GraphSAGE's
-	// self path on hidden layers). Means of several sparse rows are
-	// dense (all contributors must be zero at a coordinate), so
-	// aggregate-fed layers keep the default branch-free kernel.
-	SparseInput bool
 	// x caches the forward input for the backward pass.
 	x *tensor.Dense
 	// colSum is reusable scratch for the bias gradient.
@@ -76,26 +68,19 @@ func NewLinear(rng *rand.Rand, name string, in, out int) *Linear {
 func (l *Linear) Forward(x *tensor.Dense) *tensor.Dense {
 	l.x = x
 	y := l.WS.Get(x.Rows, l.W.Value.Cols)
-	if l.SparseInput {
-		tensor.MatMulSparseInto(y, x, l.W.Value)
-	} else {
-		tensor.MatMulInto(y, x, l.W.Value)
-	}
+	tensor.MatMulInto(y, x, l.W.Value)
 	y.AddBias(l.B.Value.Data)
 	return y
 }
 
-// Backward accumulates dW and db and returns dX.
-func (l *Linear) Backward(dy *tensor.Dense) *tensor.Dense {
+// BackwardParams accumulates dW = Xᵀ·dY and db = colsums(dY): the half
+// of the backward pass every layer needs.
+func (l *Linear) BackwardParams(dy *tensor.Dense) {
 	if l.x == nil {
-		panic("nn: Linear.Backward before Forward")
+		panic("nn: Linear.BackwardParams before Forward")
 	}
 	dw := l.WS.Get(l.W.Value.Rows, l.W.Value.Cols)
-	if l.SparseInput {
-		tensor.MatMulT1SparseInto(dw, l.x, dy)
-	} else {
-		tensor.MatMulT1Into(dw, l.x, dy)
-	}
+	tensor.MatMulT1Into(dw, l.x, dy)
 	l.W.Grad.AddInPlace(dw)
 	l.WS.Put(dw)
 	l.colSum = tensor.Grow(l.colSum, dy.Cols)
@@ -104,6 +89,11 @@ func (l *Linear) Backward(dy *tensor.Dense) *tensor.Dense {
 	for j, s := range cs {
 		l.B.Grad.Data[j] += s
 	}
+}
+
+// BackwardInput returns dX = dY·Wᵀ: the half only a layer with a
+// trainable layer below it needs. No parameter gradient reads it.
+func (l *Linear) BackwardInput(dy *tensor.Dense) *tensor.Dense {
 	dx := l.WS.Get(dy.Rows, l.W.Value.Rows)
 	tensor.MatMulT2Into(dx, dy, l.W.Value)
 	return dx

@@ -48,7 +48,8 @@ func TestLinearGradCheck(t *testing.T) {
 	// Analytic grads.
 	y := l.Forward(x)
 	_, dy := SoftmaxCrossEntropy(y, labels)
-	dx := l.Backward(dy)
+	l.BackwardParams(dy)
+	dx := l.BackwardInput(dy)
 
 	for _, check := range []struct {
 		name string
@@ -197,7 +198,7 @@ func TestSGDReducesLoss(t *testing.T) {
 			first = loss
 		}
 		last = loss
-		l.Backward(dy)
+		l.BackwardParams(dy)
 		opt.Step(l.Params())
 	}
 	if last >= first {
@@ -227,7 +228,7 @@ func TestAdamConverges(t *testing.T) {
 			first = loss
 		}
 		last = loss
-		l.Backward(dy)
+		l.BackwardParams(dy)
 		opt.Step(l.Params())
 	}
 	if last > first*0.5 {

@@ -192,7 +192,16 @@ func Compile(g *graph.Graph, smp sample.Sampler, key Key, targets []int32) (*Pla
 				return nil, fmt.Errorf("plan: epoch %d batch %d: %w", e, i, err)
 			}
 		}
+		if e == 0 && key.Epochs > 1 {
+			// Every epoch samples the same targets, so epoch 0's packed
+			// size, plus an eighth of it for the draw-to-draw spread, is
+			// the estimate for the rest: reserve it at once rather than
+			// re-copying the arrays at each doubling.
+			reserve := func(s []int32) []int32 { return slices.Grow(s, (key.Epochs-1)*len(s)+len(s)/8) }
+			p.nodes, p.offsets, p.indices = reserve(p.nodes), reserve(p.offsets), reserve(p.indices)
+		}
 	}
+	p.nodes, p.offsets, p.indices = slices.Clip(p.nodes), slices.Clip(p.offsets), slices.Clip(p.indices)
 	return p, nil
 }
 

@@ -42,7 +42,33 @@ func equivSamplers() []struct {
 		mk("node-wise-full", &NodeWise{Fanouts: []int{0}}),
 		mk("node-wise-biased", &NodeWise{Fanouts: []int{4, 4}, Bias: bias, BiasStrength: 0.7}),
 		mk("layer-wise", &LayerWise{Deltas: []int{40, 20}}),
+		mk(layerWiseSelecting, &LayerWise{Deltas: []int{3, 2}}),
 		mk("subgraph-wise", &SubgraphWise{WalkLength: 4, Layers: 2}),
+	}
+}
+
+// layerWiseSelecting names the layer-wise case whose budgets sit below
+// the candidate count on every hop of every batch (the generator's
+// minimum degree is 4), so expand always takes its selecting branch; the
+// plain "layer-wise" case mostly takes everyone.
+const layerWiseSelecting = "layer-wise-selecting"
+
+// requireBudgetBelowCandidates fails unless every hop of mb had more
+// candidates (distinct neighbours of its destinations) than its budget.
+func requireBudgetBelowCandidates(t *testing.T, g *graph.Graph, mb *MiniBatch, deltas []int) {
+	t.Helper()
+	L := len(mb.Blocks)
+	for h, delta := range deltas {
+		blk := &mb.Blocks[L-1-h]
+		cands := map[int32]bool{}
+		for _, v := range blk.SrcNodes[:blk.DstCount] {
+			for _, u := range g.Neighbors(v) {
+				cands[u] = true
+			}
+		}
+		if len(cands) <= delta {
+			t.Fatalf("hop %d: %d candidates for a budget of %d: the selecting branch did not run", h, len(cands), delta)
+		}
 	}
 }
 
@@ -92,6 +118,9 @@ func TestFrontierMatchesMapReference(t *testing.T) {
 					t.Fatalf("batch %d: %v", batch, err)
 				}
 				requireEqualMiniBatch(t, sc.name, batch, want, got)
+				if sc.name == layerWiseSelecting {
+					requireBudgetBelowCandidates(t, g, got, sc.stamped.(*LayerWise).Deltas)
+				}
 			}
 		})
 	}

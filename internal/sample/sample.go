@@ -18,6 +18,7 @@
 package sample
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -447,18 +448,21 @@ func (s *LayerWise) expand(rng *rand.Rand, g *graph.Graph, dst []int32, delta in
 		w, _ := s.count.Pos(v)
 		cands[i] = lwCand{v, math.Pow(rng.Float64(), 1/float64(w))}
 	}
-	// Partial selection of the top-delta keys.
-	if delta > len(cands) {
+	// Only the set of the top-delta keys is read below (membership goes
+	// into selected; src order comes from the dst-neighbour walk), so when
+	// delta covers every candidate there is nothing to select, and
+	// otherwise any order that puts the top delta first will do. An exact
+	// key tie across the boundary goes to the smaller vertex id; it takes
+	// two draws rounding to the same float64.
+	if delta >= len(cands) {
 		delta = len(cands)
-	}
-	for i := 0; i < delta; i++ {
-		best := i
-		for j := i + 1; j < len(cands); j++ {
-			if cands[j].key > cands[best].key {
-				best = j
+	} else {
+		slices.SortFunc(cands, func(a, b lwCand) int {
+			if c := cmp.Compare(b.key, a.key); c != 0 {
+				return c
 			}
-		}
-		cands[i], cands[best] = cands[best], cands[i]
+			return cmp.Compare(a.v, b.v)
+		})
 	}
 	// The counts are dead once the keys are drawn: recycle the count table
 	// as the selected-membership set.

@@ -4,6 +4,34 @@
 // (AB, AᵀB, ABᵀ), broadcast bias, elementwise maps, row gather/scatter —
 // and nothing speculative.
 //
+// The three matmuls are where a training step spends its time, and each
+// has one body shaped by what is contiguous in its layout:
+//
+//   - a·b and aᵀ·b build rows of out in place as sums of scaled rows of
+//     b (axpy4: four rows of b per pass, so out is loaded and stored once
+//     per four multiply-adds). a·b walks k inside a row — the row and b
+//     stay in L1; aᵀ·b walks k outermost — its tall operands are streamed
+//     once and the shard of out, a weight's shape, stays in cache.
+//   - a·bᵀ is dot products of contiguous rows, so it is a register tile:
+//     3 rows of a × 2 rows of b, six sums in locals across the whole k
+//     loop. Six is what Go's amd64 back end keeps in registers: it
+//     schedules a block's multiplies ahead of its adds, so a tile costs
+//     two registers per sum plus its operands out of fifteen, and the
+//     2×4 tile (eight sums) spills one sum to the stack on every k,
+//     which measured slower than any six- or four-sum tile.
+//
+// The determinism contract of the whole repo rests on these bodies:
+// every output element is one float64 accumulator that starts at +0 and
+// takes its k terms in ascending order, one rounding per multiply and
+// one per add. That is the arithmetic of the plain triple loop, so any
+// tiling, sharding or worker count gives the same bits, and the pinned
+// digests (bench/, backend's golden run) hold. Splitting the k sum,
+// math.FMA, float32 or SIMD assembly would each change the roundings.
+// Terms with an exact-zero factor are not skipped: they add ±0, which
+// leaves a sum that started at +0 unchanged, and at the zero rates
+// training sees (10 % after dropout, ~55 % after ReLU+dropout) the
+// branch costs more than the multiply-adds it saves.
+//
 // Every hot kernel has an Into variant that reuses caller storage (see
 // Workspace for the arena that feeds them) and is sharded across the
 // package worker pool (see SetParallelism). Sharding is always over
@@ -99,68 +127,54 @@ func MatMul(a, b *Dense) *Dense {
 	return out
 }
 
+// axpy4 adds x[0]·b0 + x[1]·b1 + x[2]·b2 + x[3]·b3 to o, one term at a
+// time in that order, so o[j] sees the same chain of roundings as four
+// single-term passes would give it. Four terms per pass is what makes
+// the row kernels fast: o is loaded and stored once per four
+// multiply-adds instead of once per one.
+func axpy4(o, b0, b1, b2, b3 []float64, x *[4]float64) {
+	b0, b1, b2, b3 = b0[:len(o)], b1[:len(o)], b2[:len(o)], b3[:len(o)]
+	x0, x1, x2, x3 := x[0], x[1], x[2], x[3]
+	for j, s := range o {
+		s += x0 * b0[j]
+		s += x1 * b1[j]
+		s += x2 * b2[j]
+		s += x3 * b3[j]
+		o[j] = s
+	}
+}
+
+// axpy adds x·b to o.
+func axpy(o, b []float64, x float64) {
+	b = b[:len(o)]
+	for j, s := range o {
+		o[j] = s + x*b[j]
+	}
+}
+
 // MatMulInto computes out = a·b, reusing out's storage, sharded over
-// output rows.
-//
-// The inner loop is branch-free: the seed implementation skipped
-// aik == 0 terms, but on dense inputs the never-firing compare costs
-// ~6% (BenchmarkMatMulSkipDense 9.56ms vs 9.01ms for this kernel,
-// 256³ serial) for zero benefit. The skip only pays on provably sparse
-// inputs — post-ReLU/dropout activations, where ~half the entries are
-// exact zeros and it buys ~1.8x (BenchmarkMatMulSkipSparse 5.12ms) —
-// so it lives in MatMulSparseInto and the nn layers that own such
-// inputs opt in explicitly.
+// output rows. Row i of out is built in place as Σ_k a[i,k]·b[k,:], four
+// rows of b per pass (axpy4): the output row and b stay in L1, a is
+// streamed once.
 func MatMulInto(out, a, b *Dense) {
 	if a.Cols != b.Rows || out.Rows != a.Rows || out.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulInto shape mismatch %dx%d = %dx%d · %dx%d",
 			out.Rows, out.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
 	}
+	kk, m := a.Cols, b.Cols
+	ad, bd, od := a.Data, b.Data, out.Data
 	parallelFor(a.Rows, rowGrain, func(lo, hi int) {
-		// i-k-j loop order streams b's rows, which is cache-friendly for
-		// row-major storage.
+		clear(od[lo*m : hi*m])
 		for i := lo; i < hi; i++ {
-			arow := a.Row(i)
-			orow := out.Row(i)
-			for j := range orow {
-				orow[j] = 0
+			o := od[i*m : (i+1)*m]
+			ai := ad[i*kk : (i+1)*kk]
+			k := 0
+			for ; k+4 <= kk; k += 4 {
+				axpy4(o, bd[k*m:(k+1)*m], bd[(k+1)*m:(k+2)*m], bd[(k+2)*m:(k+3)*m], bd[(k+3)*m:(k+4)*m],
+					(*[4]float64)(ai[k:]))
 			}
-			for k := 0; k < a.Cols; k++ {
-				aik := arow[k]
-				brow := b.Row(k)
-				for j := range brow {
-					orow[j] += aik * brow[j]
-				}
-			}
-		}
-	})
-}
-
-// MatMulSparseInto is MatMulInto with the zero-skip kept: rows of a with
-// exact-zero entries (post-ReLU or post-dropout activations) skip the
-// whole k-th row of b. On dense inputs prefer MatMulInto. Skipped terms
-// contribute exactly 0 for finite inputs, so results match MatMulInto
-// bit-for-bit away from ±Inf/NaN.
-func MatMulSparseInto(out, a, b *Dense) {
-	if a.Cols != b.Rows || out.Rows != a.Rows || out.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMulSparseInto shape mismatch %dx%d = %dx%d · %dx%d",
-			out.Rows, out.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	parallelFor(a.Rows, rowGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			arow := a.Row(i)
-			orow := out.Row(i)
-			for j := range orow {
-				orow[j] = 0
-			}
-			for k := 0; k < a.Cols; k++ {
-				aik := arow[k]
-				if aik == 0 {
-					continue
-				}
-				brow := b.Row(k)
-				for j := range brow {
-					orow[j] += aik * brow[j]
-				}
+			for ; k < kk; k++ {
+				axpy(o, bd[k*m:(k+1)*m], ai[k])
 			}
 		}
 	})
@@ -177,54 +191,31 @@ func MatMulT1(a, b *Dense) *Dense {
 }
 
 // MatMulT1Into computes out = aᵀ·b, sharded over output rows (columns of
-// a); each output row accumulates over k in ascending order, matching the
-// serial result exactly. Branch-free like MatMulInto: a is the layer's
-// cached forward input, which for aggregate-fed layers (GCN, the SAGE
-// neighbor path) and raw features is dense. Layers whose input is
-// provably sparse use MatMulT1SparseInto (see nn.Linear.SparseInput).
+// a). k is the outer loop: each pass takes four rows of a and b and adds
+// their contribution to every output row of the shard (axpy4), so a and
+// b — the tall operands, thousands of rows in a training step — are
+// streamed once while the shard of out, a layer's weight shape, stays in
+// cache. Walking out row by row instead re-reads all of b per row.
 func MatMulT1Into(out, a, b *Dense) {
 	if a.Rows != b.Rows || out.Rows != a.Cols || out.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulT1 shape mismatch %dx%d ᵀ· %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	parallelFor(a.Cols, rowGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			orow := out.Row(i)
-			for j := range orow {
-				orow[j] = 0
-			}
-			for k := 0; k < a.Rows; k++ {
-				aki := a.Data[k*a.Cols+i]
-				brow := b.Row(k)
-				for j := range brow {
-					orow[j] += aki * brow[j]
-				}
+	kk, n, m := a.Rows, a.Cols, b.Cols
+	ad, bd, od := a.Data, b.Data, out.Data
+	parallelFor(n, rowGrain, func(lo, hi int) {
+		clear(od[lo*m : hi*m])
+		k := 0
+		for ; k+4 <= kk; k += 4 {
+			b0, b1, b2, b3 := bd[k*m:(k+1)*m], bd[(k+1)*m:(k+2)*m], bd[(k+2)*m:(k+3)*m], bd[(k+3)*m:(k+4)*m]
+			for i := lo; i < hi; i++ {
+				x := [4]float64{ad[k*n+i], ad[(k+1)*n+i], ad[(k+2)*n+i], ad[(k+3)*n+i]}
+				axpy4(od[i*m:(i+1)*m], b0, b1, b2, b3, &x)
 			}
 		}
-	})
-}
-
-// MatMulT1SparseInto is MatMulT1Into with the zero-skip kept: each
-// exact-zero entry of a (post-ReLU/dropout activations) skips a whole
-// m-length inner loop. On dense inputs prefer MatMulT1Into.
-func MatMulT1SparseInto(out, a, b *Dense) {
-	if a.Rows != b.Rows || out.Rows != a.Cols || out.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMulT1SparseInto shape mismatch %dx%d ᵀ· %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	parallelFor(a.Cols, rowGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			orow := out.Row(i)
-			for j := range orow {
-				orow[j] = 0
-			}
-			for k := 0; k < a.Rows; k++ {
-				aki := a.Data[k*a.Cols+i]
-				if aki == 0 {
-					continue
-				}
-				brow := b.Row(k)
-				for j := range brow {
-					orow[j] += aki * brow[j]
-				}
+		for ; k < kk; k++ {
+			bk := bd[k*m : (k+1)*m]
+			for i := lo; i < hi; i++ {
+				axpy(od[i*m:(i+1)*m], bk, ad[k*n+i])
 			}
 		}
 	})
@@ -240,25 +231,64 @@ func MatMulT2(a, b *Dense) *Dense {
 	return out
 }
 
-// MatMulT2Into computes out = a·bᵀ, sharded over output rows.
+// MatMulT2Into computes out = a·bᵀ, sharded over output rows. Every
+// element is a dot product of two contiguous rows, so the kernel is a
+// register tile: three rows of a against two rows of b, six sums held in
+// locals across the whole k loop, each load feeding two or three
+// multiply-adds and out written once. The leftover rows and column of a
+// shard fall to dots, one element at a time.
 func MatMulT2Into(out, a, b *Dense) {
 	if a.Cols != b.Cols || out.Rows != a.Rows || out.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulT2 shape mismatch %dx%d · %dx%dᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
+	kk, m := a.Cols, b.Rows
+	ad, bd, od := a.Data, b.Data, out.Data
 	parallelFor(a.Rows, rowGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			arow := a.Row(i)
-			orow := out.Row(i)
-			for j := 0; j < b.Rows; j++ {
-				brow := b.Row(j)
-				var s float64
-				for k, av := range arow {
-					s += av * brow[k]
+		mt := m &^ 1 // columns the tile covers
+		i := lo
+		for ; i+3 <= hi; i += 3 {
+			a0 := ad[i*kk : (i+1)*kk]
+			a1 := ad[(i+1)*kk : (i+2)*kk][:len(a0)]
+			a2 := ad[(i+2)*kk : (i+3)*kk][:len(a0)]
+			for j := 0; j < mt; j += 2 {
+				b0 := bd[j*kk : (j+1)*kk][:len(a0)]
+				b1 := bd[(j+1)*kk : (j+2)*kk][:len(a0)]
+				var c00, c01, c10, c11, c20, c21 float64
+				for k, x0 := range a0 {
+					x1, x2 := a1[k], a2[k]
+					y := b0[k]
+					c00 += x0 * y
+					c10 += x1 * y
+					c20 += x2 * y
+					y = b1[k]
+					c01 += x0 * y
+					c11 += x1 * y
+					c21 += x2 * y
 				}
-				orow[j] = s
+				od[i*m+j], od[i*m+j+1] = c00, c01
+				od[(i+1)*m+j], od[(i+1)*m+j+1] = c10, c11
+				od[(i+2)*m+j], od[(i+2)*m+j+1] = c20, c21
 			}
 		}
+		dotsABT(od, ad, bd, kk, m, lo, i, mt, m)
+		dotsABT(od, ad, bd, kk, m, i, hi, 0, m)
 	})
+}
+
+// dotsABT fills out[i0:i1, j0:j1] of out = a·bᵀ one dot product at a
+// time.
+func dotsABT(od, ad, bd []float64, kk, m, i0, i1, j0, j1 int) {
+	for i := i0; i < i1; i++ {
+		ai := ad[i*kk : (i+1)*kk]
+		for j := j0; j < j1; j++ {
+			bj := bd[j*kk : (j+1)*kk][:len(ai)]
+			var c float64
+			for k, x := range ai {
+				c += x * bj[k]
+			}
+			od[i*m+j] = c
+		}
+	}
 }
 
 // AddBias adds row vector bias (1×Cols) to every row of m, in place.
@@ -314,36 +344,21 @@ func (m *Dense) ColSums() []float64 {
 	return out
 }
 
-// ColSumsInto accumulates per-column sums into dst (dst is overwritten).
-// Both paths accumulate each column top-to-bottom, so they are bitwise
-// equivalent: the serial path streams rows (cache-optimal, the seed's
-// access pattern), while the parallel path shards over column ranges —
-// strided reads, but each worker owns a disjoint slice of dst.
+// ColSumsInto accumulates per-column sums into dst (dst is overwritten),
+// each column top to bottom. One goroutine streams the rows: the loop is
+// memory-bound and a row is a few cache lines, so it is not sharded —
+// column shards read at stride Cols and measured 17× slower than this
+// loop at the 6000×64 shape a training step calls it with.
 func (m *Dense) ColSumsInto(dst []float64) {
 	if len(dst) != m.Cols {
 		panic("tensor: ColSumsInto length mismatch")
 	}
-	if Parallelism() <= 1 || m.Cols < 2*rowGrain {
-		for j := range dst {
-			dst[j] = 0
+	clear(dst)
+	for i := 0; i < m.Rows; i++ {
+		for j, v := range m.Row(i) {
+			dst[j] += v
 		}
-		for i := 0; i < m.Rows; i++ {
-			row := m.Row(i)
-			for j, v := range row {
-				dst[j] += v
-			}
-		}
-		return
 	}
-	parallelFor(m.Cols, rowGrain, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			var s float64
-			for i := 0; i < m.Rows; i++ {
-				s += m.Data[i*m.Cols+j]
-			}
-			dst[j] = s
-		}
-	})
 }
 
 // GatherRows returns the matrix whose row i is m.Row(idx[i]).
