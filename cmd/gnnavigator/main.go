@@ -78,7 +78,7 @@ func main() {
 		pipeline.SetDefaultPrefetch(*prefetch)
 	}
 
-	plat, ok := hw.Profiles()[*platform]
+	plat, ok := hw.Profile(*platform)
 	if !ok {
 		log.Fatalf("unknown platform %q; have: %s", *platform, strings.Join(hw.ProfileNames(), ", "))
 	}

@@ -87,7 +87,7 @@ func (c Config) Validate() error {
 	if _, err := dataset.Load(c.Dataset); err != nil {
 		return fmt.Errorf("backend: %w", err)
 	}
-	if _, ok := hw.Profiles()[c.Platform]; !ok {
+	if _, ok := hw.Profile(c.Platform); !ok {
 		return fmt.Errorf("backend: unknown platform %q", c.Platform)
 	}
 	switch c.Sampler {
@@ -139,8 +139,8 @@ func (c Config) Validate() error {
 		if k&(k-1) != 0 {
 			return fmt.Errorf("backend: device count %d is not a power of two (the ordered all-reduce is IEEE-exact only for powers of two)", k)
 		}
-		if have := hw.Profiles()[c.Platform].DeviceCount(); k > have {
-			return fmt.Errorf("backend: %d devices requested but platform %q has %d", k, c.Platform, have)
+		if p, _ := hw.Profile(c.Platform); k > p.DeviceCount() {
+			return fmt.Errorf("backend: %d devices requested but platform %q has %d", k, c.Platform, p.DeviceCount())
 		}
 		if c.CachePolicy == cache.Opt {
 			return fmt.Errorf("backend: opt cache policy is single-device only (its Belady script indexes the global access stream)")

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
+
+	"gnnavigator/internal/cache"
 )
 
 // goldenSageDigest is the FNV-64a digest of the final parameters and the
@@ -52,5 +54,36 @@ func TestGoldenSageRun(t *testing.T) {
 	}
 	if got := fmt.Sprintf("%016x", h.Sum64()); got != goldenSageDigest {
 		t.Fatalf("digest %s, want %s (accuracy history %v)", got, goldenSageDigest, perf.AccuracyHistory)
+	}
+}
+
+// goldenTimingDigest is the FNV-64a digest of TestGoldenTimingOnlyPerf's
+// twelve Perf values (WallSec zeroed), recorded while every cached
+// timing-only run still copied and quantised each admitted row into
+// slot storage. Residency, hit/miss/evict counts and transferred bytes
+// do not depend on the rows, so a cache that keeps none must keep it.
+const goldenTimingDigest = "5bd88abd90b2df0d"
+
+// TestGoldenTimingOnlyPerf runs every cache policy at float32 and int8
+// timing-only (SkipTraining, no gather) and pins the whole Perf.
+func TestGoldenTimingOnlyPerf(t *testing.T) {
+	h := fnv.New64a()
+	for _, prec := range []cache.Precision{cache.Float32, cache.Int8} {
+		for _, policy := range []cache.Policy{cache.None, cache.Static, cache.FIFO, cache.LRU, cache.Freq, cache.Opt} {
+			cfg := fastCfg()
+			cfg.Precision, cfg.CachePolicy = prec, policy
+			if policy != cache.None {
+				cfg.CacheRatio = 0.2
+			}
+			perf, err := RunWith(cfg, Options{SkipTraining: true})
+			if err != nil {
+				t.Fatalf("%s: %v", cfg.Label(), err)
+			}
+			perf.WallSec = 0
+			fmt.Fprintf(h, "%#v\n", *perf)
+		}
+	}
+	if got := fmt.Sprintf("%016x", h.Sum64()); got != goldenTimingDigest {
+		t.Fatalf("digest %s, want %s", got, goldenTimingDigest)
 	}
 }

@@ -87,14 +87,15 @@ type Options struct {
 	// -prefetch CLI flags); < 0 forces the inline serial loop. Outputs
 	// are bitwise-identical at every depth.
 	Prefetch int
-	// SharePlan fetches the run's epoch plan from the process-wide
-	// single-flight plan cache (plan.Shared) and replays it instead of
-	// sampling live — the calibration fan-out's "compile once, replay
-	// everywhere" path: probes differing only in cache/model knobs share
-	// one compiled plan. The determinism contract makes replay bitwise-
-	// identical to live sampling, so results are unchanged. Runs with
-	// cache-aware bias (BiasRate > 0) silently fall back to live sampling;
-	// their access stream depends on residency and cannot be replayed.
+	// SharePlan fetches the run's epoch plan through the single-flight
+	// plan.Shared and replays it instead of sampling live — the
+	// calibration fan-out's "compile once, replay everywhere" path: probes
+	// differing only in cache/model knobs share one compiled plan while
+	// the fan-out holds its key (plan.Hold; see PlanKeys). The
+	// determinism contract makes replay bitwise-identical to live
+	// sampling, so results are unchanged. Runs with cache-aware bias
+	// (BiasRate > 0) silently fall back to live sampling; their access
+	// stream depends on residency and cannot be replayed.
 	SharePlan bool
 	// Plan supplies an explicit pre-compiled epoch plan to replay
 	// (gnnavigator -load-plan). It must be compatible with the run's
@@ -209,31 +210,22 @@ func RunWith(cfg Config, opts Options) (*Perf, error) {
 			return nil, fmt.Errorf("backend: reorder: %w", err)
 		}
 	}
-	plat := hw.Profiles()[cfg.Platform]
+	plat, _ := hw.Profile(cfg.Platform)
 
-	// Device cache sized from the float32-denominated byte budget
-	// (CacheRatio of the scaled graph's feature array): at the float32
-	// baseline this is exactly ratio·|V| rows, at compact precisions the
-	// same Γ budget holds 2–4× the vertices (the ratio is
-	// scale-invariant; memory accounting uses the full-scale ratio).
 	// Every run gathers through one feature plane: the direct graph
 	// source when nothing is cached, the cached source otherwise.
 	prec := cfg.FeaturePrecision()
-	capVertices := int(prec.EffectiveCacheRows(cfg.CacheRatio, float64(g.NumVertices()), g.FeatDim))
-	policy := cfg.CachePolicy
-	if capVertices == 0 {
-		policy = cache.None
-	}
+	policy, capVertices := effectivePolicy(cfg, g)
 
 	// Epoch-plan resolution: an explicit opts.Plan is replayed as given;
 	// SharePlan (the calibration fan-out) and the Opt policy (which needs
-	// the exact future access order) fetch the run's plan from the
-	// process-wide single-flight cache. Cache-aware bias makes sampling
+	// the exact future access order) fetch the run's plan through the
+	// single-flight plan.Shared. Cache-aware bias makes sampling
 	// depend on residency, so biased runs always sample live: SharePlan
 	// silently falls back, an explicit Plan is an error, and Opt+bias is
 	// already rejected by Validate.
 	var pl *plan.Plan
-	if opts.Plan != nil || ((opts.SharePlan || policy == cache.Opt) && cfg.BiasRate == 0) {
+	if opts.Plan != nil || sharesRunPlan(cfg, opts, policy) {
 		if cfg.BiasRate > 0 {
 			return nil, fmt.Errorf("backend: plan replay is incompatible with cache-aware biased sampling (BiasRate %v)", cfg.BiasRate)
 		}
@@ -246,33 +238,34 @@ func RunWith(cfg Config, opts Options) (*Perf, error) {
 				return nil, fmt.Errorf("backend: %w", err)
 			}
 			pl = opts.Plan
-		} else {
-			key := plan.KeyFor(cfg.Dataset, cfg.Reorder, preSmp, cfg.BatchSize, cfg.Seed, cfg.Epochs, true, ds.TrainIdx)
-			if pl, err = plan.Shared(g, preSmp, key, ds.TrainIdx); err != nil {
-				return nil, err
-			}
+		} else if pl, err = plan.Shared(g, preSmp, runPlanKey(cfg, preSmp, ds.TrainIdx), ds.TrainIdx); err != nil {
+			return nil, err
 		}
 	}
 
-	// Pre-sample admission for the Freq policy, mined from a compiled
-	// plan: an unbiased instance of the run's own sampler compiles a
-	// salted one-epoch plan (fetched through the shared plan cache, so
-	// every probe of a calibration fan-out reuses the same pre-sampling
+	// Admission order of the prefilled policies: Static takes g's degree
+	// order; Freq pre-samples, mining the order from a compiled plan: an
+	// unbiased instance of the run's own sampler compiles a salted
+	// one-epoch plan (fetched through plan.Shared, so every probe of a
+	// calibration fan-out that holds it reuses the same pre-sampling
 	// pass), and the most frequently touched input vertices fill the
 	// cache before training. The mining plan is always unbiased —
 	// matching the legacy pre-sample pass, which drew without residency
 	// bias even for biased runs — so it is shared across bias rates too.
-	freqOrder := func() ([]int32, error) {
+	var order []int32
+	switch policy {
+	case cache.Static:
+		order = g.DegreeOrder()
+	case cache.Freq:
 		preSmp, _, err := buildSampler(cfg, nil)
 		if err != nil {
 			return nil, err
 		}
-		mineKey := plan.KeyFor(cfg.Dataset, cfg.Reorder, preSmp, cfg.BatchSize, cfg.Seed+freqSeedSalt, 1, true, ds.TrainIdx)
-		minePl, err := plan.Shared(g, preSmp, mineKey, ds.TrainIdx)
+		minePl, err := plan.Shared(g, preSmp, miningPlanKey(cfg, preSmp, ds.TrainIdx), ds.TrainIdx)
 		if err != nil {
 			return nil, err
 		}
-		return minePl.CountOrder(g), nil
+		order = minePl.CountOrder(g)
 	}
 
 	devices := cfg.DeviceCount()
@@ -288,51 +281,36 @@ func RunWith(cfg Config, opts Options) (*Perf, error) {
 		if err != nil {
 			return nil, fmt.Errorf("backend: %w", err)
 		}
-		var order []int32
-		switch policy {
-		case cache.Static:
-			order = g.DegreeOrder()
-		case cache.Freq:
-			if order, err = freqOrder(); err != nil {
-				return nil, err
-			}
-		}
 		if src, err = dist.NewSource(g, part, policy, capVertices, order, prec); err != nil {
 			return nil, err
 		}
+	} else if policy == cache.None {
+		src = cache.NewGraphSourceAt(g, prec)
 	} else {
-		switch {
-		case policy == cache.None:
-			src = cache.NewGraphSourceAt(g, prec)
-		case policy == cache.Freq:
-			order, err := freqOrder()
-			if err != nil {
-				return nil, err
-			}
-			devCache, err := cache.NewWithPrecision(cache.Freq, capVertices, g, order, prec)
-			if err != nil {
-				return nil, err
-			}
-			src = cache.NewCachedSource(devCache, g)
-		case policy == cache.Opt:
+		// A run that will not gather never reads a cached row, so its
+		// cache is built residency-only (no graph): admissions store
+		// nothing, while residency, every counter and the transfer
+		// pricing — which the source takes from g — are unchanged.
+		rows := g
+		if opts.SkipTraining {
+			rows = nil
+		}
+		var devCache *cache.Cache
+		if policy == cache.Opt {
 			// Belady upper bound: the run's own plan is mined for the exact
 			// future access order the device cache will see.
-			script, err := cache.BuildOptScript(g.NumVertices(), pl.BatchInputs(cfg.Epochs))
-			if err != nil {
+			var script *cache.OptScript
+			if script, err = cache.BuildOptScript(g.NumVertices(), pl.BatchInputs(cfg.Epochs)); err != nil {
 				return nil, err
 			}
-			devCache, err := cache.NewOptWithPrecision(capVertices, g, script, prec)
-			if err != nil {
-				return nil, err
-			}
-			src = cache.NewCachedSource(devCache, g)
-		default:
-			devCache, err := cache.NewAtPrecision(policy, capVertices, g, prec)
-			if err != nil {
-				return nil, err
-			}
-			src = cache.NewCachedSource(devCache, g)
+			devCache, err = cache.NewOptWithPrecision(capVertices, rows, script, prec)
+		} else {
+			devCache, err = cache.NewWithPrecision(policy, capVertices, rows, order, prec)
 		}
+		if err != nil {
+			return nil, err
+		}
+		src = cache.NewCachedSource(devCache, g)
 	}
 
 	smp, walkSteps, err := buildSampler(cfg, src)
@@ -679,15 +657,78 @@ func buildSampler(cfg Config, res sample.Residency) (sample.Sampler, int, error)
 // freqSeedSalt decorrelates the Freq pre-sampling (mining) plan's RNG
 // chain from the training epochs' (sample.BatchRNG over (Seed, epoch,
 // batch)): the admission counts come from a statistically identical but
-// independent one-epoch plan, compiled through the shared plan cache and
-// mined with plan.CountOrder.
+// independent one-epoch plan, compiled through plan.Shared and mined
+// with plan.CountOrder.
 const freqSeedSalt = 0x5eed
 
 // dropoutSeedSalt decorrelates the per-batch dropout mask streams from
 // the sampling chain rooted at the same (Seed, epoch, batch) triple.
 const dropoutSeedSalt = 0x1d40
 
-// CompilePlan compiles (or fetches from the process-wide plan cache) the
+// effectivePolicy sizes the device cache from the float32-denominated
+// byte budget (CacheRatio of the scaled graph's feature array): at the
+// float32 baseline this is exactly ratio·|V| rows, at compact precisions
+// the same Γ budget holds 2–4× the vertices (the ratio is
+// scale-invariant; memory accounting uses the full-scale ratio). A
+// budget too small for one row downgrades the policy to None.
+func effectivePolicy(cfg Config, g *graph.Graph) (cache.Policy, int) {
+	capVertices := int(cfg.FeaturePrecision().EffectiveCacheRows(cfg.CacheRatio, float64(g.NumVertices()), g.FeatDim))
+	if capVertices == 0 {
+		return cache.None, 0
+	}
+	return cfg.CachePolicy, capVertices
+}
+
+// sharesRunPlan reports whether RunWith fetches the run's own epoch plan
+// through plan.Shared rather than sampling live or replaying opts.Plan.
+func sharesRunPlan(cfg Config, opts Options, policy cache.Policy) bool {
+	return opts.Plan == nil && (opts.SharePlan || policy == cache.Opt) && cfg.BiasRate == 0
+}
+
+// runPlanKey is the plan key of cfg's training stream under the
+// unbiased sampler smp.
+func runPlanKey(cfg Config, smp sample.Sampler, targets []int32) plan.Key {
+	return plan.KeyFor(cfg.Dataset, cfg.Reorder, smp, cfg.BatchSize, cfg.Seed, cfg.Epochs, true, targets)
+}
+
+// miningPlanKey is the salted one-epoch plan key the Freq policy mines
+// its admission order from.
+func miningPlanKey(cfg Config, smp sample.Sampler, targets []int32) plan.Key {
+	return plan.KeyFor(cfg.Dataset, cfg.Reorder, smp, cfg.BatchSize, cfg.Seed+freqSeedSalt, 1, true, targets)
+}
+
+// PlanKeys resolves, without running anything, what RunWith(cfg, opts)
+// will fetch through plan.Shared: the run's own plan key when it
+// replays a shared plan, and the mining key when its effective policy is
+// Freq. core is the run's plan key with Epochs zeroed — its sampling
+// core, shared by every probe that samples the same stream whatever its
+// epoch count, cache or bias. A sweep holds the keys (plan.Hold) for
+// exactly the runs that need them.
+func PlanKeys(cfg Config, opts Options) (core plan.Key, shared []plan.Key, err error) {
+	if err := cfg.Validate(); err != nil {
+		return plan.Key{}, nil, err
+	}
+	ds, err := dataset.Load(cfg.Dataset)
+	if err != nil {
+		return plan.Key{}, nil, err
+	}
+	smp, _, err := buildSampler(cfg, nil)
+	if err != nil {
+		return plan.Key{}, nil, err
+	}
+	policy, _ := effectivePolicy(cfg, ds.Graph)
+	core = runPlanKey(cfg, smp, ds.TrainIdx)
+	if sharesRunPlan(cfg, opts, policy) {
+		shared = append(shared, core)
+	}
+	if policy == cache.Freq {
+		shared = append(shared, miningPlanKey(cfg, smp, ds.TrainIdx))
+	}
+	core.Epochs = 0
+	return core, shared, nil
+}
+
+// CompilePlan compiles (through plan.Shared, so a held key is reused) the
 // epoch plan cfg's training run follows — the artifact `gnnavigator
 // -save-plan` persists and `-load-plan` feeds back through Options.Plan.
 // Requires unbiased sampling: a cache-aware bias makes the sampling
@@ -714,8 +755,7 @@ func CompilePlan(cfg Config) (*plan.Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	key := plan.KeyFor(cfg.Dataset, cfg.Reorder, preSmp, cfg.BatchSize, cfg.Seed, cfg.Epochs, true, ds.TrainIdx)
-	return plan.Shared(g, preSmp, key, ds.TrainIdx)
+	return plan.Shared(g, preSmp, runPlanKey(cfg, preSmp, ds.TrainIdx), ds.TrainIdx)
 }
 
 // AnalyticFullBound is the τ=1 bound of Eq. 12 at paper scale: the

@@ -327,7 +327,7 @@ func (e *Explorer) Explore(base backend.Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	plat, ok := hw.Profiles()[base.Platform]
+	plat, ok := hw.Profile(base.Platform)
 	if !ok {
 		return nil, fmt.Errorf("dse: unknown platform %q", base.Platform)
 	}

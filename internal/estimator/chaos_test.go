@@ -11,6 +11,7 @@ import (
 	"gnnavigator/internal/dataset"
 	"gnnavigator/internal/faultinject"
 	"gnnavigator/internal/model"
+	"gnnavigator/internal/plan"
 )
 
 // fastRetry shrinks the backoff so chaos tests don't sleep; restore the
@@ -87,5 +88,26 @@ func TestChaosProbeNoRetryOnCancel(t *testing.T) {
 	}
 	if n := faultinject.Hits(faultinject.EstimatorProbe) - before; n != 0 {
 		t.Errorf("cancelled sweep still ran %d probe attempts", n)
+	}
+}
+
+// TestChaosProbeFailureReleasesPlans: a probe that fails mid-sweep
+// fails the sweep without leaving any core's plans held, at every
+// worker count.
+func TestChaosProbeFailureReleasesPlans(t *testing.T) {
+	defer faultinject.Reset()
+	defer SetRetryPolicy(SetRetryPolicy(fastRetry(1)))
+	cfgs := sharedProbeSet(t)
+	held := plan.Held()
+	for _, workers := range []int{1, 2, 4} {
+		faultinject.Arm(faultinject.EstimatorProbe, faultinject.Spec{Kind: faultinject.Error, After: 2})
+		_, err := CollectWith(cfgs, false, workers)
+		faultinject.Reset()
+		if !errors.Is(err, faultinject.ErrInjected) {
+			t.Fatalf("workers=%d: collect returned %v, want ErrInjected", workers, err)
+		}
+		if n := plan.Held(); n != held {
+			t.Errorf("workers=%d: %d plan keys held after a failed sweep, want %d", workers, n, held)
+		}
 	}
 }

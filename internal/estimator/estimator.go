@@ -16,7 +16,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gnnavigator/internal/backend"
@@ -27,6 +29,7 @@ import (
 	"gnnavigator/internal/hw"
 	"gnnavigator/internal/model"
 	"gnnavigator/internal/nn"
+	"gnnavigator/internal/plan"
 	"gnnavigator/internal/regress"
 	"gnnavigator/internal/sample"
 	"gnnavigator/internal/sim"
@@ -284,34 +287,39 @@ type Record struct {
 // knobs, so they change profiling wall time only, never the records.
 //
 // Collect fans the profiling runs — the dominant cost of Step-1
-// calibration — out across the process-wide default worker count; use
-// CollectWith to pick the width explicitly.
+// calibration — out by sampling core across the process-wide default
+// worker count; use CollectWith to pick the width explicitly.
 func Collect(cfgs []backend.Config, withAccuracy bool, opts ...backend.Options) ([]Record, error) {
 	return CollectWith(cfgs, withAccuracy, 0, opts...)
 }
 
 // CollectWith is Collect with an explicit fan-out width: up to `workers`
-// backend profiling runs execute concurrently (0 = the process-wide
-// tensor worker default, 1 = serial). Every run is deterministic in
-// isolation — it owns its sampler, cache, model and RNG chain — and
-// records are index-stamped into the cfgs order, so the output is
-// identical at every worker count (WallSec, which measures host time,
-// is the one informational exception). Transient per-probe failures
-// retry with bounded exponential backoff (RetryPolicy); a probe that
-// still fails after the last attempt fails the sweep, and context
-// cancellation is never retried.
+// sampling cores are profiled concurrently (0 = the process-wide tensor
+// worker default, 1 = serial), each core's probes serially in cfgs order
+// on one worker. Every run is deterministic in isolation — it owns its
+// sampler, cache, model and RNG chain — and records are index-stamped
+// into the cfgs order, so the output is identical at every worker count
+// (WallSec, which measures host time, is the one informational
+// exception). Transient per-probe failures retry with bounded
+// exponential backoff (RetryPolicy); a probe that still fails after the
+// last attempt fails the sweep, and context cancellation is never
+// retried.
+//
+// Compile once, replay everywhere: probes that share a sampling core
+// (sampler, batch size, seed — see ProbeConfigs) differ only in
+// cache/model knobs, so they fetch one compiled epoch plan through
+// plan.Shared instead of each re-sampling the identical stream. A core's
+// worker holds the core's plan keys (backend.PlanKeys) while it runs the
+// core's probes and releases them when it is done, so a plan is resident
+// only while its core is being profiled. Replay is bitwise-identical to
+// live sampling, so records are unchanged; biased probes fall back to
+// live sampling automatically.
 func CollectWith(cfgs []backend.Config, withAccuracy bool, workers int, opts ...backend.Options) ([]Record, error) {
 	runOpts := backend.Options{}
 	if len(opts) > 0 {
 		runOpts = opts[0]
 	}
 	runOpts.SkipTraining = !withAccuracy
-	// Compile once, replay everywhere: probes that share a sampling core
-	// (sampler, batch size, seed, epochs — see ProbeConfigs) differ only
-	// in cache/model knobs, so they fetch one compiled epoch plan from the
-	// shared plan cache instead of each re-sampling the identical stream.
-	// Replay is bitwise-identical to live sampling, so records are
-	// unchanged; biased probes fall back to live sampling automatically.
 	runOpts.SharePlan = true
 	if workers <= 0 {
 		workers = tensor.Parallelism()
@@ -326,10 +334,7 @@ func CollectWith(cfgs []backend.Config, withAccuracy bool, workers int, opts ...
 		runOpts.Parallelism = 0
 	}
 	out := make([]Record, len(cfgs))
-	// The fan-out short-circuits like the old serial loop: after the
-	// first failure the remaining (expensive) profiling runs are skipped,
-	// not executed.
-	if err := tensor.ForEachIndexErr(len(cfgs), workers, func(i int) error {
+	collect := func(i int) error {
 		cfg := cfgs[i]
 		ds, err := dataset.Load(cfg.Dataset)
 		if err != nil {
@@ -341,10 +346,65 @@ func CollectWith(cfgs []backend.Config, withAccuracy bool, workers int, opts ...
 		}
 		out[i] = Record{Cfg: cfg, Stats: ProfileDataset(ds), Perf: perf}
 		return nil
+	}
+	groups := groupByCore(cfgs, runOpts)
+	// The fan-out short-circuits like a serial loop: after the first
+	// failure no further (expensive) profiling run starts, in any core.
+	var failed atomic.Bool
+	if err := tensor.ForEachIndexErr(len(groups), workers, func(gi int) error {
+		grp := groups[gi]
+		defer plan.Hold(grp.keys...)()
+		for _, i := range grp.probes {
+			if failed.Load() {
+				return nil
+			}
+			if err := collect(i); err != nil {
+				failed.Store(true)
+				return err
+			}
+		}
+		return nil
 	}); err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// probeGroup is one sampling core's probes, as indices in cfgs order,
+// and the distinct shared-plan keys they fetch.
+type probeGroup struct {
+	probes []int
+	keys   []plan.Key
+}
+
+// groupByCore partitions cfgs by sampling core (backend.PlanKeys), in
+// order of each core's first probe. A probe whose keys cannot be
+// resolved forms a group of its own that holds nothing; its run then
+// reports the error.
+func groupByCore(cfgs []backend.Config, opts backend.Options) []probeGroup {
+	var groups []probeGroup
+	at := map[plan.Key]int{}
+	for i, cfg := range cfgs {
+		core, keys, err := backend.PlanKeys(cfg, opts)
+		if err != nil {
+			groups = append(groups, probeGroup{probes: []int{i}})
+			continue
+		}
+		gi, ok := at[core]
+		if !ok {
+			gi = len(groups)
+			at[core] = gi
+			groups = append(groups, probeGroup{})
+		}
+		grp := &groups[gi]
+		grp.probes = append(grp.probes, i)
+		for _, k := range keys {
+			if !slices.Contains(grp.keys, k) {
+				grp.keys = append(grp.keys, k)
+			}
+		}
+	}
+	return groups
 }
 
 // samplingCore is the subset of probe knobs that determines an epoch
@@ -372,6 +432,7 @@ type samplingCore struct {
 // sampling work deduplicated without measurably hurting Table-2 MSE.
 func ProbeConfigs(dsName string, kind model.Kind, platform string, n int, seed int64) []backend.Config {
 	rng := rand.New(rand.NewSource(seed))
+	plat, _ := hw.Profile(platform)
 	batchSizes := []int{256, 512, 1024, 2048}
 	fanoutSets := [][]int{{5, 5}, {10, 5}, {10, 10}, {15, 8}, {25, 10}}
 	ratios := []float64{0, 0.05, 0.1, 0.2, 0.35, 0.5}
@@ -445,7 +506,7 @@ func ProbeConfigs(dsName string, kind model.Kind, platform string, n int, seed i
 		// the time residual sees the comm-overhead-vs-K-speedup tradeoff
 		// (power-of-two counts up to the platform's; single-device
 		// platforms never draw one). The partitioner alternates too.
-		if maxDev := hw.Profiles()[platform].DeviceCount(); maxDev > 1 && rng.Intn(2) == 0 {
+		if maxDev := plat.DeviceCount(); maxDev > 1 && rng.Intn(2) == 0 {
 			k := 2
 			for k*2 <= maxDev && rng.Intn(2) == 0 {
 				k *= 2
@@ -767,7 +828,7 @@ func (e *Estimator) Predict(cfg backend.Config) (Prediction, error) {
 	}
 	st := ProfileDataset(ds)
 	f := features(cfg, st)
-	plat := hw.Profiles()[cfg.Platform]
+	plat, _ := hw.Profile(cfg.Platform)
 
 	vi := e.PredictBatchSize(cfg, st)
 	edgeRatio := math.Exp(e.edgePerVertex.Predict(f))
@@ -871,57 +932,31 @@ func (e *Estimator) Predict(cfg backend.Config) (Prediction, error) {
 	return pred, nil
 }
 
-// analyticFLOPs prices predicted batch volumes using the real model layer
-// formulas, with per-layer widths interpolated geometrically between the
-// target count (output side) and |V_i| (input side).
+// analyticFLOPs prices predicted batch volumes with the model's closed
+// FLOPs form, with per-layer widths interpolated geometrically between
+// the target count (output side) and |V_i| (input side).
 func analyticFLOPs(cfg backend.Config, ds *dataset.Dataset, vi, edges float64) (float64, error) {
-	mdl, err := model.New(model.Config{
-		Kind: cfg.Model, InDim: ds.Graph.FeatDim, Hidden: cfg.Hidden,
-		OutDim: ds.Graph.NumClasses, Layers: cfg.Layers, Heads: cfg.Heads, Seed: 1,
-	})
-	if err != nil {
-		return 0, err
-	}
 	L := cfg.Layers
-	mb := &sample.MiniBatch{Blocks: make([]sample.Block, L)}
+	shapes := make([]model.Shape, max(L, 0))
 	b0 := math.Max(float64(cfg.BatchSize), 1)
 	if vi < b0 {
 		vi = b0
 	}
-	for l := 0; l < L; l++ {
+	for l := range shapes {
 		// Layer l consumes src width s_l and produces dst width s_{l+1},
-		// where s_0 = vi (inputs) and s_L = b0 (targets).
+		// where s_0 = vi (inputs) and s_L = b0 (targets). Every block has
+		// at least one destination, no fewer sources than destinations and
+		// no negative edge count.
 		sl := vi * math.Pow(b0/vi, float64(l)/float64(L))
 		sl1 := vi * math.Pow(b0/vi, float64(l+1)/float64(L))
 		el := edges * sl1 / vi
-		mb.Blocks[l] = fakeBlock(int(sl), int(sl1), int(el))
+		dst := max(int(sl1), 1)
+		shapes[l] = model.Shape{Src: max(int(sl), dst), Dst: dst, Edges: max(int(el), 0)}
 	}
-	mb.InputNodes = mb.Blocks[0].SrcNodes
-	return mdl.FLOPs(mb), nil
-}
-
-// fakeBlock allocates a structurally valid block with the requested counts
-// (contents are irrelevant; only sizes feed the FLOPs formulas).
-func fakeBlock(src, dst, edges int) sample.Block {
-	if dst < 1 {
-		dst = 1
-	}
-	if src < dst {
-		src = dst
-	}
-	if edges < 0 {
-		edges = 0
-	}
-	off := make([]int32, dst+1)
-	for i := 1; i <= dst; i++ {
-		off[i] = int32(edges * i / dst)
-	}
-	return sample.Block{
-		SrcNodes: make([]int32, src),
-		DstCount: dst,
-		Offsets:  off,
-		Indices:  make([]int32, edges),
-	}
+	return model.CountFLOPs(model.Config{
+		Kind: cfg.Model, InDim: ds.Graph.FeatDim, Hidden: cfg.Hidden,
+		OutDim: ds.Graph.NumClasses, Layers: L, Heads: cfg.Heads,
+	}, shapes)
 }
 
 func clamp(v, lo, hi float64) float64 {

@@ -9,6 +9,7 @@ import (
 	"gnnavigator/internal/dataset"
 	"gnnavigator/internal/model"
 	"gnnavigator/internal/regress"
+	"gnnavigator/internal/sample"
 )
 
 func TestProfileDataset(t *testing.T) {
@@ -224,6 +225,30 @@ func TestAnalyticBoundShapes(t *testing.T) {
 	}
 }
 
+// fakeBlock allocates a structurally valid block with the requested
+// counts (contents are irrelevant; only sizes feed the FLOPs formulas).
+func fakeBlock(src, dst, edges int) sample.Block {
+	if dst < 1 {
+		dst = 1
+	}
+	if src < dst {
+		src = dst
+	}
+	if edges < 0 {
+		edges = 0
+	}
+	off := make([]int32, dst+1)
+	for i := 1; i <= dst; i++ {
+		off[i] = int32(edges * i / dst)
+	}
+	return sample.Block{
+		SrcNodes: make([]int32, src),
+		DstCount: dst,
+		Offsets:  off,
+		Indices:  make([]int32, edges),
+	}
+}
+
 func TestFakeBlockShapes(t *testing.T) {
 	b := fakeBlock(10, 4, 9)
 	if len(b.SrcNodes) != 10 || b.DstCount != 4 || len(b.Indices) != 9 {
@@ -236,5 +261,45 @@ func TestFakeBlockShapes(t *testing.T) {
 	b = fakeBlock(0, 0, -5)
 	if b.DstCount != 1 || len(b.Indices) != 0 {
 		t.Errorf("degenerate fakeBlock: %+v", b)
+	}
+}
+
+// TestAnalyticFLOPsMatchesBuiltModel pins the closed form bit for bit to
+// Model.FLOPs of a built model over fakeBlock mini-batches of the same
+// interpolated widths, the way Predict priced FLOPs before it stopped
+// building a model per call.
+func TestAnalyticFLOPsMatchesBuiltModel(t *testing.T) {
+	ds := dataset.MustLoad(dataset.OgbnArxiv)
+	volumes := []struct{ vi, edges float64 }{{3071.6, 20417.9}, {512, 0}, {97.2, 801.5}, {40000.3, 1.3e6}}
+	for _, kind := range []model.Kind{model.GCN, model.SAGE, model.GAT} {
+		for layers := 1; layers <= 3; layers++ {
+			for _, heads := range []int{1, 2, 4} {
+				cfg := backend.Config{Model: kind, Layers: layers, Hidden: 32, Heads: heads, BatchSize: 512}
+				mdl, err := model.New(model.Config{
+					Kind: kind, InDim: ds.Graph.FeatDim, Hidden: cfg.Hidden,
+					OutDim: ds.Graph.NumClasses, Layers: layers, Heads: heads, Seed: 1,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, v := range volumes {
+					got, err := analyticFLOPs(cfg, ds, v.vi, v.edges)
+					if err != nil {
+						t.Fatal(err)
+					}
+					b0, vi := float64(cfg.BatchSize), math.Max(v.vi, float64(cfg.BatchSize))
+					mb := &sample.MiniBatch{Blocks: make([]sample.Block, layers)}
+					for l := range mb.Blocks {
+						sl := vi * math.Pow(b0/vi, float64(l)/float64(layers))
+						sl1 := vi * math.Pow(b0/vi, float64(l+1)/float64(layers))
+						mb.Blocks[l] = fakeBlock(int(sl), int(sl1), int(v.edges*sl1/vi))
+					}
+					mb.InputNodes = mb.Blocks[0].SrcNodes
+					if want := mdl.FLOPs(mb); math.Float64bits(got) != math.Float64bits(want) {
+						t.Errorf("%s L=%d heads=%d vi=%v: closed form %v, built model %v", kind, layers, heads, v.vi, got, want)
+					}
+				}
+			}
+		}
 	}
 }

@@ -44,12 +44,33 @@ func planProbeSet(t *testing.T) []backend.Config {
 	return cfgs
 }
 
+// sharedProbeSet extends planProbeSet's core with a biased freq probe
+// (live sampling, shared mining plan) and adds a second core carrying an
+// opt probe: three distinct shared-plan keys across two sampling cores.
+func sharedProbeSet(t *testing.T) []backend.Config {
+	t.Helper()
+	cfgs := planProbeSet(t)
+	freq := cfgs[1]
+	freq.CachePolicy, freq.BiasRate = cache.Freq, 0.6
+	opt := cfgs[1]
+	opt.CachePolicy, opt.Seed = cache.Opt, 5252
+	// Interleave the cores so a worker's group is not a contiguous run.
+	cfgs = append(cfgs[:2], append([]backend.Config{opt, freq}, cfgs[2:]...)...)
+	for _, cfg := range cfgs {
+		if err := cfg.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return cfgs
+}
+
 // TestCollectPlanSharedEquivalent is the calibration-sharing contract:
 // Collect's plan-shared profiling runs must return Records identical to
 // the live re-sampling path (modulo WallSec, the documented host-time
-// exception), while compiling each unique epoch plan exactly once.
+// exception) at every worker count, compile each unique epoch plan
+// exactly once, and leave no plan held once the sweep returns.
 func TestCollectPlanSharedEquivalent(t *testing.T) {
-	cfgs := planProbeSet(t)
+	cfgs := sharedProbeSet(t)
 
 	// Reference: every probe samples live (no SharePlan).
 	want := make([]*backend.Perf, len(cfgs))
@@ -61,27 +82,33 @@ func TestCollectPlanSharedEquivalent(t *testing.T) {
 		want[i] = perf
 	}
 
-	plan.ResetCounters()
-	recs, err := CollectWith(cfgs, false, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != len(cfgs) {
-		t.Fatalf("got %d records, want %d", len(recs), len(cfgs))
-	}
-	for i := range cfgs {
-		pa, pb := *want[i], *recs[i].Perf
-		pa.WallSec, pb.WallSec = 0, 0
-		if !reflect.DeepEqual(pa, pb) {
-			t.Errorf("probe %d (%s): plan-shared Perf differs from live sampling:\nshared: %+v\nlive:   %+v",
-				i, cfgs[i].Label(), pb, pa)
+	held := plan.Held()
+	for _, workers := range []int{1, 2, 4} {
+		plan.ResetCounters()
+		recs, err := CollectWith(cfgs, false, workers)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// All four probes share one sampling core: exactly one compile, the
-	// rest cache hits. (The plans themselves persist across ResetCounters,
-	// so this test builds its core from a seed no other caller uses.)
-	if c, h := plan.Compiles(), plan.CacheHits(); c != 1 || h != int64(len(cfgs)-1) {
-		t.Errorf("plan cache counters (compiles=%d, hits=%d), want (1, %d)", c, h, len(cfgs)-1)
+		if len(recs) != len(cfgs) {
+			t.Fatalf("workers=%d: got %d records, want %d", workers, len(recs), len(cfgs))
+		}
+		for i := range cfgs {
+			pa, pb := *want[i], *recs[i].Perf
+			pa.WallSec, pb.WallSec = 0, 0
+			if !reflect.DeepEqual(pa, pb) {
+				t.Errorf("workers=%d probe %d (%s): plan-shared Perf differs from live sampling:\nshared: %+v\nlive:   %+v",
+					workers, i, cfgs[i].Label(), pb, pa)
+			}
+		}
+		// Three keys: core A's run plan (fetched by its four unbiased
+		// probes) and its freq mining plan, core B's opt run plan. Six
+		// fetches in all, so three are hits.
+		if c, h := plan.Compiles(), plan.CacheHits(); c != 3 || h != 3 {
+			t.Errorf("workers=%d: plan counters (compiles=%d, hits=%d), want (3, 3)", workers, c, h)
+		}
+		if n := plan.Held(); n != held {
+			t.Errorf("workers=%d: %d plan keys held after the sweep, want %d", workers, n, held)
+		}
 	}
 }
 

@@ -12,7 +12,8 @@ package hw
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 )
 
 // Host models the CPU side: sampling and feature gathering.
@@ -181,34 +182,37 @@ func PCIePeer() Link {
 	return Link{Name: "pcie-peer", BytesPerSec: 13 * GB, LatencySec: 25e-6}
 }
 
-// Profiles returns the named platforms keyed by device name. The "-Ng"
-// variants cap device memory at N GiB — the paper's "manual constraints to
+// profiles is the named-platform table, built once. The "-Ng" variants
+// cap device memory at N GiB — the paper's "manual constraints to
 // simulate various scenarios of application" (§4.1) — and the "xN"
 // variants replicate the board N times behind a device interconnect.
-func Profiles() map[string]Platform {
-	return map[string]Platform{
-		"rtx4090":    RTX4090(),
-		"rtx4090-8g": RTX4090().WithMemory(8 * GiB),
-		"rtx4090x2":  RTX4090().WithDevices(2, PCIePeer()),
-		"a100":       A100(),
-		"a100x4":     A100().WithDevices(4, NVLink()),
-		"m90":        M90(),
-		"m90-2g":     M90().WithMemory(2 * GiB),
-		"m90x4":      M90().WithDevices(4, PCIePeer()),
-		"cpu-only":   CPUOnly(),
-	}
+var profiles = map[string]Platform{
+	"rtx4090":    RTX4090(),
+	"rtx4090-8g": RTX4090().WithMemory(8 * GiB),
+	"rtx4090x2":  RTX4090().WithDevices(2, PCIePeer()),
+	"a100":       A100(),
+	"a100x4":     A100().WithDevices(4, NVLink()),
+	"m90":        M90(),
+	"m90-2g":     M90().WithMemory(2 * GiB),
+	"m90x4":      M90().WithDevices(4, PCIePeer()),
+	"cpu-only":   CPUOnly(),
 }
+
+// Profile returns the named platform and whether the name is known.
+func Profile(name string) (Platform, bool) {
+	p, ok := profiles[name]
+	return p, ok
+}
+
+// Profiles returns a copy of the named platforms keyed by device name,
+// for listing; look one up with Profile.
+func Profiles() map[string]Platform { return maps.Clone(profiles) }
 
 // ProfileNames returns the profile keys sorted ascending, so help text
 // and error messages list platforms in a stable order instead of map
 // order.
 func ProfileNames() []string {
-	names := make([]string, 0, len(Profiles()))
-	for name := range Profiles() {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
+	return slices.Sorted(maps.Keys(profiles))
 }
 
 // WithDevices returns a copy of p with n identical devices joined by the

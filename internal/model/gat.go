@@ -58,10 +58,9 @@ type gatLayer struct {
 	colSum       []float64
 }
 
-func newGATLayer(rng *rand.Rand, name string, in, out, heads int) (*gatLayer, error) {
-	if heads < 1 || out%heads != 0 {
-		return nil, fmt.Errorf("model: GAT out dim %d not divisible by heads %d", out, heads)
-	}
+// newGATLayer builds one layer; Config.validate has checked that heads
+// divides out.
+func newGATLayer(rng *rand.Rand, name string, in, out, heads int) *gatLayer {
 	l := &gatLayer{heads: heads, in: in, out: out, perHead: out / heads, slope: 0.2}
 	for h := 0; h < heads; h++ {
 		w := nn.NewParam(fmt.Sprintf("%s.W%d", name, h), in, l.perHead)
@@ -78,7 +77,7 @@ func newGATLayer(rng *rand.Rand, name string, in, out, heads int) (*gatLayer, er
 	l.z = make([]*tensor.Dense, heads)
 	l.alpha = make([][]float64, heads)
 	l.pre = make([][]float64, heads)
-	return l, nil
+	return l
 }
 
 func (l *gatLayer) setWorkspace(ws *tensor.Workspace) { l.ws = ws }
@@ -292,12 +291,4 @@ func (l *gatLayer) Params() []*nn.Param {
 		out = append(out, l.w[hd], l.aSrc[hd], l.aDst[hd])
 	}
 	return append(out, l.bias)
-}
-
-func (l *gatLayer) FLOPs(src, dst, edges int) float64 {
-	e := float64(edges + dst)                                    // incl. self edges
-	perHead := 2*float64(src)*float64(l.in)*float64(l.perHead) + // z = hW
-		e*float64(l.perHead)*3 + // scores + weighted sum
-		e*4 // softmax-ish
-	return perHead * float64(l.heads)
 }

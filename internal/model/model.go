@@ -55,9 +55,6 @@ type convLayer interface {
 	Backward(dy *tensor.Dense, needInput bool) *tensor.Dense
 	Params() []*nn.Param
 	setWorkspace(ws *tensor.Workspace)
-	// FLOPs estimates the multiply-add count for a block with the given
-	// edge and vertex counts (the white-box compute model of Eq. 8).
-	FLOPs(srcCount, dstCount, edges int) float64
 }
 
 // Model is a stack of graph convolutions with activations and dropout.
@@ -73,13 +70,48 @@ type Model struct {
 	lastBatch *sample.MiniBatch
 }
 
+// layerDims returns layer l's input and output widths and its head
+// count (GAT only; the output layer is single-head, no concat).
+func (c Config) layerDims(l int) (in, out, heads int) {
+	in, out, heads = c.Hidden, c.Hidden, c.Heads
+	if heads == 0 {
+		heads = 1
+	}
+	if l == 0 {
+		in = c.InDim
+	}
+	if l == c.Layers-1 {
+		out, heads = c.OutDim, 1
+	}
+	return in, out, heads
+}
+
+// validate rejects the configurations New cannot build.
+func (c Config) validate() error {
+	if c.Layers < 1 {
+		return fmt.Errorf("model: Layers = %d, want >= 1", c.Layers)
+	}
+	if c.InDim < 1 || c.OutDim < 1 || (c.Layers > 1 && c.Hidden < 1) {
+		return fmt.Errorf("model: bad dims in=%d hidden=%d out=%d", c.InDim, c.Hidden, c.OutDim)
+	}
+	switch c.Kind {
+	case GCN, SAGE:
+	case GAT:
+		for l := 0; l < c.Layers; l++ {
+			if _, out, heads := c.layerDims(l); heads < 1 || out%heads != 0 {
+				return fmt.Errorf("model: GAT out dim %d not divisible by heads %d", out, heads)
+			}
+		}
+	default:
+		return fmt.Errorf("model: unknown kind %q", c.Kind)
+	}
+	return nil
+}
+
 // New builds a model per cfg.
 func New(cfg Config) (*Model, error) {
-	if cfg.Layers < 1 {
-		return nil, fmt.Errorf("model: Layers = %d, want >= 1", cfg.Layers)
-	}
-	if cfg.InDim < 1 || cfg.OutDim < 1 || (cfg.Layers > 1 && cfg.Hidden < 1) {
-		return nil, fmt.Errorf("model: bad dims in=%d hidden=%d out=%d", cfg.InDim, cfg.Hidden, cfg.OutDim)
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	if cfg.Heads == 0 {
 		cfg.Heads = 1
@@ -87,36 +119,18 @@ func New(cfg Config) (*Model, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	m := &Model{cfg: cfg, rng: rng}
 	for l := 0; l < cfg.Layers; l++ {
-		in := cfg.Hidden
-		if l == 0 {
-			in = cfg.InDim
-		}
-		out := cfg.Hidden
-		last := l == cfg.Layers-1
-		if last {
-			out = cfg.OutDim
-		}
+		in, out, heads := cfg.layerDims(l)
 		var layer convLayer
-		var err error
 		switch cfg.Kind {
 		case GCN:
 			layer = newGCNLayer(rng, fmt.Sprintf("gcn%d", l), in, out)
 		case SAGE:
 			layer = newSAGELayer(rng, fmt.Sprintf("sage%d", l), in, out)
 		case GAT:
-			heads := cfg.Heads
-			if last {
-				heads = 1 // output layer: single head, no concat
-			}
-			layer, err = newGATLayer(rng, fmt.Sprintf("gat%d", l), in, out, heads)
-			if err != nil {
-				return nil, err
-			}
-		default:
-			return nil, fmt.Errorf("model: unknown kind %q", cfg.Kind)
+			layer = newGATLayer(rng, fmt.Sprintf("gat%d", l), in, out, heads)
 		}
 		m.layers = append(m.layers, layer)
-		if !last {
+		if l < cfg.Layers-1 {
 			if cfg.Kind == GAT {
 				m.acts = append(m.acts, &nn.ELU{Alpha: 1})
 			} else {
@@ -221,14 +235,56 @@ func (m *Model) Backward(dLogits *tensor.Dense) {
 }
 
 // FLOPs estimates the batch's multiply-add count across all layers — the
-// white-box input to the simulator's t_compute (Eq. 8).
+// white-box input to the simulator's t_compute (Eq. 8); see CountFLOPs.
 func (m *Model) FLOPs(mb *sample.MiniBatch) float64 {
 	var total float64
-	for l, layer := range m.layers {
+	for l := range m.layers {
 		blk := &mb.Blocks[l]
-		total += layer.FLOPs(len(blk.SrcNodes), blk.DstCount, blk.NumEdges())
+		total += layerFLOPs(m.cfg, l, Shape{len(blk.SrcNodes), blk.DstCount, blk.NumEdges()})
 	}
 	return total
+}
+
+// Shape is one block's vertex and edge counts: all the FLOPs model
+// reads of a block.
+type Shape struct{ Src, Dst, Edges int }
+
+// CountFLOPs is the multiply-add count of a model built from cfg over
+// one block of each given shape per layer, bottom layer first — the
+// closed form Model.FLOPs evaluates, without building a model. It
+// rejects the configurations New rejects.
+func CountFLOPs(cfg Config, shapes []Shape) (float64, error) {
+	if err := cfg.validate(); err != nil {
+		return 0, err
+	}
+	if len(shapes) != cfg.Layers {
+		return 0, fmt.Errorf("model: %d block shapes for %d layers", len(shapes), cfg.Layers)
+	}
+	var total float64
+	for l, s := range shapes {
+		total += layerFLOPs(cfg, l, s)
+	}
+	return total, nil
+}
+
+// layerFLOPs is layer l's multiply-add count over a block of shape s.
+func layerFLOPs(cfg Config, l int, s Shape) float64 {
+	in, out, heads := cfg.layerDims(l)
+	switch cfg.Kind {
+	case GCN:
+		return float64(s.Edges+s.Dst)*float64(in) + // aggregation adds
+			2*float64(s.Dst)*float64(in)*float64(out) // combine matmul
+	case SAGE:
+		return float64(s.Edges)*float64(in) + // neighbor aggregation
+			4*float64(s.Dst)*float64(in)*float64(out) // two matmuls
+	default: // GAT
+		perHead := out / heads
+		e := float64(s.Edges + s.Dst)                            // incl. self edges
+		flops := 2*float64(s.Src)*float64(in)*float64(perHead) + // z = hW
+			e*float64(perHead)*3 + // scores + weighted sum
+			e*4 // softmax-ish
+		return flops * float64(heads)
+	}
 }
 
 // GatherFeatures copies the raw float32 features of nodes from g into a
@@ -256,42 +312,85 @@ func GatherFeaturesInto(dst *tensor.Dense, g *graph.Graph, nodes []int32) *tenso
 // rows (plus optionally the dst row itself). It returns the aggregate and
 // the per-dst divisor used (for backward), both drawn from ws. The loop
 // is sharded over destination rows, which write disjoint output rows.
+// Each output element is one left-to-right sum over its source rows
+// (the self row first) that starts at +0 and is multiplied by 1/n at the
+// end; sumRows adds up to four source rows per pass, so the output row
+// is loaded and stored once per four rows instead of once per row.
 func meanAggregate(ws *tensor.Workspace, blk *sample.Block, h *tensor.Dense, includeSelf bool) (*tensor.Dense, []float64) {
 	agg := ws.Get(blk.DstCount, h.Cols)
 	div := ws.Get(1, blk.DstCount).Data
+	self := 0
+	if includeSelf {
+		self = 1
+	}
 	tensor.ParallelRows(blk.DstCount, func(lo, hi int) {
+		var rows [4][]float64
 		for i := lo; i < hi; i++ {
-			row := agg.Row(i)
-			for j := range row {
-				row[j] = 0
-			}
-			n := 0
-			if includeSelf {
-				src := h.Row(i) // dst i is src position i by the prefix invariant
-				for j := range row {
-					row[j] += src[j]
-				}
-				n++
-			}
-			for _, ix := range blk.Indices[blk.Offsets[i]:blk.Offsets[i+1]] {
-				src := h.Row(int(ix))
-				for j := range row {
-					row[j] += src[j]
-				}
-				n++
-			}
-			if n > 0 {
-				inv := 1 / float64(n)
-				for j := range row {
-					row[j] *= inv
-				}
-				div[i] = float64(n)
-			} else {
+			out := agg.Row(i)
+			clear(out)
+			nb := blk.Indices[blk.Offsets[i]:blk.Offsets[i+1]]
+			n := len(nb) + self
+			if n == 0 {
 				div[i] = 1
+				continue
+			}
+			div[i] = float64(n)
+			m := 0
+			for k := 0; k < n; k++ {
+				if k < self {
+					rows[m] = h.Row(i) // dst i is src position i by the prefix invariant
+				} else {
+					rows[m] = h.Row(int(nb[k-self]))
+				}
+				if m++; m == 4 || k == n-1 {
+					scale := 1.0
+					if k == n-1 {
+						scale = 1 / float64(n)
+					}
+					sumRows(out, &rows, m, scale)
+					m = 0
+				}
 			}
 		}
 	})
 	return agg, div
+}
+
+// sumRows adds rows[:m] (1 ≤ m ≤ 4) to o in one pass, left to right per
+// element, and multiplies each sum by scale once all m rows are in
+// (scale 1 leaves it exact).
+func sumRows(o []float64, rows *[4][]float64, m int, scale float64) {
+	a := rows[0][:len(o)]
+	switch m {
+	case 4:
+		b, c, d := rows[1][:len(o)], rows[2][:len(o)], rows[3][:len(o)]
+		for j, s := range o {
+			s += a[j]
+			s += b[j]
+			s += c[j]
+			s += d[j]
+			o[j] = s * scale
+		}
+	case 3:
+		b, c := rows[1][:len(o)], rows[2][:len(o)]
+		for j, s := range o {
+			s += a[j]
+			s += b[j]
+			s += c[j]
+			o[j] = s * scale
+		}
+	case 2:
+		b := rows[1][:len(o)]
+		for j, s := range o {
+			s += a[j]
+			s += b[j]
+			o[j] = s * scale
+		}
+	default:
+		for j, s := range o {
+			o[j] = (s + a[j]) * scale
+		}
+	}
 }
 
 // meanAggregateBackward scatters dAgg back to source rows. Source rows
@@ -372,13 +471,6 @@ func (l *gcnLayer) Backward(dy *tensor.Dense, needInput bool) *tensor.Dense {
 
 func (l *gcnLayer) Params() []*nn.Param { return l.lin.Params() }
 
-func (l *gcnLayer) FLOPs(src, dst, edges int) float64 {
-	in := l.lin.W.Value.Rows
-	out := l.lin.W.Value.Cols
-	return float64(edges+dst)*float64(in) + // aggregation adds
-		2*float64(dst)*float64(in)*float64(out) // combine matmul
-}
-
 // --- GraphSAGE --------------------------------------------------------------
 
 // sageLayer computes Y = H_dst·W_self + mean(neighbors)·W_nb + b
@@ -444,11 +536,4 @@ func (l *sageLayer) Backward(dy *tensor.Dense, needInput bool) *tensor.Dense {
 
 func (l *sageLayer) Params() []*nn.Param {
 	return append(l.self.Params(), l.nb.Params()...)
-}
-
-func (l *sageLayer) FLOPs(src, dst, edges int) float64 {
-	in := l.self.W.Value.Rows
-	out := l.self.W.Value.Cols
-	return float64(edges)*float64(in) + // neighbor aggregation
-		4*float64(dst)*float64(in)*float64(out) // two matmuls
 }

@@ -16,7 +16,8 @@
 //     pipeline equivalence tests pin this under -race).
 //   - Sharing: calibration probes that differ only in cache/model
 //     dimensions sample identical plans; the single-flight cache
-//     (Shared) compiles each unique key exactly once.
+//     (Shared) compiles each unique key exactly once while the sweep
+//     that needs it Holds it, and lets it go when the hold is released.
 //   - Mining: VertexCounts/CountOrder extract exact per-vertex access
 //     counts (the freq policy's admission order), and BatchInputs
 //     exposes the exact future access order that powers the Belady

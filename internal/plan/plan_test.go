@@ -276,14 +276,16 @@ func TestBatchInputsPrefix(t *testing.T) {
 	}
 }
 
-// TestSharedSingleFlight: one compile per unique key, hits for every
-// repeat, and failure is not cached.
+// TestSharedSingleFlight: one compile per unique held key, hits for
+// every repeat, and failure is not cached.
 func TestSharedSingleFlight(t *testing.T) {
 	g := testGraph(t)
 	targets := testTargets(200)
 	smp := func() *sample.NodeWise { return &sample.NodeWise{Fanouts: []int{3}} }
 	keyA := KeyFor("test-shared-a", false, smp(), 64, 21, 1, true, targets)
 	keyB := KeyFor("test-shared-b", false, smp(), 64, 21, 1, true, targets)
+	keyC := KeyFor("test-shared-c", false, smp(), 64, 21, 1, true, targets)
+	defer Hold(keyA, keyB, keyC)()
 	ResetCounters()
 	a1, err := Shared(g, smp(), keyA, targets)
 	if err != nil {
@@ -302,14 +304,64 @@ func TestSharedSingleFlight(t *testing.T) {
 	if c, h := Compiles(), CacheHits(); c != 2 || h != 1 {
 		t.Errorf("counters (compiles=%d, hits=%d), want (2, 1)", c, h)
 	}
-	// A failing compile (mismatched key) must not poison the cell.
-	badKey := KeyFor("test-shared-c", false, smp(), 64, 21, 1, true, targets)
-	badKey.TargetsFP++
-	if _, err := Shared(g, smp(), badKey, targets); err == nil {
-		t.Fatal("mismatched fingerprint compiled")
+	// A failing compile must not poison the cell: a sampler that does not
+	// match the key fails Compile, and the next caller compiles cleanly.
+	if _, err := Shared(g, &sample.NodeWise{Fanouts: []int{4}}, keyC, targets); err == nil {
+		t.Fatal("mismatched sampler compiled")
 	}
-	fixed := KeyFor("test-shared-c", false, smp(), 64, 21, 1, true, targets)
-	if _, err := Shared(g, smp(), fixed, targets); err != nil {
+	if _, err := Shared(g, smp(), keyC, targets); err != nil {
 		t.Errorf("retry after failed compile: %v", err)
+	}
+}
+
+// TestHoldRelease: an unheld fetch is not retained, a held key compiles
+// once across sequential fetches, holds nest, and the last release drops
+// the plan.
+func TestHoldRelease(t *testing.T) {
+	g := testGraph(t)
+	targets := testTargets(200)
+	smp := func() *sample.NodeWise { return &sample.NodeWise{Fanouts: []int{3}} }
+	key := KeyFor("test-hold", false, smp(), 64, 22, 1, true, targets)
+	fetch := func() *Plan {
+		t.Helper()
+		p, err := Shared(g, smp(), key, targets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	held := Held()
+	ResetCounters()
+	if a, b := fetch(), fetch(); a == b {
+		t.Error("unheld fetches returned one retained plan")
+	}
+	if c, h := Compiles(), CacheHits(); c != 2 || h != 0 {
+		t.Errorf("unheld: (compiles=%d, hits=%d), want (2, 0)", c, h)
+	}
+	if Held() != held {
+		t.Errorf("unheld fetches left %d keys held, want %d", Held(), held)
+	}
+
+	ResetCounters()
+	outer := Hold(key)
+	inner := Hold(key)
+	first := fetch()
+	if fetch() != first || fetch() != first {
+		t.Error("held key returned distinct plans")
+	}
+	if c, h := Compiles(), CacheHits(); c != 1 || h != 2 {
+		t.Errorf("held: (compiles=%d, hits=%d), want (1, 2)", c, h)
+	}
+	inner()
+	inner() // release is idempotent
+	if fetch() != first {
+		t.Error("plan dropped while an outer hold remains")
+	}
+	outer()
+	if Held() != held {
+		t.Errorf("last release left %d keys held, want %d", Held(), held)
+	}
+	if fetch() == first {
+		t.Error("plan retained after its last release")
 	}
 }
