@@ -32,7 +32,7 @@ const (
 type Config struct {
 	// Workload.
 	Dataset  string
-	Platform string // key into hw.Profiles()
+	Platform string // name for hw.Profile
 
 	// Cat. 1: sampling.
 	Sampler    SamplerKind

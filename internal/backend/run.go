@@ -318,33 +318,36 @@ func RunWith(cfg Config, opts Options) (*Perf, error) {
 		return nil, err
 	}
 
+	// Every batch is priced with the closed-form FLOPs count, so a
+	// timing-only run builds a model only where the all-reduce sizes its
+	// payload from the parameters (K > 1).
+	mcfg := model.Config{
+		Kind: cfg.Model, InDim: g.FeatDim, Hidden: cfg.Hidden,
+		OutDim: g.NumClasses, Layers: cfg.Layers, Heads: cfg.Heads,
+		Dropout: cfg.Dropout, Seed: cfg.Seed + 7,
+	}
 	var mdl *model.Model
 	var opt nn.Optimizer
-	if !opts.SkipTraining {
-		mdl, err = model.New(model.Config{
-			Kind: cfg.Model, InDim: g.FeatDim, Hidden: cfg.Hidden,
-			OutDim: g.NumClasses, Layers: cfg.Layers, Heads: cfg.Heads,
-			Dropout: cfg.Dropout, Seed: cfg.Seed + 7,
-		})
-		if err != nil {
+	if !opts.SkipTraining || devices > 1 {
+		if mdl, err = model.New(mcfg); err != nil {
 			return nil, err
 		}
+	}
+	if !opts.SkipTraining {
 		opt = nn.NewAdam(cfg.LR)
 		if ck != nil {
 			if err := restoreCheckpoint(mdl, opt.(*nn.Adam), ck); err != nil {
 				return nil, fmt.Errorf("backend: resume from %s: %w", opts.ResumeFrom, err)
 			}
 		}
-	} else {
-		// Timing-only sweeps still need FLOPs/param counts.
-		mdl, err = model.New(model.Config{
-			Kind: cfg.Model, InDim: g.FeatDim, Hidden: cfg.Hidden,
-			OutDim: g.NumClasses, Layers: cfg.Layers, Heads: cfg.Heads,
-			Seed: cfg.Seed + 7,
-		})
-		if err != nil {
-			return nil, err
+	}
+	shapes := make([]model.Shape, cfg.Layers)
+	batchFLOPs := func(mb *sample.MiniBatch) (float64, error) {
+		for l := range shapes {
+			blk := &mb.Blocks[l]
+			shapes[l] = model.Shape{Src: len(blk.SrcNodes), Dst: blk.DstCount, Edges: blk.NumEdges()}
 		}
+		return model.CountFLOPs(mcfg, shapes)
 	}
 
 	// The gradient all-reduce: created whenever K > 1 so its modeled
@@ -403,7 +406,9 @@ func RunWith(cfg Config, opts Options) (*Perf, error) {
 	// for batch i+1 can fill one buffer while batch i trains from
 	// another without the steady-state loop allocating.
 	ws := tensor.NewWorkspace()
-	mdl.SetWorkspace(ws)
+	if mdl != nil {
+		mdl.SetWorkspace(ws)
+	}
 	prefetch := opts.prefetchDepth()
 
 	// resumeEpochs is how many leading epochs are fast-forwarded: the
@@ -426,6 +431,10 @@ func RunWith(cfg Config, opts Options) (*Perf, error) {
 	var timings []sim.BatchTiming
 	consume := func(b *pipeline.Batch) error {
 		mb := b.MB
+		flops, err := batchFLOPs(mb)
+		if err != nil {
+			return err
+		}
 		vols := sim.BatchVolumes{
 			SampledVertices:  mb.NumVertices,
 			TargetVertices:   len(b.Targets),
@@ -434,7 +443,7 @@ func RunWith(cfg Config, opts Options) (*Perf, error) {
 			TransferBytes:    float64(b.TransferBytes),
 			CacheUpdateOps:   b.CacheOps,
 			SampledEdges:     mb.NumEdges,
-			FLOPs:            mdl.FLOPs(mb),
+			FLOPs:            flops,
 			FeatureFLOPShare: featShare,
 			ScaledFeatDim:    g.FeatDim,
 			Layers:           cfg.Layers,
@@ -502,11 +511,13 @@ func RunWith(cfg Config, opts Options) (*Perf, error) {
 	// them every epoch, and shares the run's workspace arena (the engine
 	// only attaches its own when the model has none). Each Accuracy call
 	// is a fresh pipeline run, so the single-producer contract holds.
-	evalEng, err := infer.New(infer.Config{
-		Graph: g, Model: mdl, Seed: cfg.Seed + 29, Prefetch: prefetch,
-	})
-	if err != nil {
-		return nil, err
+	var evalEng *infer.Engine
+	if !opts.SkipTraining {
+		if evalEng, err = infer.New(infer.Config{
+			Graph: g, Model: mdl, Seed: cfg.Seed + 29, Prefetch: prefetch,
+		}); err != nil {
+			return nil, err
+		}
 	}
 	ckptEvery := opts.CheckpointEvery
 	if ckptEvery <= 0 {

@@ -204,10 +204,6 @@ func Profile(name string) (Platform, bool) {
 	return p, ok
 }
 
-// Profiles returns a copy of the named platforms keyed by device name,
-// for listing; look one up with Profile.
-func Profiles() map[string]Platform { return maps.Clone(profiles) }
-
 // ProfileNames returns the profile keys sorted ascending, so help text
 // and error messages list platforms in a stable order instead of map
 // order.

@@ -3,7 +3,6 @@ package hw
 import "testing"
 
 func TestProfilesAllValid(t *testing.T) {
-	profiles := Profiles()
 	if len(profiles) < 3 {
 		t.Fatalf("only %d profiles", len(profiles))
 	}
@@ -96,7 +95,6 @@ func TestCPUOnlyShape(t *testing.T) {
 }
 
 func TestCappedVariantsPresent(t *testing.T) {
-	profiles := Profiles()
 	full, ok1 := profiles["rtx4090"]
 	capped, ok2 := profiles["rtx4090-8g"]
 	if !ok1 || !ok2 {
@@ -139,15 +137,14 @@ func TestValidateRejectsNegativeOverheads(t *testing.T) {
 
 func TestProfileNamesSorted(t *testing.T) {
 	names := ProfileNames()
-	if len(names) != len(Profiles()) {
-		t.Fatalf("ProfileNames lists %d profiles, map has %d", len(names), len(Profiles()))
+	if len(names) != len(profiles) {
+		t.Fatalf("ProfileNames lists %d profiles, map has %d", len(names), len(profiles))
 	}
 	for i := 1; i < len(names); i++ {
 		if names[i-1] >= names[i] {
 			t.Fatalf("names not sorted: %v", names)
 		}
 	}
-	profiles := Profiles()
 	for _, n := range names {
 		if _, ok := profiles[n]; !ok {
 			t.Fatalf("ProfileNames lists unknown profile %q", n)
@@ -156,7 +153,6 @@ func TestProfileNamesSorted(t *testing.T) {
 }
 
 func TestMultiDeviceProfiles(t *testing.T) {
-	profiles := Profiles()
 	for name, wantK := range map[string]int{"rtx4090x2": 2, "a100x4": 4, "m90x4": 4} {
 		p, ok := profiles[name]
 		if !ok {

@@ -312,85 +312,42 @@ func GatherFeaturesInto(dst *tensor.Dense, g *graph.Graph, nodes []int32) *tenso
 // rows (plus optionally the dst row itself). It returns the aggregate and
 // the per-dst divisor used (for backward), both drawn from ws. The loop
 // is sharded over destination rows, which write disjoint output rows.
-// Each output element is one left-to-right sum over its source rows
-// (the self row first) that starts at +0 and is multiplied by 1/n at the
-// end; sumRows adds up to four source rows per pass, so the output row
-// is loaded and stored once per four rows instead of once per row.
 func meanAggregate(ws *tensor.Workspace, blk *sample.Block, h *tensor.Dense, includeSelf bool) (*tensor.Dense, []float64) {
 	agg := ws.Get(blk.DstCount, h.Cols)
 	div := ws.Get(1, blk.DstCount).Data
-	self := 0
-	if includeSelf {
-		self = 1
-	}
 	tensor.ParallelRows(blk.DstCount, func(lo, hi int) {
-		var rows [4][]float64
 		for i := lo; i < hi; i++ {
-			out := agg.Row(i)
-			clear(out)
-			nb := blk.Indices[blk.Offsets[i]:blk.Offsets[i+1]]
-			n := len(nb) + self
-			if n == 0 {
-				div[i] = 1
-				continue
+			row := agg.Row(i)
+			for j := range row {
+				row[j] = 0
 			}
-			div[i] = float64(n)
-			m := 0
-			for k := 0; k < n; k++ {
-				if k < self {
-					rows[m] = h.Row(i) // dst i is src position i by the prefix invariant
-				} else {
-					rows[m] = h.Row(int(nb[k-self]))
+			n := 0
+			if includeSelf {
+				src := h.Row(i) // dst i is src position i by the prefix invariant
+				for j := range row {
+					row[j] += src[j]
 				}
-				if m++; m == 4 || k == n-1 {
-					scale := 1.0
-					if k == n-1 {
-						scale = 1 / float64(n)
-					}
-					sumRows(out, &rows, m, scale)
-					m = 0
+				n++
+			}
+			for _, ix := range blk.Indices[blk.Offsets[i]:blk.Offsets[i+1]] {
+				src := h.Row(int(ix))
+				for j := range row {
+					row[j] += src[j]
 				}
+				n++
+			}
+			if n > 0 {
+				inv := 1 / float64(n)
+				for j := range row {
+					row[j] *= inv
+				}
+				div[i] = float64(n)
+			} else {
+				div[i] = 1
 			}
 		}
 	})
 	return agg, div
-}
-
-// sumRows adds rows[:m] (1 ≤ m ≤ 4) to o in one pass, left to right per
-// element, and multiplies each sum by scale once all m rows are in
-// (scale 1 leaves it exact).
-func sumRows(o []float64, rows *[4][]float64, m int, scale float64) {
-	a := rows[0][:len(o)]
-	switch m {
-	case 4:
-		b, c, d := rows[1][:len(o)], rows[2][:len(o)], rows[3][:len(o)]
-		for j, s := range o {
-			s += a[j]
-			s += b[j]
-			s += c[j]
-			s += d[j]
-			o[j] = s * scale
-		}
-	case 3:
-		b, c := rows[1][:len(o)], rows[2][:len(o)]
-		for j, s := range o {
-			s += a[j]
-			s += b[j]
-			s += c[j]
-			o[j] = s * scale
-		}
-	case 2:
-		b := rows[1][:len(o)]
-		for j, s := range o {
-			s += a[j]
-			s += b[j]
-			o[j] = s * scale
-		}
-	default:
-		for j, s := range o {
-			o[j] = (s + a[j]) * scale
-		}
-	}
 }
 
 // meanAggregateBackward scatters dAgg back to source rows. Source rows

@@ -304,6 +304,12 @@ func TestSharedSingleFlight(t *testing.T) {
 	if c, h := Compiles(), CacheHits(); c != 2 || h != 1 {
 		t.Errorf("counters (compiles=%d, hits=%d), want (2, 1)", c, h)
 	}
+	// A key whose targets fingerprint does not match the targets fails.
+	badKey := keyC
+	badKey.TargetsFP++
+	if _, err := Shared(g, smp(), badKey, targets); err == nil {
+		t.Fatal("mismatched fingerprint compiled")
+	}
 	// A failing compile must not poison the cell: a sampler that does not
 	// match the key fails Compile, and the next caller compiles cleanly.
 	if _, err := Shared(g, &sample.NodeWise{Fanouts: []int{4}}, keyC, targets); err == nil {

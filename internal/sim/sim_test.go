@@ -39,7 +39,8 @@ func TestWorkloadValidate(t *testing.T) {
 }
 
 func TestPlatformProfilesValid(t *testing.T) {
-	for name, p := range hw.Profiles() {
+	for _, name := range hw.ProfileNames() {
+		p, _ := hw.Profile(name)
 		if err := p.Validate(); err != nil {
 			t.Errorf("profile %s invalid: %v", name, err)
 		}
