@@ -1,7 +1,8 @@
 // Command gnnserve serves a trained GNN model over HTTP: it loads a
 // GNAVMDL1 artifact written by `gnnavigator -train -save-model` (or
 // backend.Options.SaveModelPath), wires it to the shared inference
-// engine with an optional device feature cache, and answers
+// engine through one feature plane (an optional device cache, rows at
+// -precision either way), and answers
 //
 //	POST /predict {"vertices":[...]} → {"classes":[...]}
 //	GET  /stats                      → latency/throughput/cache counters
@@ -40,9 +41,9 @@ func main() {
 		modelPath = flag.String("model", "", "trained model file to serve (from gnnavigator -save-model); required")
 		dsName    = flag.String("dataset", dataset.OgbnArxiv, "graph the model serves predictions for")
 		addr      = flag.String("addr", ":8080", "listen address")
-		policy    = flag.String("cache-policy", "lru", "feature cache policy (none,static,freq,fifo,lru)")
+		policy    = flag.String("cache-policy", "lru", "feature cache policy (none, static, fifo, lru)")
 		ratio     = flag.Float64("cache-ratio", 0.1, "feature cache capacity as a fraction of the graph's float32 feature bytes")
-		precision = flag.String("precision", "float32", "cached feature storage precision (float32, float16, int8)")
+		precision = flag.String("precision", "float32", "feature precision: rows are stored in the cache and sent over the host link at this width (float32, float16, int8)")
 		maxBatch  = flag.Int("max-batch", 256, "coalescer: most vertices one flush carries")
 		reqLimit  = flag.Int("request-limit", 1024, "maximum vertices in a single /predict request")
 		batchSize = flag.Int("batch-size", 512, "engine minibatch size")
@@ -139,25 +140,28 @@ func main() {
 	log.Print("stopped")
 }
 
-// buildSource wires the serving feature plane: nil (direct host
-// gathers) when the cache is disabled or sized to zero, a cached source
-// otherwise. The capacity follows the backend's byte-budget convention:
-// ratio of the graph's float32 feature bytes, so compact precisions
-// hold proportionally more rows.
+// buildSource wires the serving feature plane through cache.NewSource.
+// The capacity follows the backend's byte-budget convention: ratio of
+// the graph's float32 feature bytes, so compact precisions hold
+// proportionally more rows. Policy none, or a ratio that rounds to zero
+// rows, serves every row straight over the host link at prec. Freq and
+// opt are rejected: both read their residency from an epoch plan, and
+// serving has none to mine.
 func buildSource(g *graph.Graph, policy cache.Policy, ratio float64, prec cache.Precision) (cache.FeatureSource, string, error) {
-	if !policy.Valid() || policy == cache.Opt {
-		return nil, "", fmt.Errorf("gnnserve: unsupported cache policy %q", policy)
-	}
-	if !prec.Valid() {
-		return nil, "", fmt.Errorf("gnnserve: unknown precision %q", prec)
+	switch policy {
+	case cache.None, cache.Static, cache.FIFO, cache.LRU:
+	case cache.Freq, cache.Opt:
+		return nil, "", fmt.Errorf("cache policy %q needs an epoch plan to mine, and serving has none (use none, static, fifo or lru)", policy)
+	default:
+		return nil, "", fmt.Errorf("unknown cache policy %q (use none, static, fifo or lru)", policy)
 	}
 	capVertices := int(prec.EffectiveCacheRows(ratio, float64(g.NumVertices()), g.FeatDim))
-	if policy == cache.None || capVertices <= 0 {
-		return nil, "no cache", nil
-	}
-	c, err := cache.NewAtPrecision(policy, capVertices, g, prec)
+	src, err := cache.NewSource(cache.Config{Policy: policy, Capacity: capVertices, Precision: prec}, g, true)
 	if err != nil {
 		return nil, "", err
 	}
-	return cache.NewCachedSource(c, g), fmt.Sprintf("%s cache, %d rows, %s", policy, capVertices, prec), nil
+	if policy == cache.None || capVertices == 0 {
+		return src, fmt.Sprintf("no cache, %s transfers", prec.OrDefault()), nil
+	}
+	return src, fmt.Sprintf("%s cache, %d rows, %s", policy, capVertices, prec.OrDefault()), nil
 }

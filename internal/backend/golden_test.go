@@ -64,17 +64,38 @@ func TestGoldenSageRun(t *testing.T) {
 // do not depend on the rows, so a cache that keeps none must keep it.
 const goldenTimingDigest = "5bd88abd90b2df0d"
 
+// goldenTimingDigestK2 is the same digest over multiCfg at two devices
+// (policies none through freq: opt cannot shard), recorded while every
+// K > 1 shard still stored its feature rows in timing-only runs.
+const goldenTimingDigestK2 = "ba98b71e4cf8e9b2"
+
 // TestGoldenTimingOnlyPerf runs every cache policy at float32 and int8
-// timing-only (SkipTraining, no gather) and pins the whole Perf.
+// timing-only (SkipTraining, no gather) and pins the whole Perf, on one
+// device and on two.
 func TestGoldenTimingOnlyPerf(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("golden recorded on amd64; %s may fuse multiply-adds", runtime.GOARCH)
 	}
+	if got := timingOnlyDigest(t, fastCfg(), []cache.Policy{cache.None, cache.Static, cache.FIFO, cache.LRU, cache.Freq, cache.Opt}); got != goldenTimingDigest {
+		t.Errorf("K=1 digest %s, want %s", got, goldenTimingDigest)
+	}
+	k2 := multiCfg()
+	k2.Devices = 2
+	if got := timingOnlyDigest(t, k2, []cache.Policy{cache.None, cache.Static, cache.FIFO, cache.LRU, cache.Freq}); got != goldenTimingDigestK2 {
+		t.Errorf("K=2 digest %s, want %s", got, goldenTimingDigestK2)
+	}
+}
+
+// timingOnlyDigest hashes the Perf (WallSec zeroed) of one timing-only
+// run per precision {float32, int8} × policy, at cache ratio 0.2 (0 for
+// none).
+func timingOnlyDigest(t *testing.T, base Config, policies []cache.Policy) string {
+	t.Helper()
 	h := fnv.New64a()
 	for _, prec := range []cache.Precision{cache.Float32, cache.Int8} {
-		for _, policy := range []cache.Policy{cache.None, cache.Static, cache.FIFO, cache.LRU, cache.Freq, cache.Opt} {
-			cfg := fastCfg()
-			cfg.Precision, cfg.CachePolicy = prec, policy
+		for _, policy := range policies {
+			cfg := base
+			cfg.Precision, cfg.CachePolicy, cfg.CacheRatio = prec, policy, 0
 			if policy != cache.None {
 				cfg.CacheRatio = 0.2
 			}
@@ -86,7 +107,5 @@ func TestGoldenTimingOnlyPerf(t *testing.T) {
 			fmt.Fprintf(h, "%#v\n", *perf)
 		}
 	}
-	if got := fmt.Sprintf("%016x", h.Sum64()); got != goldenTimingDigest {
-		t.Fatalf("digest %s, want %s", got, goldenTimingDigest)
-	}
+	return fmt.Sprintf("%016x", h.Sum64())
 }

@@ -252,10 +252,12 @@ func RunWith(cfg Config, opts Options) (*Perf, error) {
 	// cache before training. The mining plan is always unbiased —
 	// matching the legacy pre-sample pass, which drew without residency
 	// bias even for biased runs — so it is shared across bias rates too.
-	var order []int32
+	// Opt (the Belady upper bound) mines the run's own plan for the exact
+	// future access order the device cache will see.
+	ccfg := cache.Config{Policy: policy, Capacity: capVertices, Precision: prec}
 	switch policy {
 	case cache.Static:
-		order = g.DegreeOrder()
+		ccfg.Order = g.DegreeOrder()
 	case cache.Freq:
 		preSmp, _, err := buildSampler(cfg, nil)
 		if err != nil {
@@ -265,9 +267,16 @@ func RunWith(cfg Config, opts Options) (*Perf, error) {
 		if err != nil {
 			return nil, err
 		}
-		order = minePl.CountOrder(g)
+		ccfg.Order = minePl.CountOrder(g)
+	case cache.Opt:
+		if ccfg.Script, err = cache.BuildOptScript(g.NumVertices(), pl.BatchInputs(cfg.Epochs)); err != nil {
+			return nil, err
+		}
 	}
 
+	// A run that will not gather never reads a cached row, so its cache
+	// is built residency-only (NewSource's gather flag).
+	gather := !opts.SkipTraining
 	devices := cfg.DeviceCount()
 	var src cache.FeatureSource
 	if devices > 1 {
@@ -281,36 +290,11 @@ func RunWith(cfg Config, opts Options) (*Perf, error) {
 		if err != nil {
 			return nil, fmt.Errorf("backend: %w", err)
 		}
-		if src, err = dist.NewSource(g, part, policy, capVertices, order, prec); err != nil {
+		if src, err = dist.NewSource(g, part, ccfg, gather); err != nil {
 			return nil, err
 		}
-	} else if policy == cache.None {
-		src = cache.NewGraphSourceAt(g, prec)
-	} else {
-		// A run that will not gather never reads a cached row, so its
-		// cache is built residency-only (no graph): admissions store
-		// nothing, while residency, every counter and the transfer
-		// pricing — which the source takes from g — are unchanged.
-		rows := g
-		if opts.SkipTraining {
-			rows = nil
-		}
-		var devCache *cache.Cache
-		if policy == cache.Opt {
-			// Belady upper bound: the run's own plan is mined for the exact
-			// future access order the device cache will see.
-			var script *cache.OptScript
-			if script, err = cache.BuildOptScript(g.NumVertices(), pl.BatchInputs(cfg.Epochs)); err != nil {
-				return nil, err
-			}
-			devCache, err = cache.NewOptWithPrecision(capVertices, rows, script, prec)
-		} else {
-			devCache, err = cache.NewWithPrecision(policy, capVertices, rows, order, prec)
-		}
-		if err != nil {
-			return nil, err
-		}
-		src = cache.NewCachedSource(devCache, g)
+	} else if src, err = cache.NewSource(ccfg, g, gather); err != nil {
+		return nil, err
 	}
 
 	smp, walkSteps, err := buildSampler(cfg, src)

@@ -65,8 +65,8 @@ func TestGatherIntoZeroAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, src := range []FeatureSource{NewCachedSource(c, g), NewGraphSourceAt(g, prec)} {
-			feats := sizeFor(nil, 512, g.FeatDim)
+		for _, src := range []FeatureSource{NewCachedSource(c, g), newGraphSource(g, prec)} {
+			feats := tensor.GrowDense(nil, 512, g.FeatDim)
 			drive := func() {
 				for _, batch := range stream {
 					feats, _ = src.GatherInto(feats, batch)
@@ -80,22 +80,15 @@ func TestGatherIntoZeroAllocs(t *testing.T) {
 	}
 }
 
-// kernelFor builds a policy's cache: Freq routes through NewWithOrder,
-// Opt through NewOpt with a script compiled from the access stream
-// itself (driving past the script's horizon is legal — every remaining
-// access prices as "never used again" and bypasses, allocation-free).
+// kernelFor builds a policy's cache: Freq takes g's degree order as its
+// admission order, Opt a script compiled from the access stream itself
+// (driving past the script's horizon is legal — every remaining access
+// prices as "never used again" and bypasses, allocation-free).
 func kernelFor(t *testing.T, policy Policy, capacity int, g *graph.Graph, stream [][]int32) (*Cache, error) {
 	t.Helper()
-	switch policy {
-	case Freq:
-		return NewWithOrder(Freq, capacity, g, g.DegreeOrder())
-	case Opt:
-		script, err := BuildOptScript(g.NumVertices(), sliceSeq(stream))
-		if err != nil {
-			return nil, err
-		}
-		return NewOpt(capacity, g, script)
-	default:
-		return New(policy, capacity, g)
+	script, err := BuildOptScript(g.NumVertices(), sliceSeq(stream))
+	if err != nil {
+		return nil, err
 	}
+	return Build(Config{Policy: policy, Capacity: capacity, Order: g.DegreeOrder(), Script: script}, g)
 }

@@ -28,6 +28,10 @@
 // mapref.go (NewMapReference) and the equivalence tests pin both to
 // identical hits, misses and evictions for every policy.
 //
+// Construction: a Config names policy, capacity, precision and the
+// admission order or script a policy needs; Build turns it into a
+// Cache and NewSource into the feature plane a run gathers through.
+//
 // Concurrency contract (sharper than the old mutex-guarded version):
 // exactly one goroutine — the pipeline's cache stage — may issue
 // Lookup/LookupInto/Update, in batch order. Residency reads (Contains)
@@ -63,8 +67,9 @@ const (
 	// Opt is the offline-optimal (Belady MIN) policy: evictions and
 	// admissions consult the exact future access order compiled from the
 	// run's epoch plan (internal/plan), so it is the upper bound every
-	// online policy is measured against. Script-driven — construct with
-	// NewOpt. Requires unbiased sampling (the replayable-plan contract).
+	// online policy is measured against. Script-driven — Build it with
+	// Config.Script. Requires unbiased sampling (the replayable-plan
+	// contract).
 	Opt Policy = "opt"
 )
 
@@ -172,131 +177,138 @@ type Cache struct {
 	hits, misses, updates atomic.Int64
 }
 
-// defaultAdmissionOrder resolves the admission order a policy's plain
-// constructor (New, NewMapReference) can derive on its own: Static
-// pre-fills from g's degree order; Freq needs a pre-sampled frequency
-// order the caller must supply through the named WithOrder constructor;
-// Opt is script-driven (NewOpt), not order-driven. This is the one
-// shared home for the admission-order rules of every cache constructor.
-func defaultAdmissionOrder(policy Policy, g *graph.Graph, withOrder string) ([]int32, error) {
-	switch policy {
-	case Freq:
-		return nil, fmt.Errorf("cache: freq policy needs a pre-sampled admission order; use %s", withOrder)
-	case Opt:
-		return nil, fmt.Errorf("cache: opt policy needs a compiled plan script; use NewOpt")
-	case Static:
-		if g == nil {
-			return nil, fmt.Errorf("cache: static policy requires a graph for degree ordering")
-		}
-		return g.DegreeOrder(), nil
-	}
-	return nil, nil
+// Config is the whole construction surface of the device cache — the
+// few parameters Fig. 3's co-abstraction sets it by. Build turns it into
+// a Cache, NewSource into a feature plane.
+type Config struct {
+	// Policy is the replacement policy.
+	Policy Policy
+	// Capacity is the cache size in vertices.
+	Capacity int
+	// Precision is the feature-row storage width, and the width rows
+	// cross the host link at ("" = Float32).
+	Precision Precision
+	// Order is a prefilled policy's admission order: its first Capacity
+	// vertices become resident. Static defaults it to g's degree order;
+	// Freq needs the frequency order mined from a pre-sampling pass.
+	// Other policies ignore it.
+	Order []int32
+	// Script is Opt's compiled future access order (BuildOptScript),
+	// required by Opt and ignored otherwise.
+	Script *OptScript
 }
 
-// requireAdmissionOrder validates the (policy, explicit order) pair the
-// WithOrder constructors receive: prefilled policies need a non-nil
-// order, and Opt takes a script, never an order.
-func requireAdmissionOrder(policy Policy, order []int32) error {
-	if policy == Opt {
-		return fmt.Errorf("cache: opt policy is script-driven; use NewOpt")
+// resolve validates cfg and fills in what the policy can derive on its
+// own (Static's degree order from g) — the one home of the construction
+// rules every builder shares.
+func (cfg *Config) resolve(g *graph.Graph) error {
+	if !cfg.Policy.Valid() {
+		return fmt.Errorf("cache: unknown policy %q", cfg.Policy)
 	}
-	if policy.Prefilled() && order == nil {
-		return fmt.Errorf("cache: %s policy requires an admission order", policy)
+	if !cfg.Precision.Valid() {
+		return fmt.Errorf("cache: unknown precision %q", cfg.Precision)
+	}
+	if cfg.Capacity < 0 {
+		return fmt.Errorf("cache: negative capacity %d", cfg.Capacity)
+	}
+	switch {
+	case cfg.Policy == Opt && cfg.Script == nil:
+		return fmt.Errorf("cache: opt policy needs a compiled plan script (BuildOptScript)")
+	case cfg.Policy == Freq && cfg.Order == nil:
+		return fmt.Errorf("cache: freq policy needs a pre-sampled admission order")
+	case cfg.Policy == Static && cfg.Order == nil:
+		if g == nil {
+			return fmt.Errorf("cache: static policy needs an admission order or a graph to take the degree order from")
+		}
+		cfg.Order = g.DegreeOrder()
 	}
 	return nil
 }
 
-// New builds a cache with the given policy and capacity (in vertices).
-// For Static, the cache is pre-filled with the capacity highest-degree
-// vertices of g (PaGraph's policy). Freq needs an explicit admission
-// order (NewWithOrder) and Opt a compiled plan script (NewOpt). g may be
-// nil for None/FIFO/LRU, in which case the cache tracks residency only
-// (no feature rows) and grows its slot table lazily.
+// Build builds the cache cfg describes over g. Admitted rows are
+// quantized once into slot storage at cfg.Precision and dequantized on
+// the gather path; a row served from slot storage is bitwise-identical
+// to the same row freshly round-tripped from the host, so hit/miss
+// routing never changes gathered values at any precision. g may be nil
+// when cfg carries everything the policy needs: the cache then tracks
+// residency only (no feature rows) and grows its slot table lazily.
+func Build(cfg Config, g *graph.Graph) (*Cache, error) {
+	if err := cfg.resolve(g); err != nil {
+		return nil, err
+	}
+	return cfg.build(g), nil
+}
+
+// build is Build after resolve. rows is the graph whose feature rows
+// the cache stores, nil for a residency-only cache.
+func (cfg *Config) build(rows *graph.Graph) *Cache {
+	c := &Cache{policy: cfg.Policy, capacity: cfg.Capacity, head: -1, tail: -1, prec: cfg.Precision.OrDefault()}
+	maxV := int32(-1)
+	if rows != nil {
+		maxV = int32(rows.NumVertices()) - 1
+	}
+	if cfg.Policy == Opt {
+		maxV = max(maxV, int32(cfg.Script.n)-1)
+	}
+	empty := []int32{}
+	c.slots.Store(&empty)
+	c.growSlots(maxV)
+	if rows != nil && rows.Features != nil && cfg.Capacity > 0 && cfg.Policy != None {
+		c.featDim = rows.FeatDim
+		c.g = rows
+		c.allocRows(min(cfg.Capacity, rows.NumVertices()))
+	}
+	switch {
+	case cfg.Policy == Opt:
+		c.initOpt(cfg.Script)
+	case cfg.Policy.Dynamic():
+		c.next = make([]int32, cfg.Capacity)
+		c.prev = make([]int32, cfg.Capacity)
+		c.vertexOf = make([]int32, cfg.Capacity)
+	case cfg.Policy.Prefilled():
+		c.prefill(cfg.Order)
+	}
+	return c
+}
+
+// prefill makes the first capacity vertices of order resident for good
+// (Static/Freq): construction-time admissions count no update ops.
+func (c *Cache) prefill(order []int32) {
+	n := min(c.capacity, len(order))
+	c.vertexOf = make([]int32, n)
+	var maxV int32 = -1
+	for _, v := range order[:n] {
+		if v > maxV {
+			maxV = v
+		}
+	}
+	c.growSlots(maxV)
+	c.static = make([]uint64, int(maxV)/64+1)
+	slots := *c.slots.Load()
+	for i, v := range order[:n] {
+		c.static[v>>6] |= 1 << (uint(v) & 63)
+		slots[v] = int32(i)
+		c.vertexOf[i] = v
+		if c.ownsRows() {
+			c.storeRow(int32(i), c.g.Feature(v))
+		}
+	}
+	c.staticLen = n
+}
+
+// New builds a float32 cache with the given policy and capacity (in
+// vertices): Build with only those two fields set, so Static pre-fills
+// from g's degree order (PaGraph's policy) while Freq and Opt, which
+// need an order or a script, are rejected. Kept because the benchmark
+// harness calls it.
 func New(policy Policy, capacity int, g *graph.Graph) (*Cache, error) {
-	return NewAtPrecision(policy, capacity, g, Float32)
+	return Build(Config{Policy: policy, Capacity: capacity}, g)
 }
 
-// NewAtPrecision is New with an explicit feature-row storage precision:
-// admitted rows are quantized once into slot storage and dequantized on
-// the gather path. Float32 (and the zero value "") is the verbatim
-// baseline.
+// NewAtPrecision is New with an explicit feature-row storage precision.
+// Kept because the benchmark harness calls it.
 func NewAtPrecision(policy Policy, capacity int, g *graph.Graph, prec Precision) (*Cache, error) {
-	order, err := defaultAdmissionOrder(policy, g, "NewWithPrecision")
-	if err != nil {
-		return nil, err
-	}
-	return NewWithPrecision(policy, capacity, g, order, prec)
-}
-
-// NewWithOrder builds a cache whose prefilled residency (Static/Freq)
-// comes from the given admission order: the first capacity vertices of
-// order become resident. For dynamic policies and None the order is
-// ignored. This is also how Freq caches are made — the backend
-// pre-samples the run's own batch plan, counts vertex accesses, and
-// passes the frequency-descending order here.
-func NewWithOrder(policy Policy, capacity int, g *graph.Graph, order []int32) (*Cache, error) {
-	return NewWithPrecision(policy, capacity, g, order, Float32)
-}
-
-// NewWithPrecision is NewWithOrder with an explicit feature-row storage
-// precision (see Precision): admissions quantize the host row once into
-// slot storage, and the gather path dequantizes on read. A row served
-// from slot storage is bitwise-identical to the same row freshly
-// round-tripped from the host, so hit/miss routing never changes
-// gathered values at any precision.
-func NewWithPrecision(policy Policy, capacity int, g *graph.Graph, order []int32, prec Precision) (*Cache, error) {
-	if !policy.Valid() {
-		return nil, fmt.Errorf("cache: unknown policy %q", policy)
-	}
-	if !prec.Valid() {
-		return nil, fmt.Errorf("cache: unknown precision %q", prec)
-	}
-	if capacity < 0 {
-		return nil, fmt.Errorf("cache: negative capacity %d", capacity)
-	}
-	if err := requireAdmissionOrder(policy, order); err != nil {
-		return nil, err
-	}
-	c := &Cache{policy: policy, capacity: capacity, head: -1, tail: -1, prec: prec.OrDefault()}
-	if g != nil {
-		c.growSlots(int32(g.NumVertices() - 1))
-		if g.Features != nil && capacity > 0 && policy != None {
-			c.featDim = g.FeatDim
-			c.g = g
-			c.allocRows(min(capacity, g.NumVertices()))
-		}
-	} else {
-		empty := []int32{}
-		c.slots.Store(&empty)
-	}
-	if policy.Dynamic() {
-		c.next = make([]int32, capacity)
-		c.prev = make([]int32, capacity)
-		c.vertexOf = make([]int32, capacity)
-	}
-	if policy.Prefilled() {
-		n := min(capacity, len(order))
-		c.vertexOf = make([]int32, n)
-		var maxV int32 = -1
-		for _, v := range order[:n] {
-			if v > maxV {
-				maxV = v
-			}
-		}
-		c.growSlots(maxV)
-		c.static = make([]uint64, int(maxV)/64+1)
-		slots := *c.slots.Load()
-		for i, v := range order[:n] {
-			c.static[v>>6] |= 1 << (uint(v) & 63)
-			slots[v] = int32(i)
-			c.vertexOf[i] = v
-			if c.ownsRows() {
-				c.storeRow(int32(i), g.Feature(v))
-			}
-		}
-		c.staticLen = n
-	}
-	return c, nil
+	return Build(Config{Policy: policy, Capacity: capacity, Precision: prec}, g)
 }
 
 // growSlots ensures the slot table covers vertex v, publishing a larger

@@ -24,15 +24,46 @@ func starGraph(t *testing.T) *graph.Graph {
 	return g
 }
 
+// TestNewValidation is every construction rejection in one table:
+// Build, and the builders that resolve through the same rules (New,
+// NewSource, NewMapReference), refuse each case.
 func TestNewValidation(t *testing.T) {
-	if _, err := New("bogus", 4, nil); err == nil {
-		t.Error("unknown policy accepted")
+	g := testGraph(t)
+	script := &OptScript{n: g.NumVertices()}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		g    *graph.Graph
+	}{
+		{"unknown policy", Config{Policy: "bogus", Capacity: 4}, nil},
+		{"negative capacity", Config{Policy: FIFO, Capacity: -1}, nil},
+		{"static, nil graph, no order", Config{Policy: Static, Capacity: 4}, nil},
+		{"freq without an admission order", Config{Policy: Freq, Capacity: 3}, g},
+		{"opt without a script", Config{Policy: Opt, Capacity: 3}, g},
+		{"opt with an order but no script", Config{Policy: Opt, Capacity: 3, Order: []int32{1, 2, 3}}, g},
+		{"opt, negative capacity", Config{Policy: Opt, Capacity: -1, Script: &OptScript{}}, g},
+		{"unknown precision", Config{Policy: LRU, Capacity: 10, Precision: "fp8"}, g},
+		{"opt, unknown precision", Config{Policy: Opt, Capacity: 10, Precision: "fp8", Script: script}, g},
+	} {
+		if _, err := Build(tc.cfg, tc.g); err == nil {
+			t.Errorf("Build accepted %s", tc.name)
+		}
+		if tc.g != nil {
+			if _, err := NewSource(tc.cfg, tc.g, true); err == nil {
+				t.Errorf("NewSource accepted %s", tc.name)
+			}
+		}
+		if tc.cfg.Order == nil && tc.cfg.Script == nil && tc.cfg.Precision == "" {
+			if _, err := New(tc.cfg.Policy, tc.cfg.Capacity, tc.g); err == nil {
+				t.Errorf("New accepted %s", tc.name)
+			}
+		}
 	}
-	if _, err := New(FIFO, -1, nil); err == nil {
-		t.Error("negative capacity accepted")
+	if _, err := NewMapReference(Config{Policy: Opt, Capacity: 3, Script: script}, g); err == nil {
+		t.Error("NewMapReference accepted opt")
 	}
-	if _, err := New(Static, 4, nil); err == nil {
-		t.Error("static without graph accepted")
+	if _, err := NewMapReference(Config{Policy: Freq, Capacity: 3}, g); err == nil {
+		t.Error("NewMapReference accepted freq without an admission order")
 	}
 }
 

@@ -45,11 +45,11 @@ func kernelPair(t *testing.T, policy Policy, capacity int, g *graph.Graph) (Kern
 	t.Helper()
 	if policy == Freq {
 		order := g.DegreeOrder() // any fixed admission order
-		c, err := NewWithOrder(Freq, capacity, g, order)
+		c, err := Build(Config{Policy: Freq, Capacity: capacity, Order: order}, g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := NewMapReferenceWithOrder(Freq, capacity, order)
+		ref, err := NewMapReference(Config{Policy: Freq, Capacity: capacity, Order: order}, g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,7 +59,7 @@ func kernelPair(t *testing.T, policy Policy, capacity int, g *graph.Graph) (Kern
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := NewMapReference(policy, capacity, g)
+	ref, err := NewMapReference(Config{Policy: policy, Capacity: capacity}, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,13 +152,13 @@ func TestCachedRowsMatchHost(t *testing.T) {
 	}
 }
 
-// TestFreqPrefill covers NewWithOrder admission semantics: exactly the
+// TestFreqPrefill covers Freq admission semantics: exactly the
 // first capacity order entries become resident, bitset and slot table
 // agree, and lookups never mutate residency.
 func TestFreqPrefill(t *testing.T) {
 	g := testGraph(t)
 	order := []int32{42, 7, 1999, 3, 500}
-	c, err := NewWithOrder(Freq, 3, g, order)
+	c, err := Build(Config{Policy: Freq, Capacity: 3, Order: order}, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,8 +176,5 @@ func TestFreqPrefill(t *testing.T) {
 	}
 	if c.Contains(9) {
 		t.Error("freq cache admitted at run time")
-	}
-	if _, err := New(Freq, 3, g); err == nil {
-		t.Error("New accepted freq without an admission order")
 	}
 }

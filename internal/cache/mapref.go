@@ -32,40 +32,28 @@ type MapReference struct {
 	staticResident map[int32]bool
 }
 
-// NewMapReference builds the frozen reference with the given policy and
-// capacity, mirroring New (Static pre-fills from g's degree order; Freq
-// needs NewMapReferenceWithOrder).
-func NewMapReference(policy Policy, capacity int, g *graph.Graph) (*MapReference, error) {
-	order, err := defaultAdmissionOrder(policy, g, "NewMapReferenceWithOrder")
-	if err != nil {
-		return nil, err
+// NewMapReference builds the frozen reference cfg describes, resolved
+// by the same rules as Build (Static defaults to g's degree order, Freq
+// needs cfg.Order); the first Capacity vertices of a prefilled policy's
+// order become its immutable resident set. Precision only concerns
+// Build's row storage, and Opt has no frozen counterpart.
+func NewMapReference(cfg Config, g *graph.Graph) (*MapReference, error) {
+	if cfg.Policy == Opt {
+		return nil, fmt.Errorf("cache: the map reference has no opt policy")
 	}
-	return NewMapReferenceWithOrder(policy, capacity, order)
-}
-
-// NewMapReferenceWithOrder is NewWithOrder's frozen counterpart: the
-// first capacity vertices of order become the immutable resident set of
-// a prefilled (Static/Freq) policy.
-func NewMapReferenceWithOrder(policy Policy, capacity int, order []int32) (*MapReference, error) {
-	if !policy.Valid() {
-		return nil, fmt.Errorf("cache: unknown policy %q", policy)
-	}
-	if capacity < 0 {
-		return nil, fmt.Errorf("cache: negative capacity %d", capacity)
-	}
-	if err := requireAdmissionOrder(policy, order); err != nil {
+	if err := cfg.resolve(g); err != nil {
 		return nil, err
 	}
 	c := &MapReference{
-		policy:   policy,
-		capacity: capacity,
+		policy:   cfg.Policy,
+		capacity: cfg.Capacity,
 		resident: make(map[int32]*list.Element),
 		order:    list.New(),
 	}
-	if policy.Prefilled() {
-		c.staticResident = make(map[int32]bool, capacity)
-		for i, v := range order {
-			if i >= capacity {
+	if cfg.Policy.Prefilled() {
+		c.staticResident = make(map[int32]bool, cfg.Capacity)
+		for i, v := range cfg.Order {
+			if i >= cfg.Capacity {
 				break
 			}
 			c.staticResident[v] = true

@@ -7,8 +7,6 @@ import (
 	"math"
 	"slices"
 	"sync/atomic"
-
-	"gnnavigator/internal/graph"
 )
 
 // Offline-optimal (Belady MIN) cache policy.
@@ -77,50 +75,17 @@ func BuildOptScript(numVertices int, stream iter.Seq[[]int32]) (*OptScript, erro
 	return &OptScript{n: numVertices, occOff: occOff, occPos: occPos}, nil
 }
 
-// NewOpt builds the Belady cache over a compiled access script. g may
-// be nil to track residency only (no feature rows), as with the other
-// constructors.
-func NewOpt(capacity int, g *graph.Graph, script *OptScript) (*Cache, error) {
-	return NewOptWithPrecision(capacity, g, script, Float32)
-}
-
-// NewOptWithPrecision is NewOpt with slot storage held at the given
-// feature precision.
-func NewOptWithPrecision(capacity int, g *graph.Graph, script *OptScript, prec Precision) (*Cache, error) {
-	if script == nil {
-		return nil, fmt.Errorf("cache: opt policy needs a compiled plan script; use BuildOptScript")
-	}
-	if capacity < 0 {
-		return nil, fmt.Errorf("cache: negative capacity %d", capacity)
-	}
-	if !prec.Valid() {
-		return nil, fmt.Errorf("cache: unknown precision %q", prec)
-	}
-	c := &Cache{policy: Opt, capacity: capacity, head: -1, tail: -1, prec: prec.OrDefault()}
-	maxV := int32(script.n) - 1
-	if g != nil && int32(g.NumVertices())-1 > maxV {
-		maxV = int32(g.NumVertices()) - 1
-	}
-	if maxV >= 0 {
-		c.growSlots(maxV)
-	} else {
-		empty := []int32{}
-		c.slots.Store(&empty)
-	}
-	if g != nil && g.Features != nil && capacity > 0 {
-		c.featDim = g.FeatDim
-		c.g = g
-		c.allocRows(min(capacity, g.NumVertices()))
-	}
+// initOpt sets up the Belady state over a compiled access script (the
+// slot table and rows are Build's) and prefills it.
+func (c *Cache) initOpt(script *OptScript) {
 	c.script = script
 	c.cursor = make([]int32, script.n)
 	copy(c.cursor, script.occOff[:script.n])
-	c.vertexOf = make([]int32, capacity)
-	c.nextUse = make([]int32, capacity)
-	c.heapOf = make([]int32, 0, capacity)
-	c.heapPos = make([]int32, capacity)
+	c.vertexOf = make([]int32, c.capacity)
+	c.nextUse = make([]int32, c.capacity)
+	c.heapOf = make([]int32, 0, c.capacity)
+	c.heapPos = make([]int32, c.capacity)
 	c.prefillOpt()
-	return c, nil
 }
 
 // prefillOpt admits the first capacity distinct vertices the script

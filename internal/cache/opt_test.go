@@ -45,7 +45,7 @@ func TestOptHandComputedBelady(t *testing.T) {
 	if script.Accesses() != 7 {
 		t.Fatalf("Accesses = %d, want 7", script.Accesses())
 	}
-	c, err := NewOpt(2, g, script)
+	c, err := Build(Config{Policy: Opt, Capacity: 2, Script: script}, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestOptDominatesOnlinePolicies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt, err := NewOpt(capacity, g, script)
+		opt, err := Build(Config{Policy: Opt, Capacity: capacity, Script: script}, g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +84,7 @@ func TestOptDominatesOnlinePolicies(t *testing.T) {
 		for _, policy := range []Policy{Static, Freq, FIFO, LRU} {
 			var k Kernel
 			if policy == Freq {
-				k, err = NewWithOrder(Freq, capacity, g, g.DegreeOrder())
+				k, err = Build(Config{Policy: Freq, Capacity: capacity, Order: g.DegreeOrder()}, g)
 			} else {
 				k, err = New(policy, capacity, g)
 			}
@@ -110,7 +110,7 @@ func TestOptDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := NewOpt(120, g, script)
+		c, err := Build(Config{Policy: Opt, Capacity: 120, Script: script}, g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,26 +143,9 @@ func TestOptDeterministic(t *testing.T) {
 	}
 }
 
-// TestOptConstruction covers the policy's construction contract: Opt is
-// script-driven, so every order-based or script-less constructor must
-// reject it, and NewOpt validates its own inputs.
+// TestOptConstruction covers the policy's classification; its
+// construction rejections live in TestNewValidation's table.
 func TestOptConstruction(t *testing.T) {
-	g := testGraph(t)
-	if _, err := New(Opt, 3, g); err == nil {
-		t.Error("New accepted opt without a script")
-	}
-	if _, err := NewWithOrder(Opt, 3, g, []int32{1, 2, 3}); err == nil {
-		t.Error("NewWithOrder accepted opt")
-	}
-	if _, err := NewMapReference(Opt, 3, g); err == nil {
-		t.Error("NewMapReference accepted opt")
-	}
-	if _, err := NewOpt(3, g, nil); err == nil {
-		t.Error("NewOpt accepted a nil script")
-	}
-	if _, err := NewOpt(-1, g, &OptScript{}); err == nil {
-		t.Error("NewOpt accepted negative capacity")
-	}
 	if !Opt.Valid() || !Opt.Dynamic() || Opt.Prefilled() {
 		t.Errorf("policy classification wrong: valid=%v dynamic=%v prefilled=%v",
 			Opt.Valid(), Opt.Dynamic(), Opt.Prefilled())
@@ -188,7 +171,7 @@ func TestOptBeyondScriptHorizon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewOpt(40, g, script)
+	c, err := Build(Config{Policy: Opt, Capacity: 40, Script: script}, g)
 	if err != nil {
 		t.Fatal(err)
 	}

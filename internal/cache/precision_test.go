@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"gnnavigator/internal/gen"
 	"gnnavigator/internal/tensor"
 )
 
@@ -42,13 +41,6 @@ func TestPrecisionRegistry(t *testing.T) {
 		if got := tc.p.StorageRowBytes(16); got != tc.store {
 			t.Errorf("%s: StorageRowBytes(16) = %d, want %d", tc.p, got, tc.store)
 		}
-	}
-	g := testGraph(t)
-	if _, err := NewAtPrecision(LRU, 10, g, "fp8"); err == nil {
-		t.Error("NewAtPrecision accepted an unknown precision")
-	}
-	if _, err := NewOptWithPrecision(10, g, &OptScript{n: g.NumVertices()}, "fp8"); err == nil {
-		t.Error("NewOptWithPrecision accepted an unknown precision")
 	}
 }
 
@@ -219,11 +211,7 @@ func TestWidenRowFloat32Identity(t *testing.T) {
 // — and both stay within the precision's error bound of the float32
 // gather.
 func TestGatherConsistencyAcrossSources(t *testing.T) {
-	g := testGraph(t)
-	if err := gen.AttachFeatures(rand.New(rand.NewSource(5)), g, make([]int32, g.NumVertices()), 2,
-		gen.FeatureSpec{Dim: 12, Noise: 0.5}); err != nil {
-		t.Fatal(err)
-	}
+	g := featuredGraph(t)
 	stream := accessStream(t, g, 24, 200, 29)
 	for _, prec := range Precisions() {
 		t.Run(string(prec), func(t *testing.T) {
@@ -231,12 +219,12 @@ func TestGatherConsistencyAcrossSources(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := NewMapReference(LRU, 300, g)
+			ref, err := NewMapReference(Config{Policy: LRU, Capacity: 300}, g)
 			if err != nil {
 				t.Fatal(err)
 			}
 			cached := NewCachedSource(c, g)
-			host := NewKernelSourceAt(ref, g, prec)
+			host := NewKernelSource(ref, g, prec)
 			var a, b *tensor.Dense
 			for bi, batch := range stream {
 				a, _ = cached.GatherInto(a, batch)
@@ -275,14 +263,10 @@ func TestGatherConsistencyAcrossSources(t *testing.T) {
 // source (every row moves) and behind an LRU of equal capacity in rows
 // (identical miss sequence at every precision, narrower payload).
 func TestPrecisionSourceAccounting(t *testing.T) {
-	g := testGraph(t)
-	if err := gen.AttachFeatures(rand.New(rand.NewSource(5)), g, make([]int32, g.NumVertices()), 2,
-		gen.FeatureSpec{Dim: 12, Noise: 0.5}); err != nil {
-		t.Fatal(err)
-	}
+	g := featuredGraph(t)
 	stream := accessStream(t, g, 20, 256, 31)
 	sources := map[string]func(p Precision) FeatureSource{
-		"uncached": func(p Precision) FeatureSource { return NewGraphSourceAt(g, p) },
+		"uncached": func(p Precision) FeatureSource { return newGraphSource(g, p) },
 		"lru": func(p Precision) FeatureSource {
 			c, err := NewAtPrecision(LRU, 300, g, p)
 			if err != nil {

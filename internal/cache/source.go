@@ -64,10 +64,9 @@ type FeatureSource interface {
 // capacity suffices. The copy is sharded over rows on the tensor worker
 // pool and routed through the Float32 widen kernel — the same kernel
 // family the precision-aware sources dispatch. This is the feature
-// plane's host-side gather kernel; model.GatherFeaturesInto delegates
-// here.
+// plane's host-side gather kernel, for callers that account no transfer.
 func GatherRowsInto(dst *tensor.Dense, g *graph.Graph, nodes []int32) *tensor.Dense {
-	dst = sizeFor(dst, len(nodes), g.FeatDim)
+	dst = tensor.GrowDense(dst, len(nodes), g.FeatDim)
 	tensor.ParallelRows(len(nodes), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			widenFloat32(dst.Row(i), g.Feature(nodes[i]))
@@ -76,29 +75,32 @@ func GatherRowsInto(dst *tensor.Dense, g *graph.Graph, nodes []int32) *tensor.De
 	return dst
 }
 
-// sizeFor shapes dst to rows×cols, reallocating only when capacity is
-// short.
-func sizeFor(dst *tensor.Dense, rows, cols int) *tensor.Dense {
-	n := rows * cols
-	if dst == nil || cap(dst.Data) < n {
-		return tensor.New(rows, cols)
+// NewSource builds the feature plane cfg describes over g — the one
+// place that chooses between the two routes. Policy None or a zero
+// capacity gives the direct (uncached) source, every requested row
+// crossing the host link at cfg.Precision (PyG's template); anything
+// else gives the cached source over Build(cfg). A plane that will never
+// gather (gather false: timing-only runs) gets a residency-only cache
+// that stores no rows: residency, every counter and the transfer
+// pricing, which the source takes from g, are unchanged.
+func NewSource(cfg Config, g *graph.Graph, gather bool) (FeatureSource, error) {
+	if err := cfg.resolve(g); err != nil {
+		return nil, err
 	}
-	dst.Rows, dst.Cols = rows, cols
-	dst.Data = dst.Data[:n]
-	return dst
+	if cfg.Policy == None || cfg.Capacity == 0 {
+		return newGraphSource(g, cfg.Precision), nil
+	}
+	rows := g
+	if !gather {
+		rows = nil
+	}
+	return NewCachedSource(cfg.build(rows), g), nil
 }
 
-// NewGraphSource returns the direct (uncached) source: every requested
-// row crosses the host-device link at float32. This is the None-policy
-// feature plane (PyG's template).
-func NewGraphSource(g *graph.Graph) FeatureSource {
-	return NewGraphSourceAt(g, Float32)
-}
-
-// NewGraphSourceAt is NewGraphSource with rows quantized to prec for
-// the transfer (fused into the gather's widen kernel) and priced at the
-// precision's row bytes.
-func NewGraphSourceAt(g *graph.Graph, prec Precision) FeatureSource {
+// newGraphSource returns the direct (uncached) source: rows are
+// quantized to prec for the transfer (fused into the gather's widen
+// kernel) and priced at the precision's row bytes.
+func newGraphSource(g *graph.Graph, prec Precision) FeatureSource {
 	s := &graphSource{g: g, rowBytes: prec.RowBytes(g.FeatDim), widen: prec.widen()}
 	// Bound once so per-batch gathers dispatch a pre-allocated closure
 	// (a fresh closure per call would cost one allocation per batch).
@@ -132,7 +134,7 @@ func (s *graphSource) Access(nodes []int32) BatchStats {
 
 func (s *graphSource) GatherInto(dst *tensor.Dense, nodes []int32) (*tensor.Dense, BatchStats) {
 	st := s.Access(nodes)
-	dst = sizeFor(dst, len(nodes), s.g.FeatDim)
+	dst = tensor.GrowDense(dst, len(nodes), s.g.FeatDim)
 	s.dst, s.nodes = dst, nodes
 	tensor.ParallelRows(len(nodes), s.copyFn)
 	s.dst, s.nodes = nil, nil
@@ -148,7 +150,8 @@ func (s *graphSource) TransferredBytes() int64 { return s.bytes }
 // storage, misses transfer from the host at the cache's precision and —
 // policy permitting — land quantized in the cache on admission. The
 // source inherits the cache's precision, so the two planes can never
-// disagree on row width.
+// disagree on row width. NewSource builds it from a Config; the
+// benchmark harness calls it directly.
 func NewCachedSource(c *Cache, g *graph.Graph) FeatureSource {
 	prec := c.Precision()
 	s := &kernelSource{k: c, c: c, g: g, rowBytes: prec.RowBytes(g.FeatDim), widen: prec.widen()}
@@ -157,21 +160,12 @@ func NewCachedSource(c *Cache, g *graph.Graph) FeatureSource {
 }
 
 // NewKernelSource returns a feature plane over any cache Kernel (in
-// particular the frozen MapReference), with rows always gathered from
-// the host array at float32. Feature output is identical to the cached
-// source — cached rows are verbatim copies — so the equivalence tests
-// can swap kernels under an unchanged pipeline.
-func NewKernelSource(k Kernel, g *graph.Graph) FeatureSource {
-	return NewKernelSourceAt(k, g, Float32)
-}
-
-// NewKernelSourceAt is NewKernelSource at a given precision: every row
-// takes the host round trip through the precision's fused
-// quantize→dequantize kernel. Because cached rows are quantized with
-// the same kernel on admission, output stays identical to a cached
-// source at the same precision — the tolerance-tier analogue of the
-// float32 equivalence contract.
-func NewKernelSourceAt(k Kernel, g *graph.Graph, prec Precision) FeatureSource {
+// particular the frozen MapReference) with every row gathered from the
+// host array through prec's fused quantize→dequantize kernel. Cached
+// rows are quantized with the same kernel on admission, so output is
+// identical to a cached source at the same precision, and the
+// equivalence tests can swap kernels under an unchanged pipeline.
+func NewKernelSource(k Kernel, g *graph.Graph, prec Precision) FeatureSource {
 	s := &kernelSource{k: k, g: g, rowBytes: prec.RowBytes(g.FeatDim), widen: prec.widen()}
 	s.copyFn = s.copyRange
 	return s
@@ -224,7 +218,7 @@ func (s *kernelSource) Access(nodes []int32) BatchStats {
 
 func (s *kernelSource) GatherInto(dst *tensor.Dense, nodes []int32) (*tensor.Dense, BatchStats) {
 	st := s.Access(nodes)
-	dst = sizeFor(dst, len(nodes), s.g.FeatDim)
+	dst = tensor.GrowDense(dst, len(nodes), s.g.FeatDim)
 	// The Access above already admitted this batch's misses, so the
 	// cache-row branch in copyRange also serves just-transferred rows
 	// from device storage.

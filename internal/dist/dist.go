@@ -72,13 +72,14 @@ type Source struct {
 	haloBytes       int64
 }
 
-// NewSource builds the partitioned feature plane over part. policy and
-// capacity mirror the single-device cache configuration; order is the
-// global admission order for prefilled policies (static: degree order,
-// freq: mined frequency order) and ignored otherwise. Policy none or a
-// zero capacity yields uncached per-partition planes (every row crosses
-// the host link, as at K=1).
-func NewSource(g *graph.Graph, part *graph.Partition, policy cache.Policy, capacity int, order []int32, prec cache.Precision) (*Source, error) {
+// NewSource builds the partitioned feature plane over part. cfg is the
+// single-device cache configuration, with cfg.Order the global admission
+// order of a prefilled policy (static: degree order, freq: mined
+// frequency order); each shard gets its share of it as its own
+// cache.Config and goes through cache.NewSource, gather included. Policy
+// none or a zero capacity yields uncached per-partition planes (every
+// row crosses the host link, as at K=1).
+func NewSource(g *graph.Graph, part *graph.Partition, cfg cache.Config, gather bool) (*Source, error) {
 	if g == nil || part == nil {
 		return nil, fmt.Errorf("dist: nil graph or partition")
 	}
@@ -88,14 +89,14 @@ func NewSource(g *graph.Graph, part *graph.Partition, policy cache.Policy, capac
 	if part.K < 1 {
 		return nil, fmt.Errorf("dist: partition has K = %d", part.K)
 	}
-	if policy == cache.Opt {
+	if cfg.Policy == cache.Opt {
 		return nil, fmt.Errorf("dist: opt policy's global clairvoyant script cannot be sharded; use K=1")
 	}
 	k := part.K
 	s := &Source{
 		g: g, part: part, k: k,
 		subs:     make([]cache.FeatureSource, k),
-		rowBytes: prec.RowBytes(g.FeatDim),
+		rowBytes: cfg.Precision.RowBytes(g.FeatDim),
 		perNodes: make([][]int32, k),
 		perPos:   make([][]int32, k),
 		staging:  make([]*tensor.Dense, k),
@@ -105,44 +106,48 @@ func NewSource(g *graph.Graph, part *graph.Partition, policy cache.Policy, capac
 	for i := range s.stamps {
 		s.stamps[i] = make([]int32, g.NumVertices())
 	}
+	shards := make([]cache.Config, k)
 	switch {
-	case policy == cache.None || capacity <= 0:
-		for i := range s.subs {
-			s.subs[i] = cache.NewGraphSourceAt(g, prec)
+	case cfg.Policy == cache.None || cfg.Capacity <= 0:
+		for i := range shards {
+			shards[i] = cache.Config{Policy: cache.None, Precision: cfg.Precision}
 		}
-	case policy.Prefilled():
+	case cfg.Policy.Prefilled():
 		// Global-order walk: admit exactly what the single cache would
 		// (the first capacity vertices of the global order), bucketed to
 		// each vertex's owner. Shard residency unions to the global
 		// residency, so hit/miss outcomes match K=1 per vertex.
-		if len(order) > capacity {
-			order = order[:capacity]
+		order := cfg.Order
+		if order == nil {
+			return nil, fmt.Errorf("dist: %s policy needs the global admission order", cfg.Policy)
 		}
-		buckets := make([][]int32, k)
-		for i := range buckets {
-			buckets[i] = []int32{} // non-nil: prefilled caches require an order
+		if len(order) > cfg.Capacity {
+			order = order[:cfg.Capacity]
+		}
+		for i := range shards {
+			shards[i] = cfg
+			shards[i].Order = []int32{} // non-nil: an empty bucket is still an order
 		}
 		for _, v := range order {
 			o := part.Owner[v]
-			buckets[o] = append(buckets[o], v)
+			shards[o].Order = append(shards[o].Order, v)
 		}
-		for i := range s.subs {
-			c, err := cache.NewWithPrecision(policy, len(buckets[i]), g, buckets[i], prec)
-			if err != nil {
-				return nil, fmt.Errorf("dist: shard %d: %w", i, err)
-			}
-			s.subs[i] = cache.NewCachedSource(c, g)
+		for i := range shards {
+			shards[i].Capacity = len(shards[i].Order)
 		}
-	case policy.Dynamic():
-		for i, cap := range splitCapacity(capacity, part.VertexCounts) {
-			c, err := cache.NewAtPrecision(policy, cap, g, prec)
-			if err != nil {
-				return nil, fmt.Errorf("dist: shard %d: %w", i, err)
-			}
-			s.subs[i] = cache.NewCachedSource(c, g)
+	case cfg.Policy.Dynamic():
+		for i, c := range splitCapacity(cfg.Capacity, part.VertexCounts) {
+			shards[i] = cfg
+			shards[i].Capacity = c
 		}
 	default:
-		return nil, fmt.Errorf("dist: unsupported cache policy %q", policy)
+		return nil, fmt.Errorf("dist: unsupported cache policy %q", cfg.Policy)
+	}
+	for i, sc := range shards {
+		var err error
+		if s.subs[i], err = cache.NewSource(sc, g, gather); err != nil {
+			return nil, fmt.Errorf("dist: shard %d: %w", i, err)
+		}
 	}
 	return s, nil
 }
@@ -285,7 +290,7 @@ func (s *Source) Access(nodes []int32) cache.BatchStats {
 func (s *Source) GatherInto(dst *tensor.Dense, nodes []int32) (*tensor.Dense, cache.BatchStats) {
 	halo := s.meterHalo()
 	s.split(nodes)
-	dst = sizeFor(dst, len(nodes), s.g.FeatDim)
+	dst = tensor.GrowDense(dst, len(nodes), s.g.FeatDim)
 	tensor.ForEachIndex(s.k, 0, func(k int) {
 		s.staging[k], s.perStats[k] = s.subs[k].GatherInto(s.staging[k], s.perNodes[k])
 		for j, pos := range s.perPos[k] {
@@ -293,18 +298,6 @@ func (s *Source) GatherInto(dst *tensor.Dense, nodes []int32) (*tensor.Dense, ca
 		}
 	})
 	return dst, s.reduceStats(nodes, halo)
-}
-
-// sizeFor shapes dst to rows×cols, reallocating only when capacity is
-// short (the cache package's helper, restated for the staging planes).
-func sizeFor(dst *tensor.Dense, rows, cols int) *tensor.Dense {
-	n := rows * cols
-	if dst == nil || cap(dst.Data) < n {
-		return tensor.New(rows, cols)
-	}
-	dst.Rows, dst.Cols = rows, cols
-	dst.Data = dst.Data[:n]
-	return dst
 }
 
 // Resident reports residency of v on its owning partition's shard.

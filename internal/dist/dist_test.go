@@ -61,28 +61,6 @@ func batches(g *graph.Graph, count, size int, seed int64) [][]int32 {
 	return out
 }
 
-// globalSource builds the single-device feature plane the dist source
-// must match: same policy, capacity and admission order.
-func globalSource(t *testing.T, g *graph.Graph, policy cache.Policy, capacity int, order []int32, prec cache.Precision) cache.FeatureSource {
-	t.Helper()
-	if policy == cache.None || capacity <= 0 {
-		return cache.NewGraphSourceAt(g, prec)
-	}
-	var (
-		c   *cache.Cache
-		err error
-	)
-	if policy.Prefilled() {
-		c, err = cache.NewWithPrecision(policy, capacity, g, order, prec)
-	} else {
-		c, err = cache.NewAtPrecision(policy, capacity, g, prec)
-	}
-	if err != nil {
-		t.Fatalf("global cache: %v", err)
-	}
-	return cache.NewCachedSource(c, g)
-}
-
 // TestSourceMatchesGlobal drives the dist plane and the single-device
 // plane over the same batch streams and requires bitwise-identical
 // gathered matrices for every policy, and identical counters for the
@@ -107,11 +85,15 @@ func TestSourceMatchesGlobal(t *testing.T) {
 				if err != nil {
 					t.Fatalf("partition: %v", err)
 				}
-				ds, err := NewSource(g, part, tc.policy, tc.capacity, order, prec)
+				ccfg := cache.Config{Policy: tc.policy, Capacity: tc.capacity, Precision: prec, Order: order}
+				ds, err := NewSource(g, part, ccfg, true)
 				if err != nil {
 					t.Fatalf("%s/%s K=%d: NewSource: %v", tc.policy, prec.OrDefault(), k, err)
 				}
-				gs := globalSource(t, g, tc.policy, tc.capacity, order, prec)
+				gs, err := cache.NewSource(ccfg, g, true)
+				if err != nil {
+					t.Fatalf("%s/%s: global cache.NewSource: %v", tc.policy, prec.OrDefault(), err)
+				}
 				var dsDst, gsDst *tensor.Dense
 				for _, nodes := range batches(g, 6, 64, 42) {
 					var dsSt, gsSt cache.BatchStats
@@ -150,7 +132,7 @@ func TestSourceDeterministicAcrossWorkers(t *testing.T) {
 	}
 	run := func(workers int) (*tensor.Dense, []cache.BatchStats) {
 		defer tensor.WithParallelism(workers)()
-		src, err := NewSource(g, part, cache.Static, 90, g.DegreeOrder(), cache.Float32)
+		src, err := NewSource(g, part, cache.Config{Policy: cache.Static, Capacity: 90, Order: g.DegreeOrder()}, true)
 		if err != nil {
 			t.Fatalf("NewSource: %v", err)
 		}
@@ -197,7 +179,7 @@ func TestHaloHandComputed(t *testing.T) {
 	if err != nil {
 		t.Fatalf("partition: %v", err)
 	}
-	src, err := NewSource(pg, part, cache.None, 0, nil, cache.Float32)
+	src, err := NewSource(pg, part, cache.Config{Policy: cache.None}, true)
 	if err != nil {
 		t.Fatalf("NewSource: %v", err)
 	}
@@ -237,7 +219,7 @@ func TestHaloZeroWithoutBatch(t *testing.T) {
 	if err != nil {
 		t.Fatalf("partition: %v", err)
 	}
-	src, err := NewSource(g, part, cache.None, 0, nil, cache.Float32)
+	src, err := NewSource(g, part, cache.Config{Policy: cache.None}, true)
 	if err != nil {
 		t.Fatalf("NewSource: %v", err)
 	}
@@ -279,7 +261,7 @@ func TestSourceRejectsOpt(t *testing.T) {
 	if err != nil {
 		t.Fatalf("partition: %v", err)
 	}
-	if _, err := NewSource(g, part, cache.Opt, 10, nil, cache.Float32); err == nil {
+	if _, err := NewSource(g, part, cache.Config{Policy: cache.Opt, Capacity: 10}, true); err == nil {
 		t.Fatal("opt policy accepted")
 	}
 }

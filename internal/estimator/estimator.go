@@ -162,7 +162,7 @@ func probeAccuracy(d *dataset.Dataset) float64 {
 	valIdx := pick(d.ValIdx, 400)
 	lin := nn.NewLinear(rng, "probe", g.FeatDim, g.NumClasses)
 	opt := nn.NewAdam(0.05)
-	x := model.GatherFeatures(g, trainIdx)
+	x := cache.GatherRowsInto(nil, g, trainIdx)
 	labels := make([]int32, len(trainIdx))
 	for i, v := range trainIdx {
 		labels[i] = g.Labels[v]
@@ -173,7 +173,7 @@ func probeAccuracy(d *dataset.Dataset) float64 {
 		lin.BackwardParams(dl)
 		opt.Step(lin.Params())
 	}
-	xv := model.GatherFeatures(g, valIdx)
+	xv := cache.GatherRowsInto(nil, g, valIdx)
 	vLabels := make([]int32, len(valIdx))
 	for i, v := range valIdx {
 		vLabels[i] = g.Labels[v]

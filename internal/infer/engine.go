@@ -58,9 +58,11 @@ type Config struct {
 	// EvalSampler(Model layers), the deterministic fanout-15 node-wise
 	// sampler backend.Evaluate has always used.
 	Sampler sample.Sampler
-	// Source is the feature plane rows are gathered through — a shared
-	// LRU plane for serving, nil for direct host gathers (the evaluation
-	// default; output is identical either way at float32).
+	// Source is the feature plane rows are gathered through, as
+	// cache.NewSource builds it: gnnserve passes its plane, cached or
+	// not, at -precision. nil gathers straight from the host at float32
+	// with no transfer accounting (the evaluation default; output equals
+	// any float32 plane's).
 	Source cache.FeatureSource
 	// Seed roots the per-batch RNG derivation.
 	Seed int64

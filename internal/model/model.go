@@ -16,8 +16,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"gnnavigator/internal/cache"
-	"gnnavigator/internal/graph"
 	"gnnavigator/internal/nn"
 	"gnnavigator/internal/sample"
 	"gnnavigator/internal/tensor"
@@ -285,25 +283,6 @@ func layerFLOPs(cfg Config, l int, s Shape) float64 {
 			e*4 // softmax-ish
 		return flops * float64(heads)
 	}
-}
-
-// GatherFeatures copies the raw float32 features of nodes from g into a
-// float64 tensor suitable for Forward (row i ↔ nodes[i]). In the real
-// system this gather is the host-side feature lookup that precedes
-// transmission (Algo. 1 line 3).
-func GatherFeatures(g *graph.Graph, nodes []int32) *tensor.Dense {
-	return GatherFeaturesInto(nil, g, nodes)
-}
-
-// GatherFeaturesInto is GatherFeatures reusing dst's storage when its
-// capacity suffices (pass the previous return value to amortize the
-// feature matrix across mini-batches and epochs). It returns the matrix
-// actually filled, sharded over rows. The copy itself is the feature
-// plane's gather kernel (cache.GatherRowsInto); cached transmission
-// routes (hits served from device slot storage, per-batch transfer
-// accounting) live behind cache.FeatureSource.
-func GatherFeaturesInto(dst *tensor.Dense, g *graph.Graph, nodes []int32) *tensor.Dense {
-	return cache.GatherRowsInto(dst, g, nodes)
 }
 
 // --- shared mean aggregation --------------------------------------------

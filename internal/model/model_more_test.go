@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"gnnavigator/internal/cache"
 	"gnnavigator/internal/dataset"
 	"gnnavigator/internal/nn"
 	"gnnavigator/internal/sample"
@@ -27,7 +28,7 @@ func TestThreeLayerModel(t *testing.T) {
 		if err != nil {
 			t.Fatalf("New 3-layer %s: %v", kind, err)
 		}
-		feats := GatherFeatures(g, mb.InputNodes)
+		feats := cache.GatherRowsInto(nil, g, mb.InputNodes)
 		logits, err := m.Forward(mb, feats, true)
 		if err != nil {
 			t.Fatalf("%s Forward: %v", kind, err)
@@ -72,7 +73,7 @@ func TestSingleLayerModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	feats := GatherFeatures(g, mb.InputNodes)
+	feats := cache.GatherRowsInto(nil, g, mb.InputNodes)
 	logits, err := m.Forward(mb, feats, false)
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +109,7 @@ func TestDeterministicForward(t *testing.T) {
 	g := d.Graph
 	s := &sample.NodeWise{Fanouts: []int{5, 5}}
 	mb := s.Sample(rand.New(rand.NewSource(8)), g, d.TrainIdx[:32])
-	feats := GatherFeatures(g, mb.InputNodes)
+	feats := cache.GatherRowsInto(nil, g, mb.InputNodes)
 	mk := func() float64 {
 		m, err := New(Config{Kind: SAGE, InDim: g.FeatDim, Hidden: 8, OutDim: g.NumClasses, Layers: 2, Seed: 77})
 		if err != nil {

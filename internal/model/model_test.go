@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"gnnavigator/internal/cache"
 	"gnnavigator/internal/dataset"
 	"gnnavigator/internal/nn"
 	"gnnavigator/internal/sample"
@@ -169,7 +170,7 @@ func TestModelsLearn(t *testing.T) {
 			for step := 0; step < 30; step++ {
 				batch := d.TrainIdx[:256]
 				mb := s.Sample(rng, g, batch)
-				feats := GatherFeatures(g, mb.InputNodes)
+				feats := cache.GatherRowsInto(nil, g, mb.InputNodes)
 				logits, err := m.Forward(mb, feats, true)
 				if err != nil {
 					t.Fatal(err)
@@ -217,24 +218,6 @@ func TestFLOPsMonotonic(t *testing.T) {
 		}
 		if big.FLOPs(mb) <= small.FLOPs(mb) {
 			t.Errorf("%s: FLOPs not monotonic in hidden dim", kind)
-		}
-	}
-}
-
-func TestGatherFeatures(t *testing.T) {
-	d := dataset.MustLoad(dataset.OgbnArxiv)
-	g := d.Graph
-	nodes := []int32{3, 0, 7}
-	feats := GatherFeatures(g, nodes)
-	if feats.Rows != 3 || feats.Cols != g.FeatDim {
-		t.Fatalf("shape %dx%d", feats.Rows, feats.Cols)
-	}
-	for i, v := range nodes {
-		raw := g.Feature(v)
-		for j := 0; j < g.FeatDim; j++ {
-			if math.Abs(feats.At(i, j)-float64(raw[j])) > 1e-6 {
-				t.Fatalf("row %d mismatch", i)
-			}
 		}
 	}
 }

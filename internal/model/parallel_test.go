@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"gnnavigator/internal/dataset"
 	"gnnavigator/internal/nn"
 	"gnnavigator/internal/sample"
 	"gnnavigator/internal/tensor"
@@ -252,27 +251,6 @@ func TestWorkspaceIterationsStayClean(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestGatherFeaturesIntoReusesBuffer(t *testing.T) {
-	d := dataset.MustLoad(dataset.OgbnArxiv)
-	g := d.Graph
-	nodes := d.TrainIdx[:64]
-	a := GatherFeaturesInto(nil, g, nodes)
-	ref := GatherFeatures(g, nodes)
-	for i, w := range ref.Data {
-		if a.Data[i] != w {
-			t.Fatalf("GatherFeaturesInto[%d] = %v, want %v", i, a.Data[i], w)
-		}
-	}
-	// Smaller regather must reuse the same backing array.
-	b := GatherFeaturesInto(a, g, nodes[:16])
-	if &b.Data[0] != &a.Data[0] {
-		t.Error("GatherFeaturesInto did not reuse storage for a smaller batch")
-	}
-	if b.Rows != 16 {
-		t.Fatalf("rows = %d, want 16", b.Rows)
 	}
 }
 

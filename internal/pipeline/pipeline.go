@@ -48,7 +48,6 @@ import (
 	"gnnavigator/internal/cache"
 	"gnnavigator/internal/faultinject"
 	"gnnavigator/internal/graph"
-	"gnnavigator/internal/model"
 	"gnnavigator/internal/plan"
 	"gnnavigator/internal/sample"
 	"gnnavigator/internal/tensor"
@@ -290,7 +289,7 @@ func (cfg *Config) prepareBatch(b *Batch, buf *bufferSet) error {
 			b.Miss, b.CacheOps, b.TransferBytes = st.Miss, st.CacheOps, st.TransferBytes
 			b.HaloBytes = st.HaloBytes
 		} else {
-			buf.feats = model.GatherFeaturesInto(buf.feats, cfg.Graph, b.MB.InputNodes)
+			buf.feats = cache.GatherRowsInto(buf.feats, cfg.Graph, b.MB.InputNodes)
 		}
 		buf.labels = tensor.Grow(buf.labels, len(b.MB.Targets))
 		for i, v := range b.MB.Targets {

@@ -186,22 +186,20 @@ func TestKernelEquivalenceThroughPipeline(t *testing.T) {
 				ds, _ := runDigests(t, cfg)
 				return ds
 			}
+			ccfg := cache.Config{Policy: policy, Capacity: capacity, Order: freqOrder}
 			newSrc := func() cache.FeatureSource {
-				if policy == cache.Freq {
-					c, err := cache.NewWithOrder(cache.Freq, capacity, g, freqOrder)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return cache.NewCachedSource(c, g)
-				}
-				return cache.NewCachedSource(mustCache(t, policy, capacity, g), g)
-			}
-			refSrc := func() cache.FeatureSource {
-				ref, err := cache.NewMapReferenceWithOrder(policy, capacity, freqOrder)
+				c, err := cache.Build(ccfg, g)
 				if err != nil {
 					t.Fatal(err)
 				}
-				return cache.NewKernelSource(ref, g)
+				return cache.NewCachedSource(c, g)
+			}
+			refSrc := func() cache.FeatureSource {
+				ref, err := cache.NewMapReference(ccfg, g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return cache.NewKernelSource(ref, g, cache.Float32)
 			}
 			want := mk(refSrc(), 0)
 			for _, depth := range []int{0, 1, 4} {
@@ -245,11 +243,11 @@ func TestPrecisionEquivalenceThroughPipeline(t *testing.T) {
 				ds, _ := runDigests(t, cfg)
 				return ds
 			}
-			refK, err := cache.NewMapReference(cache.LRU, capacity, g)
+			refK, err := cache.NewMapReference(cache.Config{Policy: cache.LRU, Capacity: capacity}, g)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := mk(cache.NewKernelSourceAt(refK, g, prec), 0)
+			want := mk(cache.NewKernelSource(refK, g, prec), 0)
 			for _, depth := range []int{0, 1, 4} {
 				c, err := cache.NewAtPrecision(cache.LRU, capacity, g, prec)
 				if err != nil {
@@ -410,7 +408,7 @@ func TestBufferRingBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// GatherFeaturesInto may reallocate while batch sizes still grow, so
+	// GatherRowsInto may reallocate while batch sizes still grow, so
 	// allow a small settling allowance beyond the steady-state ring.
 	if len(seen) > (cfg.Prefetch+2)*3 {
 		t.Errorf("saw %d distinct feature buffers, ring should bound reuse near %d", len(seen), cfg.Prefetch+2)

@@ -138,3 +138,17 @@ func Grow[T any](buf []T, n int) []T {
 	}
 	return buf[:n]
 }
+
+// GrowDense shapes dst to rows×cols, reusing its storage and
+// reallocating (zeroed) only when its capacity is short — Grow for the
+// feature matrices gathers refill every batch. Contents are unspecified
+// on reuse.
+func GrowDense(dst *Dense, rows, cols int) *Dense {
+	n := rows * cols
+	if dst == nil || cap(dst.Data) < n {
+		return New(rows, cols)
+	}
+	dst.Rows, dst.Cols = rows, cols
+	dst.Data = dst.Data[:n]
+	return dst
+}
