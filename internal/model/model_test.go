@@ -222,6 +222,52 @@ func TestFLOPsMonotonic(t *testing.T) {
 	}
 }
 
+// TestGatherFeatures checks the model's input matrix as the training
+// paths build it: cache.GatherRowsInto over ogbn-arxiv rows, one row
+// per input node in order.
+func TestGatherFeatures(t *testing.T) {
+	d := dataset.MustLoad(dataset.OgbnArxiv)
+	g := d.Graph
+	nodes := []int32{3, 0, 7}
+	feats := cache.GatherRowsInto(nil, g, nodes)
+	if feats.Rows != 3 || feats.Cols != g.FeatDim {
+		t.Fatalf("shape %dx%d", feats.Rows, feats.Cols)
+	}
+	for i, v := range nodes {
+		raw := g.Feature(v)
+		for j := 0; j < g.FeatDim; j++ {
+			if math.Abs(feats.At(i, j)-float64(raw[j])) > 1e-6 {
+				t.Fatalf("row %d mismatch", i)
+			}
+		}
+	}
+}
+
+// TestGatherFeaturesIntoReusesBuffer checks that regathering a smaller
+// batch of ogbn-arxiv training inputs into the previous input matrix
+// reuses its storage, as the per-step input buffers rely on.
+func TestGatherFeaturesIntoReusesBuffer(t *testing.T) {
+	d := dataset.MustLoad(dataset.OgbnArxiv)
+	g := d.Graph
+	nodes := d.TrainIdx[:64]
+	a := cache.GatherRowsInto(nil, g, nodes)
+	for i, v := range nodes {
+		for j, w := range g.Feature(v) {
+			if a.At(i, j) != float64(w) {
+				t.Fatalf("input row %d col %d = %v, want %v", i, j, a.At(i, j), w)
+			}
+		}
+	}
+	// Smaller regather must reuse the same backing array.
+	b := cache.GatherRowsInto(a, g, nodes[:16])
+	if &b.Data[0] != &a.Data[0] {
+		t.Error("GatherRowsInto did not reuse storage for a smaller batch")
+	}
+	if b.Rows != 16 {
+		t.Fatalf("rows = %d, want 16", b.Rows)
+	}
+}
+
 // TestDropoutChangesTraining ensures train-mode forward differs from eval.
 func TestDropoutTrainDiffers(t *testing.T) {
 	mb := tinyBatch()
