@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"gnnavigator/internal/experiments"
-	"gnnavigator/internal/pipeline"
 	"gnnavigator/internal/tensor"
 )
 
@@ -40,13 +39,12 @@ func wrap[T any](f func(io.Writer, experiments.Fidelity) (T, error)) runner {
 func main() {
 	log.SetFlags(0)
 	var (
-		exp      = flag.String("exp", "all", "experiment to regenerate")
-		full     = flag.Bool("full", false, "full fidelity (slower, evaluation defaults)")
-		procs    = flag.Int("procs", 0, "tensor kernel workers (0 = GOMAXPROCS / $GNNAV_PROCS; 1 = serial)")
-		prefetch = flag.Int("prefetch", 0, "minibatch pipeline depth (0 = $GNNAV_PREFETCH or inline; results identical at any depth)")
-		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-		memProf  = flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
-		timeout  = flag.Duration("timeout", 0, "wall-clock watchdog (0 = none): exit with status 124 if the run exceeds this, so a hang fails a build instead of wedging it")
+		exp     = flag.String("exp", "all", "experiment to regenerate")
+		full    = flag.Bool("full", false, "full fidelity (slower, evaluation defaults)")
+		procs   = flag.Int("procs", 0, "tensor kernel workers (0 = GOMAXPROCS / $GNNAV_PROCS; 1 = serial)")
+		cpuProf = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
+		memProf = flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
+		timeout = flag.Duration("timeout", 0, "wall-clock watchdog (0 = none): exit with status 124 if the run exceeds this, so a hang fails a build instead of wedging it")
 	)
 	flag.Parse()
 
@@ -62,11 +60,6 @@ func main() {
 
 	if *procs > 0 {
 		tensor.SetParallelism(*procs)
-	}
-	// != 0 so -prefetch -1 forces the inline loop even when
-	// GNNAV_PREFETCH is set (SetDefaultPrefetch clamps negatives to 0).
-	if *prefetch != 0 {
-		pipeline.SetDefaultPrefetch(*prefetch)
 	}
 
 	if *cpuProf != "" {

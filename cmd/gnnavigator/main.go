@@ -23,7 +23,6 @@ import (
 	"gnnavigator/internal/dse"
 	"gnnavigator/internal/hw"
 	"gnnavigator/internal/model"
-	"gnnavigator/internal/pipeline"
 	"gnnavigator/internal/tensor"
 )
 
@@ -45,7 +44,7 @@ func main() {
 		doTrain   = flag.Bool("train", false, "execute the chosen guideline after exploring")
 		seed      = flag.Int64("seed", 1, "random seed")
 		procs     = flag.Int("procs", 0, "tensor kernel workers (0 = GOMAXPROCS / $GNNAV_PROCS; 1 = serial)")
-		prefetch  = flag.Int("prefetch", 0, "minibatch pipeline depth (0 = $GNNAV_PREFETCH or inline; results identical at any depth)")
+		prefetch  = flag.Int("prefetch", 0, "minibatch pipeline depth for calibration and training (<= 0 = inline; results identical at any depth)")
 		savePlan  = flag.String("save-plan", "", "compile the training run's epoch plan and write it to this file (with -train)")
 		loadPlan  = flag.String("load-plan", "", "replay a compiled epoch plan from this file instead of sampling live (default $GNNAV_PLAN; with -train)")
 		ckptPath  = flag.String("checkpoint", "", "snapshot the training state to this file every -checkpoint-every epochs (with -train; atomic, checksummed)")
@@ -56,8 +55,8 @@ func main() {
 	)
 	flag.Parse()
 
-	// Like -prefetch/GNNAV_PREFETCH: the flag wins, the environment fills
-	// the default, so wrapper scripts can pin a plan once for many runs.
+	// The flag wins, the environment fills the default, so wrapper
+	// scripts can pin a plan or a precision once for many runs.
 	if *loadPlan == "" {
 		*loadPlan = os.Getenv("GNNAV_PLAN")
 	}
@@ -71,11 +70,6 @@ func main() {
 
 	if *procs > 0 {
 		tensor.SetParallelism(*procs)
-	}
-	// != 0 so -prefetch -1 forces the inline loop even when
-	// GNNAV_PREFETCH is set (SetDefaultPrefetch clamps negatives to 0).
-	if *prefetch != 0 {
-		pipeline.SetDefaultPrefetch(*prefetch)
 	}
 
 	plat, ok := hw.Profile(*platform)

@@ -6,6 +6,8 @@ import (
 
 	"gnnavigator/internal/cache"
 	"gnnavigator/internal/dataset"
+	"gnnavigator/internal/graph"
+	"gnnavigator/internal/infer"
 	"gnnavigator/internal/model"
 )
 
@@ -312,6 +314,17 @@ func TestTemplatesAcrossDatasets(t *testing.T) {
 	}
 }
 
+// evaluate is the validation accuracy RunWith reports, taken standalone:
+// mdl over the first limit vertices of idx through an inference engine
+// seeded with seed, at pipeline depth prefetch.
+func evaluate(mdl *model.Model, g *graph.Graph, idx []int32, limit int, seed int64, prefetch int) (float64, error) {
+	eng, err := infer.New(infer.Config{Graph: g, Model: mdl, Seed: seed, Prefetch: prefetch})
+	if err != nil {
+		return 0, err
+	}
+	return eng.Accuracy(context.Background(), idx, limit)
+}
+
 func TestEvaluateErrors(t *testing.T) {
 	d := dataset.MustLoad(dataset.OgbnArxiv)
 	m, err := model.New(model.Config{
@@ -321,14 +334,14 @@ func TestEvaluateErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Evaluate(context.Background(), m, d.Graph, nil, 0, 1); err == nil {
+	if _, err := evaluate(m, d.Graph, nil, 0, 1, 0); err == nil {
 		t.Error("Evaluate with empty index accepted")
 	}
 	bad, err := model.New(model.Config{Kind: model.SAGE, InDim: 4, Hidden: 4, OutDim: 2, Layers: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Evaluate(context.Background(), bad, d.Graph, d.ValIdx, 0, 1); err == nil {
+	if _, err := evaluate(bad, d.Graph, d.ValIdx, 0, 1, 0); err == nil {
 		t.Error("Evaluate with mismatched model input width accepted")
 	}
 }

@@ -1,7 +1,6 @@
 package backend
 
 import (
-	"context"
 	"reflect"
 	"testing"
 
@@ -98,12 +97,12 @@ func TestEvaluatePrefetchEqual(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := EvaluateWith(context.Background(), m, d.Graph, d.ValIdx, 1200, 7, 0)
+	serial, err := evaluate(m, d.Graph, d.ValIdx, 1200, 7, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, depth := range []int{1, 3} {
-		got, err := EvaluateWith(context.Background(), m, d.Graph, d.ValIdx, 1200, 7, depth)
+		got, err := evaluate(m, d.Graph, d.ValIdx, 1200, 7, depth)
 		if err != nil {
 			t.Fatal(err)
 		}

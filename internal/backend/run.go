@@ -82,10 +82,8 @@ type Options struct {
 	Parallelism int
 	// Prefetch is the minibatch pipeline depth: sampling, cache lookup
 	// and feature gather for batch i+k overlap training compute for
-	// batch i (internal/pipeline). 0 = the process-wide default
-	// (pipeline.DefaultPrefetch, settable via GNNAV_PREFETCH or the
-	// -prefetch CLI flags); < 0 forces the inline serial loop. Outputs
-	// are bitwise-identical at every depth.
+	// batch i (internal/pipeline). <= 0 runs the inline serial loop.
+	// Outputs are bitwise-identical at every depth.
 	Prefetch int
 	// SharePlan fetches the run's epoch plan through the single-flight
 	// plan.Shared and replays it instead of sampling live — the
@@ -133,19 +131,6 @@ type Options struct {
 	// footer), like checkpoints. Incompatible with SkipTraining, which
 	// trains nothing worth serving.
 	SaveModelPath string
-}
-
-// prefetchDepth resolves the Options.Prefetch encoding to a concrete
-// pipeline depth.
-func (o Options) prefetchDepth() int {
-	switch {
-	case o.Prefetch > 0:
-		return o.Prefetch
-	case o.Prefetch < 0:
-		return 0
-	default:
-		return pipeline.DefaultPrefetch()
-	}
 }
 
 // applyParallelism installs the Options.Parallelism override as the
@@ -393,7 +378,6 @@ func RunWith(cfg Config, opts Options) (*Perf, error) {
 	if mdl != nil {
 		mdl.SetWorkspace(ws)
 	}
-	prefetch := opts.prefetchDepth()
 
 	// resumeEpochs is how many leading epochs are fast-forwarded: the
 	// pipeline runs them in full (sampling, cache evolution, volume
@@ -407,8 +391,8 @@ func RunWith(cfg Config, opts Options) (*Perf, error) {
 	}
 
 	// The epoch loop runs on the staged pipeline engine: a sampler stage
-	// and a cache-lookup+gather stage run up to `prefetch` batches ahead
-	// of this consumer, which keeps all model state single-threaded.
+	// and a cache-lookup+gather stage run up to opts.Prefetch batches
+	// ahead of this consumer, which keeps all model state single-threaded.
 	// Cache-aware biased sampling against a dynamic cache reads residency
 	// that the lookup stage mutates, so those runs fuse the two producer
 	// stages to preserve the serial residency sequence.
@@ -498,7 +482,7 @@ func RunWith(cfg Config, opts Options) (*Perf, error) {
 	var evalEng *infer.Engine
 	if !opts.SkipTraining {
 		if evalEng, err = infer.New(infer.Config{
-			Graph: g, Model: mdl, Seed: cfg.Seed + 29, Prefetch: prefetch,
+			Graph: g, Model: mdl, Seed: cfg.Seed + 29, Prefetch: opts.Prefetch,
 		}); err != nil {
 			return nil, err
 		}
@@ -546,7 +530,7 @@ func RunWith(cfg Config, opts Options) (*Perf, error) {
 		Targets:   ds.TrainIdx,
 		Shuffle:   true,
 		Gather:    !opts.SkipTraining,
-		Prefetch:  prefetch,
+		Prefetch:  opts.Prefetch,
 		Plan:      pl,
 		Ctx:       opts.Ctx,
 		// Keyed on the effective policy, not cfg.CachePolicy: a
@@ -816,23 +800,4 @@ func ParamsAtFullScale(cfg Config, ds *dataset.Dataset) int {
 		}
 	}
 	return total
-}
-
-// Evaluate measures accuracy of mdl on the given vertices using a
-// deterministic node-wise sampler with generous fanouts — the shared
-// evaluation loop in internal/infer — at the process-wide default
-// prefetch depth. A non-nil ctx cancels the run at batch granularity.
-func Evaluate(ctx context.Context, mdl *model.Model, g *graph.Graph, idx []int32, limit int, seed int64) (float64, error) {
-	return EvaluateWith(ctx, mdl, g, idx, limit, seed, pipeline.DefaultPrefetch())
-}
-
-// EvaluateWith is Evaluate at an explicit prefetch depth: sampling and
-// feature gather for chunk i+1 overlap the forward pass for chunk i.
-// Results are bitwise-identical at any depth.
-func EvaluateWith(ctx context.Context, mdl *model.Model, g *graph.Graph, idx []int32, limit int, seed int64, prefetch int) (float64, error) {
-	eng, err := infer.New(infer.Config{Graph: g, Model: mdl, Seed: seed, Prefetch: prefetch})
-	if err != nil {
-		return 0, err
-	}
-	return eng.Accuracy(ctx, idx, limit)
 }

@@ -1,7 +1,6 @@
 package backend
 
 import (
-	"context"
 	"math"
 	"path/filepath"
 	"testing"
@@ -27,7 +26,7 @@ func TestSaveModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := dataset.MustLoad(cfg.Dataset)
-	acc, err := EvaluateWith(context.Background(), loaded, d.Graph, d.ValIdx, 512, cfg.Seed+29, 0)
+	acc, err := evaluate(loaded, d.Graph, d.ValIdx, 512, cfg.Seed+29, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,7 +68,7 @@ type Input struct {
 
 	// Prefetch is the minibatch pipeline depth for every backend run the
 	// Navigator issues — calibration profiling (the DSE measurement path)
-	// and final training alike. 0 = process default, < 0 = inline; see
+	// and final training alike. <= 0 runs inline; see
 	// backend.Options.Prefetch. Any value yields bitwise-identical
 	// results, so this is purely a wall-clock knob.
 	Prefetch int

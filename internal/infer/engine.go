@@ -6,9 +6,9 @@
 // through) and the model's tensor.Workspace, and exposes two entry
 // points over one internal pipeline run:
 //
-//   - Accuracy — the evaluation loop backend.Evaluate and RunWith's
-//     per-epoch validation run on, pinned bitwise-identical to the
-//     pre-extraction evaluateWith at every prefetch depth;
+//   - Accuracy — the evaluation loop RunWith's per-epoch validation
+//     runs on, pinned bitwise-identical to the pre-extraction
+//     evaluateWith at every prefetch depth;
 //   - Predict — per-request class inference for a handful of target
 //     vertices, the serving path behind internal/serve and cmd/gnnserve.
 //
@@ -56,7 +56,7 @@ type Config struct {
 	Model *model.Model
 	// Sampler draws each batch's neighborhood; nil selects
 	// EvalSampler(Model layers), the deterministic fanout-15 node-wise
-	// sampler backend.Evaluate has always used.
+	// sampler evaluation has always used.
 	Sampler sample.Sampler
 	// Source is the feature plane rows are gathered through, as
 	// cache.NewSource builds it: gnnserve passes its plane, cached or

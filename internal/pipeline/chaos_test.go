@@ -124,7 +124,7 @@ func TestChaosConsumerPanicContained(t *testing.T) {
 
 // TestChaosContextCancel: cancelling the run context stops the pipeline
 // at batch granularity with ctx.Err() and a full teardown, at every
-// topology.
+// topology — and never ends the partial epoch it was cancelled in.
 func TestChaosContextCancel(t *testing.T) {
 	for _, prefetch := range []int{0, 4} {
 		for _, coupled := range []bool{false, true} {
@@ -135,16 +135,19 @@ func TestChaosContextCancel(t *testing.T) {
 				cfg.Prefetch = prefetch
 				cfg.CoupledSampler = coupled
 				cfg.Ctx = ctx
-				n := 0
+				n, ends := 0, 0
 				err := Run(cfg, func(b *Batch) error {
 					n++
 					if n == 3 {
 						cancel()
 					}
 					return nil
-				}, nil)
+				}, func(int) error { ends++; return nil })
 				if !errors.Is(err, context.Canceled) {
 					t.Fatalf("Run returned %v, want context.Canceled", err)
+				}
+				if ends != 0 {
+					t.Fatalf("cancelled run ended %d epoch(s)", ends)
 				}
 				leakcheck.Check(t, leakcheck.PipelineStage)
 			})
@@ -153,19 +156,24 @@ func TestChaosContextCancel(t *testing.T) {
 }
 
 // TestChaosContextDeadline: an already-expired deadline yields
-// DeadlineExceeded before any batch is delivered.
+// DeadlineExceeded before any batch is delivered, inline and async.
 func TestChaosContextDeadline(t *testing.T) {
-	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
-	defer cancel()
-	cfg := testConfig(t)
-	cfg.Prefetch = 2
-	cfg.Ctx = ctx
-	err := Run(cfg, func(b *Batch) error {
-		t.Error("batch delivered under an expired deadline")
-		return nil
-	}, nil)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("Run returned %v, want context.DeadlineExceeded", err)
+	for _, prefetch := range []int{0, 2} {
+		t.Run(fmt.Sprintf("prefetch=%d", prefetch), func(t *testing.T) {
+			ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+			defer cancel()
+			cfg := testConfig(t)
+			cfg.Prefetch = prefetch
+			cfg.Ctx = ctx
+			err := Run(cfg, func(b *Batch) error {
+				t.Error("batch delivered under an expired deadline")
+				return nil
+			}, nil)
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("Run returned %v, want context.DeadlineExceeded", err)
+			}
+			leakcheck.Check(t, leakcheck.PipelineStage)
+		})
 	}
 }
 

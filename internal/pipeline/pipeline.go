@@ -1,49 +1,51 @@
 // Package pipeline is the staged minibatch engine behind backend.RunWith
-// and backend.Evaluate: the epoch loop, extracted from the trainer and
+// and infer.Engine: the epoch loop, extracted from the trainer and
 // reorganized as a bounded producer/consumer pipeline so host-side work
 // (sampling, cache maintenance, feature gather) for batch i+1 overlaps
 // device-side work (forward/backward/optimizer) for batch i — the
 // executable form of Eq. 4's max(host, device) overlap, applied to the
 // reproduction's own wall clock.
 //
-// Stages:
+// There is one epoch loop (produce: epoch × batch, a cancellation check,
+// sample, emit) and one delivery step (deliver: a cancellation check,
+// epochEnd at each epoch boundary, consume). Config.Prefetch only picks
+// what sits between them. At depth <= 0 emit prepares the batch into one
+// buffer set and delivers it on the caller's goroutine: the inline path,
+// zero goroutines. At depth > 0 the same stages run as goroutines:
 //
 //	Sampler ──chA──▶ CacheLookup+Gather ──chB──▶ Consumer (train/eval)
 //
-// Each stage is one goroutine; chA/chB are each bounded by the prefetch
-// depth, so across both queues plus in-flight work the sampler runs at
-// most ~2·Prefetch+3 batches ahead of the consumer. The memory-heavy
-// product — the gathered feature matrix — is bounded tighter: it lives
-// in a recycled ring of exactly Prefetch+2 buffer sets (the generalized
-// double buffer: one being filled, up to Prefetch queued, one in use by
-// the consumer), so steady-state prefetch allocates nothing and holds at
-// most Prefetch+2 feature matrices regardless of queue occupancy.
+// chA/chB are each bounded by the prefetch depth, so across both queues
+// plus in-flight work the sampler runs at most ~2·Prefetch+3 batches
+// ahead of the consumer. The memory-heavy product — the gathered feature
+// matrix — is bounded tighter: it lives in a recycled ring of exactly
+// Prefetch+2 buffer sets (the generalized double buffer: one being
+// filled, up to Prefetch queued, one in use by the consumer), so
+// steady-state prefetch allocates nothing and holds at most Prefetch+2
+// feature matrices regardless of queue occupancy.
 //
 // Determinism contract: every batch draws from an RNG derived from
 // (Seed, epoch, batchIndex) — sample.BatchRNG — never from a shared
 // stream, so its draws do not depend on pipeline timing; the cache is
 // mutated by exactly one stage in batch order; and the consumer receives
 // batches strictly in (epoch, index) order. Together these make the
-// engine's output bitwise-identical at every prefetch depth, including
-// the Prefetch=0 inline path, which runs the same stage functions
-// synchronously with zero goroutines.
+// engine's output bitwise-identical at every prefetch depth; the inline
+// path is the reference.
 //
 // Scratch contract: the engine invokes Config.Sampler.Sample from exactly
-// one goroutine per run (the sampler stage, or the fused producer), so
-// samplers may keep mutable per-stage scratch — the epoch-stamped
-// frontier tables and pick buffers of internal/sample — across batches
-// without locking. Scratch must never leak into the returned MiniBatch;
-// the returned slices stay valid while the producer runs up to Prefetch
-// batches ahead.
+// one goroutine per run (the caller's, the sampler stage, or the fused
+// producer), so samplers may keep mutable per-stage scratch — the
+// epoch-stamped frontier tables and pick buffers of internal/sample —
+// across batches without locking. Scratch must never leak into the
+// returned MiniBatch; the returned slices stay valid while the producer
+// runs up to Prefetch batches ahead.
 package pipeline
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"os"
-	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"gnnavigator/internal/cache"
 	"gnnavigator/internal/faultinject"
@@ -56,33 +58,6 @@ import (
 // maxPrefetch bounds the lookahead depth; deeper queues only add memory,
 // not overlap, once the consumer is the bottleneck.
 const maxPrefetch = 64
-
-var defaultPrefetch atomic.Int32
-
-func init() {
-	if s := os.Getenv("GNNAV_PREFETCH"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil {
-			SetDefaultPrefetch(n)
-		}
-	}
-}
-
-// SetDefaultPrefetch sets the process-wide prefetch depth used when a run
-// does not pin one explicitly (backend.Options.Prefetch == 0). n <= 0
-// selects the inline path. The default is 0 (inline), overridable with
-// the GNNAV_PREFETCH environment variable and the -prefetch CLI flags.
-func SetDefaultPrefetch(n int) {
-	if n < 0 {
-		n = 0
-	}
-	if n > maxPrefetch {
-		n = maxPrefetch
-	}
-	defaultPrefetch.Store(int32(n))
-}
-
-// DefaultPrefetch reports the process-wide prefetch depth.
-func DefaultPrefetch() int { return int(defaultPrefetch.Load()) }
 
 // Batch is one unit of work flowing through the pipeline. By the time the
 // consumer sees it, every host-side product is attached: the sampled
@@ -174,8 +149,8 @@ type Config struct {
 	Plan *plan.Plan
 
 	// Prefetch is the lookahead depth: how many batches each stage may
-	// run ahead of the consumer. <= 0 runs the inline path (no
-	// goroutines), which is the bitwise reference for every depth.
+	// run ahead of the consumer, capped at 64. <= 0 runs the inline path
+	// (no goroutines), which is the bitwise reference for every depth.
 	Prefetch int
 	// CoupledSampler declares that the sampler reads mutable cache state
 	// (a cache-aware bias against a dynamic FIFO/LRU cache). The engine
@@ -322,6 +297,27 @@ func recoveredErr(where string, r any) error {
 	return fmt.Errorf("pipeline: %s: panic: %v", where, r)
 }
 
+// produce is the one epoch loop: every (epoch, batch) in order, a
+// cancellation check, the sampler stage's work, then emit. The first
+// error — cancellation, a stage failure, or emit's — ends the loop.
+func (cfg *Config) produce(emit func(*Batch) error) error {
+	for epoch := 0; epoch < cfg.Epochs; epoch++ {
+		for i, targets := range cfg.plan(epoch) {
+			if err := cfg.ctxErr(); err != nil {
+				return err
+			}
+			b, err := cfg.sampleBatch(epoch, i, targets)
+			if err != nil {
+				return err
+			}
+			if err := emit(b); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // Run drives the pipeline: consume is called for every batch in (epoch,
 // index) order, and epochEnd (optional) after the last batch of each
 // epoch — both on the calling goroutine, so consumers may use non-thread-
@@ -343,43 +339,51 @@ func Run(cfg Config, consume func(*Batch) error, epochEnd func(epoch int) error)
 			err = recoveredErr("run", r)
 		}
 	}()
-	if cfg.Prefetch <= 0 {
-		return runInline(cfg, consume, epochEnd)
-	}
-	return runAsync(cfg, consume, epochEnd)
-}
-
-// runInline is the zero-goroutine reference path: the same stage
-// functions, executed synchronously per batch with a single buffer set.
-func runInline(cfg Config, consume func(*Batch) error, epochEnd func(epoch int) error) error {
-	buf := &bufferSet{}
-	if cfg.Scratch != nil {
-		buf = &cfg.Scratch.buf
-	}
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		for i, targets := range cfg.plan(epoch) {
-			if err := cfg.ctxErr(); err != nil {
+	// deliver is the consumer side every depth shares, on the caller's
+	// goroutine: a cancellation check, epochEnd for the previous epoch
+	// when b opens a new one, then consume. A cancelled run therefore
+	// never ends its partial epoch.
+	epoch := 0
+	deliver := func(b *Batch) error {
+		if err := cfg.ctxErr(); err != nil {
+			return err
+		}
+		if b.Epoch != epoch {
+			if err := epochEnd(epoch); err != nil {
 				return err
 			}
-			b, err := cfg.sampleBatch(epoch, i, targets)
-			if err != nil {
-				return err
-			}
+			epoch = b.Epoch
+		}
+		return consume(b)
+	}
+	if cfg.Prefetch > 0 {
+		err = runAsync(&cfg, deliver)
+	} else {
+		buf := &bufferSet{}
+		if cfg.Scratch != nil {
+			buf = &cfg.Scratch.buf
+		}
+		err = cfg.produce(func(b *Batch) error {
 			if err := cfg.prepareBatch(b, buf); err != nil {
 				return err
 			}
-			if err := consume(b); err != nil {
-				return err
-			}
-		}
-		if err := epochEnd(epoch); err != nil {
-			return err
-		}
+			return deliver(b)
+		})
 	}
-	return nil
+	// A failed run is partial, so its last epoch must not end.
+	if err != nil {
+		return err
+	}
+	return epochEnd(epoch)
 }
 
-func runAsync(cfg Config, consume func(*Batch) error, epochEnd func(epoch int) error) error {
+// errStopped is what a stage's send or buffer acquire returns once the
+// consumer has left: the stage unwinds without recording a failure.
+var errStopped = errors.New("pipeline: stopped")
+
+// runAsync runs the stages as goroutines, up to Prefetch batches ahead
+// of deliver.
+func runAsync(cfg *Config, deliver func(*Batch) error) error {
 	depth := min(cfg.Prefetch, maxPrefetch)
 
 	// done tears the stages down on early exit (consumer error): senders
@@ -394,160 +398,90 @@ func runAsync(cfg Config, consume func(*Batch) error, epochEnd func(epoch int) e
 	// stageErr records the first stage failure (injected error, cancelled
 	// context, or recovered panic). A failing stage records here, then
 	// closes its output channel; the closure drains downstream, the
-	// consumer loop ends without seeing another batch, and Run returns
-	// this error — the same shutdown path a consumer error takes, driven
-	// from the producer side.
+	// consumer loop ends without seeing another batch, and runAsync
+	// returns this error — the same shutdown path a consumer error takes,
+	// driven from the producer side.
 	var (
 		errMu    sync.Mutex
 		stageErr error
 	)
-	fail := func(err error) {
-		if err == nil {
-			return
-		}
-		errMu.Lock()
-		if stageErr == nil {
-			stageErr = err
-		}
-		errMu.Unlock()
+	// stage runs body on its own goroutine and closes out when it returns.
+	stage := func(name string, out chan *Batch, body func() error) {
+		wg.Add(1)
+		go func() {
+			var err error
+			defer func() {
+				if r := recover(); r != nil {
+					err = recoveredErr(name, r)
+				}
+				if err != nil && err != errStopped {
+					errMu.Lock()
+					if stageErr == nil {
+						stageErr = err
+					}
+					errMu.Unlock()
+				}
+				close(out)
+				wg.Done()
+			}()
+			err = body()
+		}()
 	}
-	firstErr := func() error {
-		errMu.Lock()
-		defer errMu.Unlock()
-		return stageErr
+	send := func(ch chan *Batch, b *Batch) error {
+		select {
+		case ch <- b:
+			return nil
+		case <-done:
+			return errStopped
+		}
 	}
 
 	// Gather ring: one set being filled, up to depth queued, one held by
 	// the consumer. Only Gather runs draw from it (the consumer returns
-	// each set after use); acquire blocks when the consumer falls behind,
-	// which is the pipeline's natural backpressure.
+	// each set after use); the acquire blocks when the consumer falls
+	// behind, which is the pipeline's natural backpressure.
 	free := make(chan *bufferSet, depth+2)
 	for i := 0; i < depth+2; i++ {
 		free <- &bufferSet{}
 	}
-	acquire := func() (*bufferSet, bool) {
-		if !cfg.Gather {
-			return nil, true
+	out := make(chan *Batch, depth)
+	prepare := func(b *Batch) error {
+		var buf *bufferSet
+		if cfg.Gather {
+			select {
+			case buf = <-free:
+			case <-done:
+				return errStopped
+			}
 		}
-		select {
-		case buf := <-free:
-			return buf, true
-		case <-done:
-			return nil, false
+		if err := cfg.prepareBatch(b, buf); err != nil {
+			return err
 		}
+		return send(out, b)
 	}
 
-	out := make(chan *Batch, depth)
 	if cfg.CoupledSampler {
 		// Fused producer: sample→lookup→update→gather sequentially per
 		// batch, so cache-reading samplers observe exactly the serial
 		// residency sequence.
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer close(out)
-			defer func() {
-				if r := recover(); r != nil {
-					fail(recoveredErr("producer stage", r))
-				}
-			}()
-			for epoch := 0; epoch < cfg.Epochs; epoch++ {
-				for i, targets := range cfg.plan(epoch) {
-					if err := cfg.ctxErr(); err != nil {
-						fail(err)
-						return
-					}
-					b, err := cfg.sampleBatch(epoch, i, targets)
-					if err != nil {
-						fail(err)
-						return
-					}
-					buf, ok := acquire()
-					if !ok {
-						return
-					}
-					if err := cfg.prepareBatch(b, buf); err != nil {
-						fail(err)
-						return
-					}
-					select {
-					case out <- b:
-					case <-done:
-						return
-					}
-				}
-			}
-		}()
+		stage("producer stage", out, func() error { return cfg.produce(prepare) })
 	} else {
 		sampled := make(chan *Batch, depth)
-		wg.Add(1)
-		go func() { // sampler stage
-			defer wg.Done()
-			defer close(sampled)
-			defer func() {
-				if r := recover(); r != nil {
-					fail(recoveredErr("sampler stage", r))
-				}
-			}()
-			for epoch := 0; epoch < cfg.Epochs; epoch++ {
-				for i, targets := range cfg.plan(epoch) {
-					if err := cfg.ctxErr(); err != nil {
-						fail(err)
-						return
-					}
-					b, err := cfg.sampleBatch(epoch, i, targets)
-					if err != nil {
-						fail(err)
-						return
-					}
-					select {
-					case sampled <- b:
-					case <-done:
-						return
-					}
-				}
-			}
-		}()
-		wg.Add(1)
-		go func() { // cache lookup + gather stage
-			defer wg.Done()
-			defer close(out)
-			defer func() {
-				if r := recover(); r != nil {
-					fail(recoveredErr("gather stage", r))
-				}
-			}()
+		stage("sampler stage", sampled, func() error {
+			return cfg.produce(func(b *Batch) error { return send(sampled, b) })
+		})
+		stage("gather stage", out, func() error {
 			for b := range sampled {
-				buf, ok := acquire()
-				if !ok {
-					return
-				}
-				if err := cfg.prepareBatch(b, buf); err != nil {
-					fail(err)
-					return
-				}
-				select {
-				case out <- b:
-				case <-done:
-					return
+				if err := prepare(b); err != nil {
+					return err
 				}
 			}
-		}()
+			return nil
+		})
 	}
 
-	// Consumer: caller's goroutine.
-	epoch := 0
 	for b := range out {
-		if err := cfg.ctxErr(); err != nil {
-			return err
-		}
-		if b.Epoch != epoch {
-			if err := epochEnd(epoch); err != nil {
-				return err
-			}
-			epoch = b.Epoch
-		}
-		if err := consume(b); err != nil {
+		if err := deliver(b); err != nil {
 			return err
 		}
 		if b.buf != nil {
@@ -557,10 +491,8 @@ func runAsync(cfg Config, consume func(*Batch) error, epochEnd func(epoch int) e
 		}
 	}
 	// out closed: either the stages finished cleanly, or one failed and
-	// shut the channel early. A stage failure means the run is partial, so
-	// the final epochEnd must not fire.
-	if err := firstErr(); err != nil {
-		return err
-	}
-	return epochEnd(epoch)
+	// shut the channel early.
+	errMu.Lock()
+	defer errMu.Unlock()
+	return stageErr
 }

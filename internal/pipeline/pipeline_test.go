@@ -345,27 +345,51 @@ func TestPlanValidation(t *testing.T) {
 }
 
 // TestOrderingAndEpochEnds: batches arrive in strict (epoch, index)
-// order with epochEnd interleaved exactly once per epoch.
+// order with epochEnd interleaved exactly once per epoch, at every depth
+// and topology — the delivery step all of them share.
 func TestOrderingAndEpochEnds(t *testing.T) {
-	cfg := testConfig(t)
-	cfg.Prefetch = 4
-	ds, ends := runDigests(t, cfg)
-	wantEpoch, wantIndex := 0, 0
-	for _, d := range ds {
-		if d.index == 0 && d.epoch == wantEpoch+1 {
-			wantEpoch, wantIndex = d.epoch, 0
-		}
-		if d.epoch != wantEpoch || d.index != wantIndex {
-			t.Fatalf("out of order: got (%d,%d), want (%d,%d)", d.epoch, d.index, wantEpoch, wantIndex)
-		}
-		wantIndex++
-	}
-	if len(ends) != cfg.Epochs {
-		t.Fatalf("epochEnd called %d times, want %d", len(ends), cfg.Epochs)
-	}
-	for i, e := range ends {
-		if e != i {
-			t.Fatalf("epochEnd order %v", ends)
+	for _, prefetch := range []int{0, 1, 4} {
+		for _, coupled := range []bool{false, true} {
+			t.Run(fmt.Sprintf("prefetch=%d/coupled=%v", prefetch, coupled), func(t *testing.T) {
+				cfg := testConfig(t)
+				cfg.Prefetch = prefetch
+				cfg.CoupledSampler = coupled
+				var ds []digest
+				var ends []int
+				err := Run(cfg, func(b *Batch) error {
+					ds = append(ds, digest{epoch: b.Epoch, index: b.Index})
+					return nil
+				}, func(epoch int) error {
+					// Every batch of the epoch precedes its end, and
+					// none of the next.
+					if n := len(ds); n == 0 || ds[n-1].epoch != epoch {
+						t.Errorf("epochEnd(%d) after %d batches, the last not of epoch %d", epoch, n, epoch)
+					}
+					ends = append(ends, epoch)
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantEpoch, wantIndex := 0, 0
+				for _, d := range ds {
+					if d.index == 0 && d.epoch == wantEpoch+1 {
+						wantEpoch, wantIndex = d.epoch, 0
+					}
+					if d.epoch != wantEpoch || d.index != wantIndex {
+						t.Fatalf("out of order: got (%d,%d), want (%d,%d)", d.epoch, d.index, wantEpoch, wantIndex)
+					}
+					wantIndex++
+				}
+				if len(ends) != cfg.Epochs {
+					t.Fatalf("epochEnd called %d times, want %d", len(ends), cfg.Epochs)
+				}
+				for i, e := range ends {
+					if e != i {
+						t.Fatalf("epochEnd order %v", ends)
+					}
+				}
+			})
 		}
 	}
 }
@@ -434,21 +458,44 @@ func TestValidation(t *testing.T) {
 	}
 }
 
-// TestDefaultPrefetchClamps covers the process-wide setting.
+// TestDefaultPrefetchClamps pins the per-run depth at both ends: a
+// negative Prefetch runs inline (every batch gathers into the caller's
+// Scratch), and a huge one is capped at maxPrefetch, so the gather ring
+// never holds more than maxPrefetch+2 buffer sets. It counts buffer sets,
+// not goroutines: the tensor pool and the dataset loader start their own.
 func TestDefaultPrefetchClamps(t *testing.T) {
-	prev := DefaultPrefetch()
-	defer SetDefaultPrefetch(prev)
-	SetDefaultPrefetch(-5)
-	if got := DefaultPrefetch(); got != 0 {
-		t.Errorf("negative clamped to %d, want 0", got)
+	cfg := testConfig(t)
+	cfg.Prefetch = -5
+	cfg.Scratch = &Scratch{}
+	err := Run(cfg, func(b *Batch) error {
+		if b.buf != &cfg.Scratch.buf {
+			t.Fatalf("batch (%d,%d) gathered outside Scratch at prefetch -5", b.Epoch, b.Index)
+		}
+		return nil
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	SetDefaultPrefetch(1 << 20)
-	if got := DefaultPrefetch(); got != maxPrefetch {
-		t.Errorf("huge clamped to %d, want %d", got, maxPrefetch)
+
+	cfg = testConfig(t)
+	cfg.Epochs = 40
+	cfg.Prefetch = 1 << 20
+	sets := map[*bufferSet]bool{}
+	n := 0
+	err = Run(cfg, func(b *Batch) error {
+		sets[b.buf] = true
+		n++
+		return nil
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	SetDefaultPrefetch(4)
-	if got := DefaultPrefetch(); got != 4 {
-		t.Errorf("DefaultPrefetch = %d, want 4", got)
+	if n <= maxPrefetch+2 {
+		t.Fatalf("only %d batches: too few to tell a capped ring from an uncapped one", n)
+	}
+	if len(sets) > maxPrefetch+2 {
+		t.Errorf("prefetch 1<<20 drew %d distinct buffer sets over %d batches, want at most %d",
+			len(sets), n, maxPrefetch+2)
 	}
 }
 
