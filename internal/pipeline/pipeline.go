@@ -357,11 +357,13 @@ func Run(cfg Config, consume func(*Batch) error, epochEnd func(epoch int) error)
 		return consume(b)
 	}
 	if cfg.Prefetch > 0 {
-		err = runAsync(&cfg, deliver)
+		err = runAsync(cfg, deliver)
 	} else {
-		buf := &bufferSet{}
+		var buf *bufferSet
 		if cfg.Scratch != nil {
 			buf = &cfg.Scratch.buf
+		} else {
+			buf = &bufferSet{}
 		}
 		err = cfg.produce(func(b *Batch) error {
 			if err := cfg.prepareBatch(b, buf); err != nil {
@@ -382,8 +384,9 @@ func Run(cfg Config, consume func(*Batch) error, epochEnd func(epoch int) error)
 var errStopped = errors.New("pipeline: stopped")
 
 // runAsync runs the stages as goroutines, up to Prefetch batches ahead
-// of deliver.
-func runAsync(cfg *Config, deliver func(*Batch) error) error {
+// of deliver. It takes its own copy of cfg, which the stages share: only
+// that copy moves to the heap, so an inline run allocates no Config.
+func runAsync(cfg Config, deliver func(*Batch) error) error {
 	depth := min(cfg.Prefetch, maxPrefetch)
 
 	// done tears the stages down on early exit (consumer error): senders
