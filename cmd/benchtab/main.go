@@ -41,7 +41,7 @@ func main() {
 	var (
 		exp     = flag.String("exp", "all", "experiment to regenerate")
 		full    = flag.Bool("full", false, "full fidelity (slower, evaluation defaults)")
-		procs   = flag.Int("procs", 0, "tensor kernel workers (0 = GOMAXPROCS / $GNNAV_PROCS; 1 = serial)")
+		procs   = flag.Int("procs", 0, "tensor kernel workers (0 = GOMAXPROCS, 1 = serial; negative is an error)")
 		cpuProf = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProf = flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
 		timeout = flag.Duration("timeout", 0, "wall-clock watchdog (0 = none): exit with status 124 if the run exceeds this, so a hang fails a build instead of wedging it")
@@ -58,6 +58,9 @@ func main() {
 		})
 	}
 
+	if *procs < 0 {
+		log.Fatalf("-procs %d: a worker count cannot be negative (0 = GOMAXPROCS, 1 = serial)", *procs)
+	}
 	if *procs > 0 {
 		tensor.SetParallelism(*procs)
 	}

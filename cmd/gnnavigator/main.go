@@ -43,7 +43,7 @@ func main() {
 		epochs    = flag.Int("epochs", 3, "training epochs")
 		doTrain   = flag.Bool("train", false, "execute the chosen guideline after exploring")
 		seed      = flag.Int64("seed", 1, "random seed")
-		procs     = flag.Int("procs", 0, "tensor kernel workers (0 = GOMAXPROCS / $GNNAV_PROCS; 1 = serial)")
+		procs     = flag.Int("procs", 0, "tensor kernel workers (0 = GOMAXPROCS, 1 = serial; negative is an error)")
 		prefetch  = flag.Int("prefetch", 0, "minibatch pipeline depth for calibration and training (<= 0 = inline; results identical at any depth)")
 		savePlan  = flag.String("save-plan", "", "compile the training run's epoch plan and write it to this file (with -train)")
 		loadPlan  = flag.String("load-plan", "", "replay a compiled epoch plan from this file instead of sampling live (default $GNNAV_PLAN; with -train)")
@@ -68,6 +68,9 @@ func main() {
 		log.Fatalf("unknown precision %q; have %v", *precision, cache.Precisions())
 	}
 
+	if *procs < 0 {
+		log.Fatalf("-procs %d: a worker count cannot be negative (0 = GOMAXPROCS, 1 = serial)", *procs)
+	}
 	if *procs > 0 {
 		tensor.SetParallelism(*procs)
 	}
@@ -154,8 +157,7 @@ func main() {
 		Resume:          *resume,
 		SaveModel:       *saveModel,
 		// -procs also governs the Navigator's coarse fan-outs (calibration
-		// runs, explorer predictions); 0 inherits the tensor default set
-		// above, so GNNAV_PROCS flows through end to end.
+		// runs, explorer predictions); 0 inherits the tensor default.
 		Parallelism: *procs,
 		Seed:        *seed,
 	})

@@ -17,6 +17,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -50,13 +51,13 @@ func main() {
 		prefetch  = flag.Int("prefetch", 0, "engine pipeline depth (<= 0 inline; results identical at any depth)")
 		fanout    = flag.Int("fanout", 15, "neighbors sampled per layer (0 = whole neighborhood)")
 		seed      = flag.Int64("seed", 1, "sampling seed (predictions are a pure function of seed+targets)")
-		procs     = flag.Int("procs", 0, "tensor kernel workers (0 = GOMAXPROCS / $GNNAV_PROCS; 1 = serial)")
+		procs     = flag.Int("procs", 0, "tensor kernel workers (0 = GOMAXPROCS, 1 = serial; negative is an error)")
 	)
 	flag.Parse()
 	log.SetFlags(log.LstdFlags | log.Lmsgprefix)
 	log.SetPrefix("gnnserve: ")
-	if *modelPath == "" {
-		fmt.Fprintln(os.Stderr, "gnnserve: -model is required")
+	if err := checkFlags(*modelPath, *procs); err != nil {
+		fmt.Fprintln(os.Stderr, "gnnserve:", err)
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -164,4 +165,16 @@ func buildSource(g *graph.Graph, policy cache.Policy, ratio float64, prec cache.
 		return src, fmt.Sprintf("no cache, %s transfers", prec.OrDefault()), nil
 	}
 	return src, fmt.Sprintf("%s cache, %d rows, %s", policy, capVertices, prec.OrDefault()), nil
+}
+
+// checkFlags rejects the flag values main cannot start with: a missing
+// -model and a negative -procs.
+func checkFlags(modelPath string, procs int) error {
+	if modelPath == "" {
+		return errors.New("-model is required")
+	}
+	if procs < 0 {
+		return fmt.Errorf("-procs %d: a worker count cannot be negative (0 = GOMAXPROCS, 1 = serial)", procs)
+	}
+	return nil
 }

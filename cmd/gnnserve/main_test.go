@@ -107,3 +107,21 @@ func TestBuildSourceLRUIsCached(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckFlagsRejectsNegativeProcs pins that a negative -procs stops
+// the server at startup, naming the flag, instead of silently running
+// at the default worker count.
+func TestCheckFlagsRejectsNegativeProcs(t *testing.T) {
+	err := checkFlags("m.gnav", -1)
+	if err == nil || !strings.Contains(err.Error(), "-procs -1") {
+		t.Fatalf("-procs -1: error %v, want one naming -procs -1", err)
+	}
+	for _, procs := range []int{0, 1, 4} {
+		if err := checkFlags("m.gnav", procs); err != nil {
+			t.Errorf("-procs %d refused: %v", procs, err)
+		}
+	}
+	if err := checkFlags("", 0); err == nil || !strings.Contains(err.Error(), "-model") {
+		t.Errorf("missing -model: error %v", err)
+	}
+}

@@ -348,7 +348,7 @@ func TestEvaluateErrors(t *testing.T) {
 
 // TestParamsAtFullScaleMatchesBuiltModel pins the closed form to the
 // model it describes: for every registered dataset, architecture and
-// depth, ParamsAtFullScale equals the parameter count of the model
+// depth, paramsAtFullScale equals the parameter count of the model
 // model.New builds at the paper-scale input dimension, whatever the GAT
 // head count.
 func TestParamsAtFullScaleMatchesBuiltModel(t *testing.T) {
@@ -357,7 +357,7 @@ func TestParamsAtFullScaleMatchesBuiltModel(t *testing.T) {
 		for _, kind := range []model.Kind{model.GCN, model.SAGE, model.GAT} {
 			for layers := 1; layers <= 3; layers++ {
 				cfg := Config{Model: kind, Hidden: 32, Layers: layers}
-				got := ParamsAtFullScale(cfg, ds)
+				got := paramsAtFullScale(cfg, ds)
 				for _, heads := range []int{1, 2, 4} {
 					m, err := model.New(model.Config{
 						Kind: kind, InDim: ds.FullFeatDim, Hidden: cfg.Hidden,

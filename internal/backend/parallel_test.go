@@ -5,7 +5,20 @@ import (
 
 	"gnnavigator/internal/dataset"
 	"gnnavigator/internal/model"
+	"gnnavigator/internal/tensor"
 )
+
+// runAtWorkers runs cfg with the process-wide tensor worker count set
+// to workers for the run's duration.
+func runAtWorkers(t *testing.T, cfg Config, opts Options, workers int) *Perf {
+	t.Helper()
+	defer tensor.WithParallelism(workers)()
+	perf, err := RunWith(cfg, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return perf
+}
 
 // TestRunParallelBitwiseEqualSerial runs full training (sampling, cache,
 // gather, forward, backward, Adam) at parallelism 1 and 4 with the same
@@ -21,14 +34,8 @@ func TestRunParallelBitwiseEqualSerial(t *testing.T) {
 	cfg.Epochs = 2
 	cfg.BatchSize = 256
 
-	serial, err := RunWith(cfg, Options{EvalBatch: 256, Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := RunWith(cfg, Options{EvalBatch: 256, Parallelism: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := runAtWorkers(t, cfg, Options{EvalBatch: 256}, 1)
+	par := runAtWorkers(t, cfg, Options{EvalBatch: 256}, 4)
 
 	if serial.Accuracy != par.Accuracy {
 		t.Errorf("accuracy %v (serial) != %v (parallel)", serial.Accuracy, par.Accuracy)
@@ -63,14 +70,8 @@ func TestRunGATParallel(t *testing.T) {
 	cfg.BatchSize = 128
 	cfg.Fanouts = []int{5, 5}
 
-	serial, err := RunWith(cfg, Options{EvalBatch: 128, Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := RunWith(cfg, Options{EvalBatch: 128, Parallelism: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := runAtWorkers(t, cfg, Options{EvalBatch: 128}, 1)
+	par := runAtWorkers(t, cfg, Options{EvalBatch: 128}, 4)
 	if serial.Accuracy != par.Accuracy {
 		t.Errorf("GAT accuracy %v (serial) != %v (parallel)", serial.Accuracy, par.Accuracy)
 	}

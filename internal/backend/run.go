@@ -3,14 +3,12 @@ package backend
 import (
 	"context"
 	"fmt"
-	"math"
 	"time"
 
 	"gnnavigator/internal/cache"
 	"gnnavigator/internal/dataset"
 	"gnnavigator/internal/dist"
 	"gnnavigator/internal/graph"
-	"gnnavigator/internal/hw"
 	"gnnavigator/internal/infer"
 	"gnnavigator/internal/model"
 	"gnnavigator/internal/nn"
@@ -73,13 +71,6 @@ type Options struct {
 	SkipTraining bool
 	// EvalBatch limits validation to this many vertices (0 = all).
 	EvalBatch int
-	// Parallelism overrides the tensor worker count for this run
-	// (0 = keep the process-wide setting; 1 = serial deterministic
-	// reference path). Outputs are bitwise-identical at any setting.
-	// The override mutates the process-wide tensor setting for the
-	// run's duration (restored on return), so runs with different
-	// non-zero Parallelism values must not execute concurrently.
-	Parallelism int
 	// Prefetch is the minibatch pipeline depth: sampling, cache lookup
 	// and feature gather for batch i+k overlap training compute for
 	// batch i (internal/pipeline). <= 0 runs the inline serial loop.
@@ -133,16 +124,6 @@ type Options struct {
 	SaveModelPath string
 }
 
-// applyParallelism installs the Options.Parallelism override as the
-// process-wide tensor worker count and returns the restore function
-// (a no-op when no override is set). Callers that fan many runs out
-// concurrently (estimator.CollectWith) must hoist this around the whole
-// fan-out — apply once, clear the per-run field — rather than let each
-// run mutate the global setting; see tensor.WithParallelism.
-func (o Options) applyParallelism() (restore func()) {
-	return tensor.WithParallelism(o.Parallelism)
-}
-
 // Run executes cfg on the backend and returns its performance.
 func Run(cfg Config) (*Perf, error) { return RunWith(cfg, Options{}) }
 
@@ -150,9 +131,8 @@ func Run(cfg Config) (*Perf, error) { return RunWith(cfg, Options{}) }
 //
 // Concurrent RunWith calls are safe and deterministic — each run owns
 // its sampler, cache, model, workspace and RNG chain, and the shared
-// dataset/profile/baseline memoizations are locked — provided at most
-// one distinct Options.Parallelism override is active at a time (see
-// applyParallelism). The Step-1 calibration fan-out relies on this.
+// dataset/profile/baseline memoizations are locked. The Step-1
+// calibration fan-out relies on this.
 func RunWith(cfg Config, opts Options) (*Perf, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -181,8 +161,6 @@ func RunWith(cfg Config, opts Options) (*Perf, error) {
 			return nil, fmt.Errorf("backend: checkpoint %s: %d accuracy entries for %d epochs", opts.ResumeFrom, len(ck.AccHistory), ck.Epochs)
 		}
 	}
-	restore := opts.applyParallelism()
-	defer restore()
 	start := time.Now()
 	ds, err := dataset.Load(cfg.Dataset)
 	if err != nil {
@@ -195,7 +173,7 @@ func RunWith(cfg Config, opts Options) (*Perf, error) {
 			return nil, fmt.Errorf("backend: reorder: %w", err)
 		}
 	}
-	plat, _ := hw.Profile(cfg.Platform)
+	pr := NewPricing(cfg, ds)
 
 	// Every run gathers through one feature plane: the direct graph
 	// source when nothing is cached, the cached source otherwise.
@@ -290,15 +268,10 @@ func RunWith(cfg Config, opts Options) (*Perf, error) {
 	// Every batch is priced with the closed-form FLOPs count, so a
 	// timing-only run builds a model only where the all-reduce sizes its
 	// payload from the parameters (K > 1).
-	mcfg := model.Config{
-		Kind: cfg.Model, InDim: g.FeatDim, Hidden: cfg.Hidden,
-		OutDim: g.NumClasses, Layers: cfg.Layers, Heads: cfg.Heads,
-		Dropout: cfg.Dropout, Seed: cfg.Seed + 7,
-	}
 	var mdl *model.Model
 	var opt nn.Optimizer
 	if !opts.SkipTraining || devices > 1 {
-		if mdl, err = model.New(mcfg); err != nil {
+		if mdl, err = model.New(pr.Model); err != nil {
 			return nil, err
 		}
 	}
@@ -316,7 +289,7 @@ func RunWith(cfg Config, opts Options) (*Perf, error) {
 			blk := &mb.Blocks[l]
 			shapes[l] = model.Shape{Src: len(blk.SrcNodes), Dst: blk.DstCount, Edges: blk.NumEdges()}
 		}
-		return model.CountFLOPs(mcfg, shapes)
+		return pr.FLOPs(shapes)
 	}
 
 	// The gradient all-reduce: created whenever K > 1 so its modeled
@@ -329,40 +302,6 @@ func RunWith(cfg Config, opts Options) (*Perf, error) {
 		if red, err = dist.NewReducer(devices, mdl.Params()); err != nil {
 			return nil, err
 		}
-	}
-
-	// Effective vertex scale: a full-scale mini-batch is NOT the measured
-	// batch times |V_full|/|V_scaled| — on big graphs fanouts, not graph
-	// size, bound batch growth. The expected full-scale batch follows the
-	// collision (balls-in-bins) form of Eq. 12's overlap penalty:
-	//
-	//	E[|V_i|_full] = N_full · (1 - e^(-bound/N_full))
-	//
-	// with bound = |B_0|·Π(1+k_l) the τ=1 limit. The effective scale is
-	// that expectation divided by the measured batch, capped by the plain
-	// linear scale. Without this, products-scale workloads would absurdly
-	// touch the whole 2.4M-vertex graph every iteration.
-	fullBound := AnalyticFullBound(cfg, ds)
-	nFull := float64(ds.FullVertices)
-	collisionFull := nFull * (1 - math.Exp(-fullBound/nFull))
-	effScale := func(measuredVi int) float64 {
-		s := ds.Scale
-		if measuredVi > 0 {
-			if b := collisionFull / float64(measuredVi); b < s {
-				s = b
-			}
-		}
-		if s < 1 {
-			s = 1
-		}
-		return s
-	}
-	featShare := FeatureFLOPShare(cfg, g.FeatDim)
-	// Full-scale all-reduce payload per step: |Φ| scalars at the 4-byte
-	// transfer currency (the simulator applies the ring wire factor).
-	var arBytes float64
-	if devices > 1 {
-		arBytes = float64(ParamsAtFullScale(cfg, ds)) * 4
 	}
 
 	perf := &Perf{Feasible: true}
@@ -403,30 +342,18 @@ func RunWith(cfg Config, opts Options) (*Perf, error) {
 		if err != nil {
 			return err
 		}
-		vols := sim.BatchVolumes{
-			SampledVertices:  mb.NumVertices,
-			TargetVertices:   len(b.Targets),
-			InputVertices:    len(mb.InputNodes),
-			MissVertices:     b.Miss,
-			TransferBytes:    float64(b.TransferBytes),
-			CacheUpdateOps:   b.CacheOps,
-			SampledEdges:     mb.NumEdges,
-			FLOPs:            flops,
-			FeatureFLOPShare: featShare,
-			ScaledFeatDim:    g.FeatDim,
-			Layers:           cfg.Layers,
-			WalkSteps:        walkSteps * len(b.Targets),
-			HaloBytes:        float64(b.HaloBytes),
-			AllReduceBytes:   arBytes,
-		}
-		wl := sim.Workload{
-			VertexScale:    effScale(mb.NumVertices),
-			FeatDim:        ds.FullFeatDim,
-			BytesPerScalar: 4,
-			Precision:      prec,
-			Devices:        devices,
-		}
-		bt := sim.EstimateBatch(vols, plat, wl)
+		bt := pr.Batch(sim.BatchVolumes{
+			SampledVertices: mb.NumVertices,
+			TargetVertices:  len(b.Targets),
+			InputVertices:   len(mb.InputNodes),
+			MissVertices:    b.Miss,
+			TransferBytes:   float64(b.TransferBytes),
+			CacheUpdateOps:  b.CacheOps,
+			SampledEdges:    mb.NumEdges,
+			FLOPs:           flops,
+			WalkSteps:       walkSteps * len(b.Targets),
+			HaloBytes:       float64(b.HaloBytes),
+		}, pr.Workload(float64(mb.NumVertices)))
 		timings = append(timings, bt)
 		sumTiming.TSample += bt.TSample
 		sumTiming.TTransfer += bt.TTransfer
@@ -566,37 +493,10 @@ func RunWith(cfg Config, opts Options) (*Perf, error) {
 	perf.HitRate = src.HitRate()
 	perf.TransferredBytes = src.TransferredBytes()
 
-	// Eq. 9-10 memory at paper scale.
-	hidden := 0
-	for l := 0; l < cfg.Layers; l++ {
-		if l == cfg.Layers-1 {
-			hidden += g.NumClasses
-		} else {
-			hidden += cfg.Hidden
-		}
-	}
-	// Per-edge messages carry the hidden width: scatter-gather frameworks
-	// transform before aggregating whenever the input width exceeds the
-	// output width, so the buffer never exceeds the hidden dimension.
-	wl := sim.Workload{
-		VertexScale:    effScale(perf.PeakBatchSize),
-		FeatDim:        ds.FullFeatDim,
-		BytesPerScalar: 4,
-		Precision:      prec,
-		Devices:        devices,
-	}
-	mem := sim.EstimateMemory(sim.MemoryVolumes{
-		ModelParams:       ParamsAtFullScale(cfg, ds),
-		CacheVertices:     prec.EffectiveCacheRows(cfg.CacheRatio, float64(ds.FullVertices), ds.FullFeatDim),
-		PeakBatchVertices: perf.PeakBatchSize,
-		PeakBatchEdges:    perf.PeakBatchEdges,
-		HiddenDims:        hidden,
-		MaxWidth:          cfg.Hidden,
-		Layers:            cfg.Layers,
-	}, wl)
-	perf.Breakdown = mem
-	perf.MemoryGB = mem.Total() / 1e9
-	perf.Feasible = sim.FitsDevice(mem, plat, 0.02)
+	// Eq. 9-10 memory at paper scale, under the peak batch's workload.
+	perf.Breakdown, perf.Feasible = pr.Memory(perf.PeakBatchSize, perf.PeakBatchEdges,
+		pr.Workload(float64(perf.PeakBatchSize)))
+	perf.MemoryGB = perf.Breakdown.Total() / 1e9
 	perf.WallSec = time.Since(start).Seconds()
 	return perf, nil
 }
@@ -735,69 +635,4 @@ func CompilePlan(cfg Config) (*plan.Plan, error) {
 		return nil, err
 	}
 	return plan.Shared(g, preSmp, runPlanKey(cfg, preSmp, ds.TrainIdx), ds.TrainIdx)
-}
-
-// AnalyticFullBound is the τ=1 bound of Eq. 12 at paper scale: the
-// maximum distinct vertices one batch can touch, with fanouts capped by
-// the full-scale average degree. The estimator prices its predictions
-// with the same rule.
-func AnalyticFullBound(cfg Config, ds *dataset.Dataset) float64 {
-	b0 := float64(cfg.BatchSize)
-	switch cfg.Sampler {
-	case SamplerSAINT:
-		return b0 * float64(cfg.WalkLength+1)
-	case SamplerFastGCN:
-		total := b0
-		for _, k := range cfg.Fanouts {
-			total += float64(k) * b0 / 2
-		}
-		return total
-	default:
-		prod := b0
-		for _, k := range cfg.Fanouts {
-			kk := float64(k)
-			if kk > ds.FullAvgDegree {
-				kk = ds.FullAvgDegree
-			}
-			prod *= 1 + kk
-		}
-		return prod
-	}
-}
-
-// FeatureFLOPShare estimates the fraction of model FLOPs proportional to
-// the input feature dimension: the first layer's dense work dominates when
-// in >> hidden.
-func FeatureFLOPShare(cfg Config, featDim int) float64 {
-	in := float64(featDim)
-	rest := float64(cfg.Hidden) * float64(max(cfg.Layers-1, 1))
-	return in / (in + rest)
-}
-
-// ParamsAtFullScale is |Φ| at paper scale in closed form: what
-// model.New builds for cfg when the first layer's input is the full
-// attribute dimension (weights + bias per layer; SAGE carries a self
-// and a neighbor path, GAT two attention vectors of the output width
-// whatever the head count).
-func ParamsAtFullScale(cfg Config, ds *dataset.Dataset) int {
-	total := 0
-	for l := 0; l < cfg.Layers; l++ {
-		li := cfg.Hidden
-		if l == 0 {
-			li = ds.FullFeatDim
-		}
-		lo := cfg.Hidden
-		if l == cfg.Layers-1 {
-			lo = ds.Graph.NumClasses
-		}
-		switch cfg.Model {
-		case model.SAGE:
-			total += 2*li*lo + 2*lo
-		case model.GAT:
-			total += li*lo + 3*lo
-		default:
-			total += li*lo + lo
-		}
-	}
-	return total
 }

@@ -77,10 +77,11 @@ type Input struct {
 	// concurrent calibration profiling runs of Step 1
 	// (estimator.CollectWith) and the concurrent estimator predictions of
 	// Step 2 (dse.Explorer.Workers). 0 = the process-wide tensor worker
-	// default (GOMAXPROCS / $GNNAV_PROCS / -procs), 1 = serial. Every
-	// fan-out is index-stamped, so Guidelines and calibration records are
-	// bitwise-identical at any value — like Prefetch, this is purely a
-	// wall-clock knob.
+	// count (tensor.Parallelism: GOMAXPROCS unless a CLI's -procs set
+	// it), 1 = serial; the kernels inside each run keep the process-wide
+	// count either way. Every fan-out is index-stamped, so Guidelines and
+	// calibration records are bitwise-identical at any value — like
+	// Prefetch, this is purely a wall-clock knob.
 	Parallelism int
 
 	// SavePlan, when non-empty, compiles the final training run's epoch

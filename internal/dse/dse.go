@@ -209,8 +209,9 @@ type Explorer struct {
 	// DisablePruning turns constraint pruning off (ablation).
 	DisablePruning bool
 	// Workers bounds how many estimator.Predict calls run concurrently
-	// during Explore: 0 = the process-wide tensor worker default
-	// (GOMAXPROCS / $GNNAV_PROCS / -procs), 1 = serial. Evaluation
+	// during Explore: 0 = the process-wide tensor worker count
+	// (tensor.Parallelism: GOMAXPROCS unless a CLI's -procs set it),
+	// 1 = serial. Evaluation
 	// results are index-stamped into the DFS leaf order, so Candidates,
 	// Pareto and every Decide over them are bitwise-identical at any
 	// worker count.

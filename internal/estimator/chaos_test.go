@@ -5,7 +5,6 @@ import (
 	"errors"
 	"reflect"
 	"testing"
-	"time"
 
 	"gnnavigator/internal/backend"
 	"gnnavigator/internal/dataset"
@@ -13,12 +12,6 @@ import (
 	"gnnavigator/internal/model"
 	"gnnavigator/internal/plan"
 )
-
-// fastRetry shrinks the backoff so chaos tests don't sleep; restore the
-// previous policy in defer.
-func fastRetry(attempts int) RetryPolicy {
-	return RetryPolicy{Attempts: attempts, BaseDelay: time.Microsecond, MaxDelay: 10 * time.Microsecond}
-}
 
 // probeCfgs draws a pair of cheap probe configs for the retry tests.
 func probeCfgs() []backend.Config {
@@ -35,7 +28,6 @@ func TestChaosProbeRetryRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reference collect: %v", err)
 	}
-	defer SetRetryPolicy(SetRetryPolicy(fastRetry(3)))
 	// The first probe fails its first two attempts and succeeds on the
 	// third; Count 2 then leaves the schedule exhausted for the second
 	// probe — two consecutive failures is exactly what 3 attempts absorb.
@@ -59,14 +51,13 @@ func TestChaosProbeRetryRecovers(t *testing.T) {
 // sweep fails, it does not hang or loop forever.
 func TestChaosProbeRetryExhausted(t *testing.T) {
 	defer faultinject.Reset()
-	defer SetRetryPolicy(SetRetryPolicy(fastRetry(3)))
 	faultinject.Arm(faultinject.EstimatorProbe, faultinject.Spec{Kind: faultinject.Error})
 	before := faultinject.Hits(faultinject.EstimatorProbe)
 	_, err := CollectWith(probeCfgs(), false, 1)
 	if !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("exhausted retries returned %v, want ErrInjected", err)
 	}
-	// The failing probe was tried exactly Attempts times, then gave up
+	// The failing probe was tried exactly probeAttempts times, then gave up
 	// (the fan-out short-circuits, so only one probe's attempts count).
 	if n := faultinject.Hits(faultinject.EstimatorProbe) - before; n != 3 {
 		t.Errorf("probe site hit %d times, want exactly 3 attempts", n)
@@ -78,7 +69,6 @@ func TestChaosProbeRetryExhausted(t *testing.T) {
 // toward an already-dead deadline.
 func TestChaosProbeNoRetryOnCancel(t *testing.T) {
 	defer faultinject.Reset()
-	defer SetRetryPolicy(SetRetryPolicy(fastRetry(5)))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	before := faultinject.Hits(faultinject.EstimatorProbe)
@@ -96,7 +86,6 @@ func TestChaosProbeNoRetryOnCancel(t *testing.T) {
 // worker count.
 func TestChaosProbeFailureReleasesPlans(t *testing.T) {
 	defer faultinject.Reset()
-	defer SetRetryPolicy(SetRetryPolicy(fastRetry(1)))
 	cfgs := sharedProbeSet(t)
 	held := plan.Held()
 	for _, workers := range []int{1, 2, 4} {

@@ -181,75 +181,33 @@ func probeAccuracy(d *dataset.Dataset) float64 {
 	return nn.Accuracy(lin.Forward(xv), vLabels)
 }
 
-// RetryPolicy bounds the transient-failure retry loop around each
-// calibration profiling run (see CollectWith): up to Attempts total
-// tries, sleeping an exponentially growing backoff between them —
-// BaseDelay doubled per retry, capped at MaxDelay. Retrying is safe
-// because a probe run is deterministic and side-effect-free on failure:
-// the package's memoizations (dataset stats, baseline accuracy, the
-// calibration cache) single-flight and store success only, so a retry
-// re-executes from a clean slate and — when it succeeds — yields the
-// exact records an unfaulted run would have produced.
-type RetryPolicy struct {
-	Attempts  int
-	BaseDelay time.Duration
-	MaxDelay  time.Duration
-}
-
-// DefaultRetryPolicy is the probe retry policy CollectWith starts with:
-// three total attempts, 5ms backoff doubling to a 50ms cap — enough to
+// The probe retry policy bounds the transient-failure retry loop around
+// each calibration profiling run (see CollectWith): up to probeAttempts
+// total tries, sleeping an exponentially growing backoff between them —
+// probeBaseDelay doubled per retry, capped at probeMaxDelay — enough to
 // ride out transient failures without meaningfully delaying a genuine
-// (persistent) one.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{Attempts: 3, BaseDelay: 5 * time.Millisecond, MaxDelay: 50 * time.Millisecond}
-}
-
-var (
-	retryMu    sync.Mutex
-	probeRetry = DefaultRetryPolicy()
+// (persistent) one. Retrying is safe because a probe run is
+// deterministic and side-effect-free on failure: the package's
+// memoizations (dataset stats, baseline accuracy, the calibration cache)
+// single-flight and store success only, so a retry re-executes from a
+// clean slate and — when it succeeds — yields the exact records an
+// unfaulted run would have produced.
+const (
+	probeAttempts  = 3
+	probeBaseDelay = 5 * time.Millisecond
+	probeMaxDelay  = 50 * time.Millisecond
 )
-
-// SetRetryPolicy replaces the probe retry policy and returns the
-// previous one (restore it in defer); zero/negative fields fall back to
-// the defaults. Attempts 1 disables retrying entirely.
-func SetRetryPolicy(p RetryPolicy) RetryPolicy {
-	d := DefaultRetryPolicy()
-	if p.Attempts < 1 {
-		p.Attempts = d.Attempts
-	}
-	if p.BaseDelay <= 0 {
-		p.BaseDelay = d.BaseDelay
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = d.MaxDelay
-	}
-	retryMu.Lock()
-	defer retryMu.Unlock()
-	prev := probeRetry
-	probeRetry = p
-	return prev
-}
-
-func retryPolicy() RetryPolicy {
-	retryMu.Lock()
-	defer retryMu.Unlock()
-	return probeRetry
-}
 
 // runProbe executes one calibration profiling run under the retry
 // policy. Context errors are terminal: a cancelled sweep must stop, not
 // retry its way past the deadline.
 func runProbe(cfg backend.Config, opts backend.Options) (*backend.Perf, error) {
-	pol := retryPolicy()
-	delay := pol.BaseDelay
+	delay := probeBaseDelay
 	var err error
-	for attempt := 0; attempt < pol.Attempts; attempt++ {
+	for attempt := 0; attempt < probeAttempts; attempt++ {
 		if attempt > 0 {
 			time.Sleep(delay)
-			delay *= 2
-			if delay > pol.MaxDelay {
-				delay = pol.MaxDelay
-			}
+			delay = min(2*delay, probeMaxDelay)
 		}
 		if opts.Ctx != nil {
 			if cerr := opts.Ctx.Err(); cerr != nil {
@@ -282,9 +240,10 @@ type Record struct {
 // withAccuracy is false the NN training step is skipped (records then
 // carry zero accuracy and are excluded from accuracy-model training).
 // An optional Options value tunes run fidelity knobs (pipeline prefetch,
-// parallelism) for every profiling run; SkipTraining is always derived
-// from withAccuracy. Perf outputs are bitwise-identical across those
-// knobs, so they change profiling wall time only, never the records.
+// cancellation) for every profiling run; SkipTraining is always derived
+// from withAccuracy. Perf outputs are bitwise-identical across prefetch
+// depths, so the depth changes profiling wall time only, never the
+// records.
 //
 // Collect fans the profiling runs — the dominant cost of Step-1
 // calibration — out by sampling core across the process-wide default
@@ -301,7 +260,7 @@ func Collect(cfgs []backend.Config, withAccuracy bool, opts ...backend.Options) 
 // into the cfgs order, so the output is identical at every worker count
 // (WallSec, which measures host time, is the one informational
 // exception). Transient per-probe failures retry with bounded
-// exponential backoff (RetryPolicy); a probe that still fails after the
+// exponential backoff (probeAttempts); a probe that still fails after the
 // last attempt fails the sweep, and context cancellation is never
 // retried.
 //
@@ -323,15 +282,6 @@ func CollectWith(cfgs []backend.Config, withAccuracy bool, workers int, opts ...
 	runOpts.SharePlan = true
 	if workers <= 0 {
 		workers = tensor.Parallelism()
-	}
-	if workers > 1 && runOpts.Parallelism > 0 {
-		// Hoist the per-run tensor override into one scope around the
-		// whole fan-out (see tensor.WithParallelism): concurrent RunWith
-		// calls each setting and restoring the process-wide worker count
-		// would interleave their restores and could leave the override
-		// stuck after the last run returns.
-		defer tensor.WithParallelism(runOpts.Parallelism)()
-		runOpts.Parallelism = 0
 	}
 	out := make([]Record, len(cfgs))
 	collect := func(i int) error {
@@ -828,7 +778,6 @@ func (e *Estimator) Predict(cfg backend.Config) (Prediction, error) {
 	}
 	st := ProfileDataset(ds)
 	f := features(cfg, st)
-	plat, _ := hw.Profile(cfg.Platform)
 
 	vi := e.PredictBatchSize(cfg, st)
 	edgeRatio := math.Exp(e.edgePerVertex.Predict(f))
@@ -844,82 +793,47 @@ func (e *Estimator) Predict(cfg backend.Config) (Prediction, error) {
 	}
 
 	// Analytic FLOPs via the real per-layer formulas on predicted counts.
-	flops, err := analyticFLOPs(cfg, ds, vi, edges)
+	pr := backend.NewPricing(cfg, ds)
+	flops, err := analyticFLOPs(&pr, cfg, vi, edges)
 	if err != nil {
 		return Prediction{}, err
 	}
 
-	// Mirror the backend's effective-scale rule: the expected full-scale
-	// batch is the collision form N_full·(1-e^(-bound/N_full)).
-	nFull := float64(ds.FullVertices)
-	collisionFull := nFull * (1 - math.Exp(-backend.AnalyticFullBound(cfg, ds)/nFull))
-	scale := ds.Scale
-	if b := collisionFull / math.Max(vi, 1); b < scale {
-		scale = b
-	}
-	if scale < 1 {
-		scale = 1
-	}
-	wl := sim.Workload{VertexScale: scale, FeatDim: ds.FullFeatDim, BytesPerScalar: 4,
-		Precision: cfg.FeaturePrecision(), Devices: cfg.DeviceCount()}
+	// Predicted volumes are priced under the mean batch's workload, for
+	// memory too.
+	wl := pr.Workload(vi)
 	walkSteps := 0
 	if cfg.Sampler == backend.SamplerSAINT {
 		walkSteps = cfg.WalkLength * cfg.BatchSize
 	}
-	// Scale-out comm volumes: under a random (owner-uniform) partition a
-	// batch row is remote with probability (K-1)/K, so the expected halo
-	// payload is that fraction of the batch's rows at the scaled storage
-	// width (greedy partitions cut less; the time residual corrects). The
-	// all-reduce moves the full-scale parameter payload each step.
-	var haloBytes, arBytes float64
+	// Under a random (owner-uniform) partition a batch row is remote with
+	// probability (K-1)/K, so the expected halo payload is that fraction
+	// of the batch's rows at the scaled storage width (greedy partitions
+	// cut less; the time residual corrects).
+	var haloBytes float64
 	if k := float64(cfg.DeviceCount()); k > 1 {
 		haloBytes = vi * (k - 1) / k * float64(cfg.FeaturePrecision().RowBytes(ds.Graph.FeatDim))
-		arBytes = float64(backend.ParamsAtFullScale(cfg, ds)) * 4
 	}
-	vols := sim.BatchVolumes{
-		SampledVertices:  int(vi),
-		TargetVertices:   cfg.BatchSize,
-		InputVertices:    int(vi),
-		MissVertices:     int(miss),
-		CacheUpdateOps:   int(updates),
-		SampledEdges:     int(edges),
-		FLOPs:            flops,
-		FeatureFLOPShare: backend.FeatureFLOPShare(cfg, ds.Graph.FeatDim),
-		ScaledFeatDim:    ds.Graph.FeatDim,
-		Layers:           cfg.Layers,
-		WalkSteps:        walkSteps,
-		HaloBytes:        haloBytes,
-		AllReduceBytes:   arBytes,
-	}
-	bt := sim.EstimateBatch(vols, plat, wl)
-	nIter := math.Ceil(float64(len(ds.TrainIdx)) / float64(cfg.BatchSize))
-	timeSec := nIter * bt.Critical()
-
-	peak := vi * math.Max(e.peakRatio.Predict(f), 1)
-	hidden := 0
-	for l := 0; l < cfg.Layers; l++ {
-		if l == cfg.Layers-1 {
-			hidden += ds.Graph.NumClasses
-		} else {
-			hidden += cfg.Hidden
-		}
-	}
-	mem := sim.EstimateMemory(sim.MemoryVolumes{
-		ModelParams:       backend.ParamsAtFullScale(cfg, ds),
-		CacheVertices:     cfg.FeaturePrecision().EffectiveCacheRows(cfg.CacheRatio, float64(ds.FullVertices), ds.FullFeatDim),
-		PeakBatchVertices: int(peak),
-		PeakBatchEdges:    int(edges * math.Max(e.peakRatio.Predict(f), 1)),
-		HiddenDims:        hidden,
-		MaxWidth:          cfg.Hidden,
-		Layers:            cfg.Layers,
+	bt := pr.Batch(sim.BatchVolumes{
+		SampledVertices: int(vi),
+		TargetVertices:  cfg.BatchSize,
+		InputVertices:   int(vi),
+		MissVertices:    int(miss),
+		CacheUpdateOps:  int(updates),
+		SampledEdges:    int(edges),
+		FLOPs:           flops,
+		WalkSteps:       walkSteps,
+		HaloBytes:       haloBytes,
 	}, wl)
+	peakRatio := math.Max(e.peakRatio.Predict(f), 1)
+	mem, fits := pr.Memory(int(vi*peakRatio), int(edges*peakRatio), wl)
 
 	pred := Prediction{
-		TimeSec:   timeSec,
+		TimeSec:   math.Ceil(float64(len(ds.TrainIdx))/float64(cfg.BatchSize)) * bt.Critical(),
 		MemoryGB:  mem.Total() / 1e9,
 		BatchSize: vi,
 		HitRate:   hit,
-		Feasible:  sim.FitsDevice(mem, plat, 0.02),
+		Feasible:  fits,
 		Breakdown: mem,
 	}
 	if e.accTrained {
@@ -933,9 +847,9 @@ func (e *Estimator) Predict(cfg backend.Config) (Prediction, error) {
 }
 
 // analyticFLOPs prices predicted batch volumes with the model's closed
-// FLOPs form, with per-layer widths interpolated geometrically between
-// the target count (output side) and |V_i| (input side).
-func analyticFLOPs(cfg backend.Config, ds *dataset.Dataset, vi, edges float64) (float64, error) {
+// FLOPs form (pr.FLOPs), with per-layer widths interpolated geometrically
+// between the target count (output side) and |V_i| (input side).
+func analyticFLOPs(pr *backend.Pricing, cfg backend.Config, vi, edges float64) (float64, error) {
 	L := cfg.Layers
 	shapes := make([]model.Shape, max(L, 0))
 	b0 := math.Max(float64(cfg.BatchSize), 1)
@@ -953,10 +867,7 @@ func analyticFLOPs(cfg backend.Config, ds *dataset.Dataset, vi, edges float64) (
 		dst := max(int(sl1), 1)
 		shapes[l] = model.Shape{Src: max(int(sl), dst), Dst: dst, Edges: max(int(el), 0)}
 	}
-	return model.CountFLOPs(model.Config{
-		Kind: cfg.Model, InDim: ds.Graph.FeatDim, Hidden: cfg.Hidden,
-		OutDim: ds.Graph.NumClasses, Layers: L, Heads: cfg.Heads,
-	}, shapes)
+	return pr.FLOPs(shapes)
 }
 
 func clamp(v, lo, hi float64) float64 {

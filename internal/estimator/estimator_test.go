@@ -282,8 +282,9 @@ func TestAnalyticFLOPsMatchesBuiltModel(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				pr := backend.NewPricing(cfg, ds)
 				for _, v := range volumes {
-					got, err := analyticFLOPs(cfg, ds, v.vi, v.edges)
+					got, err := analyticFLOPs(&pr, cfg, v.vi, v.edges)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -42,17 +42,17 @@ func TestCollectWithEquivalence(t *testing.T) {
 	}
 }
 
-// TestCollectWithParallelismHoist: a per-run tensor override survives a
-// parallel fan-out — applied once around the whole Collect, restored
-// after — instead of racing per-run set/restore pairs.
+// TestCollectWithParallelismHoist: the worker count is set once, around
+// the whole fan-out, by its caller; a parallel CollectWith inside that
+// scope leaves the count as it found it.
 func TestCollectWithParallelismHoist(t *testing.T) {
-	prev := tensor.Parallelism()
+	defer tensor.WithParallelism(2)()
 	cfgs := ProbeConfigs(dataset.OgbnArxiv, model.SAGE, "rtx4090", 3, 56)
-	if _, err := CollectWith(cfgs, false, 2, backend.Options{Parallelism: 2}); err != nil {
+	if _, err := CollectWith(cfgs, false, 2); err != nil {
 		t.Fatalf("CollectWith: %v", err)
 	}
-	if got := tensor.Parallelism(); got != prev {
-		t.Fatalf("tensor parallelism leaked: %d, want %d", got, prev)
+	if got := tensor.Parallelism(); got != 2 {
+		t.Fatalf("tensor parallelism changed: %d, want 2", got)
 	}
 }
 

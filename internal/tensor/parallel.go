@@ -2,10 +2,8 @@ package tensor
 
 import (
 	"fmt"
-	"os"
 	"runtime"
 	"runtime/debug"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -106,28 +104,12 @@ func runJob(j job) {
 	j.fn(j.lo, j.hi)
 }
 
-func init() { parallelism.Store(int32(defaultParallelism())) }
-
-func defaultParallelism() int {
-	if s := os.Getenv("GNNAV_PROCS"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n >= 1 {
-			if n > maxWorkers {
-				n = maxWorkers
-			}
-			return n
-		}
-	}
-	if n := runtime.GOMAXPROCS(0); n <= maxWorkers {
-		return n
-	}
-	return maxWorkers
-}
+func init() { parallelism.Store(int32(min(runtime.GOMAXPROCS(0), maxWorkers))) }
 
 // SetParallelism sets the worker count used by sharded kernels. n <= 1
 // selects the serial path (no goroutines touched), which is also the
 // deterministic reference the equivalence tests compare against. The
-// default is GOMAXPROCS, overridable with the GNNAV_PROCS environment
-// variable.
+// default is GOMAXPROCS, capped at maxWorkers.
 func SetParallelism(n int) {
 	if n < 1 {
 		n = 1
