@@ -156,10 +156,7 @@ func main() {
 		CheckpointEvery: *ckptEvery,
 		Resume:          *resume,
 		SaveModel:       *saveModel,
-		// -procs also governs the Navigator's coarse fan-outs (calibration
-		// runs, explorer predictions); 0 inherits the tensor default.
-		Parallelism: *procs,
-		Seed:        *seed,
+		Seed:            *seed,
 	})
 	if err != nil {
 		log.Fatalf("calibration failed: %v", err)

@@ -157,7 +157,7 @@ func buildSource(g *graph.Graph, policy cache.Policy, ratio float64, prec cache.
 		return nil, "", fmt.Errorf("unknown cache policy %q (use none, static, fifo or lru)", policy)
 	}
 	capVertices := int(prec.EffectiveCacheRows(ratio, float64(g.NumVertices()), g.FeatDim))
-	src, err := cache.NewSource(cache.Config{Policy: policy, Capacity: capVertices, Precision: prec}, g, true)
+	src, err := cache.NewSource(cache.Config{Policy: policy, Capacity: capVertices, Precision: prec}, g)
 	if err != nil {
 		return nil, "", err
 	}

@@ -348,27 +348,29 @@ func TestEvaluateErrors(t *testing.T) {
 
 // TestParamsAtFullScaleMatchesBuiltModel pins the closed form to the
 // model it describes: for every registered dataset, architecture and
-// depth, paramsAtFullScale equals the parameter count of the model
-// model.New builds at the paper-scale input dimension, whatever the GAT
-// head count.
+// depth, numParams equals the parameter count of the model model.New
+// builds, at the paper-scale input dimension and at the scaled graph's,
+// whatever the GAT head count.
 func TestParamsAtFullScaleMatchesBuiltModel(t *testing.T) {
 	for _, name := range dataset.Names() {
 		ds := dataset.MustLoad(name)
-		for _, kind := range []model.Kind{model.GCN, model.SAGE, model.GAT} {
-			for layers := 1; layers <= 3; layers++ {
-				cfg := Config{Model: kind, Hidden: 32, Layers: layers}
-				got := paramsAtFullScale(cfg, ds)
-				for _, heads := range []int{1, 2, 4} {
-					m, err := model.New(model.Config{
-						Kind: kind, InDim: ds.FullFeatDim, Hidden: cfg.Hidden,
-						OutDim: ds.Graph.NumClasses, Layers: layers, Heads: heads, Seed: 1,
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if want := m.NumParams(); got != want {
-						t.Errorf("%s/%s/%d layers/%d heads: closed form %d, built model %d",
-							name, kind, layers, heads, got, want)
+		for _, inDim := range []int{ds.FullFeatDim, ds.Graph.FeatDim} {
+			for _, kind := range []model.Kind{model.GCN, model.SAGE, model.GAT} {
+				for layers := 1; layers <= 3; layers++ {
+					cfg := Config{Model: kind, Hidden: 32, Layers: layers}
+					got := numParams(cfg, inDim, ds.Graph.NumClasses)
+					for _, heads := range []int{1, 2, 4} {
+						m, err := model.New(model.Config{
+							Kind: kind, InDim: inDim, Hidden: cfg.Hidden,
+							OutDim: ds.Graph.NumClasses, Layers: layers, Heads: heads, Seed: 1,
+						})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if want := m.NumParams(); got != want {
+							t.Errorf("%s/in %d/%s/%d layers/%d heads: closed form %d, built model %d",
+								name, inDim, kind, layers, heads, got, want)
+						}
 					}
 				}
 			}

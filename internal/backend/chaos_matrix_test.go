@@ -68,8 +68,8 @@ func TestChaosMatrixEveryPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The dist points only fire on multi-device runs, so they get their
-	// own trial config (and reference) on a two-device platform.
+	// The dist point only fires on multi-device runs, so it gets its own
+	// trial config (and reference) on a two-device platform.
 	multi := cfg
 	multi.Platform = "rtx4090x2"
 	multi.Devices = 2
@@ -77,15 +77,11 @@ func TestChaosMatrixEveryPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	distPoints := map[faultinject.Point]bool{
-		faultinject.DistHalo:      true,
-		faultinject.DistAllReduce: true,
-	}
 
 	// The stage/worker sites run under the pipeline's (or the tensor
 	// pool's) panic containment (dist/halo fires inside the gather
-	// stage); the IO points and dist/allreduce are plain error-return
-	// sites, so Panic is out of contract there.
+	// stage); the IO points are plain error-return sites, so Panic is
+	// out of contract there.
 	contained := map[faultinject.Point]bool{
 		faultinject.PipelineSample: true,
 		faultinject.PipelineGather: true,
@@ -111,7 +107,7 @@ func TestChaosMatrixEveryPoint(t *testing.T) {
 			kinds = append(kinds, faultinject.Panic)
 		}
 		trialCfg, trialRef1, trialRef2 := cfg, ref1, ref2
-		if distPoints[pt] {
+		if pt == faultinject.DistHalo {
 			trialCfg, trialRef1, trialRef2 = multi, refM1, refM2
 		}
 		for _, kind := range kinds {

@@ -66,9 +66,11 @@ type Config struct {
 	// its shard's vertices, meters halo-exchange and all-reduce traffic,
 	// and divides the simulator's per-device terms by K. The determinism
 	// contract extends across K: results are bitwise-identical to the
-	// single-device run. K must be a power of two (the ordered tree
-	// all-reduce is IEEE-exact only then) no larger than the platform's
-	// device count, and the Opt cache policy is single-device only (its
+	// single-device run. K must be a power of two (a tree all-reduce
+	// averages K equal replica gradients to exactly that gradient only
+	// then, which is what lets the run price the all-reduce instead of
+	// performing it) no larger than the platform's device count, and the
+	// Opt cache policy is single-device only (its
 	// Belady script indexes the global access stream, which shards do
 	// not see).
 	Devices int
@@ -137,7 +139,7 @@ func (c Config) Validate() error {
 	}
 	if k := c.DeviceCount(); k > 1 {
 		if k&(k-1) != 0 {
-			return fmt.Errorf("backend: device count %d is not a power of two (the ordered all-reduce is IEEE-exact only for powers of two)", k)
+			return fmt.Errorf("backend: device count %d is not a power of two (only then does averaging K equal replica gradients reproduce the gradient exactly)", k)
 		}
 		if p, _ := hw.Profile(c.Platform); k > p.DeviceCount() {
 			return fmt.Errorf("backend: %d devices requested but platform %q has %d", k, c.Platform, p.DeviceCount())

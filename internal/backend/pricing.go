@@ -26,6 +26,9 @@ type Pricing struct {
 	wl            sim.Workload
 	vols          sim.BatchVolumes // the config-derived fields only
 	mem           sim.MemoryVolumes
+	// stepWire is the scaled run's per-step gradient all-reduce traffic
+	// (0 on one device): what Perf.AllReduceBytes meters per iteration.
+	stepWire int64
 }
 
 // NewPricing prices cfg on dataset ds.
@@ -36,10 +39,15 @@ func NewPricing(cfg Config, ds *dataset.Dataset) Pricing {
 	prec := cfg.FeaturePrecision()
 	// Full-scale all-reduce payload per step: |Φ| scalars at the 4-byte
 	// transfer currency (the simulator applies the ring wire factor).
-	params := paramsAtFullScale(cfg, ds)
+	// The scaled run meters its own ring traffic: each device sends (and
+	// receives) 2(K-1)/K of its |Φ_scaled| scalars per step.
+	params := numParams(cfg, ds.FullFeatDim, g.NumClasses)
 	var arBytes float64
+	var stepWire int64
 	if devices > 1 {
 		arBytes = float64(params) * 4
+		scaled := numParams(cfg, g.FeatDim, g.NumClasses)
+		stepWire = int64(math.Ceil(2 * float64(devices-1) / float64(devices) * float64(scaled) * 4))
 	}
 	// Per-edge messages carry the hidden width: scatter-gather frameworks
 	// transform before aggregating whenever the input width exceeds the
@@ -71,6 +79,7 @@ func NewPricing(cfg Config, ds *dataset.Dataset) Pricing {
 			MaxWidth:      cfg.Hidden,
 			Layers:        cfg.Layers,
 		},
+		stepWire: stepWire,
 	}
 }
 
@@ -158,21 +167,22 @@ func featureFLOPShare(cfg Config, featDim int) float64 {
 	return in / (in + rest)
 }
 
-// paramsAtFullScale is |Φ| at paper scale in closed form: what
-// model.New builds for cfg when the first layer's input is the full
-// attribute dimension (weights + bias per layer; SAGE carries a self
-// and a neighbor path, GAT two attention vectors of the output width
-// whatever the head count).
-func paramsAtFullScale(cfg Config, ds *dataset.Dataset) int {
+// numParams is |Φ| in closed form: what model.New builds for cfg with
+// input width inDim and outDim classes (weights + bias per layer; SAGE
+// carries a self and a neighbor path, GAT two attention vectors of the
+// output width whatever the head count). At the full attribute width it
+// is the paper-scale |Φ| Γ and the simulated all-reduce price; at the
+// scaled graph's width it is the model a run trains.
+func numParams(cfg Config, inDim, outDim int) int {
 	total := 0
 	for l := 0; l < cfg.Layers; l++ {
 		li := cfg.Hidden
 		if l == 0 {
-			li = ds.FullFeatDim
+			li = inDim
 		}
 		lo := cfg.Hidden
 		if l == cfg.Layers-1 {
-			lo = ds.Graph.NumClasses
+			lo = outDim
 		}
 		switch cfg.Model {
 		case model.SAGE:

@@ -47,8 +47,9 @@ type Perf struct {
 	// single-device runs.
 	HaloBytes int64
 	// AllReduceBytes is the cumulative modeled interconnect traffic of
-	// the per-step gradient all-reduce (ring schedule, 2(K-1)/K of the
-	// parameter payload per device per step). 0 for single-device runs.
+	// the per-step gradient all-reduce: Iterations × ⌈2(K-1)/K · |Φ| · 4⌉
+	// bytes (ring schedule, |Φ| of the scaled model at 4 bytes a
+	// scalar). 0 for single-device runs.
 	AllReduceBytes  int64
 	MeanBatchSize   float64 // mean measured |V_i| (scaled graph)
 	PeakBatchSize   int
@@ -237,12 +238,8 @@ func RunWith(cfg Config, opts Options) (*Perf, error) {
 		}
 	}
 
-	// A run that will not gather never reads a cached row, so its cache
-	// is built residency-only (NewSource's gather flag).
-	gather := !opts.SkipTraining
-	devices := cfg.DeviceCount()
 	var src cache.FeatureSource
-	if devices > 1 {
+	if devices := cfg.DeviceCount(); devices > 1 {
 		// Multi-device feature plane: partition the (possibly reordered)
 		// vertex set, shard the cache budget across the K partitions, and
 		// meter halo-exchange traffic. The shard construction walks the
@@ -253,10 +250,10 @@ func RunWith(cfg Config, opts Options) (*Perf, error) {
 		if err != nil {
 			return nil, fmt.Errorf("backend: %w", err)
 		}
-		if src, err = dist.NewSource(g, part, ccfg, gather); err != nil {
+		if src, err = dist.NewSource(g, part, ccfg); err != nil {
 			return nil, err
 		}
-	} else if src, err = cache.NewSource(ccfg, g, gather); err != nil {
+	} else if src, err = cache.NewSource(ccfg, g); err != nil {
 		return nil, err
 	}
 
@@ -265,17 +262,15 @@ func RunWith(cfg Config, opts Options) (*Perf, error) {
 		return nil, err
 	}
 
-	// Every batch is priced with the closed-form FLOPs count, so a
-	// timing-only run builds a model only where the all-reduce sizes its
-	// payload from the parameters (K > 1).
+	// Every batch is priced with the closed-form FLOPs count and every
+	// all-reduce from the closed-form |Φ|, so a timing-only run builds no
+	// model.
 	var mdl *model.Model
 	var opt nn.Optimizer
-	if !opts.SkipTraining || devices > 1 {
+	if !opts.SkipTraining {
 		if mdl, err = model.New(pr.Model); err != nil {
 			return nil, err
 		}
-	}
-	if !opts.SkipTraining {
 		opt = nn.NewAdam(cfg.LR)
 		if ck != nil {
 			if err := restoreCheckpoint(mdl, opt.(*nn.Adam), ck); err != nil {
@@ -290,18 +285,6 @@ func RunWith(cfg Config, opts Options) (*Perf, error) {
 			shapes[l] = model.Shape{Src: len(blk.SrcNodes), Dst: blk.DstCount, Edges: blk.NumEdges()}
 		}
 		return pr.FLOPs(shapes)
-	}
-
-	// The gradient all-reduce: created whenever K > 1 so its modeled
-	// wire traffic is metered even on timing-only sweeps and through
-	// resume fast-forward (the metering is a pure function of the config,
-	// so a resumed run's AllReduceBytes reconstructs exactly); Step only
-	// runs on trained batches.
-	var red *dist.Reducer
-	if devices > 1 {
-		if red, err = dist.NewReducer(devices, mdl.Params()); err != nil {
-			return nil, err
-		}
 	}
 
 	perf := &Perf{Feasible: true}
@@ -363,9 +346,6 @@ func RunWith(cfg Config, opts Options) (*Perf, error) {
 		sumTiming.TAllReduce += bt.TAllReduce
 
 		perf.HaloBytes += b.HaloBytes
-		if red != nil {
-			perf.AllReduceBytes += red.WireBytesPerStep()
-		}
 
 		sumBatch += float64(mb.NumVertices)
 		sumEdges += float64(mb.NumEdges)
@@ -386,16 +366,10 @@ func RunWith(cfg Config, opts Options) (*Perf, error) {
 				return err
 			}
 			_, dLogits := nn.SoftmaxCrossEntropyWS(ws, logits, b.Labels)
+			// K data-parallel replicas compute this same gradient, and
+			// their average is it: the all-reduce is priced
+			// (AllReduceBytes), not performed.
 			mdl.Backward(dLogits)
-			if red != nil {
-				// Per-step gradient aggregation across the K replicas: the
-				// ordered tree reduce leaves identical replica gradients
-				// bitwise-unchanged, so the optimizer below sees exactly the
-				// single-device gradient.
-				if err := red.Step(mdl.Params()); err != nil {
-					return err
-				}
-			}
 			opt.Step(mdl.Params())
 			ws.ReleaseAll()
 		}
@@ -477,6 +451,9 @@ func RunWith(cfg Config, opts Options) (*Perf, error) {
 	}
 
 	// Aggregate timing/volumes.
+	// One all-reduce per step, metered on timing-only and fast-forwarded
+	// steps too: it is a pure function of the config.
+	perf.AllReduceBytes = int64(perf.Iterations) * pr.stepWire
 	n := float64(perf.Iterations)
 	perf.MeanBatchSize = sumBatch / n
 	perf.MeanBatchEdges = sumEdges / n

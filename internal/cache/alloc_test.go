@@ -57,15 +57,15 @@ func TestGatherIntoZeroAllocs(t *testing.T) {
 	// pool's cost, not the gather path's, and would drown the regression
 	// this test guards — that the sources themselves reuse every buffer.
 	// The fused dequant kernels must hold the bound at every precision:
-	// quantization happens in place on admission and widening reuses the
-	// pre-bound kernel, so compact storage adds no per-batch allocations.
+	// widening reuses the pre-bound kernel, so compact widths add no
+	// per-batch allocations.
 	defer tensor.WithParallelism(1)()
 	for _, prec := range Precisions() {
 		c, err := NewAtPrecision(LRU, 400, g, prec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, src := range []FeatureSource{NewCachedSource(c, g), newGraphSource(g, prec)} {
+		for _, src := range []FeatureSource{NewCachedSource(c, g), NewKernelSource(nil, g, prec)} {
 			feats := tensor.GrowDense(nil, 512, g.FeatDim)
 			drive := func() {
 				for _, batch := range stream {

@@ -1,8 +1,12 @@
 // Package cache models the device-side feature cache that transmission
-// strategies build on (Fig. 3 "Device Cache"). A cache holds feature rows
-// for up to a fixed number of vertices; each mini-batch looks up its input
-// vertices, transfers the misses over the host-device link, and then
-// (policy permitting) updates the cache.
+// strategies build on (Fig. 3 "Device Cache"). A cache tracks which of up
+// to a fixed number of vertices have their feature rows resident on the
+// device; each mini-batch looks up its input vertices, prices the misses'
+// transfer over the host-device link, and then (policy permitting)
+// updates residency. The cache holds no rows: a resident row is bitwise
+// the row the host round trip produces (precision.go), so every row
+// reaches the batch matrix one way, from the host array through the
+// precision's widen kernel, and the cache decides only what is counted.
 //
 // The policies correspond to the paper's templates:
 //
@@ -117,12 +121,9 @@ type Kernel interface {
 	ResetStats()
 }
 
-// Cache is the array-backed vertex-feature cache with hit/miss
-// accounting. See the package comment for the layout and the
-// single-writer concurrency contract. When constructed over a graph
-// with features, the cache actually owns its resident feature rows
-// (RowOf): admissions copy the row into slot storage, so hits can be
-// served from device memory instead of re-reading the host array.
+// Cache is the array-backed vertex-feature cache: residency plus
+// hit/miss/update accounting. See the package comment for the layout
+// and the single-writer concurrency contract.
 type Cache struct {
 	policy   Policy
 	capacity int
@@ -149,19 +150,9 @@ type Cache struct {
 	static    []uint64
 	staticLen int
 
-	// Resident feature rows in slot order, quantized at the cache's
-	// precision (exactly one of rows/rows16/rows8 is non-nil when the
-	// cache owns rows; all are nil when built without features). g is
-	// the host-side feature store admissions quantize from; qscale and
-	// qzero are the per-slot int8 quantization parameters.
-	prec    Precision
-	rows    []float32
-	rows16  []uint16
-	rows8   []uint8
-	qscale  []float32
-	qzero   []float32
-	featDim int
-	g       *graph.Graph
+	// prec is the width resident rows are priced at, on the link and in
+	// device memory.
+	prec Precision
 
 	// Opt (Belady) state: the compiled future-access script, per-vertex
 	// cursors into its occurrence lists, per-slot next-use positions and
@@ -185,8 +176,8 @@ type Config struct {
 	Policy Policy
 	// Capacity is the cache size in vertices.
 	Capacity int
-	// Precision is the feature-row storage width, and the width rows
-	// cross the host link at ("" = Float32).
+	// Precision is the width feature rows cross the host link at and
+	// are priced at in device memory ("" = Float32).
 	Precision Precision
 	// Order is a prefilled policy's admission order: its first Capacity
 	// vertices become resident. Static defaults it to g's degree order;
@@ -225,13 +216,9 @@ func (cfg *Config) resolve(g *graph.Graph) error {
 	return nil
 }
 
-// Build builds the cache cfg describes over g. Admitted rows are
-// quantized once into slot storage at cfg.Precision and dequantized on
-// the gather path; a row served from slot storage is bitwise-identical
-// to the same row freshly round-tripped from the host, so hit/miss
-// routing never changes gathered values at any precision. g may be nil
-// when cfg carries everything the policy needs: the cache then tracks
-// residency only (no feature rows) and grows its slot table lazily.
+// Build builds the cache cfg describes over g, which sizes the slot
+// table. g may be nil when cfg carries everything the policy needs: the
+// slot table then grows lazily.
 func Build(cfg Config, g *graph.Graph) (*Cache, error) {
 	if err := cfg.resolve(g); err != nil {
 		return nil, err
@@ -239,13 +226,12 @@ func Build(cfg Config, g *graph.Graph) (*Cache, error) {
 	return cfg.build(g), nil
 }
 
-// build is Build after resolve. rows is the graph whose feature rows
-// the cache stores, nil for a residency-only cache.
-func (cfg *Config) build(rows *graph.Graph) *Cache {
+// build is Build after resolve.
+func (cfg *Config) build(g *graph.Graph) *Cache {
 	c := &Cache{policy: cfg.Policy, capacity: cfg.Capacity, head: -1, tail: -1, prec: cfg.Precision.OrDefault()}
 	maxV := int32(-1)
-	if rows != nil {
-		maxV = int32(rows.NumVertices()) - 1
+	if g != nil {
+		maxV = int32(g.NumVertices()) - 1
 	}
 	if cfg.Policy == Opt {
 		maxV = max(maxV, int32(cfg.Script.n)-1)
@@ -253,11 +239,6 @@ func (cfg *Config) build(rows *graph.Graph) *Cache {
 	empty := []int32{}
 	c.slots.Store(&empty)
 	c.growSlots(maxV)
-	if rows != nil && rows.Features != nil && cfg.Capacity > 0 && cfg.Policy != None {
-		c.featDim = rows.FeatDim
-		c.g = rows
-		c.allocRows(min(cfg.Capacity, rows.NumVertices()))
-	}
 	switch {
 	case cfg.Policy == Opt:
 		c.initOpt(cfg.Script)
@@ -289,9 +270,6 @@ func (c *Cache) prefill(order []int32) {
 		c.static[v>>6] |= 1 << (uint(v) & 63)
 		slots[v] = int32(i)
 		c.vertexOf[i] = v
-		if c.ownsRows() {
-			c.storeRow(int32(i), c.g.Feature(v))
-		}
 	}
 	c.staticLen = n
 }
@@ -347,78 +325,8 @@ func (c *Cache) slotOf(v int32) int32 {
 // Policy returns the cache's policy.
 func (c *Cache) Policy() Policy { return c.policy }
 
-// Precision returns the cache's feature-row storage precision.
+// Precision returns the width the cache's rows are priced at.
 func (c *Cache) Precision() Precision { return c.prec.OrDefault() }
-
-// ownsRows reports whether the cache holds feature rows (it was built
-// over a graph with features and a nonzero capacity).
-func (c *Cache) ownsRows() bool { return c.rows != nil || c.rows16 != nil || c.rows8 != nil }
-
-// allocRows allocates slot-order row storage for up to n rows at the
-// cache's precision.
-func (c *Cache) allocRows(n int) {
-	switch c.prec.OrDefault() {
-	case Float16:
-		c.rows16 = make([]uint16, n*c.featDim)
-	case Int8:
-		c.rows8 = make([]uint8, n*c.featDim)
-		c.qscale = make([]float32, n)
-		c.qzero = make([]float32, n)
-	default:
-		c.rows = make([]float32, n*c.featDim)
-	}
-}
-
-// storeRow quantizes one host feature row into slot s — the admission
-// copy, and the only place quantization happens for cached rows. The
-// code/parameter computation is shared with the fused host round trip
-// (Precision.WidenRow), so a later hit served from this slot is
-// bitwise-identical to the miss-path value.
-func (c *Cache) storeRow(s int32, src []float32) {
-	lo := int(s) * c.featDim
-	switch {
-	case c.rows != nil:
-		copy(c.rows[lo:lo+c.featDim], src)
-	case c.rows16 != nil:
-		for j, f := range src {
-			c.rows16[lo+j] = f32ToF16(f)
-		}
-	case c.rows8 != nil:
-		scale, zero := int8RowParams(src)
-		c.qscale[s], c.qzero[s] = scale, zero
-		int8QuantizeRow(c.rows8[lo:lo+c.featDim], src, scale, zero)
-	}
-}
-
-// rowInto dequantizes v's resident row from device slot storage into
-// dst (widened to float64), reporting whether it was served. Same
-// slot-reuse hazard guard and single-stage contract as RowOf.
-func (c *Cache) rowInto(dst []float64, v int32) bool {
-	if !c.ownsRows() {
-		return false
-	}
-	s := c.slotOf(v)
-	if s < 0 || c.vertexOf[s] != v {
-		return false
-	}
-	lo := int(s) * c.featDim
-	switch {
-	case c.rows != nil:
-		for j, f := range c.rows[lo : lo+c.featDim] {
-			dst[j] = float64(f)
-		}
-	case c.rows16 != nil:
-		for j, h := range c.rows16[lo : lo+c.featDim] {
-			dst[j] = float64(f16ToF32(h))
-		}
-	default:
-		scale, zero := float64(c.qscale[s]), float64(c.qzero[s])
-		for j, q := range c.rows8[lo : lo+c.featDim] {
-			dst[j] = zero + scale*float64(q)
-		}
-	}
-	return true
-}
 
 // Capacity returns the capacity in vertices.
 func (c *Cache) Capacity() int { return c.capacity }
@@ -449,25 +357,6 @@ func (c *Cache) Contains(v int32) bool {
 func (c *Cache) staticBit(v int32) bool {
 	w := int(v) >> 6
 	return w < len(c.static) && c.static[w]>>(uint(v)&63)&1 == 1
-}
-
-// RowOf returns the resident feature row of v from device-side slot
-// storage, or nil when v is absent or the cache owns no float32 rows
-// (compact precisions store quantized rows; use the gather path, which
-// dequantizes via rowInto). The vertexOf check guards the one hazard of
-// slot reuse: a slot admitted for v earlier in the batch may have been
-// evicted and refilled for a different vertex by a later admission.
-// Single-stage use only (the gather path); not safe concurrently with
-// Update.
-func (c *Cache) RowOf(v int32) []float32 {
-	if c.rows == nil {
-		return nil
-	}
-	s := c.slotOf(v)
-	if s < 0 || c.vertexOf[s] != v {
-		return nil
-	}
-	return c.rows[int(s)*c.featDim : (int(s)+1)*c.featDim]
 }
 
 // Lookup records an access to each node and returns the subset that
@@ -593,11 +482,6 @@ func (c *Cache) Update(miss []int32) int {
 		}
 		atomic.StoreInt32(&arr[v], s)
 		c.vertexOf[s] = v
-		if c.ownsRows() {
-			// The admission is the transfer: the row lands (quantized) in
-			// device slot storage, where later hits read it back.
-			c.storeRow(s, c.g.Feature(v))
-		}
 		c.pushBack(s)
 		ops++
 	}

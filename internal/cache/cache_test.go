@@ -49,7 +49,7 @@ func TestNewValidation(t *testing.T) {
 			t.Errorf("Build accepted %s", tc.name)
 		}
 		if tc.g != nil {
-			if _, err := NewSource(tc.cfg, tc.g, true); err == nil {
+			if _, err := NewSource(tc.cfg, tc.g); err == nil {
 				t.Errorf("NewSource accepted %s", tc.name)
 			}
 		}

@@ -117,41 +117,6 @@ func TestKernelEquivalence(t *testing.T) {
 	}
 }
 
-// TestCachedRowsMatchHost verifies the cache actually owns its resident
-// feature rows: after admissions, RowOf serves a verbatim copy of the
-// host row for every resident vertex, and nil for absent ones.
-func TestCachedRowsMatchHost(t *testing.T) {
-	g := testGraph(t)
-	if err := gen.AttachFeatures(rand.New(rand.NewSource(5)), g, make([]int32, g.NumVertices()), 2,
-		gen.FeatureSpec{Dim: 8, Noise: 0.5}); err != nil {
-		t.Fatal(err)
-	}
-	for _, policy := range []Policy{Static, FIFO, LRU} {
-		c, err := New(policy, 200, g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, batch := range accessStream(t, g, 20, 128, 23) {
-			c.Update(c.Lookup(batch))
-			for _, v := range batch {
-				row := c.RowOf(v)
-				if c.Contains(v) {
-					if row == nil {
-						t.Fatalf("%s: resident %d has no row", policy, v)
-					}
-					for j, f := range g.Feature(v) {
-						if row[j] != f {
-							t.Fatalf("%s: row of %d differs at %d", policy, v, j)
-						}
-					}
-				} else if row != nil {
-					t.Fatalf("%s: absent %d served a row", policy, v)
-				}
-			}
-		}
-	}
-}
-
 // TestFreqPrefill covers Freq admission semantics: exactly the
 // first capacity order entries become resident, bitset and slot table
 // agree, and lookups never mutate residency.

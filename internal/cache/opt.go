@@ -117,9 +117,6 @@ func (c *Cache) prefillOpt() {
 		c.vertexOf[s] = v
 		c.nextUse[s] = sc.occPos[sc.occOff[v]]
 		c.heapPush(s)
-		if c.ownsRows() {
-			c.storeRow(s, c.g.Feature(v))
-		}
 	}
 	c.size.Store(int32(n))
 }
@@ -210,9 +207,6 @@ func (c *Cache) optUpdate(miss []int32) int {
 			c.heapPush(s)
 		}
 		atomic.StoreInt32(&arr[v], s)
-		if c.ownsRows() {
-			c.storeRow(s, c.g.Feature(v))
-		}
 		ops++
 	}
 	c.updates.Add(int64(ops))

@@ -6,11 +6,12 @@ import "math"
 //
 // Feature bytes dominate both Eq. 6's transfer term and the Γ_cache
 // share of device memory, so the storage width of a feature row is a
-// design knob exactly like sampling fanout: a Precision selects how
-// rows are stored in Cache slot storage and priced over the host link.
-// Rows are quantized once — on admission for cached rows, fused into
-// the gather kernel for host-routed rows — and dequantized inside the
-// same sharded copy loop that widens them to float64 for compute, so
+// design knob exactly like sampling fanout: a Precision selects the
+// width rows cross the host link at and the device memory a cached row
+// is priced at. Quantization is a pure function of the host row, so a
+// resident row and a just-transferred one are the same values: every
+// gather quantizes and dequantizes in one fused kernel (widen) inside
+// the sharded copy loop that widens rows to float64 for compute, and
 // the steady-state gather path stays at zero allocations per batch.
 //
 // Equivalence contract (two tiers):
@@ -19,10 +20,9 @@ import "math"
 //     pre-precision bitwise pin — cache vs frozen MapReference, pipeline
 //     outputs at any prefetch depth or worker count — holds unchanged.
 //   - Float16/Int8 are tolerance-based against the float32 values, with
-//     proven per-element bounds (see below), and *bitwise* self-
-//     consistent: a row served from quantized slot storage is identical
-//     to the same row freshly round-tripped from the host, so hit/miss
-//     routing can never change gathered values.
+//     proven per-element bounds (see below), and deterministic: a row's
+//     gathered values depend on the row alone, never on whether it was
+//     resident.
 //
 // Error bounds:
 //
@@ -101,9 +101,9 @@ func (p Precision) RowBytes(featDim int) int64 {
 	return int64(featDim) * int64(p.BytesPerScalar())
 }
 
-// StorageRowBytes is the device memory one cached row occupies: the
-// quantized payload plus, for int8, the two float32 quantization
-// parameters stored per slot.
+// StorageRowBytes is the device memory one cached row is priced at:
+// the quantized payload plus, for int8, the row's two float32
+// quantization parameters.
 func (p Precision) StorageRowBytes(featDim int) int64 {
 	b := p.RowBytes(featDim)
 	if p.OrDefault() == Int8 {
@@ -148,9 +148,9 @@ func (p Precision) widen() widenFunc {
 
 // WidenRow applies the fused quantize→dequantize→widen transform to
 // one feature row: dst[j] = float64(dequant(quant(src[j]))). For
-// Float32 this is the plain widening copy. The gather paths use the
-// same kernels pre-bound per source; this entry point serves the
-// equivalence tests.
+// Float32 this is the plain widening copy. The cache's sources bind
+// the same kernels once; this entry point serves the multi-device
+// gather (internal/dist) and the equivalence tests.
 func (p Precision) WidenRow(dst []float64, src []float32) { p.widen()(dst, src) }
 
 func widenFloat32(dst []float64, src []float32) {
@@ -271,9 +271,7 @@ func int8RowParams(src []float32) (scale, zero float32) {
 }
 
 // int8Code returns the clamped code of f under (zero, scale) as a
-// float64 — the shared rounding rule of the quantize (storeRow) and
-// fused round-trip (widenInt8) paths, which keeps the two bitwise
-// consistent.
+// float64 — the rounding rule of the fused round trip (widenInt8).
 func int8Code(f, zero float32, scale64 float64) float64 {
 	// The subtraction must happen in float64, where it is exact for any
 	// two float32 inputs — in float32 it rounds by up to (hi-lo)·2⁻²⁵,
@@ -286,18 +284,4 @@ func int8Code(f, zero float32, scale64 float64) float64 {
 		return 255
 	}
 	return q
-}
-
-// int8QuantizeRow fills dst with the codes of src under (scale, zero).
-func int8QuantizeRow(dst []uint8, src []float32, scale, zero float32) {
-	if scale == 0 {
-		for i := range dst {
-			dst[i] = 0
-		}
-		return
-	}
-	s64 := float64(scale)
-	for i, f := range src {
-		dst[i] = uint8(int8Code(f, zero, s64))
-	}
 }

@@ -204,12 +204,10 @@ func TestWidenRowFloat32Identity(t *testing.T) {
 
 // TestGatherConsistencyAcrossSources is the tolerance-tier equivalence
 // contract, end to end through the gather path: at every precision, a
-// cached source (rows dequantized from slot storage on hits, fused on
-// misses) is bitwise-identical to a kernel source over the frozen
-// MapReference (every row through the host round trip) on the same
-// access stream — so hit/miss routing can never change gathered values
-// — and both stay within the precision's error bound of the float32
-// gather.
+// cached source is bitwise-identical to a kernel source over the frozen
+// MapReference on the same access stream — so residency can never
+// change gathered values — and both stay within the precision's error
+// bound of the float32 gather.
 func TestGatherConsistencyAcrossSources(t *testing.T) {
 	g := featuredGraph(t)
 	stream := accessStream(t, g, 24, 200, 29)
@@ -266,7 +264,7 @@ func TestPrecisionSourceAccounting(t *testing.T) {
 	g := featuredGraph(t)
 	stream := accessStream(t, g, 20, 256, 31)
 	sources := map[string]func(p Precision) FeatureSource{
-		"uncached": func(p Precision) FeatureSource { return newGraphSource(g, p) },
+		"uncached": func(p Precision) FeatureSource { return NewKernelSource(nil, g, p) },
 		"lru": func(p Precision) FeatureSource {
 			c, err := NewAtPrecision(LRU, 300, g, p)
 			if err != nil {

@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"sync/atomic"
+
 	"gnnavigator/internal/graph"
 	"gnnavigator/internal/tensor"
 )
@@ -10,16 +12,15 @@ import (
 // A FeatureSource is the single abstraction every layer that touches
 // vertex features programs against: the pipeline's cache+gather stage,
 // the backend's transfer accounting, and (through Resident) the
-// cache-aware biased samplers. A source owns the route a feature row
-// takes to the device — straight over the host link (graph source) or
-// through the device cache (cached source) — and accounts every
-// transferred byte, which internal/sim prices as Eq. 6's t_transfer.
+// cache-aware biased samplers. A source gathers every row from the host
+// array and accounts the rows a device cache did not hold as
+// transferred bytes, which internal/sim prices as Eq. 6's t_transfer.
 //
 // Sources follow the same single-stage contract as samplers: Access and
 // GatherInto run on exactly one goroutine per pipeline run (the cache
 // stage, or the fused producer), so sources keep mutable scratch across
-// batches without locking. Resident, like Cache.Contains, is lock-free
-// and safe from other goroutines.
+// batches without locking. Resident (like Cache.Contains), HitRate and
+// TransferredBytes are lock-free and safe from other goroutines.
 
 // BatchStats is one batch's transfer outcome.
 type BatchStats struct {
@@ -45,10 +46,10 @@ type FeatureSource interface {
 	// Access records a batch's row requests (cache lookup + policy
 	// update) without materializing the rows — the timing-only path.
 	Access(nodes []int32) BatchStats
-	// GatherInto fills dst (reallocating only when capacity is short)
-	// with the feature rows of nodes, row i ↔ nodes[i], routing each row
-	// through the device cache when one backs the source, and returns
-	// the matrix actually filled plus the batch's transfer outcome.
+	// GatherInto is Access plus filling dst (reallocating only when
+	// capacity is short) with the feature rows of nodes, row i ↔
+	// nodes[i], at the source's precision; it returns the matrix actually
+	// filled plus the batch's transfer outcome.
 	GatherInto(dst *tensor.Dense, nodes []int32) (*tensor.Dense, BatchStats)
 	// Resident reports device residency of v — what a locality-aware
 	// p(η) bias reads. Lock-free.
@@ -75,109 +76,54 @@ func GatherRowsInto(dst *tensor.Dense, g *graph.Graph, nodes []int32) *tensor.De
 	return dst
 }
 
-// NewSource builds the feature plane cfg describes over g — the one
-// place that chooses between the two routes. Policy None or a zero
-// capacity gives the direct (uncached) source, every requested row
+// NewSource builds the feature plane cfg describes over g. Policy None
+// or a zero capacity gives the uncached plane, every requested row
 // crossing the host link at cfg.Precision (PyG's template); anything
-// else gives the cached source over Build(cfg). A plane that will never
-// gather (gather false: timing-only runs) gets a residency-only cache
-// that stores no rows: residency, every counter and the transfer
-// pricing, which the source takes from g, are unchanged.
-func NewSource(cfg Config, g *graph.Graph, gather bool) (FeatureSource, error) {
+// else gives the cached plane over Build(cfg). Either way rows are
+// gathered the same way; the cache only decides which of them count as
+// transferred.
+func NewSource(cfg Config, g *graph.Graph) (FeatureSource, error) {
 	if err := cfg.resolve(g); err != nil {
 		return nil, err
 	}
 	if cfg.Policy == None || cfg.Capacity == 0 {
-		return newGraphSource(g, cfg.Precision), nil
+		return NewKernelSource(nil, g, cfg.Precision), nil
 	}
-	rows := g
-	if !gather {
-		rows = nil
-	}
-	return NewCachedSource(cfg.build(rows), g), nil
+	return NewCachedSource(cfg.build(g), g), nil
 }
 
-// newGraphSource returns the direct (uncached) source: rows are
-// quantized to prec for the transfer (fused into the gather's widen
-// kernel) and priced at the precision's row bytes.
-func newGraphSource(g *graph.Graph, prec Precision) FeatureSource {
-	s := &graphSource{g: g, rowBytes: prec.RowBytes(g.FeatDim), widen: prec.widen()}
+// NewCachedSource returns the cached feature plane over the array-backed
+// Cache at the cache's precision, so the two can never disagree on row
+// width. NewSource builds it from a Config; the benchmark harness calls
+// it directly.
+func NewCachedSource(c *Cache, g *graph.Graph) FeatureSource {
+	return NewKernelSource(c, g, c.Precision())
+}
+
+// NewKernelSource returns a feature plane over any cache Kernel (in
+// particular the frozen MapReference, so the equivalence tests can swap
+// kernels under an unchanged pipeline) at precision prec; a nil k is the
+// uncached plane.
+func NewKernelSource(k Kernel, g *graph.Graph, prec Precision) FeatureSource {
+	s := &source{k: k, g: g, rowBytes: prec.RowBytes(g.FeatDim), widen: prec.widen()}
 	// Bound once so per-batch gathers dispatch a pre-allocated closure
 	// (a fresh closure per call would cost one allocation per batch).
 	s.copyFn = s.copyRange
 	return s
 }
 
-type graphSource struct {
+// source is the one FeatureSource implementation. Every row is
+// gathered from the host feature array through the precision's fused
+// quantize→dequantize kernel; a cache kernel, when present, decides
+// which rows were resident and which crossed the link.
+type source struct {
+	k        Kernel // nil: uncached, every row is transferred
 	g        *graph.Graph
 	rowBytes int64
 	widen    widenFunc
-	bytes    int64
-
-	// transient per-call state for the pre-bound sharded copy loop
-	dst    *tensor.Dense
-	nodes  []int32
-	copyFn func(lo, hi int)
-}
-
-func (s *graphSource) copyRange(lo, hi int) {
-	for i := lo; i < hi; i++ {
-		s.widen(s.dst.Row(i), s.g.Feature(s.nodes[i]))
-	}
-}
-
-func (s *graphSource) Access(nodes []int32) BatchStats {
-	st := BatchStats{Miss: len(nodes), TransferBytes: int64(len(nodes)) * s.rowBytes}
-	s.bytes += st.TransferBytes
-	return st
-}
-
-func (s *graphSource) GatherInto(dst *tensor.Dense, nodes []int32) (*tensor.Dense, BatchStats) {
-	st := s.Access(nodes)
-	dst = tensor.GrowDense(dst, len(nodes), s.g.FeatDim)
-	s.dst, s.nodes = dst, nodes
-	tensor.ParallelRows(len(nodes), s.copyFn)
-	s.dst, s.nodes = nil, nil
-	return dst, st
-}
-
-func (s *graphSource) Resident(int32) bool     { return false }
-func (s *graphSource) HitRate() float64        { return 0 }
-func (s *graphSource) TransferredBytes() int64 { return s.bytes }
-
-// NewCachedSource returns the cached feature plane over the array-backed
-// Cache: hits are served (dequantized) from the cache's own slot
-// storage, misses transfer from the host at the cache's precision and —
-// policy permitting — land quantized in the cache on admission. The
-// source inherits the cache's precision, so the two planes can never
-// disagree on row width. NewSource builds it from a Config; the
-// benchmark harness calls it directly.
-func NewCachedSource(c *Cache, g *graph.Graph) FeatureSource {
-	prec := c.Precision()
-	s := &kernelSource{k: c, c: c, g: g, rowBytes: prec.RowBytes(g.FeatDim), widen: prec.widen()}
-	s.copyFn = s.copyRange
-	return s
-}
-
-// NewKernelSource returns a feature plane over any cache Kernel (in
-// particular the frozen MapReference) with every row gathered from the
-// host array through prec's fused quantize→dequantize kernel. Cached
-// rows are quantized with the same kernel on admission, so output is
-// identical to a cached source at the same precision, and the
-// equivalence tests can swap kernels under an unchanged pipeline.
-func NewKernelSource(k Kernel, g *graph.Graph, prec Precision) FeatureSource {
-	s := &kernelSource{k: k, g: g, rowBytes: prec.RowBytes(g.FeatDim), widen: prec.widen()}
-	s.copyFn = s.copyRange
-	return s
-}
-
-type kernelSource struct {
-	k        Kernel
-	c        *Cache // non-nil when hits may be served from slot storage
-	g        *graph.Graph
-	rowBytes int64
-	widen    widenFunc
-	bytes    int64
+	// bytes is read by serving statistics while the gathering stage
+	// adds to it.
+	bytes atomic.Int64
 
 	missBuf []int32 // lookup scratch, reused across batches
 
@@ -187,47 +133,44 @@ type kernelSource struct {
 	copyFn func(lo, hi int)
 }
 
-// copyRange fills dst rows [lo, hi): hits dequantized from device slot
-// storage, everything else from the host feature array through the
-// precision's fused widen kernel. Slot rows were quantized by the same
-// kernel on admission, so the output cannot depend on the branch taken;
-// the loop only reads cache state, so sharding it across the worker
-// pool is safe.
-func (s *kernelSource) copyRange(lo, hi int) {
+func (s *source) copyRange(lo, hi int) {
 	for i := lo; i < hi; i++ {
-		row := s.dst.Row(i)
-		if s.c != nil && s.c.rowInto(row, s.nodes[i]) {
-			continue
-		}
-		s.widen(row, s.g.Feature(s.nodes[i]))
+		s.widen(s.dst.Row(i), s.g.Feature(s.nodes[i]))
 	}
 }
 
-func (s *kernelSource) Access(nodes []int32) BatchStats {
-	miss := s.k.LookupInto(s.missBuf[:0], nodes)
-	s.missBuf = miss
-	ops := s.k.Update(miss)
+func (s *source) Access(nodes []int32) BatchStats {
+	miss, ops := nodes, 0
+	if s.k != nil {
+		miss = s.k.LookupInto(s.missBuf[:0], nodes)
+		s.missBuf = miss
+		ops = s.k.Update(miss)
+	}
 	st := BatchStats{
 		Miss:          len(miss),
 		CacheOps:      ops,
 		TransferBytes: int64(len(miss)) * s.rowBytes,
 	}
-	s.bytes += st.TransferBytes
+	s.bytes.Add(st.TransferBytes)
 	return st
 }
 
-func (s *kernelSource) GatherInto(dst *tensor.Dense, nodes []int32) (*tensor.Dense, BatchStats) {
+func (s *source) GatherInto(dst *tensor.Dense, nodes []int32) (*tensor.Dense, BatchStats) {
 	st := s.Access(nodes)
 	dst = tensor.GrowDense(dst, len(nodes), s.g.FeatDim)
-	// The Access above already admitted this batch's misses, so the
-	// cache-row branch in copyRange also serves just-transferred rows
-	// from device storage.
 	s.dst, s.nodes = dst, nodes
 	tensor.ParallelRows(len(nodes), s.copyFn)
 	s.dst, s.nodes = nil, nil
 	return dst, st
 }
 
-func (s *kernelSource) Resident(v int32) bool   { return s.k.Contains(v) }
-func (s *kernelSource) HitRate() float64        { return s.k.HitRate() }
-func (s *kernelSource) TransferredBytes() int64 { return s.bytes }
+func (s *source) Resident(v int32) bool { return s.k != nil && s.k.Contains(v) }
+
+func (s *source) HitRate() float64 {
+	if s.k == nil {
+		return 0
+	}
+	return s.k.HitRate()
+}
+
+func (s *source) TransferredBytes() int64 { return s.bytes.Load() }

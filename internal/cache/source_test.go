@@ -20,10 +20,11 @@ func featuredGraph(t *testing.T) *graph.Graph {
 	return g
 }
 
-// TestNewSourceResidencyOnly pins NewSource's gather flag: a plane built
-// for timing only (no rows stored) and one built to gather report the
-// same per-batch stats, hit rate and transferred bytes for every cached
-// policy at float32 and int8.
+// TestNewSourceResidencyOnly pins that a cached plane's accounting does
+// not depend on whether rows are gathered: a plane driven timing-only
+// (Access) and one driven through GatherInto report the same per-batch
+// stats, hit rate and transferred bytes for every cached policy at
+// float32 and int8.
 func TestNewSourceResidencyOnly(t *testing.T) {
 	g := featuredGraph(t)
 	stream := accessStream(t, g, 24, 200, 37)
@@ -34,16 +35,13 @@ func TestNewSourceResidencyOnly(t *testing.T) {
 	for _, prec := range []Precision{Float32, Int8} {
 		for _, policy := range []Policy{Static, Freq, FIFO, LRU, Opt} {
 			cfg := Config{Policy: policy, Capacity: 300, Precision: prec, Order: g.DegreeOrder(), Script: script}
-			timing, err := NewSource(cfg, g, false)
+			timing, err := NewSource(cfg, g)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gather, err := NewSource(cfg, g, true)
+			gather, err := NewSource(cfg, g)
 			if err != nil {
 				t.Fatal(err)
-			}
-			if timing.(*kernelSource).c.ownsRows() || !gather.(*kernelSource).c.ownsRows() {
-				t.Fatalf("%s/%s: only the gathering plane may store rows", policy, prec)
 			}
 			var dst *tensor.Dense
 			for bi, batch := range stream {
@@ -66,7 +64,7 @@ func TestNewSourceResidencyOnly(t *testing.T) {
 }
 
 // TestNewSourceUncached pins the other branch of the switch: policy none
-// and a zero capacity give the direct graph source at cfg.Precision.
+// and a zero capacity give the uncached source at cfg.Precision.
 func TestNewSourceUncached(t *testing.T) {
 	g := featuredGraph(t)
 	for _, cfg := range []Config{
@@ -74,13 +72,13 @@ func TestNewSourceUncached(t *testing.T) {
 		{Policy: LRU, Precision: Int8},
 		{Policy: Freq, Precision: Int8, Order: []int32{}},
 	} {
-		src, err := NewSource(cfg, g, true)
+		src, err := NewSource(cfg, g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gs, ok := src.(*graphSource)
-		if !ok {
-			t.Fatalf("%+v: got %T, want the uncached graph source", cfg, src)
+		gs := src.(*source)
+		if gs.k != nil {
+			t.Fatalf("%+v: got a cache kernel %T, want the uncached source", cfg, gs.k)
 		}
 		if gs.rowBytes != Int8.RowBytes(g.FeatDim) {
 			t.Fatalf("%+v: rows priced at %d bytes, want int8's %d", cfg, gs.rowBytes, Int8.RowBytes(g.FeatDim))

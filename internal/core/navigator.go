@@ -73,17 +73,6 @@ type Input struct {
 	// results, so this is purely a wall-clock knob.
 	Prefetch int
 
-	// Parallelism bounds the Navigator's coarse-grained fan-outs: the
-	// concurrent calibration profiling runs of Step 1
-	// (estimator.CollectWith) and the concurrent estimator predictions of
-	// Step 2 (dse.Explorer.Workers). 0 = the process-wide tensor worker
-	// count (tensor.Parallelism: GOMAXPROCS unless a CLI's -procs set
-	// it), 1 = serial; the kernels inside each run keep the process-wide
-	// count either way. Every fan-out is index-stamped, so Guidelines and
-	// calibration records are bitwise-identical at any value — like
-	// Prefetch, this is purely a wall-clock knob.
-	Parallelism int
-
 	// SavePlan, when non-empty, compiles the final training run's epoch
 	// plan (backend.CompilePlan) and writes it to this path before
 	// training. LoadPlan, when non-empty, replays a previously saved plan
@@ -191,8 +180,8 @@ func New(in Input) (*Navigator, error) {
 
 	var records []estimator.Record
 	for i, name := range in.CalibDatasets {
-		recs, err := estimator.CollectCachedWith(name, in.Model, in.Platform,
-			in.CalibSamples, in.Seed+int64(i)*101, true, in.Parallelism,
+		recs, err := estimator.CollectCached(name, in.Model, in.Platform,
+			in.CalibSamples, in.Seed+int64(i)*101, true,
 			backend.Options{Prefetch: in.Prefetch, Ctx: in.Ctx})
 		if err != nil {
 			return nil, fmt.Errorf("core: calibration on %s: %w", name, err)
@@ -252,7 +241,7 @@ func augment(in Input) ([]estimator.Record, error) {
 			d = d2
 		}
 		cfgs := estimator.ProbeConfigs(d.Name, in.Model, in.Platform, 4, in.Seed+int64(i)*7)
-		recs, err := estimator.CollectWith(cfgs, false, in.Parallelism,
+		recs, err := estimator.Collect(cfgs, false,
 			backend.Options{Prefetch: in.Prefetch, Ctx: in.Ctx})
 		if err != nil {
 			return nil, err
@@ -282,14 +271,13 @@ func (n *Navigator) Estimator() *estimator.Estimator { return n.est }
 func (n *Navigator) BaseConfig() backend.Config { return n.base }
 
 // Explore performs Step 2: automatic guideline generation. The
-// underlying estimator queries fan out across Input.Parallelism workers;
-// the Guidelines are identical at any width.
+// underlying estimator queries fan out across tensor.Parallelism()
+// workers; the Guidelines are identical at any width.
 func (n *Navigator) Explore() (*Guidelines, error) {
 	ex := &dse.Explorer{
 		Est:         n.est,
 		Space:       n.in.Space,
 		Constraints: n.in.Constraints,
-		Workers:     n.in.Parallelism,
 		Ctx:         n.in.Ctx,
 	}
 	res, err := ex.Explore(n.base)

@@ -8,6 +8,7 @@ import (
 	"gnnavigator/internal/dataset"
 	"gnnavigator/internal/dse"
 	"gnnavigator/internal/model"
+	"gnnavigator/internal/tensor"
 )
 
 var (
@@ -129,21 +130,21 @@ func TestConstraintsRespectedInGuidelines(t *testing.T) {
 	}
 }
 
-// TestParallelismInvariantGuidelines: Input.Parallelism is a wall-clock
-// knob only — Guidelines are identical at any fan-out width.
+// TestParallelismInvariantGuidelines: the worker count (tensor
+// parallelism, which -procs sets) is a wall-clock knob only — Guidelines
+// are identical at any fan-out width.
 func TestParallelismInvariantGuidelines(t *testing.T) {
 	n := sharedNavigator(t)
-	mk := func(workers int) *Navigator {
-		nav := &Navigator{in: n.in, est: n.est, base: n.base}
-		nav.in.Parallelism = workers
-		return nav
+	explore := func(workers int) (*Guidelines, error) {
+		defer tensor.WithParallelism(workers)()
+		return n.Explore()
 	}
-	serial, err := mk(1).Explore()
+	serial, err := explore(1)
 	if err != nil {
 		t.Fatalf("serial Explore: %v", err)
 	}
 	for _, workers := range []int{3, 8} {
-		g, err := mk(workers).Explore()
+		g, err := explore(workers)
 		if err != nil {
 			t.Fatalf("workers=%d Explore: %v", workers, err)
 		}

@@ -1,18 +1,17 @@
-// Package dist is the multi-device training substrate: a partitioned
-// feature plane whose K shards serve disjoint vertex sub-streams of each
-// batch (with remote rows metered through a halo-exchange step), and a
-// deterministic ordered all-reduce for per-step gradient aggregation.
+// Package dist is the multi-device feature plane: K residency-only
+// cache shards account disjoint vertex sub-streams of each batch, and
+// rows whose consumer partition is not their owner are metered as
+// halo-exchange traffic.
 //
 // Determinism contract. A K-device run at the same global batch schedule
-// is bitwise-identical to the K=1 run: the batch's gathered feature
-// matrix is assembled from per-partition gathers that route every row
-// through the same widen/dequantize kernels the single-device plane
-// dispatches (the feature plane guarantees gathered values never depend
-// on the hit/miss branch), and the all-reduce of K identical replica
-// gradients reduces in a fixed partition-index tree whose result is
-// exactly the original gradient for power-of-two K. What changes with K
-// is only the new communication accounting: BatchStats.HaloBytes and the
-// reducer's wire bytes.
+// is bitwise-identical to the K=1 run: the batch's feature matrix is
+// gathered from the host array through the same widen kernel the
+// single-device plane dispatches (gathered values never depend on
+// residency), and K data-parallel replicas of one model compute K
+// identical gradients whose average is that gradient, so the backend
+// prices the gradient all-reduce (backend.Perf.AllReduceBytes) instead
+// of performing it. What changes with K is only the communication
+// accounting: BatchStats.HaloBytes and the all-reduce bytes.
 //
 // Counter semantics per policy. With prefilled policies (static, freq)
 // the shards are built by walking the *global* admission order and
@@ -48,15 +47,13 @@ type Source struct {
 	part *graph.Partition
 	k    int
 	subs []cache.FeatureSource
+	prec cache.Precision
 
 	rowBytes int64 // halo currency: precision row bytes at graph width
 
-	// per-batch scratch: the vertex sub-stream (and original row
-	// positions) of each partition, the per-partition staging matrices
-	// the sub-gathers fill, and their stats.
+	// per-batch scratch: the vertex sub-stream of each partition and the
+	// stats of its shard's Access.
 	perNodes [][]int32
-	perPos   [][]int32
-	staging  []*tensor.Dense
 	perStats []cache.BatchStats
 
 	// halo state: the current minibatch (set by BeginBatch) and a
@@ -76,10 +73,10 @@ type Source struct {
 // single-device cache configuration, with cfg.Order the global admission
 // order of a prefilled policy (static: degree order, freq: mined
 // frequency order); each shard gets its share of it as its own
-// cache.Config and goes through cache.NewSource, gather included. Policy
-// none or a zero capacity yields uncached per-partition planes (every
-// row crosses the host link, as at K=1).
-func NewSource(g *graph.Graph, part *graph.Partition, cfg cache.Config, gather bool) (*Source, error) {
+// cache.Config and goes through cache.NewSource. Policy none or a zero
+// capacity yields uncached per-partition planes (every row crosses the
+// host link, as at K=1).
+func NewSource(g *graph.Graph, part *graph.Partition, cfg cache.Config) (*Source, error) {
 	if g == nil || part == nil {
 		return nil, fmt.Errorf("dist: nil graph or partition")
 	}
@@ -96,10 +93,9 @@ func NewSource(g *graph.Graph, part *graph.Partition, cfg cache.Config, gather b
 	s := &Source{
 		g: g, part: part, k: k,
 		subs:     make([]cache.FeatureSource, k),
+		prec:     cfg.Precision,
 		rowBytes: cfg.Precision.RowBytes(g.FeatDim),
 		perNodes: make([][]int32, k),
-		perPos:   make([][]int32, k),
-		staging:  make([]*tensor.Dense, k),
 		perStats: make([]cache.BatchStats, k),
 		stamps:   make([][]int32, k),
 	}
@@ -145,7 +141,7 @@ func NewSource(g *graph.Graph, part *graph.Partition, cfg cache.Config, gather b
 	}
 	for i, sc := range shards {
 		var err error
-		if s.subs[i], err = cache.NewSource(sc, g, gather); err != nil {
+		if s.subs[i], err = cache.NewSource(sc, g); err != nil {
 			return nil, fmt.Errorf("dist: shard %d: %w", i, err)
 		}
 	}
@@ -233,26 +229,24 @@ func (s *Source) meterHalo() int64 {
 	return rows * s.rowBytes
 }
 
-// split partitions nodes into per-owner sub-streams, preserving batch
-// order within each, and records each row's original position for the
-// scatter after the per-partition gathers.
-func (s *Source) split(nodes []int32) {
+// Access implements the timing-only path: the batch's halo rows are
+// classified and metered, then each partition's shard looks up and
+// updates on its own sub-stream (batch order preserved within each,
+// fanned out on the tensor worker pool). The per-partition stats are
+// summed in fixed partition index order, independent of which worker
+// finished first, and folded into the cumulative accounting.
+func (s *Source) Access(nodes []int32) cache.BatchStats {
+	halo := s.meterHalo()
 	for k := 0; k < s.k; k++ {
 		s.perNodes[k] = s.perNodes[k][:0]
-		s.perPos[k] = s.perPos[k][:0]
 	}
-	owner := s.part.Owner
-	for i, v := range nodes {
-		k := owner[v]
+	for _, v := range nodes {
+		k := s.part.Owner[v]
 		s.perNodes[k] = append(s.perNodes[k], v)
-		s.perPos[k] = append(s.perPos[k], int32(i))
 	}
-}
-
-// reduceStats sums the per-partition batch stats in fixed partition
-// index order — independent of which worker finished first — and folds
-// them into the cumulative accounting.
-func (s *Source) reduceStats(nodes []int32, halo int64) cache.BatchStats {
+	tensor.ForEachIndex(s.k, 0, func(k int) {
+		s.perStats[k] = s.subs[k].Access(s.perNodes[k])
+	})
 	var st cache.BatchStats
 	for k := 0; k < s.k; k++ {
 		st.Miss += s.perStats[k].Miss
@@ -267,37 +261,18 @@ func (s *Source) reduceStats(nodes []int32, halo int64) cache.BatchStats {
 	return st
 }
 
-// Access implements the timing-only path: each partition's shard looks
-// up and updates on its own sub-stream (fanned out on the tensor worker
-// pool), and the batch's halo rows are classified and metered.
-func (s *Source) Access(nodes []int32) cache.BatchStats {
-	halo := s.meterHalo()
-	s.split(nodes)
-	tensor.ForEachIndex(s.k, 0, func(k int) {
-		s.perStats[k] = s.subs[k].Access(s.perNodes[k])
-	})
-	return s.reduceStats(nodes, halo)
-}
-
-// GatherInto fills dst with the feature rows of nodes. Each partition
-// worker gathers its owned rows into a per-partition staging matrix
-// through its own shard (lookup, update, transfer accounting, row
-// copies), then scatters them to the rows' batch positions — the local
-// materialization half of a gather-then-exchange step. Workers run
-// concurrently on the tensor pool; rows land at positions determined
-// only by the batch order, so dst is bitwise-identical to the
-// single-device gather at any worker count.
+// GatherInto is Access plus one gather of every row from the host array
+// through the precision's widen kernel, exactly as the single-device
+// plane gathers, so dst is bitwise that plane's at any worker count.
 func (s *Source) GatherInto(dst *tensor.Dense, nodes []int32) (*tensor.Dense, cache.BatchStats) {
-	halo := s.meterHalo()
-	s.split(nodes)
+	st := s.Access(nodes)
 	dst = tensor.GrowDense(dst, len(nodes), s.g.FeatDim)
-	tensor.ForEachIndex(s.k, 0, func(k int) {
-		s.staging[k], s.perStats[k] = s.subs[k].GatherInto(s.staging[k], s.perNodes[k])
-		for j, pos := range s.perPos[k] {
-			copy(dst.Row(int(pos)), s.staging[k].Row(j))
+	tensor.ParallelRows(len(nodes), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			s.prec.WidenRow(dst.Row(i), s.g.Feature(nodes[i]))
 		}
 	})
-	return dst, s.reduceStats(nodes, halo)
+	return dst, st
 }
 
 // Resident reports residency of v on its owning partition's shard.
@@ -319,6 +294,3 @@ func (s *Source) TransferredBytes() int64 { return s.bytes }
 
 // HaloBytes returns cumulative device-to-device halo-exchange traffic.
 func (s *Source) HaloBytes() int64 { return s.haloBytes }
-
-// Partition exposes the vertex partition backing the plane.
-func (s *Source) Partition() *graph.Partition { return s.part }

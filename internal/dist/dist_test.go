@@ -1,15 +1,12 @@
 package dist
 
 import (
-	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"gnnavigator/internal/cache"
-	"gnnavigator/internal/faultinject"
 	"gnnavigator/internal/graph"
-	"gnnavigator/internal/nn"
 	"gnnavigator/internal/sample"
 	"gnnavigator/internal/tensor"
 )
@@ -86,11 +83,11 @@ func TestSourceMatchesGlobal(t *testing.T) {
 					t.Fatalf("partition: %v", err)
 				}
 				ccfg := cache.Config{Policy: tc.policy, Capacity: tc.capacity, Precision: prec, Order: order}
-				ds, err := NewSource(g, part, ccfg, true)
+				ds, err := NewSource(g, part, ccfg)
 				if err != nil {
 					t.Fatalf("%s/%s K=%d: NewSource: %v", tc.policy, prec.OrDefault(), k, err)
 				}
-				gs, err := cache.NewSource(ccfg, g, true)
+				gs, err := cache.NewSource(ccfg, g)
 				if err != nil {
 					t.Fatalf("%s/%s: global cache.NewSource: %v", tc.policy, prec.OrDefault(), err)
 				}
@@ -132,7 +129,7 @@ func TestSourceDeterministicAcrossWorkers(t *testing.T) {
 	}
 	run := func(workers int) (*tensor.Dense, []cache.BatchStats) {
 		defer tensor.WithParallelism(workers)()
-		src, err := NewSource(g, part, cache.Config{Policy: cache.Static, Capacity: 90, Order: g.DegreeOrder()}, true)
+		src, err := NewSource(g, part, cache.Config{Policy: cache.Static, Capacity: 90, Order: g.DegreeOrder()})
 		if err != nil {
 			t.Fatalf("NewSource: %v", err)
 		}
@@ -179,7 +176,7 @@ func TestHaloHandComputed(t *testing.T) {
 	if err != nil {
 		t.Fatalf("partition: %v", err)
 	}
-	src, err := NewSource(pg, part, cache.Config{Policy: cache.None}, true)
+	src, err := NewSource(pg, part, cache.Config{Policy: cache.None})
 	if err != nil {
 		t.Fatalf("NewSource: %v", err)
 	}
@@ -219,7 +216,7 @@ func TestHaloZeroWithoutBatch(t *testing.T) {
 	if err != nil {
 		t.Fatalf("partition: %v", err)
 	}
-	src, err := NewSource(g, part, cache.Config{Policy: cache.None}, true)
+	src, err := NewSource(g, part, cache.Config{Policy: cache.None})
 	if err != nil {
 		t.Fatalf("NewSource: %v", err)
 	}
@@ -261,91 +258,7 @@ func TestSourceRejectsOpt(t *testing.T) {
 	if err != nil {
 		t.Fatalf("partition: %v", err)
 	}
-	if _, err := NewSource(g, part, cache.Config{Policy: cache.Opt, Capacity: 10}, true); err == nil {
+	if _, err := NewSource(g, part, cache.Config{Policy: cache.Opt, Capacity: 10}); err == nil {
 		t.Fatal("opt policy accepted")
-	}
-}
-
-// reducerParams builds a small parameter set with pseudo-random grads.
-func reducerParams(seed int64) []*nn.Param {
-	rng := rand.New(rand.NewSource(seed))
-	mk := func(name string, rows, cols int) *nn.Param {
-		p := &nn.Param{Name: name, Value: tensor.New(rows, cols), Grad: tensor.New(rows, cols)}
-		for i := range p.Grad.Data {
-			p.Grad.Data[i] = rng.NormFloat64()
-		}
-		return p
-	}
-	return []*nn.Param{mk("w0", 7, 5), mk("b0", 1, 5), mk("w1", 5, 3)}
-}
-
-// TestReducerBitwiseIdentity: averaging K identical replicas must leave
-// the gradient bitwise-unchanged for power-of-two K, at every worker
-// count.
-func TestReducerBitwiseIdentity(t *testing.T) {
-	for _, k := range []int{2, 4, 8} {
-		for _, workers := range []int{1, 4} {
-			restore := tensor.WithParallelism(workers)
-			params := reducerParams(11)
-			want := make([][]float64, len(params))
-			for i, p := range params {
-				want[i] = append([]float64(nil), p.Grad.Data...)
-			}
-			r, err := NewReducer(k, params)
-			if err != nil {
-				t.Fatalf("K=%d: %v", k, err)
-			}
-			if err := r.Step(params); err != nil {
-				t.Fatalf("K=%d: Step: %v", k, err)
-			}
-			for i, p := range params {
-				if !reflect.DeepEqual(p.Grad.Data, want[i]) {
-					t.Fatalf("K=%d workers=%d: param %s gradient changed by all-reduce", k, workers, p.Name)
-				}
-			}
-			restore()
-		}
-	}
-}
-
-func TestReducerRejectsNonPowerOfTwo(t *testing.T) {
-	for _, k := range []int{0, 1, 3, 6} {
-		if _, err := NewReducer(k, reducerParams(1)); err == nil {
-			t.Errorf("K=%d accepted", k)
-		}
-	}
-}
-
-func TestReducerWireBytes(t *testing.T) {
-	params := reducerParams(2)
-	scalars := 0
-	for _, p := range params {
-		scalars += len(p.Grad.Data)
-	}
-	r, err := NewReducer(4, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := int64(2 * 3 * scalars * 4 / 4) // 2(K-1)/K * scalars * 4 at K=4
-	if r.WireBytesPerStep() != want {
-		t.Fatalf("WireBytesPerStep = %d, want %d", r.WireBytesPerStep(), want)
-	}
-}
-
-// TestReducerInjectedFault pins the clean-error path of the
-// dist/allreduce injection point.
-func TestReducerInjectedFault(t *testing.T) {
-	defer faultinject.Reset()
-	faultinject.Arm(faultinject.DistAllReduce, faultinject.Spec{Kind: faultinject.Error, Count: 1})
-	params := reducerParams(3)
-	r, err := NewReducer(2, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Step(params); !errors.Is(err, faultinject.ErrInjected) {
-		t.Fatalf("Step error = %v, want ErrInjected", err)
-	}
-	if hits := faultinject.Hits(faultinject.DistAllReduce); hits != 1 {
-		t.Fatalf("hits = %d, want 1", hits)
 	}
 }

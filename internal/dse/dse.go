@@ -208,25 +208,10 @@ type Explorer struct {
 	Constraints Constraints
 	// DisablePruning turns constraint pruning off (ablation).
 	DisablePruning bool
-	// Workers bounds how many estimator.Predict calls run concurrently
-	// during Explore: 0 = the process-wide tensor worker count
-	// (tensor.Parallelism: GOMAXPROCS unless a CLI's -procs set it),
-	// 1 = serial. Evaluation
-	// results are index-stamped into the DFS leaf order, so Candidates,
-	// Pareto and every Decide over them are bitwise-identical at any
-	// worker count.
-	Workers int
 	// Ctx, when non-nil, cancels the exploration: the leaf-evaluation
 	// fan-out checks it before every estimator query and Explore returns
 	// the context's error. nil means no cancellation.
 	Ctx context.Context
-}
-
-func (e *Explorer) workerCount() int {
-	if e.Workers > 0 {
-		return e.Workers
-	}
-	return tensor.Parallelism()
 }
 
 // forEachLeaf enumerates, in DFS order, every admissible leaf
@@ -316,10 +301,11 @@ func (s Space) countLeaves(base backend.Config, ratio float64, prec cache.Precis
 //
 // Explore runs in two stages: a serial leaf generator walks the space,
 // cutting (and exactly counting) subtrees the cache-memory lower bound
-// already rules out; the surviving leaves are then evaluated on a
-// bounded worker pool (see Workers). The estimator is safe for
-// concurrent Predict use and each result lands in its leaf's index slot,
-// so the output is deterministic — identical to the serial traversal.
+// already rules out; the surviving leaves are then evaluated on
+// tensor.Parallelism() workers. The estimator is safe for concurrent
+// Predict use and each result lands in its leaf's index slot, so the
+// output is deterministic — identical to the serial traversal at any
+// worker count.
 func (e *Explorer) Explore(base backend.Config) (*Result, error) {
 	if e.Est == nil {
 		return nil, fmt.Errorf("dse: explorer needs a trained estimator")
@@ -367,7 +353,7 @@ func (e *Explorer) Explore(base backend.Config) (*Result, error) {
 	// DFS's early return (a failing estimator dependency — e.g. a
 	// baseline run, which only caches success — would otherwise re-fail
 	// once per leaf).
-	if err := tensor.ForEachIndexErr(len(leaves), e.workerCount(), func(i int) error {
+	if err := tensor.ForEachIndexErr(len(leaves), 0, func(i int) error {
 		if e.Ctx != nil {
 			if cerr := e.Ctx.Err(); cerr != nil {
 				return cerr

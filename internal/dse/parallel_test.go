@@ -10,6 +10,7 @@ import (
 	"gnnavigator/internal/backend"
 	"gnnavigator/internal/cache"
 	"gnnavigator/internal/estimator"
+	"gnnavigator/internal/tensor"
 )
 
 // TestExploreParallelEquivalence: the determinism contract of the
@@ -23,7 +24,11 @@ func TestExploreParallelEquivalence(t *testing.T) {
 	space.WalkLengths = []int{8, 12}
 	base := baseCfg()
 
-	serial, err := (&Explorer{Est: est, Space: space, Workers: 1}).Explore(base)
+	explore := func(workers int) (*Result, error) {
+		defer tensor.WithParallelism(workers)()
+		return (&Explorer{Est: est, Space: space}).Explore(base)
+	}
+	serial, err := explore(1)
 	if err != nil {
 		t.Fatalf("serial Explore: %v", err)
 	}
@@ -31,7 +36,7 @@ func TestExploreParallelEquivalence(t *testing.T) {
 		t.Fatal("serial exploration found no candidates; equivalence test is vacuous")
 	}
 	for _, workers := range []int{0, 4, runtime.GOMAXPROCS(0)} {
-		res, err := (&Explorer{Est: est, Space: space, Workers: workers}).Explore(base)
+		res, err := explore(workers)
 		if err != nil {
 			t.Fatalf("workers=%d Explore: %v", workers, err)
 		}

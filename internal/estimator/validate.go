@@ -120,16 +120,8 @@ var (
 // across them, so records collected at any depth are interchangeable.
 // Concurrent callers on a cold key single-flight the probe sweep.
 func CollectCached(dsName string, kind model.Kind, platform string, n int, seed int64, withAccuracy bool, opts ...backend.Options) ([]Record, error) {
-	return CollectCachedWith(dsName, kind, platform, n, seed, withAccuracy, 0, opts...)
-}
-
-// CollectCachedWith is CollectCached with an explicit fan-out width for
-// the underlying profiling runs (see CollectWith). The width is not part
-// of the memo key: records are identical at every worker count.
-func CollectCachedWith(dsName string, kind model.Kind, platform string, n int, seed int64, withAccuracy bool, workers int, opts ...backend.Options) ([]Record, error) {
 	key := fmt.Sprintf("%s/%s/%s/%d/%d/%v", dsName, kind, platform, n, seed, withAccuracy)
 	return cellFor(&calibMu, calibCache, key).get(func() ([]Record, error) {
-		cfgs := ProbeConfigs(dsName, kind, platform, n, seed)
-		return CollectWith(cfgs, withAccuracy, workers, opts...)
+		return Collect(ProbeConfigs(dsName, kind, platform, n, seed), withAccuracy, opts...)
 	})
 }

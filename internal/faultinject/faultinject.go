@@ -78,17 +78,13 @@ const (
 	// step (dist.Source), once per batch, before remote-partition rows
 	// are classified and metered.
 	DistHalo Point = "dist/halo"
-	// DistAllReduce fires in the ordered gradient all-reduce
-	// (dist.Reducer.Step), once per training step, before the replica
-	// buffers are reduced.
-	DistAllReduce Point = "dist/allreduce"
 )
 
 // Points lists the full injection-point catalog.
 func Points() []Point {
 	return []Point{PipelineSample, PipelineGather, TensorWorker, CacheShard,
 		PlanSave, PlanLoad, CheckpointSave, CheckpointLoad, EstimatorProbe,
-		ModelSave, ModelLoad, ServeDecode, ServeFlush, DistHalo, DistAllReduce}
+		ModelSave, ModelLoad, ServeDecode, ServeFlush, DistHalo}
 }
 
 // Kind selects what an armed point does when its schedule fires.
@@ -170,7 +166,7 @@ var (
 
 	mu    sync.Mutex
 	table = map[Point]*armedPoint{}
-	// hitLog keeps cumulative per-point hit counts across Disarm/Reset so
+	// hitLog keeps cumulative per-point hit counts across Reset so
 	// tests can assert a site was actually exercised.
 	hitLog sync.Map // Point -> *atomic.Int64
 )
@@ -195,16 +191,6 @@ func Arm(p Point, spec Spec) {
 	table[p] = &armedPoint{spec: spec}
 }
 
-// Disarm removes any fault at p.
-func Disarm(p Point) {
-	mu.Lock()
-	defer mu.Unlock()
-	if _, ok := table[p]; ok {
-		delete(table, p)
-		armedN.Add(-1)
-	}
-}
-
 // Reset disarms every point. Chaos tests defer it so a failed assertion
 // cannot leave a fault armed for the rest of the package run.
 func Reset() {
@@ -219,7 +205,7 @@ func Reset() {
 func Enabled() bool { return armedN.Load() != 0 }
 
 // Hits returns how many times site p has been passed (armed or not
-// since the point was first armed; counting survives Disarm/Reset).
+// since the point was first armed; counting survives Reset).
 func Hits(p Point) int64 {
 	if v, ok := hitLog.Load(p); ok {
 		return v.(*atomic.Int64).Load()

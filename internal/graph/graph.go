@@ -108,9 +108,6 @@ func (g *Graph) Neighbors(v int32) []int32 {
 // Offsets exposes the CSR offsets array (read-only by convention).
 func (g *Graph) Offsets() []int64 { return g.offsets }
 
-// Adj exposes the CSR adjacency array (read-only by convention).
-func (g *Graph) Adj() []int32 { return g.adj }
-
 // Feature returns the feature row of v (aliases internal storage).
 func (g *Graph) Feature(v int32) []float32 {
 	base := int(v) * g.FeatDim

@@ -12,8 +12,10 @@ import (
 	"testing"
 	"time"
 
+	"gnnavigator/internal/cache"
 	"gnnavigator/internal/dataset"
 	"gnnavigator/internal/faultinject"
+	"gnnavigator/internal/graph"
 	"gnnavigator/internal/infer"
 	"gnnavigator/internal/infer/infertest"
 	"gnnavigator/internal/leakcheck"
@@ -24,12 +26,12 @@ import (
 
 func testServer(t *testing.T, cfg serve.Config) (*serve.Server, *httptest.Server, *infer.Engine) {
 	t.Helper()
-	return testServerWith(t, cfg, nil)
+	return testServerWith(t, cfg, nil, nil)
 }
 
-// testServerWith is testServer with the engine's sampler chosen by the
-// caller (nil: the engine's default).
-func testServerWith(t *testing.T, cfg serve.Config, smp sample.Sampler) (*serve.Server, *httptest.Server, *infer.Engine) {
+// testServerWith is testServer with the engine's sampler and feature
+// plane chosen by the caller (nil: the engine's defaults).
+func testServerWith(t *testing.T, cfg serve.Config, smp sample.Sampler, src func(*graph.Graph) cache.FeatureSource) (*serve.Server, *httptest.Server, *infer.Engine) {
 	t.Helper()
 	d, err := dataset.Load(dataset.OgbnArxiv)
 	if err != nil {
@@ -42,7 +44,11 @@ func testServerWith(t *testing.T, cfg serve.Config, smp sample.Sampler) (*serve.
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := infer.New(infer.Config{Graph: d.Graph, Model: m, Seed: 11, Sampler: smp})
+	ecfg := infer.Config{Graph: d.Graph, Model: m, Seed: 11, Sampler: smp}
+	if src != nil {
+		ecfg.Source = src(d.Graph)
+	}
+	eng, err := infer.New(ecfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +191,7 @@ func TestStatsAndHealthz(t *testing.T) {
 // the one flush that follows; none of it depends on a time window.
 func TestConcurrentRequestsCoalesce(t *testing.T) {
 	gate := infertest.NewGate(infer.EvalSampler(2))
-	srv, ts, _ := testServerWith(t, serve.Config{}, gate)
+	srv, ts, _ := testServerWith(t, serve.Config{}, gate, nil)
 	entered, release := gate.StallNext()
 	defer release()
 	const clients = 8
@@ -239,6 +245,57 @@ func TestConcurrentRequestsCoalesce(t *testing.T) {
 	if st.Flushes != 2 || st.MeanBatch != float64(2+2*clients)/2 {
 		t.Errorf("%d requests queued behind one flush: %d flushes, mean width %v; want 2 flushes, mean %v",
 			clients, st.Flushes, st.MeanBatch, float64(2+2*clients)/2)
+	}
+}
+
+// TestStatsConcurrentWithPredict: /stats reads the feature plane's
+// counters while the coalescer's flush gathers through it and writes
+// them, so polling it under load must be race-free (go test -race).
+func TestStatsConcurrentWithPredict(t *testing.T) {
+	lru := func(g *graph.Graph) cache.FeatureSource {
+		src, err := cache.NewSource(cache.Config{Policy: cache.LRU, Capacity: 64}, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return src
+	}
+	srv, ts, _ := testServerWith(t, serve.Config{}, nil, lru)
+	const clients, posts = 4, 25
+	var wg sync.WaitGroup
+	for i := 0; i < clients; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < posts; j++ {
+				resp, out := postPredict(t, ts.URL, fmt.Sprintf(`{"vertices":[%d,%d]}`, 97*i+j, 13*j+i))
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("client %d: status %d: %s", i, resp.StatusCode, out["error"])
+					return
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for polling := true; polling; {
+		select {
+		case <-done:
+			polling = false
+		default:
+		}
+		resp, err := http.Get(ts.URL + "/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st serve.Stats
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := srv.Snapshot(); st.Requests != clients*posts || st.Errors != 0 || st.TransferredBytes == 0 {
+		t.Errorf("after %d requests: %+v", clients*posts, st)
 	}
 }
 
