@@ -450,9 +450,9 @@ func RunWith(cfg Config, opts Options) (*Perf, error) {
 		}
 	}
 
-	// Aggregate timing/volumes.
-	// One all-reduce per step, metered on timing-only and fast-forwarded
-	// steps too: it is a pure function of the config.
+	// Aggregate timing/volumes. The all-reduce is metered once per step,
+	// timing-only and fast-forwarded steps included: it is a pure
+	// function of the config.
 	perf.AllReduceBytes = int64(perf.Iterations) * pr.stepWire
 	n := float64(perf.Iterations)
 	perf.MeanBatchSize = sumBatch / n
