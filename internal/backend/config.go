@@ -12,6 +12,7 @@ import (
 
 	"gnnavigator/internal/cache"
 	"gnnavigator/internal/dataset"
+	"gnnavigator/internal/dist"
 	"gnnavigator/internal/graph"
 	"gnnavigator/internal/hw"
 	"gnnavigator/internal/model"
@@ -138,8 +139,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("backend: device count %d < 0", c.Devices)
 	}
 	if k := c.DeviceCount(); k > 1 {
-		if k&(k-1) != 0 {
-			return fmt.Errorf("backend: device count %d is not a power of two (only then does averaging K equal replica gradients reproduce the gradient exactly)", k)
+		if err := dist.CheckReduction(k); err != nil {
+			return fmt.Errorf("backend: %w", err)
 		}
 		if p, _ := hw.Profile(c.Platform); k > p.DeviceCount() {
 			return fmt.Errorf("backend: %d devices requested but platform %q has %d", k, c.Platform, p.DeviceCount())

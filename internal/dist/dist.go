@@ -36,6 +36,17 @@ import (
 	"gnnavigator/internal/tensor"
 )
 
+// CheckReduction reports whether K data-parallel devices may have their
+// gradient all-reduce priced instead of performed: K must be at least 2
+// and a power of two, the only counts for which a tree reduction
+// averages K equal replica gradients back to exactly that gradient.
+func CheckReduction(k int) error {
+	if k < 2 || k&(k-1) != 0 {
+		return fmt.Errorf("dist: device count %d is not a power of two >= 2 (only then does averaging K equal replica gradients reproduce the gradient exactly)", k)
+	}
+	return nil
+}
+
 // Source is the K-partition feature plane. It implements
 // cache.FeatureSource plus the pipeline's BatchAware hook (BeginBatch),
 // which hands it the sampled minibatch topology the halo classification

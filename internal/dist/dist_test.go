@@ -225,6 +225,21 @@ func TestHaloZeroWithoutBatch(t *testing.T) {
 	}
 }
 
+// TestReducerRejectsNonPowerOfTwo: the priced all-reduce stands in for a
+// tree reduction only at power-of-two K >= 2.
+func TestReducerRejectsNonPowerOfTwo(t *testing.T) {
+	for _, k := range []int{-2, 0, 1, 3, 6} {
+		if err := CheckReduction(k); err == nil {
+			t.Errorf("K=%d accepted", k)
+		}
+	}
+	for _, k := range []int{2, 4, 8} {
+		if err := CheckReduction(k); err != nil {
+			t.Errorf("K=%d rejected: %v", k, err)
+		}
+	}
+}
+
 func TestSplitCapacity(t *testing.T) {
 	cases := []struct {
 		total  int
