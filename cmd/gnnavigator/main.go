@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
 	"strings"
 
 	"gnnavigator/internal/cache"
@@ -38,7 +39,7 @@ func main() {
 		minAcc    = flag.Float64("min-acc", 0, "minimum accuracy in [0,1] (0 = unconstrained)")
 		samples   = flag.Int("calib-samples", 14, "estimator calibration probes per dataset")
 		policies  = flag.String("policies", "", "comma-separated cache policies to explore (none,static,freq,fifo,lru,opt); empty = default space")
-		precision = flag.String("precision", "", "pin the feature storage precision (float32, float16, int8); empty = $GNNAV_PRECISION or explore all")
+		precision = flag.String("precision", "", "pin the feature storage precision (float32, float16, int8); empty = explore all")
 		devices   = flag.Int("devices", 0, "pin the data-parallel device count (power of two the platform hosts); 0 = explore the default 1/2/4 sweep")
 		epochs    = flag.Int("epochs", 3, "training epochs")
 		doTrain   = flag.Bool("train", false, "execute the chosen guideline after exploring")
@@ -46,7 +47,7 @@ func main() {
 		procs     = flag.Int("procs", 0, "tensor kernel workers (0 = GOMAXPROCS, 1 = serial; negative is an error)")
 		prefetch  = flag.Int("prefetch", 0, "minibatch pipeline depth for calibration and training (<= 0 = inline; results identical at any depth)")
 		savePlan  = flag.String("save-plan", "", "compile the training run's epoch plan and write it to this file (with -train)")
-		loadPlan  = flag.String("load-plan", "", "replay a compiled epoch plan from this file instead of sampling live (default $GNNAV_PLAN; with -train)")
+		loadPlan  = flag.String("load-plan", "", "replay a compiled epoch plan from this file instead of sampling live (with -train)")
 		ckptPath  = flag.String("checkpoint", "", "snapshot the training state to this file every -checkpoint-every epochs (with -train; atomic, checksummed)")
 		ckptEvery = flag.Int("checkpoint-every", 1, "epochs between checkpoint snapshots (with -checkpoint)")
 		resume    = flag.String("resume", "", "resume training from this checkpoint file (with -train); the resumed run is bitwise-identical to an uninterrupted one")
@@ -55,72 +56,16 @@ func main() {
 	)
 	flag.Parse()
 
-	// The flag wins, the environment fills the default, so wrapper
-	// scripts can pin a plan or a precision once for many runs.
-	if *loadPlan == "" {
-		*loadPlan = os.Getenv("GNNAV_PLAN")
-	}
-	if *precision == "" {
-		*precision = os.Getenv("GNNAV_PRECISION")
-	}
-	prec := cache.Precision(strings.TrimSpace(*precision))
-	if !prec.Valid() {
-		log.Fatalf("unknown precision %q; have %v", *precision, cache.Precisions())
-	}
-
-	if *procs < 0 {
-		log.Fatalf("-procs %d: a worker count cannot be negative (0 = GOMAXPROCS, 1 = serial)", *procs)
+	prec, space, err := checkFlags(cliFlags{
+		platform: *platform, model: *modelName, priority: *priority,
+		precision: *precision, policies: *policies,
+		procs: *procs, devices: *devices,
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
 	if *procs > 0 {
 		tensor.SetParallelism(*procs)
-	}
-
-	plat, ok := hw.Profile(*platform)
-	if !ok {
-		log.Fatalf("unknown platform %q; have: %s", *platform, strings.Join(hw.ProfileNames(), ", "))
-	}
-	if *devices < 0 || *devices > plat.DeviceCount() {
-		log.Fatalf("-devices %d out of range for platform %q (%d devices)", *devices, *platform, plat.DeviceCount())
-	}
-	kind := model.Kind(*modelName)
-	switch kind {
-	case model.GCN, model.SAGE, model.GAT:
-	default:
-		log.Fatalf("unknown model %q", *modelName)
-	}
-	prio := dse.Priority(*priority)
-	valid := false
-	for _, p := range dse.Priorities() {
-		if p == prio {
-			valid = true
-		}
-	}
-	if !valid {
-		log.Fatalf("unknown priority %q", *priority)
-	}
-	// A -policies list narrows the explored cache-policy dimension (the
-	// rest of the space stays at the default grid); "freq" selects the
-	// pre-sample-admission policy introduced with the feature plane.
-	space := dse.DefaultSpace()
-	if *policies != "" {
-		space.Policies = space.Policies[:0]
-		for _, s := range strings.Split(*policies, ",") {
-			pol := cache.Policy(strings.TrimSpace(s))
-			if !pol.Valid() {
-				log.Fatalf("unknown cache policy %q; have none, static, freq, fifo, lru, opt", s)
-			}
-			space.Policies = append(space.Policies, pol)
-		}
-	}
-	// A pinned precision collapses the explored precision dimension to it;
-	// otherwise the default space explores all three widths. Same for a
-	// pinned device count (the default sweep explores 1/2/4; counts the
-	// platform cannot host are pruned by validation).
-	if prec != "" {
-		space.Precisions = []cache.Precision{prec}
-	}
-	if *devices > 0 {
-		space.DeviceCounts = []int{*devices}
 	}
 
 	// nil when unbounded: backend runs skip the per-batch cancellation
@@ -135,9 +80,9 @@ func main() {
 	fmt.Fprintf(os.Stderr, "calibrating estimator (leave-one-out over %v)...\n", otherDatasets(*dsName))
 	nav, err := core.New(core.Input{
 		Dataset:  *dsName,
-		Model:    kind,
+		Model:    model.Kind(*modelName),
 		Platform: *platform,
-		Priority: prio,
+		Priority: dse.Priority(*priority),
 		Constraints: dse.Constraints{
 			MaxTimeSec:  *maxTime,
 			MaxMemoryGB: *maxMem,
@@ -172,7 +117,7 @@ func main() {
 	for _, p := range dse.Priorities() {
 		pt := g.PerPriority[p]
 		marker := " "
-		if p == prio {
+		if p == dse.Priority(*priority) {
 			marker = ">"
 		}
 		fmt.Printf("%s %-8s %-46s pred T=%.2fs Γ=%.2fGB Acc=%.1f%%\n",
@@ -188,6 +133,61 @@ func main() {
 		fmt.Printf("measured: T=%.2fs Γ=%.2fGB Acc=%.1f%% (hit rate %.0f%%, %d iterations)\n",
 			perf.TimeSec, perf.MemoryGB, 100*perf.Accuracy, 100*perf.HitRate, perf.Iterations)
 	}
+}
+
+// cliFlags are the flag values checkFlags vets.
+type cliFlags struct {
+	platform, model, priority, precision, policies string
+	procs, devices                                 int
+}
+
+// checkFlags refuses flag values the workflow cannot run with, naming the
+// flag or value, and returns the pinned precision and the space to
+// explore. A -policies list narrows the cache-policy dimension (the rest
+// of the space stays at the default grid); a pinned precision or device
+// count collapses its dimension to that value, and device counts the
+// platform cannot host are left to validation to prune.
+func checkFlags(f cliFlags) (cache.Precision, dse.Space, error) {
+	prec := cache.Precision(strings.TrimSpace(f.precision))
+	if !prec.Valid() {
+		return "", dse.Space{}, fmt.Errorf("unknown precision %q; have %v", f.precision, cache.Precisions())
+	}
+	if f.procs < 0 {
+		return "", dse.Space{}, fmt.Errorf("-procs %d: a worker count cannot be negative (0 = GOMAXPROCS, 1 = serial)", f.procs)
+	}
+	plat, ok := hw.Profile(f.platform)
+	if !ok {
+		return "", dse.Space{}, fmt.Errorf("unknown platform %q; have: %s", f.platform, strings.Join(hw.ProfileNames(), ", "))
+	}
+	if f.devices < 0 || f.devices > plat.DeviceCount() {
+		return "", dse.Space{}, fmt.Errorf("-devices %d out of range for platform %q (%d devices)", f.devices, f.platform, plat.DeviceCount())
+	}
+	switch model.Kind(f.model) {
+	case model.GCN, model.SAGE, model.GAT:
+	default:
+		return "", dse.Space{}, fmt.Errorf("unknown model %q", f.model)
+	}
+	if !slices.Contains(dse.Priorities(), dse.Priority(f.priority)) {
+		return "", dse.Space{}, fmt.Errorf("unknown priority %q", f.priority)
+	}
+	space := dse.DefaultSpace()
+	if f.policies != "" {
+		space.Policies = space.Policies[:0]
+		for _, s := range strings.Split(f.policies, ",") {
+			pol := cache.Policy(strings.TrimSpace(s))
+			if !pol.Valid() {
+				return "", dse.Space{}, fmt.Errorf("unknown cache policy %q; have none, static, freq, fifo, lru, opt", s)
+			}
+			space.Policies = append(space.Policies, pol)
+		}
+	}
+	if prec != "" {
+		space.Precisions = []cache.Precision{prec}
+	}
+	if f.devices > 0 {
+		space.DeviceCounts = []int{f.devices}
+	}
+	return prec, space, nil
 }
 
 func otherDatasets(target string) []string {

@@ -266,14 +266,14 @@ func RunWith(cfg Config, opts Options) (*Perf, error) {
 	// all-reduce from the closed-form |Φ|, so a timing-only run builds no
 	// model.
 	var mdl *model.Model
-	var opt nn.Optimizer
+	var opt *nn.Adam
 	if !opts.SkipTraining {
 		if mdl, err = model.New(pr.Model); err != nil {
 			return nil, err
 		}
 		opt = nn.NewAdam(cfg.LR)
 		if ck != nil {
-			if err := restoreCheckpoint(mdl, opt.(*nn.Adam), ck); err != nil {
+			if err := restoreCheckpoint(mdl, opt, ck); err != nil {
 				return nil, fmt.Errorf("backend: resume from %s: %w", opts.ResumeFrom, err)
 			}
 		}
@@ -414,7 +414,7 @@ func RunWith(cfg Config, opts Options) (*Perf, error) {
 		perf.AccuracyHistory = append(perf.AccuracyHistory, acc)
 		perf.Accuracy = acc
 		if opts.CheckpointPath != "" && ((epoch+1)%ckptEvery == 0 || epoch == cfg.Epochs-1) {
-			snap := snapshotCheckpoint(cfg, mdl, opt.(*nn.Adam), epoch+1, perf.AccuracyHistory)
+			snap := snapshotCheckpoint(cfg, mdl, opt, epoch+1, perf.AccuracyHistory)
 			if err := SaveCheckpoint(opts.CheckpointPath, snap); err != nil {
 				return err
 			}

@@ -39,7 +39,7 @@ type Input struct {
 	// Precision pins the feature-plane storage width of the base config
 	// (and, unless Space.Precisions overrides it, of every explored
 	// candidate). Empty = the float32 baseline. The gnnavigator
-	// -precision flag and GNNAV_PRECISION env map onto this.
+	// -precision flag maps onto this.
 	Precision cache.Precision
 
 	// Devices pins the data-parallel device count of the base config
@@ -80,7 +80,7 @@ type Input struct {
 	// chosen configuration (sampler, seed, epochs, batch size, dataset).
 	// Replay is bitwise-identical to live sampling; both require unbiased
 	// sampling (BiasRate 0). The gnnavigator -save-plan/-load-plan flags
-	// (and the GNNAV_PLAN env default for loading) map onto these.
+	// map onto these.
 	SavePlan string
 	LoadPlan string
 
@@ -176,6 +176,32 @@ func New(in Input) (*Navigator, error) {
 		if name == in.Dataset {
 			return nil, fmt.Errorf("core: calibration dataset %q equals the target (leave-one-out violated)", name)
 		}
+		if _, err := dataset.Load(name); err != nil {
+			return nil, fmt.Errorf("core: calibration %w", err)
+		}
+	}
+	// The base config is checked before the first probe, so a platform,
+	// precision or device count it cannot run with fails at once instead
+	// of after the whole calibration.
+	base := backend.Config{
+		Dataset:     in.Dataset,
+		Platform:    in.Platform,
+		Model:       in.Model,
+		Hidden:      64,
+		Layers:      in.Layers,
+		Heads:       in.Heads,
+		Epochs:      in.Epochs,
+		LR:          in.LR,
+		Seed:        in.Seed,
+		Sampler:     backend.SamplerSAGE,
+		BatchSize:   1024,
+		Fanouts:     defaultFanouts(in.Layers),
+		CachePolicy: cache.None,
+		Precision:   in.Precision,
+		Devices:     in.Devices,
+	}
+	if err := base.Validate(); err != nil {
+		return nil, fmt.Errorf("core: base config: %w", err)
 	}
 
 	var records []estimator.Record
@@ -198,27 +224,6 @@ func New(in Input) (*Navigator, error) {
 	est, err := estimator.Train(records)
 	if err != nil {
 		return nil, fmt.Errorf("core: estimator training: %w", err)
-	}
-
-	base := backend.Config{
-		Dataset:     in.Dataset,
-		Platform:    in.Platform,
-		Model:       in.Model,
-		Hidden:      64,
-		Layers:      in.Layers,
-		Heads:       in.Heads,
-		Epochs:      in.Epochs,
-		LR:          in.LR,
-		Seed:        in.Seed,
-		Sampler:     backend.SamplerSAGE,
-		BatchSize:   1024,
-		Fanouts:     defaultFanouts(in.Layers),
-		CachePolicy: cache.None,
-		Precision:   in.Precision,
-		Devices:     in.Devices,
-	}
-	if err := base.Validate(); err != nil {
-		return nil, fmt.Errorf("core: base config: %w", err)
 	}
 	return &Navigator{in: in, est: est, base: base}, nil
 }

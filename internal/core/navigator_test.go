@@ -1,12 +1,16 @@
 package core
 
 import (
+	"errors"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"gnnavigator/internal/dataset"
 	"gnnavigator/internal/dse"
+	"gnnavigator/internal/faultinject"
 	"gnnavigator/internal/model"
 	"gnnavigator/internal/tensor"
 )
@@ -54,6 +58,52 @@ func TestNewValidatesInput(t *testing.T) {
 		CalibDatasets: []string{dataset.Reddit2},
 	}); err == nil {
 		t.Error("leave-one-out violation accepted")
+	}
+}
+
+// TestNewRefusesBeforeProbing: a platform or calibration dataset that
+// does not resolve, and a base config the backend would refuse (three
+// devices is not a power of two), fail New before its first calibration
+// probe. The probe point is armed, so a probe that ran would surface as
+// ErrInjected; the watchdog turns a calibration that never returns into
+// a failure.
+func TestNewRefusesBeforeProbing(t *testing.T) {
+	defer faultinject.Reset()
+	faultinject.Arm(faultinject.EstimatorProbe, faultinject.Spec{Kind: faultinject.Error})
+	for _, tc := range []struct {
+		name string
+		in   Input
+		want string
+	}{
+		{"platform", Input{Platform: "bogus"}, `"bogus"`},
+		{"calibration dataset", Input{Platform: "rtx4090", CalibDatasets: []string{dataset.OgbnArxiv, "no-such-dataset"}}, `"no-such-dataset"`},
+		{"base config", Input{Platform: "a100x4", Devices: 3}, "base config"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			in := tc.in
+			in.Dataset, in.Model, in.CalibSamples, in.Seed = dataset.Reddit2, model.SAGE, 4, 977
+			if in.CalibDatasets == nil {
+				in.CalibDatasets = []string{dataset.OgbnArxiv}
+			}
+			before := faultinject.Hits(faultinject.EstimatorProbe)
+			var err error
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				_, err = New(in)
+			}()
+			select {
+			case <-done:
+			case <-time.After(5 * time.Second):
+				t.Fatal("New did not return within 5s")
+			}
+			if err == nil || errors.Is(err, faultinject.ErrInjected) || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("New returned %v, want an error naming %s", err, tc.want)
+			}
+			if n := faultinject.Hits(faultinject.EstimatorProbe) - before; n != 0 {
+				t.Errorf("%d calibration probes ran before the refusal", n)
+			}
+		})
 	}
 }
 

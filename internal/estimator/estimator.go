@@ -380,7 +380,13 @@ type samplingCore struct {
 // stream, same model seed), so an aggressively small pool starves the
 // accuracy regressor of distinct observations. Two thirds keeps ~1/3 of
 // sampling work deduplicated without measurably hurting Table-2 MSE.
+//
+// ProbeConfigs returns nil when dsName or platform does not resolve, since
+// no draw on it could validate.
 func ProbeConfigs(dsName string, kind model.Kind, platform string, n int, seed int64) []backend.Config {
+	if resolveNames(dsName, platform) != nil {
+		return nil
+	}
 	rng := rand.New(rand.NewSource(seed))
 	plat, _ := hw.Profile(platform)
 	batchSizes := []int{256, 512, 1024, 2048}
@@ -472,6 +478,18 @@ func ProbeConfigs(dsName string, kind model.Kind, platform string, n int, seed i
 		out = append(out, cfg)
 	}
 	return out
+}
+
+// resolveNames reports whether dsName names a loadable dataset and
+// platform a hardware profile, naming the first that does not.
+func resolveNames(dsName, platform string) error {
+	if _, err := dataset.Load(dsName); err != nil {
+		return fmt.Errorf("estimator: %w", err)
+	}
+	if _, ok := hw.Profile(platform); !ok {
+		return fmt.Errorf("estimator: unknown platform %q", platform)
+	}
+	return nil
 }
 
 // features builds the shared regression feature vector from a config and

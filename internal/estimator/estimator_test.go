@@ -2,7 +2,9 @@ package estimator
 
 import (
 	"math"
+	"strings"
 	"testing"
+	"time"
 
 	"gnnavigator/internal/backend"
 	"gnnavigator/internal/cache"
@@ -11,6 +13,37 @@ import (
 	"gnnavigator/internal/regress"
 	"gnnavigator/internal/sample"
 )
+
+// TestUnresolvableNamesReturn: a dataset or platform name that does not
+// resolve can never yield a valid probe, so ProbeConfigs returns nil and
+// CollectCached fails naming it, instead of drawing forever. The
+// watchdog turns a spinning draw loop into a failure.
+func TestUnresolvableNamesReturn(t *testing.T) {
+	for _, tc := range []struct{ ds, platform, bad string }{
+		{dataset.OgbnArxiv, "bogus", "bogus"},
+		{"no-such-dataset", "rtx4090", "no-such-dataset"},
+	} {
+		var cfgs []backend.Config
+		var err error
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			cfgs = ProbeConfigs(tc.ds, model.SAGE, tc.platform, 3, 1)
+			_, err = CollectCached(tc.ds, model.SAGE, tc.platform, 3, 1, false)
+		}()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s on %s: no return within 5s", tc.ds, tc.platform)
+		}
+		if cfgs != nil {
+			t.Errorf("%s on %s: ProbeConfigs drew %d configs, want nil", tc.ds, tc.platform, len(cfgs))
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.bad) {
+			t.Errorf("%s on %s: CollectCached error %v, want one naming %q", tc.ds, tc.platform, err, tc.bad)
+		}
+	}
+}
 
 func TestProfileDataset(t *testing.T) {
 	d := dataset.MustLoad(dataset.Reddit2)

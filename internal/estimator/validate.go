@@ -118,8 +118,12 @@ var (
 // is the expensive step. Run-fidelity options (prefetch/parallelism) are
 // deliberately absent from the key: backend outputs are bitwise-identical
 // across them, so records collected at any depth are interchangeable.
-// Concurrent callers on a cold key single-flight the probe sweep.
+// Concurrent callers on a cold key single-flight the probe sweep. A
+// dataset or platform name that does not resolve is an error naming it.
 func CollectCached(dsName string, kind model.Kind, platform string, n int, seed int64, withAccuracy bool, opts ...backend.Options) ([]Record, error) {
+	if err := resolveNames(dsName, platform); err != nil {
+		return nil, err
+	}
 	key := fmt.Sprintf("%s/%s/%s/%d/%d/%v", dsName, kind, platform, n, seed, withAccuracy)
 	return cellFor(&calibMu, calibCache, key).get(func() ([]Record, error) {
 		return Collect(ProbeConfigs(dsName, kind, platform, n, seed), withAccuracy, opts...)

@@ -200,10 +200,6 @@ func Reset() {
 	table = map[Point]*armedPoint{}
 }
 
-// Enabled reports whether any point is armed — the same single load the
-// sites' fast path performs.
-func Enabled() bool { return armedN.Load() != 0 }
-
 // Hits returns how many times site p has been passed (armed or not
 // since the point was first armed; counting survives Reset).
 func Hits(p Point) int64 {

@@ -11,8 +11,8 @@ import (
 // every entry point fall through untouched.
 func TestDisarmedIsNoOp(t *testing.T) {
 	Reset()
-	if Enabled() {
-		t.Fatal("Enabled() true with empty registry")
+	if n := armedN.Load(); n != 0 {
+		t.Fatalf("%d points armed with an empty registry", n)
 	}
 	if err := Fire(PipelineSample); err != nil {
 		t.Fatalf("disarmed Fire returned %v", err)

@@ -68,36 +68,3 @@ func TestFrontierStampOverflow(t *testing.T) {
 		t.Fatal("table unusable after overflow reset")
 	}
 }
-
-func TestInducedSubgraphWithReuse(t *testing.T) {
-	g, err := FromAdjList([][]int32{{1, 2}, {0, 2}, {0, 1, 3}, {2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var f Frontier
-	// Repeated inductions through one scratch table must match the
-	// one-shot API, including duplicate/range error behavior.
-	for i := 0; i < 3; i++ {
-		sub, err := g.InducedSubgraphWith([]int32{0, 2}, &f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := g.InducedSubgraph([]int32{0, 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sub.NumVertices() != want.NumVertices() || sub.NumEdges() != want.NumEdges() {
-			t.Fatalf("iteration %d: reused-scratch induction diverged", i)
-		}
-	}
-	if _, err := g.InducedSubgraphWith([]int32{1, 1}, &f); err == nil {
-		t.Fatal("duplicate vertex not rejected")
-	}
-	if _, err := g.InducedSubgraphWith([]int32{9}, &f); err == nil {
-		t.Fatal("out-of-range vertex not rejected")
-	}
-	// The failed calls must not poison the next successful one.
-	if _, err := g.InducedSubgraphWith([]int32{3, 2}, &f); err != nil {
-		t.Fatalf("induction after error: %v", err)
-	}
-}

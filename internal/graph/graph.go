@@ -205,97 +205,6 @@ func (g *Graph) DegreeOrder() []int32 {
 	return order
 }
 
-// InducedSubgraph extracts the subgraph induced by vertices, relabeling
-// them 0..len(vertices)-1 in input order. Edges whose endpoint is outside
-// the vertex set are dropped. Features and labels are gathered when
-// present. Duplicate input vertices are an error.
-//
-// This one-shot form keeps an O(len(vertices)) hash map: a small vertex
-// set on a huge graph should not pay for |V|-length scratch arrays. Call
-// sites that induce repeatedly should hold a Frontier and use
-// InducedSubgraphWith, whose dense table amortizes to zero per call.
-// Both forms produce identical graphs (no iteration-order dependence).
-func (g *Graph) InducedSubgraph(vertices []int32) (*Graph, error) {
-	remap := make(map[int32]int32, len(vertices))
-	for i, v := range vertices {
-		if v < 0 || int(v) >= g.NumVertices() {
-			return nil, fmt.Errorf("graph: induced subgraph vertex %d out of range", v)
-		}
-		if _, dup := remap[v]; dup {
-			return nil, fmt.Errorf("graph: duplicate vertex %d in induced subgraph", v)
-		}
-		remap[v] = int32(i)
-	}
-	offsets := make([]int64, len(vertices)+1)
-	var adj []int32
-	for i, v := range vertices {
-		offsets[i] = int64(len(adj))
-		for _, u := range g.Neighbors(v) {
-			if lu, ok := remap[u]; ok {
-				adj = append(adj, lu)
-			}
-		}
-	}
-	offsets[len(vertices)] = int64(len(adj))
-	return g.finishInduced(vertices, offsets, adj)
-}
-
-// InducedSubgraphWith is InducedSubgraph with a caller-owned
-// epoch-stamped remap table, for call sites that induce repeatedly
-// (dataset scaling sweeps, SAINT-style epochs): the table resets by
-// epoch bump instead of rebuilding a hash map per call, and the adjacency
-// is pre-sized to the vertex set's total degree.
-func (g *Graph) InducedSubgraphWith(vertices []int32, remap *Frontier) (*Graph, error) {
-	remap.Reset(g.NumVertices())
-	var bound int64
-	for i, v := range vertices {
-		if v < 0 || int(v) >= g.NumVertices() {
-			return nil, fmt.Errorf("graph: induced subgraph vertex %d out of range", v)
-		}
-		if _, dup := remap.PosOrInsert(v, int32(i)); dup {
-			return nil, fmt.Errorf("graph: duplicate vertex %d in induced subgraph", v)
-		}
-		bound += int64(g.Degree(v))
-	}
-	offsets := make([]int64, len(vertices)+1)
-	adj := make([]int32, 0, bound)
-	for i, v := range vertices {
-		offsets[i] = int64(len(adj))
-		for _, u := range g.Neighbors(v) {
-			if lu, ok := remap.Pos(u); ok {
-				adj = append(adj, lu)
-			}
-		}
-	}
-	offsets[len(vertices)] = int64(len(adj))
-	return g.finishInduced(vertices, offsets, adj)
-}
-
-// finishInduced wraps induced CSR arrays into a Graph and gathers
-// features/labels; shared tail of both induction forms.
-func (g *Graph) finishInduced(vertices []int32, offsets []int64, adj []int32) (*Graph, error) {
-	sub, err := NewCSR(offsets, adj)
-	if err != nil {
-		return nil, err
-	}
-	sub.Name = g.Name + "/induced"
-	if g.Features != nil {
-		sub.FeatDim = g.FeatDim
-		sub.Features = make([]float32, len(vertices)*g.FeatDim)
-		for i, v := range vertices {
-			copy(sub.Features[i*g.FeatDim:(i+1)*g.FeatDim], g.Feature(v))
-		}
-	}
-	if g.Labels != nil {
-		sub.NumClasses = g.NumClasses
-		sub.Labels = make([]int32, len(vertices))
-		for i, v := range vertices {
-			sub.Labels[i] = g.Labels[v]
-		}
-	}
-	return sub, nil
-}
-
 // Relabel returns a new Graph with vertex v renamed to perm[v]. perm must
 // be a permutation of [0, n). Degree-descending relabeling improves cache
 // locality and is the "Reorder" knob of the runtime backend.

@@ -122,48 +122,6 @@ func TestDegreeOrderDeterministic(t *testing.T) {
 	}
 }
 
-func TestInducedSubgraph(t *testing.T) {
-	g := triangle(t)
-	g.FeatDim = 2
-	g.Features = []float32{0, 0, 1, 1, 2, 2}
-	g.Labels = []int32{0, 1, 0}
-	g.NumClasses = 2
-
-	sub, err := g.InducedSubgraph([]int32{0, 2})
-	if err != nil {
-		t.Fatalf("InducedSubgraph: %v", err)
-	}
-	if sub.NumVertices() != 2 {
-		t.Fatalf("sub.NumVertices = %d, want 2", sub.NumVertices())
-	}
-	// Original edges among {0,2}: 0->2 and 2->0. Relabeled: 0->1, 1->0.
-	if ns := sub.Neighbors(0); len(ns) != 1 || ns[0] != 1 {
-		t.Errorf("sub.Neighbors(0) = %v, want [1]", ns)
-	}
-	if ns := sub.Neighbors(1); len(ns) != 1 || ns[0] != 0 {
-		t.Errorf("sub.Neighbors(1) = %v, want [0]", ns)
-	}
-	if sub.Features[2] != 2 || sub.Features[3] != 2 {
-		t.Errorf("sub feature row 1 = %v, want [2 2]", sub.Features[2:4])
-	}
-	if sub.Labels[1] != 0 {
-		t.Errorf("sub.Labels[1] = %d, want 0", sub.Labels[1])
-	}
-	if err := sub.Validate(); err != nil {
-		t.Errorf("sub.Validate: %v", err)
-	}
-}
-
-func TestInducedSubgraphErrors(t *testing.T) {
-	g := triangle(t)
-	if _, err := g.InducedSubgraph([]int32{0, 0}); err == nil {
-		t.Error("duplicate vertices accepted")
-	}
-	if _, err := g.InducedSubgraph([]int32{7}); err == nil {
-		t.Error("out-of-range vertex accepted")
-	}
-}
-
 func TestRelabelIdentity(t *testing.T) {
 	g := triangle(t)
 	out, err := g.Relabel([]int32{0, 1, 2})
@@ -261,54 +219,6 @@ func TestRelabelPreservesEdgesProperty(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestInducedSubgraphProperty checks the induced subgraph never contains a
-// vertex outside the selection and preserves internal edges.
-func TestInducedSubgraphProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 3 + rng.Intn(40)
-		adj := make([][]int32, n)
-		for v := 0; v < n; v++ {
-			d := rng.Intn(6)
-			for i := 0; i < d; i++ {
-				adj[v] = append(adj[v], int32(rng.Intn(n)))
-			}
-		}
-		g, err := FromAdjList(adj)
-		if err != nil {
-			return false
-		}
-		k := 1 + rng.Intn(n)
-		sel := rng.Perm(n)[:k]
-		verts := make([]int32, k)
-		inSel := map[int32]bool{}
-		for i, v := range sel {
-			verts[i] = int32(v)
-			inSel[int32(v)] = true
-		}
-		sub, err := g.InducedSubgraph(verts)
-		if err != nil {
-			return false
-		}
-		if sub.NumVertices() != k {
-			return false
-		}
-		// Count internal edges in original.
-		var internal int64
-		for _, v := range verts {
-			for _, u := range g.Neighbors(v) {
-				if inSel[u] {
-					internal++
-				}
-			}
-		}
-		return sub.NumEdges() == internal && sub.Validate() == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
 }

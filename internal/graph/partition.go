@@ -9,10 +9,9 @@ import (
 // assigns every vertex to exactly one of K parts; the part that owns a
 // vertex stores its feature row, and any other part that needs the row
 // (because one of its own vertices has an arc to it) must fetch it over
-// the inter-device interconnect. The quality metrics reported here — cut
-// arcs, per-part balance, halo sets — are exactly the quantities the
-// simulator prices: halo bytes scale with the boundary size, and
-// per-part balance bounds the slowest device's share of the work.
+// the inter-device interconnect. The per-part vertex counts split the
+// device cache capacity; the halo traffic itself is metered per batch by
+// the dist layer, not precomputed here.
 
 // PartitionStrategy selects the vertex-assignment heuristic.
 type PartitionStrategy string
@@ -46,23 +45,10 @@ type Partition struct {
 	// K is the number of parts. Parts may be empty when K exceeds the
 	// vertex count.
 	K int
-	// Strategy records the heuristic that produced the assignment.
-	Strategy PartitionStrategy
 	// Owner[v] is the part index owning vertex v, in [0, K).
 	Owner []int32
-	// CutEdges counts stored arcs whose endpoints lie in different
-	// parts. Undirected graphs store both arc directions, so each cut
-	// undirected edge contributes 2 here.
-	CutEdges int64
 	// VertexCounts[k] is the number of vertices owned by part k.
 	VertexCounts []int
-	// EdgeCounts[k] is the number of stored arcs whose source vertex is
-	// owned by part k.
-	EdgeCounts []int64
-	// Halos[k] lists, sorted ascending, the vertices NOT owned by part k
-	// to which some vertex owned by k has an arc — the boundary feature
-	// rows part k must request from their owners.
-	Halos [][]int32
 }
 
 // PartitionGraph partitions g into k parts with the given strategy.
@@ -80,7 +66,7 @@ func PartitionGraph(g *Graph, k int, strategy PartitionStrategy) (*Partition, er
 	owner := make([]int32, n)
 	switch {
 	case k == 1:
-		// Identity: everything in part 0, no cut, no halo.
+		// Identity: everything in part 0.
 	case strategy == PartitionHash:
 		for v := range owner {
 			owner[v] = int32(splitmix64(uint64(v)) % uint64(k))
@@ -88,33 +74,9 @@ func PartitionGraph(g *Graph, k int, strategy PartitionStrategy) (*Partition, er
 	default:
 		assignGreedy(g, k, owner)
 	}
-	p := &Partition{
-		K:            k,
-		Strategy:     strategy,
-		Owner:        owner,
-		VertexCounts: make([]int, k),
-		EdgeCounts:   make([]int64, k),
-		Halos:        make([][]int32, k),
-	}
+	p := &Partition{K: k, Owner: owner, VertexCounts: make([]int, k)}
 	for _, o := range owner {
 		p.VertexCounts[o]++
-	}
-	// One pass over the CSR arrays collects cut arcs, per-part edge
-	// counts, and halo sets (deduplicated via sort+compact afterwards).
-	for v := 0; v < n; v++ {
-		ov := owner[v]
-		ns := g.Neighbors(int32(v))
-		p.EdgeCounts[ov] += int64(len(ns))
-		for _, u := range ns {
-			if owner[u] != ov {
-				p.CutEdges++
-				p.Halos[ov] = append(p.Halos[ov], u)
-			}
-		}
-	}
-	for i := range p.Halos {
-		slices.Sort(p.Halos[i])
-		p.Halos[i] = slices.Compact(p.Halos[i])
 	}
 	return p, nil
 }
@@ -174,39 +136,6 @@ func leastLoaded(sizes []int) int32 {
 		}
 	}
 	return int32(best)
-}
-
-// VertexBalance is max over parts of VertexCounts[k] divided by the
-// ideal n/K share (1.0 = perfectly balanced; 0 for empty graphs).
-func (p *Partition) VertexBalance() float64 { return balance(p.VertexCounts) }
-
-// EdgeBalance is max over parts of EdgeCounts[k] divided by the ideal
-// |E|/K share (1.0 = perfectly balanced; 0 for edgeless graphs).
-func (p *Partition) EdgeBalance() float64 { return balance(p.EdgeCounts) }
-
-func balance[T int | int64](counts []T) float64 {
-	var total, max T
-	for _, c := range counts {
-		total += c
-		if c > max {
-			max = c
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(max) * float64(len(counts)) / float64(total)
-}
-
-// HaloVertices returns the total halo-set size summed over parts: the
-// number of (part, remote vertex) feature-row dependencies a full pass
-// over the graph implies.
-func (p *Partition) HaloVertices() int {
-	n := 0
-	for _, h := range p.Halos {
-		n += len(h)
-	}
-	return n
 }
 
 // splitmix64 is the SplitMix64 finalizer, the same mixer the sampling

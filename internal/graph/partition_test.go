@@ -25,6 +25,21 @@ func pathGraph(t *testing.T, n int) *Graph {
 	return g
 }
 
+// cutArcs counts stored arcs whose endpoints lie in different parts.
+// Undirected graphs store both arc directions, so each cut undirected
+// edge counts twice.
+func cutArcs(g *Graph, p *Partition) int64 {
+	var cut int64
+	for v := 0; v < g.NumVertices(); v++ {
+		for _, u := range g.Neighbors(int32(v)) {
+			if p.Owner[u] != p.Owner[v] {
+				cut++
+			}
+		}
+	}
+	return cut
+}
+
 func TestPartitionK1Identity(t *testing.T) {
 	g := pathGraph(t, 7)
 	for _, s := range PartitionStrategies() {
@@ -37,17 +52,8 @@ func TestPartitionK1Identity(t *testing.T) {
 				t.Fatalf("%s: Owner[%d] = %d, want 0", s, v, o)
 			}
 		}
-		if p.CutEdges != 0 {
-			t.Fatalf("%s: CutEdges = %d, want 0", s, p.CutEdges)
-		}
-		if len(p.Halos[0]) != 0 {
-			t.Fatalf("%s: Halos[0] = %v, want empty", s, p.Halos[0])
-		}
-		if p.VertexCounts[0] != 7 || p.EdgeCounts[0] != g.NumEdges() {
-			t.Fatalf("%s: counts %v / %v", s, p.VertexCounts, p.EdgeCounts)
-		}
-		if got := p.VertexBalance(); got != 1 {
-			t.Fatalf("%s: VertexBalance = %v, want 1", s, got)
+		if p.VertexCounts[0] != 7 {
+			t.Fatalf("%s: VertexCounts = %v, want [7]", s, p.VertexCounts)
 		}
 	}
 }
@@ -88,8 +94,8 @@ func TestPartitionSingleVertex(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", s, err)
 		}
-		if p.CutEdges != 0 || p.HaloVertices() != 0 {
-			t.Fatalf("%s: cut=%d halo=%d, want 0/0", s, p.CutEdges, p.HaloVertices())
+		if cut := cutArcs(g, p); cut != 0 {
+			t.Fatalf("%s: %d cut arcs, want 0", s, cut)
 		}
 		if p.VertexCounts[p.Owner[0]] != 1 {
 			t.Fatalf("%s: owner count mismatch: %v", s, p.VertexCounts)
@@ -106,8 +112,7 @@ func TestPartitionSingleVertex(t *testing.T) {
 //	v0: neighbor 1 in part 0, score 1*(1-2/2)=0 (full) -> fallback -> part 1
 //	v3: neighbor 2 in part 0, score 0 -> fallback -> part 1. sizes [2 2]
 //
-// Owner = [1 0 0 1]; cut arcs {0-1, 1-0, 2-3, 3-2} -> CutEdges 4;
-// part 0 (owns 1,2) needs remote rows {0,3}; part 1 (owns 0,3) needs {1,2}.
+// Owner = [1 0 0 1]; cut arcs {0-1, 1-0, 2-3, 3-2} -> 4 cut arcs.
 func TestPartitionGreedyHandComputed(t *testing.T) {
 	g := pathGraph(t, 4)
 	p, err := PartitionGraph(g, 2, PartitionGreedy)
@@ -117,26 +122,11 @@ func TestPartitionGreedyHandComputed(t *testing.T) {
 	if want := []int32{1, 0, 0, 1}; !reflect.DeepEqual(p.Owner, want) {
 		t.Fatalf("Owner = %v, want %v", p.Owner, want)
 	}
-	if p.CutEdges != 4 {
-		t.Fatalf("CutEdges = %d, want 4", p.CutEdges)
-	}
-	if want := []int32{0, 3}; !reflect.DeepEqual(p.Halos[0], want) {
-		t.Fatalf("Halos[0] = %v, want %v", p.Halos[0], want)
-	}
-	if want := []int32{1, 2}; !reflect.DeepEqual(p.Halos[1], want) {
-		t.Fatalf("Halos[1] = %v, want %v", p.Halos[1], want)
+	if cut := cutArcs(g, p); cut != 4 {
+		t.Fatalf("%d cut arcs, want 4", cut)
 	}
 	if !reflect.DeepEqual(p.VertexCounts, []int{2, 2}) {
 		t.Fatalf("VertexCounts = %v, want [2 2]", p.VertexCounts)
-	}
-	if !reflect.DeepEqual(p.EdgeCounts, []int64{4, 2}) {
-		t.Fatalf("EdgeCounts = %v, want [4 2]", p.EdgeCounts)
-	}
-	if got := p.VertexBalance(); got != 1 {
-		t.Fatalf("VertexBalance = %v, want 1", got)
-	}
-	if got := p.EdgeBalance(); got != 4.0*2/6 {
-		t.Fatalf("EdgeBalance = %v, want %v", got, 4.0*2/6)
 	}
 }
 
@@ -174,11 +164,12 @@ func TestPartitionGreedyCutsLessThanHash(t *testing.T) {
 	// of each blob together. (LDG is not optimal — the two bridge hubs
 	// are placed first and one gets pulled across — but it must beat
 	// hash by a wide margin.)
-	if greedy.CutEdges >= hash.CutEdges {
-		t.Fatalf("greedy cut %d not better than hash cut %d", greedy.CutEdges, hash.CutEdges)
+	greedyCut, hashCut := cutArcs(g, greedy), cutArcs(g, hash)
+	if greedyCut >= hashCut {
+		t.Fatalf("greedy cut %d not better than hash cut %d", greedyCut, hashCut)
 	}
-	if lim := g.NumEdges() / 4; greedy.CutEdges > lim {
-		t.Fatalf("greedy CutEdges = %d, want <= %d (quarter of arcs)", greedy.CutEdges, lim)
+	if lim := g.NumEdges() / 4; greedyCut > lim {
+		t.Fatalf("greedy cuts %d arcs, want <= %d (quarter of arcs)", greedyCut, lim)
 	}
 }
 
@@ -196,47 +187,6 @@ func TestPartitionDeterministic(t *testing.T) {
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("%s: partition not deterministic", s)
 		}
-	}
-}
-
-// TestPartitionHaloMatchesBruteForce cross-checks the CSR-pass halo
-// computation against a direct per-part scan.
-func TestPartitionHaloMatchesBruteForce(t *testing.T) {
-	g := pathGraph(t, 50)
-	p, err := PartitionGraph(g, 4, PartitionHash)
-	if err != nil {
-		t.Fatalf("PartitionGraph: %v", err)
-	}
-	var cut int64
-	for k := 0; k < p.K; k++ {
-		seen := map[int32]bool{}
-		for v := 0; v < g.NumVertices(); v++ {
-			if p.Owner[v] != int32(k) {
-				continue
-			}
-			for _, u := range g.Neighbors(int32(v)) {
-				if p.Owner[u] != int32(k) {
-					seen[u] = true
-					cut++
-				}
-			}
-		}
-		if len(seen) != len(p.Halos[k]) {
-			t.Fatalf("part %d: halo size %d, want %d", k, len(p.Halos[k]), len(seen))
-		}
-		for _, u := range p.Halos[k] {
-			if !seen[u] {
-				t.Fatalf("part %d: halo lists %d, brute force does not", k, u)
-			}
-		}
-		for i := 1; i < len(p.Halos[k]); i++ {
-			if p.Halos[k][i-1] >= p.Halos[k][i] {
-				t.Fatalf("part %d: halo not sorted/distinct at %d", k, i)
-			}
-		}
-	}
-	if cut != p.CutEdges {
-		t.Fatalf("CutEdges = %d, brute force %d", p.CutEdges, cut)
 	}
 }
 

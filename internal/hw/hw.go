@@ -101,16 +101,6 @@ func (p Platform) Validate() error {
 	return nil
 }
 
-// FreeForCacheBytes returns the device memory available for feature
-// caching after reserving reservedBytes for model + runtime state.
-func (p Platform) FreeForCacheBytes(reservedBytes float64) float64 {
-	free := p.Device.MemCapacityBytes - reservedBytes
-	if free < 0 {
-		return 0
-	}
-	return free
-}
-
 const (
 	// GiB is 2^30 bytes.
 	GiB = 1024 * 1024 * 1024

@@ -66,16 +66,6 @@ func TestWithMemoryDoesNotMutateOriginal(t *testing.T) {
 	}
 }
 
-func TestFreeForCacheBytes(t *testing.T) {
-	p := M90() // 8 GiB
-	if got := p.FreeForCacheBytes(2 * GiB); got != 6*GiB {
-		t.Errorf("FreeForCacheBytes = %v, want 6 GiB", got)
-	}
-	if got := p.FreeForCacheBytes(10 * GiB); got != 0 {
-		t.Errorf("over-reserved FreeForCacheBytes = %v, want 0", got)
-	}
-}
-
 func TestCPUOnlyShape(t *testing.T) {
 	cpu := CPUOnly()
 	if err := cpu.Validate(); err != nil {

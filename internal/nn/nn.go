@@ -1,7 +1,7 @@
 // Package nn provides the neural-network building blocks for the pure-Go
 // GNN trainer: parameterized linear layers, activations with exact
-// backward passes, dropout, the softmax cross-entropy loss, and the SGD
-// and Adam optimizers.
+// backward passes, dropout, the softmax cross-entropy loss, and the Adam
+// optimizer.
 //
 // Every layer optionally carries a *tensor.Workspace (the WS field, nil
 // by default). With a workspace attached, forward/backward passes draw
@@ -223,60 +223,6 @@ func (e *ELU) Backward(dy *tensor.Dense) *tensor.Dense {
 	return out
 }
 
-// LeakyReLU is x for x>0, slope*x otherwise (used by GAT attention).
-type LeakyReLU struct {
-	Slope float64
-	WS    *tensor.Workspace
-	x     *tensor.Dense
-}
-
-// Name implements Activation.
-func (l *LeakyReLU) Name() string { return "leaky_relu" }
-
-// SetWorkspace implements Activation.
-func (l *LeakyReLU) SetWorkspace(ws *tensor.Workspace) { l.WS = ws }
-
-// Forward implements Activation.
-func (l *LeakyReLU) Forward(x *tensor.Dense) *tensor.Dense {
-	if l.Slope == 0 {
-		l.Slope = 0.2
-	}
-	if l.WS == nil {
-		l.x = x.Clone() // see ELU.x: preserve seed aliasing semantics
-	} else {
-		l.x = x
-	}
-	out := l.WS.Get(x.Rows, x.Cols)
-	slope := l.Slope
-	tensor.ParallelRange(len(x.Data), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v := x.Data[i]
-			if v < 0 {
-				v = slope * v
-			}
-			out.Data[i] = v
-		}
-	})
-	return out
-}
-
-// Backward implements Activation.
-func (l *LeakyReLU) Backward(dy *tensor.Dense) *tensor.Dense {
-	out := l.WS.Get(dy.Rows, dy.Cols)
-	slope := l.Slope
-	x := l.x
-	tensor.ParallelRange(len(dy.Data), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			g := dy.Data[i]
-			if x.Data[i] < 0 {
-				g *= slope
-			}
-			out.Data[i] = g
-		}
-	})
-	return out
-}
-
 // Dropout zeroes activations with probability P during training and
 // rescales survivors by 1/(1-P) (inverted dropout).
 type Dropout struct {
@@ -369,35 +315,9 @@ func Accuracy(logits *tensor.Dense, labels []int32) float64 {
 	return float64(correct) / float64(len(labels))
 }
 
-// Optimizer updates parameters from accumulated gradients.
-type Optimizer interface {
-	Step(params []*Param)
-}
-
-// SGD is plain stochastic gradient descent with optional weight decay.
-type SGD struct {
-	LR          float64
-	WeightDecay float64
-}
-
-// Step implements Optimizer.
-func (o *SGD) Step(params []*Param) {
-	for _, p := range params {
-		val, grad := p.Value.Data, p.Grad.Data
-		tensor.ParallelRange(len(val), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				g := grad[i] + o.WeightDecay*val[i]
-				val[i] -= o.LR * g
-			}
-		})
-		p.ZeroGrad()
-	}
-}
-
 // Adam implements the Adam optimizer with bias correction.
 type Adam struct {
 	LR, Beta1, Beta2, Eps float64
-	WeightDecay           float64
 
 	t int
 	m map[*Param][]float64
@@ -409,7 +329,8 @@ func NewAdam(lr float64) *Adam {
 	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
 }
 
-// Step implements Optimizer.
+// Step applies one update to params from their accumulated gradients,
+// then zeroes the gradients.
 func (o *Adam) Step(params []*Param) {
 	if o.m == nil {
 		o.m = make(map[*Param][]float64)
@@ -429,7 +350,7 @@ func (o *Adam) Step(params []*Param) {
 		val, grad := p.Value.Data, p.Grad.Data
 		tensor.ParallelRange(len(val), func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				g := grad[i] + o.WeightDecay*val[i]
+				g := grad[i]
 				m[i] = o.Beta1*m[i] + (1-o.Beta1)*g
 				v[i] = o.Beta2*v[i] + (1-o.Beta2)*g*g
 				mhat := m[i] / bc1

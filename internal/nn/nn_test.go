@@ -72,7 +72,7 @@ func TestLinearGradCheck(t *testing.T) {
 
 func TestActivationsGradCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for _, act := range []Activation{&ReLU{}, &ELU{Alpha: 1}, &LeakyReLU{Slope: 0.2}} {
+	for _, act := range []Activation{&ReLU{}, &ELU{Alpha: 1}} {
 		x := tensor.New(2, 5)
 		for i := range x.Data {
 			x.Data[i] = rng.NormFloat64()
@@ -176,38 +176,8 @@ func TestDropoutTrainEval(t *testing.T) {
 	}
 }
 
-// TestSGDReducesLoss: a few SGD steps on a linear softmax problem must
-// reduce the loss.
-func TestSGDReducesLoss(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	l := NewLinear(rng, "l", 4, 3)
-	x := tensor.New(30, 4)
-	labels := make([]int32, 30)
-	for i := 0; i < 30; i++ {
-		labels[i] = int32(i % 3)
-		for j := 0; j < 4; j++ {
-			x.Set(i, j, rng.NormFloat64()+float64(labels[i]))
-		}
-	}
-	opt := &SGD{LR: 0.1}
-	var first, last float64
-	for step := 0; step < 50; step++ {
-		y := l.Forward(x)
-		loss, dy := SoftmaxCrossEntropy(y, labels)
-		if step == 0 {
-			first = loss
-		}
-		last = loss
-		l.BackwardParams(dy)
-		opt.Step(l.Params())
-	}
-	if last >= first {
-		t.Errorf("SGD did not reduce loss: first=%v last=%v", first, last)
-	}
-}
-
-// TestAdamBeatsNothing: Adam must reach a lower loss than the initial one
-// and converge faster than a tiny-LR SGD on the same problem.
+// TestAdamConverges: Adam must cut the initial loss at least in half on a
+// separable linear softmax problem.
 func TestAdamConverges(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	l := NewLinear(rng, "l", 4, 2)
@@ -241,22 +211,5 @@ func TestCountParams(t *testing.T) {
 	l := NewLinear(rng, "l", 8, 16)
 	if got := CountParams(l.Params()); got != 8*16+16 {
 		t.Errorf("CountParams = %d, want %d", got, 8*16+16)
-	}
-}
-
-func TestAdamWeightDecayShrinksWeights(t *testing.T) {
-	p := NewParam("w", 2, 2)
-	for i := range p.Value.Data {
-		p.Value.Data[i] = 10
-	}
-	opt := NewAdam(0.1)
-	opt.WeightDecay = 1.0
-	for step := 0; step < 20; step++ {
-		opt.Step([]*Param{p}) // zero gradient, decay only
-	}
-	for _, v := range p.Value.Data {
-		if v >= 10 {
-			t.Errorf("weight decay did not shrink weight: %v", v)
-		}
 	}
 }

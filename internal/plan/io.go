@@ -20,15 +20,13 @@ import (
 //
 // Version history:
 //
-//	GNAVPLN1 — header + body, no integrity check (still readable).
+//	GNAVPLN1 — header + body, no integrity check. No longer read: it
+//	           fails as bad magic.
 //	GNAVPLN2 — header + body + CRC-64/ECMA of the body as the trailing
 //	           8 bytes (little-endian). Truncation and bit flips anywhere
 //	           in the body or footer are rejected on load.
 
-var (
-	planMagicV1 = [8]byte{'G', 'N', 'A', 'V', 'P', 'L', 'N', '1'}
-	planMagicV2 = [8]byte{'G', 'N', 'A', 'V', 'P', 'L', 'N', '2'}
-)
+var planMagicV2 = [8]byte{'G', 'N', 'A', 'V', 'P', 'L', 'N', '2'}
 
 // SaveFile writes the plan to path (atomically via rename, in the
 // current GNAVPLN2 format). A failed write or rename leaves no *.tmp
@@ -53,8 +51,10 @@ func SaveFile(path string, p *Plan) error {
 	return nil
 }
 
-// LoadFile reads a plan previously written by SaveFile — the current
-// checksummed GNAVPLN2 format, or a legacy GNAVPLN1 file (no footer).
+// LoadFile reads a plan previously written by SaveFile. It verifies the
+// CRC footer over the exact body bytes, then parses. The whole rest of
+// the file is read up front so truncation is indistinguishable from
+// corruption — both fail the checksum, never a partial parse.
 func LoadFile(path string) (*Plan, error) {
 	if err := faultinject.Fire(faultinject.PlanLoad); err != nil {
 		return nil, fmt.Errorf("plan: load %s: %w", path, err)
@@ -66,41 +66,20 @@ func LoadFile(path string) (*Plan, error) {
 	if len(data) < 8 {
 		return nil, fmt.Errorf("plan: load %s: truncated (%d bytes)", path, len(data))
 	}
-	var magic [8]byte
-	copy(magic[:], data)
-	var p *Plan
-	switch magic {
-	case planMagicV1:
-		// Legacy: no footer to verify; the body's own shape/extent checks
-		// are the only guard.
-		p, err = readPlanBody(bytes.NewReader(data[8:]))
-	case planMagicV2:
-		p, err = readPlanV2(data[8:])
-	default:
-		return nil, fmt.Errorf("plan: load %s: bad magic %q (not a plan file or wrong version)", path, magic[:])
+	if magic := data[:8]; !bytes.Equal(magic, planMagicV2[:]) {
+		return nil, fmt.Errorf("plan: load %s: bad magic %q (not a plan file or wrong version)", path, magic)
 	}
+	payload, err := safefile.Verify(data[8:])
 	if err != nil {
 		return nil, fmt.Errorf("plan: load %s: %w", path, err)
 	}
-	return p, nil
-}
-
-// readPlanV2 verifies the CRC footer over the exact body bytes, then
-// parses. The whole rest of the file was read up front so truncation is
-// indistinguishable from corruption — both fail the checksum, never a
-// partial parse.
-func readPlanV2(rest []byte) (*Plan, error) {
-	payload, err := safefile.Verify(rest)
-	if err != nil {
-		return nil, err
-	}
 	br := bytes.NewReader(payload)
 	p, err := readPlanBody(br)
-	if err != nil {
-		return nil, err
+	if err == nil && br.Len() != 0 {
+		err = fmt.Errorf("corrupt plan: %d trailing bytes after body", br.Len())
 	}
-	if br.Len() != 0 {
-		return nil, fmt.Errorf("corrupt plan: %d trailing bytes after body", br.Len())
+	if err != nil {
+		return nil, fmt.Errorf("plan: load %s: %w", path, err)
 	}
 	return p, nil
 }

@@ -1,7 +1,7 @@
 package plan
 
 import (
-	"bufio"
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -82,36 +82,22 @@ func TestV2RejectsTruncation(t *testing.T) {
 	}
 }
 
-// TestReadsLegacyV1: files written in the footer-less GNAVPLN1 layout
-// must keep loading bit-exactly.
-func TestReadsLegacyV1(t *testing.T) {
-	pl := compileTestPlan(t)
+// TestRefusesLegacyV1: nothing writes the footer-less GNAVPLN1 layout,
+// so a file in it is refused as bad magic instead of parsed without an
+// integrity check.
+func TestRefusesLegacyV1(t *testing.T) {
+	var buf bytes.Buffer
+	buf.WriteString("GNAVPLN1")
+	if err := writePlanBody(&buf, compileTestPlan(t)); err != nil {
+		t.Fatal(err)
+	}
 	path := filepath.Join(t.TempDir(), "v1.plan")
-	f, err := os.Create(path)
-	if err != nil {
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	w := bufio.NewWriter(f)
-	if _, err := w.Write(planMagicV1[:]); err != nil {
-		t.Fatal(err)
+	if _, err := LoadFile(path); err == nil || !strings.Contains(err.Error(), "bad magic") {
+		t.Fatalf("GNAVPLN1 plan: error %v, want bad magic", err)
 	}
-	if err := writePlanBody(w, pl); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadFile(path)
-	if err != nil {
-		t.Fatalf("legacy v1 plan rejected: %v", err)
-	}
-	if got.Key() != pl.Key() || got.NumBatches() != pl.NumBatches() {
-		t.Fatal("legacy v1 plan changed across the roundtrip")
-	}
-	mbEqual(t, got.Replay(0, 0), pl.Replay(0, 0), "v1 roundtrip")
 }
 
 // TestSaveCleansUpTmpOnRenameFailure: a failed rename (here: the target

@@ -1,6 +1,6 @@
 // Package regress is a small from-scratch regression toolkit: ridge
-// regression, CART regression trees, random forests and kNN, plus the
-// R²/MSE/MAE metrics the paper reports in Table 2. The gray-box estimator
+// regression, CART regression trees and random forests, plus the R²/MSE
+// metrics the paper reports in Table 2. The gray-box estimator
 // uses these as the "black-box" halves of its predictions; the pure
 // decision-tree baseline of Fig. 5 comes from here too.
 package regress
@@ -330,69 +330,7 @@ func (f *Forest) Predict(x []float64) float64 {
 	return s / float64(len(f.members))
 }
 
-// --- kNN ------------------------------------------------------------------------
-
-// KNN is a k-nearest-neighbor regressor with inverse-distance weighting
-// over standardized features.
-type KNN struct {
-	K int // default 5
-
-	x      [][]float64
-	y      []float64
-	scaler *Scaler
-}
-
-// Fit implements Regressor.
-func (k *KNN) Fit(X [][]float64, y []float64) error {
-	if _, err := checkXY(X, y); err != nil {
-		return err
-	}
-	if k.K == 0 {
-		k.K = 5
-	}
-	k.scaler = NewScaler(X)
-	k.x = make([][]float64, len(X))
-	for i, row := range X {
-		k.x[i] = k.scaler.Apply(row)
-	}
-	k.y = append([]float64(nil), y...)
-	return nil
-}
-
-// Predict implements Regressor.
-func (k *KNN) Predict(x []float64) float64 {
-	if len(k.x) == 0 {
-		return 0
-	}
-	q := k.scaler.Apply(x)
-	type nb struct {
-		d float64
-		y float64
-	}
-	nbs := make([]nb, len(k.x))
-	for i, row := range k.x {
-		var d float64
-		for j := range row {
-			diff := row[j] - q[j]
-			d += diff * diff
-		}
-		nbs[i] = nb{d, k.y[i]}
-	}
-	slices.SortFunc(nbs, func(a, b nb) int { return cmp.Compare(a.d, b.d) })
-	kk := k.K
-	if kk > len(nbs) {
-		kk = len(nbs)
-	}
-	var num, den float64
-	for i := 0; i < kk; i++ {
-		w := 1 / (nbs[i].d + 1e-9)
-		num += w * nbs[i].y
-		den += w
-	}
-	return num / den
-}
-
-// --- scaling, splitting, metrics ---------------------------------------------
+// --- scaling and metrics -----------------------------------------------------
 
 // Scaler standardizes features to zero mean / unit variance.
 type Scaler struct {
@@ -436,39 +374,12 @@ func (s *Scaler) Apply(x []float64) []float64 {
 	return out
 }
 
-// Split partitions (X, y) into train/test with the given test fraction,
-// shuffled by seed.
-func Split(X [][]float64, y []float64, testFraction float64, seed int64) (trX [][]float64, trY []float64, teX [][]float64, teY []float64) {
-	rng := rand.New(rand.NewSource(seed))
-	idx := rng.Perm(len(X))
-	nTest := int(testFraction * float64(len(X)))
-	for i, j := range idx {
-		if i < nTest {
-			teX = append(teX, X[j])
-			teY = append(teY, y[j])
-		} else {
-			trX = append(trX, X[j])
-			trY = append(trY, y[j])
-		}
-	}
-	return
-}
-
 // MSE returns the mean squared error.
 func MSE(pred, truth []float64) float64 {
 	var s float64
 	for i := range pred {
 		d := pred[i] - truth[i]
 		s += d * d
-	}
-	return s / float64(len(pred))
-}
-
-// MAE returns the mean absolute error.
-func MAE(pred, truth []float64) float64 {
-	var s float64
-	for i := range pred {
-		s += math.Abs(pred[i] - truth[i])
 	}
 	return s / float64(len(pred))
 }

@@ -145,23 +145,6 @@ func TestForestBeatsSingleTreeOnNoisy(t *testing.T) {
 	}
 }
 
-func TestKNNInterpolates(t *testing.T) {
-	X := [][]float64{{0}, {1}, {2}, {3}}
-	y := []float64{0, 10, 20, 30}
-	k := &KNN{K: 2}
-	if err := k.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	got := k.Predict([]float64{1.5})
-	if got < 10 || got > 20 {
-		t.Errorf("Predict(1.5) = %v, want in [10,20]", got)
-	}
-	// Exact training point should be very close to its label.
-	if math.Abs(k.Predict([]float64{2})-20) > 1 {
-		t.Errorf("Predict(2) = %v, want ~20", k.Predict([]float64{2}))
-	}
-}
-
 func TestScaler(t *testing.T) {
 	X := [][]float64{{1, 100}, {3, 300}}
 	s := NewScaler(X)
@@ -174,39 +157,11 @@ func TestScaler(t *testing.T) {
 	}
 }
 
-func TestSplitPartitions(t *testing.T) {
-	X := make([][]float64, 100)
-	y := make([]float64, 100)
-	for i := range X {
-		X[i] = []float64{float64(i)}
-		y[i] = float64(i)
-	}
-	trX, trY, teX, teY := Split(X, y, 0.25, 7)
-	if len(teX) != 25 || len(trX) != 75 {
-		t.Fatalf("split sizes %d/%d", len(trX), len(teX))
-	}
-	if len(trY) != 75 || len(teY) != 25 {
-		t.Fatalf("target sizes %d/%d", len(trY), len(teY))
-	}
-	seen := map[float64]bool{}
-	for _, x := range trX {
-		seen[x[0]] = true
-	}
-	for _, x := range teX {
-		if seen[x[0]] {
-			t.Fatalf("value %v in both partitions", x[0])
-		}
-	}
-}
-
 func TestMetricsKnownValues(t *testing.T) {
 	pred := []float64{1, 2, 3}
 	truth := []float64{1, 2, 5}
 	if got := MSE(pred, truth); math.Abs(got-4.0/3) > 1e-12 {
 		t.Errorf("MSE = %v, want 4/3", got)
-	}
-	if got := MAE(pred, truth); math.Abs(got-2.0/3) > 1e-12 {
-		t.Errorf("MAE = %v, want 2/3", got)
 	}
 	if got := R2(truth, truth); got != 1 {
 		t.Errorf("perfect R2 = %v, want 1", got)
@@ -286,8 +241,5 @@ func TestUnfittedPredictZero(t *testing.T) {
 	}
 	if (&Forest{}).Predict([]float64{1}) != 0 {
 		t.Error("unfitted forest nonzero")
-	}
-	if (&KNN{}).Predict([]float64{1}) != 0 {
-		t.Error("unfitted knn nonzero")
 	}
 }

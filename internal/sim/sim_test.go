@@ -245,12 +245,6 @@ func TestWithMemoryCapsCache(t *testing.T) {
 	if p.Device.MemCapacityBytes != 2*hw.GiB {
 		t.Errorf("WithMemory = %v", p.Device.MemCapacityBytes)
 	}
-	if got := p.FreeForCacheBytes(3 * hw.GiB); got != 0 {
-		t.Errorf("FreeForCacheBytes over budget = %v, want 0", got)
-	}
-	if got := p.FreeForCacheBytes(0.5 * hw.GiB); got != 1.5*hw.GiB {
-		t.Errorf("FreeForCacheBytes = %v, want 1.5 GiB", got)
-	}
 }
 
 // TestMultiDeviceTiming checks the K-device pricing: partitionable terms
