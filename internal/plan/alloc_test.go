@@ -34,3 +34,32 @@ func TestReplayIntoZeroAllocs(t *testing.T) {
 		t.Errorf("ReplayInto allocates %.1f per full replay in steady state, want 0", allocs)
 	}
 }
+
+// TestCompileAllocsFlatInBatches pins that compiling allocates nothing
+// per batch: three more epochs (66 more batches) may cost only the three
+// extra sample.EpochPlan calls, plus the odd regrowth when a batch
+// outgrows every batch before it — at most one allocation per eight
+// added batches, where drawing a fresh batch and rand.Rand for each cost
+// more than eight apiece.
+func TestCompileAllocsFlatInBatches(t *testing.T) {
+	g := testGraph(t)
+	targets := testTargets(700)
+	const seed, batchSize = 11, 32
+	perEpoch := testing.AllocsPerRun(5, func() { sample.EpochPlan(seed, 0, targets, batchSize, true) })
+	for name, mk := range samplersUnderTest() {
+		compile := func(epochs int) float64 {
+			key := KeyFor("test-ds", false, mk(), batchSize, seed, epochs, true, targets)
+			return testing.AllocsPerRun(3, func() {
+				if _, err := Compile(g, mk(), key, targets); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		one, four := compile(1), compile(4)
+		added := 3 * len(sample.EpochPlan(seed, 0, targets, batchSize, true))
+		if extra := four - one - 3*perEpoch; extra > float64(added/8) {
+			t.Errorf("%s: 4 epochs allocate %v, 1 epoch %v: %v beyond the epoch lists for %d more batches, want <= %d",
+				name, four, one, extra, added, added/8)
+		}
+	}
+}

@@ -38,6 +38,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"iter"
+	"math/rand"
 	"slices"
 
 	"gnnavigator/internal/graph"
@@ -156,12 +157,22 @@ func (p *Plan) Bytes() int64 {
 		int64(len(p.batchNode)+len(p.blockOff)+len(p.blockIdx))*8
 }
 
+// refiller is the in-place form of a sampler (sample.NodeWise.SampleInto
+// and its siblings): Compile drives one reused batch through it.
+type refiller interface {
+	SampleInto(rng *rand.Rand, g *graph.Graph, targets []int32, mb *sample.MiniBatch) *sample.MiniBatch
+}
+
 // Compile runs the sampler once over the full (seed, epochs, targets)
 // batch structure and packs the result. smp must be unbiased and is
 // driven exactly as the live pipeline would drive it — sample.EpochPlan
-// for the per-epoch batch lists, sample.BatchRNG per batch — so replay
-// is bitwise-identical to live sampling. The key must match the
-// arguments (KeyFor over the same values).
+// for the per-epoch batch lists, the sample.BatchRNG stream per batch —
+// so replay is bitwise-identical to live sampling. The key must match
+// the arguments (KeyFor over the same values).
+//
+// Compiling allocates nothing per batch: one rand.Rand is reseeded for
+// every batch, a sampler with SampleInto refills one MiniBatch, and
+// every plan array is sized once, after the first batch.
 func Compile(g *graph.Graph, smp sample.Sampler, key Key, targets []int32) (*Plan, error) {
 	if g == nil || smp == nil {
 		return nil, fmt.Errorf("plan: need a graph and a sampler")
@@ -179,30 +190,46 @@ func Compile(g *graph.Graph, smp sample.Sampler, key Key, targets []int32) (*Pla
 		return nil, fmt.Errorf("plan: targets do not match key fingerprint")
 	}
 	L := max(smp.NumLayers(), 1)
-	p := &Plan{key: key, layers: L, batchNode: []int64{0}}
+	p := &Plan{key: key, layers: L}
+	into, _ := smp.(refiller)
+	mb := &sample.MiniBatch{}
+	rng := rand.New(rand.NewSource(0))
 	for e := 0; e < key.Epochs; e++ {
 		chunks := sample.EpochPlan(key.Seed, e, targets, key.BatchSize, key.Shuffle)
 		if e == 0 {
 			p.perEpoch = len(chunks)
+			batches := key.Epochs * p.perEpoch
+			p.batchNode = append(make([]int64, 0, batches+1), 0)
+			p.blockDst = make([]int32, 0, batches*L)
+			p.blockOff = make([]int64, 0, batches*L)
+			p.blockIdx = make([]int64, 0, batches*L)
 		} else if len(chunks) != p.perEpoch {
 			return nil, fmt.Errorf("plan: epoch %d has %d batches, epoch 0 had %d", e, len(chunks), p.perEpoch)
 		}
 		for i, tg := range chunks {
-			mb := smp.Sample(sample.BatchRNG(key.Seed, e, i), g, tg)
+			rng.Seed(sample.BatchSeed(key.Seed, e, i))
+			if into != nil {
+				mb = into.SampleInto(rng, g, tg, mb)
+			} else {
+				mb = smp.Sample(rng, g, tg)
+			}
 			if err := p.appendBatch(mb); err != nil {
 				return nil, fmt.Errorf("plan: epoch %d batch %d: %w", e, i, err)
 			}
-		}
-		if e == 0 && key.Epochs > 1 {
-			// Every epoch samples the same targets, so epoch 0's packed
-			// size, plus an eighth of it for the draw-to-draw spread, is
-			// the estimate for the rest: reserve it at once rather than
-			// re-copying the arrays at each doubling.
-			reserve := func(s []int32) []int32 { return slices.Grow(s, (key.Epochs-1)*len(s)+len(s)/8) }
-			p.nodes, p.offsets, p.indices = reserve(p.nodes), reserve(p.offsets), reserve(p.indices)
+			if e == 0 && i == 0 {
+				// A full batch is about as large as any: the first one's
+				// packed size times the batch count, plus a thirty-second
+				// for the draw-to-draw spread, bounds the run. Reserve it at
+				// once rather than re-copying the arrays as they grow; the
+				// shorter last batch of each epoch leaves the slack.
+				reserve := func(s []int32) []int32 {
+					n := len(s) * key.Epochs * p.perEpoch
+					return slices.Grow(s, n+n/32-len(s))
+				}
+				p.nodes, p.offsets, p.indices = reserve(p.nodes), reserve(p.offsets), reserve(p.indices)
+			}
 		}
 	}
-	p.nodes, p.offsets, p.indices = slices.Clip(p.nodes), slices.Clip(p.offsets), slices.Clip(p.indices)
 	return p, nil
 }
 

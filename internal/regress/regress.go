@@ -330,49 +330,7 @@ func (f *Forest) Predict(x []float64) float64 {
 	return s / float64(len(f.members))
 }
 
-// --- scaling and metrics -----------------------------------------------------
-
-// Scaler standardizes features to zero mean / unit variance.
-type Scaler struct {
-	Mean, Std []float64
-}
-
-// NewScaler computes per-feature statistics over X.
-func NewScaler(X [][]float64) *Scaler {
-	n := len(X)
-	d := len(X[0])
-	s := &Scaler{Mean: make([]float64, d), Std: make([]float64, d)}
-	for _, row := range X {
-		for j, v := range row {
-			s.Mean[j] += v
-		}
-	}
-	for j := range s.Mean {
-		s.Mean[j] /= float64(n)
-	}
-	for _, row := range X {
-		for j, v := range row {
-			diff := v - s.Mean[j]
-			s.Std[j] += diff * diff
-		}
-	}
-	for j := range s.Std {
-		s.Std[j] = math.Sqrt(s.Std[j] / float64(n))
-		if s.Std[j] < 1e-12 {
-			s.Std[j] = 1
-		}
-	}
-	return s
-}
-
-// Apply returns the standardized copy of x.
-func (s *Scaler) Apply(x []float64) []float64 {
-	out := make([]float64, len(x))
-	for j, v := range x {
-		out[j] = (v - s.Mean[j]) / s.Std[j]
-	}
-	return out
-}
+// --- metrics -----------------------------------------------------------------
 
 // MSE returns the mean squared error.
 func MSE(pred, truth []float64) float64 {

@@ -145,18 +145,6 @@ func TestForestBeatsSingleTreeOnNoisy(t *testing.T) {
 	}
 }
 
-func TestScaler(t *testing.T) {
-	X := [][]float64{{1, 100}, {3, 300}}
-	s := NewScaler(X)
-	a := s.Apply([]float64{1, 100})
-	b := s.Apply([]float64{3, 300})
-	for j := 0; j < 2; j++ {
-		if math.Abs(a[j]+1) > 1e-9 || math.Abs(b[j]-1) > 1e-9 {
-			t.Errorf("standardized = %v, %v; want ±1", a, b)
-		}
-	}
-}
-
 func TestMetricsKnownValues(t *testing.T) {
 	pred := []float64{1, 2, 3}
 	truth := []float64{1, 2, 5}

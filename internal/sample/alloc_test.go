@@ -57,3 +57,33 @@ func TestLayerWiseSampleAllocBound(t *testing.T) {
 		t.Errorf("layer-wise steady-state allocs/op = %v, want <= 8", got)
 	}
 }
+
+// TestSampleIntoZeroAllocs: once a MiniBatch and the sampler's scratch
+// are warm, refilling the batch allocates nothing, for every sampler.
+// The rng is reseeded before each call, so every call draws the warm-up
+// batch again and no record-sized batch can force a regrowth.
+func TestSampleIntoZeroAllocs(t *testing.T) {
+	g, err := gen.BarabasiAlbert(rand.New(rand.NewSource(10)), 600, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tg := targets(64, 600, 3)
+	bias := func(v int32) float64 { return float64(v % 2) }
+	for _, s := range []Sampler{
+		&NodeWise{Fanouts: []int{10, 5}},
+		&NodeWise{Fanouts: []int{4, 4}, Bias: bias, BiasStrength: 0.7},
+		&LayerWise{Deltas: []int{40, 20}},
+		&SubgraphWise{WalkLength: 4, Layers: 2},
+	} {
+		into := s.(refiller)
+		rng := rand.New(rand.NewSource(99))
+		mb := into.SampleInto(rng, g, tg, &MiniBatch{})
+		allocs := testing.AllocsPerRun(50, func() {
+			rng.Seed(99)
+			into.SampleInto(rng, g, tg, mb)
+		})
+		if allocs != 0 {
+			t.Errorf("%s: warm SampleInto allocates %v, want 0", s.Name(), allocs)
+		}
+	}
+}

@@ -185,3 +185,83 @@ func TestFrontierSurvivesGraphChange(t *testing.T) {
 		requireEqualMiniBatch(t, "graph-change", i, want, got)
 	}
 }
+
+// refiller is the in-place form every sampler here has.
+type refiller interface {
+	SampleInto(rng *rand.Rand, g *graph.Graph, targets []int32, mb *MiniBatch) *MiniBatch
+}
+
+// TestSampleIntoReuseMatchesFresh drives one reused MiniBatch per
+// sampler through alternately large and small target sets: every refill
+// must equal a fresh Sample of the same batch bitwise, so no tail of a
+// larger earlier batch leaks into a smaller later one.
+func TestSampleIntoReuseMatchesFresh(t *testing.T) {
+	g, err := gen.BarabasiAlbert(rand.New(rand.NewSource(10)), 500, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := equivSamplers()
+	for i, sc := range equivSamplers() {
+		t.Run(sc.name, func(t *testing.T) {
+			into := sc.stamped.(refiller)
+			mb := &MiniBatch{}
+			for batch := 0; batch < 12; batch++ {
+				n := 3 + batch%3
+				if batch%2 == 0 {
+					n = 120 + 20*batch
+				}
+				tg := targets(n, 500, int64(batch))
+				want := fresh[i].stamped.Sample(BatchRNG(42, 0, batch), g, tg)
+				got := into.SampleInto(BatchRNG(42, 0, batch), g, tg, mb)
+				if got != mb {
+					t.Fatalf("batch %d: SampleInto returned a new MiniBatch", batch)
+				}
+				if err := got.Validate(); err != nil {
+					t.Fatalf("batch %d: %v", batch, err)
+				}
+				requireEqualMiniBatch(t, sc.name, batch, want, got)
+			}
+		})
+	}
+}
+
+// TestSelectTopMatchesSortWithTies: with keys drawn from three values,
+// so that nearly every boundary falls inside a run of exact ties, the
+// quickselected top k is the set a full sort under lwBefore puts first,
+// for every k.
+func TestSelectTopMatchesSortWithTies(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for trial := 0; trial < 20; trial++ {
+		c := make([]lwCand, 1+rng.Intn(60))
+		for i, v := range rng.Perm(len(c)) {
+			c[i] = lwCand{v: int32(v), key: float64(rng.Intn(3)) / 4}
+		}
+		sorted := slices.Clone(c)
+		slices.SortFunc(sorted, func(a, b lwCand) int {
+			switch {
+			case lwBefore(a, b):
+				return -1
+			case lwBefore(b, a):
+				return 1
+			}
+			return 0
+		})
+		for k := 0; k < len(c); k++ {
+			got := slices.Clone(c)
+			selectTop(got, k)
+			want := make([]int32, k)
+			for i := range want {
+				want[i] = sorted[i].v
+			}
+			top := make([]int32, k)
+			for i := range top {
+				top[i] = got[i].v
+			}
+			slices.Sort(want)
+			slices.Sort(top)
+			if !slices.Equal(top, want) {
+				t.Fatalf("trial %d, k=%d: top set %v, sort gives %v", trial, k, top, want)
+			}
+		}
+	}
+}

@@ -10,19 +10,20 @@
 //
 // Batch assembly is map-free: vertex dedup and global→local position
 // remapping run on epoch-stamped dense frontier tables (Frontier) owned
-// by each sampler, and every slice a MiniBatch keeps is pre-sized to its
-// exact upper bound. Steady state, a Sample call performs no hashing and
-// allocates only the slices it returns; mapref.go freezes the old
-// hash-map implementation, and the equivalence tests pin both paths to
-// bitwise-identical output.
+// by each sampler, and every slice a MiniBatch keeps is sized to its
+// exact upper bound. Each sampler has one body, SampleInto, which refills
+// a caller's MiniBatch in place and grows a slice only when it is short:
+// steady state it performs no hashing and no allocation. Sample is
+// SampleInto on a fresh MiniBatch, so it allocates only the slices it
+// returns. mapref.go freezes the old hash-map implementation, and the
+// equivalence tests pin both paths to bitwise-identical output.
 package sample
 
 import (
-	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
-	"slices"
 
 	"gnnavigator/internal/graph"
 	"gnnavigator/internal/tensor"
@@ -106,9 +107,16 @@ func (mb *MiniBatch) Validate() error {
 }
 
 // Sampler produces mini-batches from target vertex sets.
+//
+// The three samplers here also have SampleInto(rng, g, targets, mb),
+// the body Sample runs on a fresh MiniBatch: it refills mb's blocks in
+// place, so the batch it returns is valid only until the next call with
+// the same mb. mb must own its slices — fresh, or last filled by the
+// same sampler — never a replayed plan batch that aliases plan arrays.
 type Sampler interface {
 	Name() string
-	// Sample expands targets into a layered mini-batch using rng.
+	// Sample expands targets into a layered mini-batch using rng. The
+	// batch is the caller's to keep.
 	Sample(rng *rand.Rand, g *graph.Graph, targets []int32) *MiniBatch
 	// NumLayers reports how many blocks Sample produces.
 	NumLayers() int
@@ -162,6 +170,31 @@ func dedupWith(fr *Frontier, n int, buf, vs []int32) []int32 {
 	return out
 }
 
+// refillBlocks sizes mb.Blocks to L, keeping every block's slices for
+// the samplers to refill.
+func (mb *MiniBatch) refillBlocks(L int) []Block {
+	if cap(mb.Blocks) < L {
+		blocks := make([]Block, L)
+		copy(blocks, mb.Blocks[:cap(mb.Blocks)])
+		mb.Blocks = blocks
+	}
+	mb.Blocks = mb.Blocks[:L]
+	return mb.Blocks
+}
+
+// seal derives the batch-level fields from freshly refilled blocks.
+func (mb *MiniBatch) seal() *MiniBatch {
+	last := &mb.Blocks[len(mb.Blocks)-1]
+	mb.Targets = last.SrcNodes[:last.DstCount]
+	mb.InputNodes = mb.Blocks[0].SrcNodes
+	mb.NumVertices = len(mb.InputNodes)
+	mb.NumEdges = 0
+	for l := range mb.Blocks {
+		mb.NumEdges += mb.Blocks[l].NumEdges()
+	}
+	return mb
+}
+
 // --- node-wise (GraphSAGE) -------------------------------------------------
 
 // NodeWise samples Fanouts[h] neighbors per destination at hop h from the
@@ -174,8 +207,8 @@ func dedupWith(fr *Frontier, n int, buf, vs []int32) []int32 {
 // shared across concurrent Sample calls. In the pipelined engine
 // (internal/pipeline) every Sample call happens on the single
 // sampler-stage goroutine, which satisfies this contract; the scratch
-// never leaks into the returned MiniBatch, so batches handed downstream
-// stay valid while later batches are sampled.
+// never leaks into the returned MiniBatch, so batches Sample hands
+// downstream stay valid while later batches are sampled.
 type NodeWise struct {
 	Fanouts      []int
 	Bias         BiasFunc
@@ -194,34 +227,30 @@ func (s *NodeWise) NumLayers() int { return len(s.Fanouts) }
 
 // Sample implements Sampler.
 func (s *NodeWise) Sample(rng *rand.Rand, g *graph.Graph, targets []int32) *MiniBatch {
-	L := len(s.Fanouts)
-	blocks := make([]Block, L)
-	dst := dedupWith(&s.frontier, g.NumVertices(), s.dedupBuf, targets)
-	s.dedupBuf = dst
-	var totalEdges int
-	for h := 0; h < L; h++ {
-		blk := expand(rng, g, dst, s.Fanouts[h], s.Bias, s.BiasStrength, &s.scratch, &s.frontier)
-		blocks[L-1-h] = blk
-		totalEdges += blk.NumEdges()
-		dst = blk.SrcNodes
-	}
-	mb := &MiniBatch{
-		Blocks:      blocks,
-		Targets:     blocks[L-1].SrcNodes[:blocks[L-1].DstCount],
-		InputNodes:  blocks[0].SrcNodes,
-		NumVertices: len(blocks[0].SrcNodes),
-		NumEdges:    totalEdges,
-	}
-	return mb
+	return s.SampleInto(rng, g, targets, &MiniBatch{})
 }
 
-// expand builds one block: every dst samples up to fanout neighbors.
-// Position lookup runs on the epoch-stamped frontier table, and the three
-// output slices are pre-sized to their exact upper bounds (every dst
+// SampleInto refills mb with targets' batch and returns it; see Sampler
+// for what mb may be and how long the result stays valid.
+func (s *NodeWise) SampleInto(rng *rand.Rand, g *graph.Graph, targets []int32, mb *MiniBatch) *MiniBatch {
+	L := len(s.Fanouts)
+	blocks := mb.refillBlocks(L)
+	dst := dedupWith(&s.frontier, g.NumVertices(), s.dedupBuf, targets)
+	s.dedupBuf = dst
+	for h := 0; h < L; h++ {
+		blk := &blocks[L-1-h]
+		expand(rng, g, dst, s.Fanouts[h], s.Bias, s.BiasStrength, &s.scratch, &s.frontier, blk)
+		dst = blk.SrcNodes
+	}
+	return mb.seal()
+}
+
+// expand refills blk with one block: every dst samples up to fanout
+// neighbors. Position lookup runs on the epoch-stamped frontier table,
+// and the three slices are sized to their exact upper bounds (every dst
 // contributes at most fanout edges, each edge introduces at most one new
-// source), so a block costs exactly three allocations — the slices the
-// MiniBatch keeps — and zero hashing.
-func expand(rng *rand.Rand, g *graph.Graph, dst []int32, fanout int, bias BiasFunc, biasStrength float64, sc *pickScratch, fr *Frontier) Block {
+// source), so a block grows at most its three slices and hashes nothing.
+func expand(rng *rand.Rand, g *graph.Graph, dst []int32, fanout int, bias BiasFunc, biasStrength float64, sc *pickScratch, fr *Frontier, blk *Block) {
 	fr.Reset(g.NumVertices())
 	edgeBound := 0
 	if fanout > 0 {
@@ -231,13 +260,13 @@ func expand(rng *rand.Rand, g *graph.Graph, dst []int32, fanout int, bias BiasFu
 			edgeBound += g.Degree(v)
 		}
 	}
-	src := make([]int32, len(dst), len(dst)+edgeBound)
+	src := tensor.Grow(blk.SrcNodes, len(dst)+edgeBound)[:len(dst)]
 	copy(src, dst)
 	for i, v := range dst {
 		fr.Set(v, int32(i))
 	}
-	offsets := make([]int32, len(dst)+1)
-	indices := make([]int32, 0, edgeBound)
+	offsets := tensor.Grow(blk.Offsets, len(dst)+1)
+	indices := tensor.Grow(blk.Indices, edgeBound)[:0]
 	for i, v := range dst {
 		offsets[i] = int32(len(indices))
 		ns := g.Neighbors(v)
@@ -261,7 +290,7 @@ func expand(rng *rand.Rand, g *graph.Graph, dst []int32, fanout int, bias BiasFu
 		}
 	}
 	offsets[len(dst)] = int32(len(indices))
-	return Block{SrcNodes: src, DstCount: len(dst), Offsets: offsets, Indices: indices}
+	*blk = Block{SrcNodes: src, DstCount: len(dst), Offsets: offsets, Indices: indices}
 }
 
 // pickScratch holds the reusable buffers neighbor selection needs, so
@@ -375,7 +404,7 @@ type LayerWise struct {
 	count    Frontier // candidate multiplicities, then the selected set
 	pos      Frontier // source position table
 	dedupBuf []int32
-	touched  []int32
+	touched  []uint64 // candidate bitmap over vertex ids, all zero between hops
 	cands    []lwCand
 }
 
@@ -383,6 +412,45 @@ type LayerWise struct {
 type lwCand struct {
 	v   int32
 	key float64
+}
+
+// lwBefore is the strict order the budget is taken in: key descending,
+// then vertex id ascending. An exact key tie takes two draws rounding to
+// the same float64; the id breaks it, so the top-δ set is unique.
+func lwBefore(a, b lwCand) bool {
+	return a.key > b.key || (a.key == b.key && a.v < b.v)
+}
+
+// selectTop reorders c in place so that c[:k] holds its k first
+// candidates under lwBefore, in no particular order (Hoare's FIND:
+// quickselect, O(len(c)) expected). It needs 0 <= k < len(c); because
+// lwBefore is strict, the set it leaves in c[:k] is the one a full sort
+// would put there.
+func selectTop(c []lwCand, k int) {
+	lo, hi := 0, len(c)-1
+	for lo < hi {
+		pivot := c[k]
+		i, j := lo, hi
+		for i <= j {
+			for lwBefore(c[i], pivot) {
+				i++
+			}
+			for lwBefore(pivot, c[j]) {
+				j--
+			}
+			if i <= j {
+				c[i], c[j] = c[j], c[i]
+				i++
+				j--
+			}
+		}
+		if j < k {
+			lo = i
+		}
+		if k < i {
+			hi = j
+		}
+	}
 }
 
 // Name implements Sampler.
@@ -393,76 +461,76 @@ func (s *LayerWise) NumLayers() int { return len(s.Deltas) }
 
 // Sample implements Sampler.
 func (s *LayerWise) Sample(rng *rand.Rand, g *graph.Graph, targets []int32) *MiniBatch {
-	L := len(s.Deltas)
-	blocks := make([]Block, L)
-	dst := dedupWith(&s.count, g.NumVertices(), s.dedupBuf, targets)
-	s.dedupBuf = dst
-	var totalEdges int
-	for h := 0; h < L; h++ {
-		blk := s.expand(rng, g, dst, s.Deltas[h])
-		blocks[L-1-h] = blk
-		totalEdges += blk.NumEdges()
-		dst = blk.SrcNodes
-	}
-	mb := &MiniBatch{
-		Blocks:      blocks,
-		Targets:     blocks[L-1].SrcNodes[:blocks[L-1].DstCount],
-		InputNodes:  blocks[0].SrcNodes,
-		NumVertices: len(blocks[0].SrcNodes),
-		NumEdges:    totalEdges,
-	}
-	return mb
+	return s.SampleInto(rng, g, targets, &MiniBatch{})
 }
 
-func (s *LayerWise) expand(rng *rand.Rand, g *graph.Graph, dst []int32, delta int) Block {
+// SampleInto refills mb with targets' batch and returns it; see Sampler
+// for what mb may be and how long the result stays valid.
+func (s *LayerWise) SampleInto(rng *rand.Rand, g *graph.Graph, targets []int32, mb *MiniBatch) *MiniBatch {
+	L := len(s.Deltas)
+	blocks := mb.refillBlocks(L)
+	dst := dedupWith(&s.count, g.NumVertices(), s.dedupBuf, targets)
+	s.dedupBuf = dst
+	for h := 0; h < L; h++ {
+		blk := &blocks[L-1-h]
+		s.expand(rng, g, dst, s.Deltas[h], blk)
+		dst = blk.SrcNodes
+	}
+	return mb.seal()
+}
+
+func (s *LayerWise) expand(rng *rand.Rand, g *graph.Graph, dst []int32, delta int, blk *Block) {
 	// Candidate pool: union of all dst neighborhoods, weighted by the
 	// number of dst vertices adjacent to each candidate (degree-importance).
-	// The multiplicity lives in the stamped count table; the touched list
-	// records first-seen candidates so they can be revisited without map
+	// The multiplicity lives in the stamped count table; the touched bitmap
+	// marks first-seen candidates so they can be revisited without map
 	// iteration. An edge bound for the final indices slice falls out of
 	// the same pass.
 	n := g.NumVertices()
 	s.count.Reset(n)
-	touched := s.touched[:0]
-	edgeBound := 0
+	touched := tensor.Grow(s.touched, (n+63)/64)
+	s.touched = touched
+	edgeBound, nc := 0, 0
 	for _, v := range dst {
 		edgeBound += g.Degree(v)
 		for _, u := range g.Neighbors(v) {
 			if c, seen := s.count.PosOrInsert(u, 1); seen {
 				s.count.Set(u, c+1)
 			} else {
-				touched = append(touched, u)
+				touched[u>>6] |= 1 << (u & 63)
+				nc++
 			}
 		}
 	}
 	// Weighted reservoir-ish draw of delta distinct candidates.
-	// Candidates are keyed in sorted vertex order so the rng consumption
+	// Candidates are keyed in ascending vertex order so the rng consumption
 	// (and hence the draw) matches the frozen map reference, whose
-	// randomized map iteration forced the same sort.
-	slices.Sort(touched)
-	s.touched = touched
-	cands := tensor.Grow(s.cands, len(touched))
+	// randomized map iteration forced a sort. A scan of the bitmap yields
+	// that order in O(n/64 + candidates) and leaves the bitmap zeroed.
+	cands := tensor.Grow(s.cands, nc)
 	s.cands = cands
-	for i, v := range touched {
-		// Efraimidis–Spirakis: key = U^(1/w); take top delta keys.
-		w, _ := s.count.Pos(v)
-		cands[i] = lwCand{v, math.Pow(rng.Float64(), 1/float64(w))}
+	i := 0
+	for k, word := range touched {
+		if word == 0 {
+			continue
+		}
+		touched[k] = 0
+		for ; word != 0; word &= word - 1 {
+			v := int32(k<<6 | bits.TrailingZeros64(word))
+			// Efraimidis–Spirakis: key = U^(1/w); take top delta keys.
+			w, _ := s.count.Pos(v)
+			cands[i] = lwCand{v, math.Pow(rng.Float64(), 1/float64(w))}
+			i++
+		}
 	}
 	// Only the set of the top-delta keys is read below (membership goes
 	// into selected; src order comes from the dst-neighbour walk), so when
 	// delta covers every candidate there is nothing to select, and
-	// otherwise any order that puts the top delta first will do. An exact
-	// key tie across the boundary goes to the smaller vertex id; it takes
-	// two draws rounding to the same float64.
+	// otherwise a quickselect that puts the top delta first will do.
 	if delta >= len(cands) {
 		delta = len(cands)
 	} else {
-		slices.SortFunc(cands, func(a, b lwCand) int {
-			if c := cmp.Compare(b.key, a.key); c != 0 {
-				return c
-			}
-			return cmp.Compare(a.v, b.v)
-		})
+		selectTop(cands, delta)
 	}
 	// The counts are dead once the keys are drawn: recycle the count table
 	// as the selected-membership set.
@@ -475,13 +543,13 @@ func (s *LayerWise) expand(rng *rand.Rand, g *graph.Graph, dst []int32, delta in
 		selected.Set(v, 0)
 	}
 	s.pos.Reset(n)
-	src := make([]int32, len(dst), len(dst)+delta)
+	src := tensor.Grow(blk.SrcNodes, len(dst)+delta)[:len(dst)]
 	copy(src, dst)
 	for i, v := range dst {
 		s.pos.Set(v, int32(i))
 	}
-	offsets := make([]int32, len(dst)+1)
-	indices := make([]int32, 0, edgeBound)
+	offsets := tensor.Grow(blk.Offsets, len(dst)+1)
+	indices := tensor.Grow(blk.Indices, edgeBound)[:0]
 	for i, v := range dst {
 		offsets[i] = int32(len(indices))
 		for _, u := range g.Neighbors(v) {
@@ -496,7 +564,7 @@ func (s *LayerWise) expand(rng *rand.Rand, g *graph.Graph, dst []int32, delta in
 		}
 	}
 	offsets[len(dst)] = int32(len(indices))
-	return Block{SrcNodes: src, DstCount: len(dst), Offsets: offsets, Indices: indices}
+	*blk = Block{SrcNodes: src, DstCount: len(dst), Offsets: offsets, Indices: indices}
 }
 
 // --- subgraph-wise (GraphSAINT) ---------------------------------------------
@@ -526,15 +594,23 @@ func (s *SubgraphWise) NumLayers() int { return s.Layers }
 
 // Sample implements Sampler.
 func (s *SubgraphWise) Sample(rng *rand.Rand, g *graph.Graph, targets []int32) *MiniBatch {
+	return s.SampleInto(rng, g, targets, &MiniBatch{})
+}
+
+// SampleInto refills mb with targets' batch and returns it; see Sampler
+// for what mb may be and how long the result stays valid. Every block
+// shares one slice triple, refilled from the first block's.
+func (s *SubgraphWise) SampleInto(rng *rand.Rand, g *graph.Graph, targets []int32, mb *MiniBatch) *MiniBatch {
 	n := g.NumVertices()
 	roots := dedupWith(&s.frontier, n, s.dedupBuf, targets)
 	s.dedupBuf = roots
+	blocks := mb.refillBlocks(max(s.Layers, 1))
 	// Walk-set membership and positions live in the frontier table; the
 	// walk can add at most WalkLength+1 distinct vertices per root, which
 	// pre-sizes the node list exactly.
 	inSet := &s.frontier
 	inSet.Reset(n)
-	nodes := make([]int32, 0, len(roots)*(s.WalkLength+1))
+	nodes := tensor.Grow(blocks[0].SrcNodes, len(roots)*(s.WalkLength+1))[:0]
 	add := func(v int32) {
 		if _, seen := inSet.PosOrInsert(v, int32(len(nodes))); !seen {
 			nodes = append(nodes, v)
@@ -560,8 +636,8 @@ func (s *SubgraphWise) Sample(rng *rand.Rand, g *graph.Graph, targets []int32) *
 	for _, v := range nodes {
 		edgeBound += g.Degree(v)
 	}
-	offsets := make([]int32, len(nodes)+1)
-	indices := make([]int32, 0, edgeBound)
+	offsets := tensor.Grow(blocks[0].Offsets, len(nodes)+1)
+	indices := tensor.Grow(blocks[0].Indices, edgeBound)[:0]
 	for i, v := range nodes {
 		offsets[i] = int32(len(indices))
 		for _, u := range g.Neighbors(v) {
@@ -571,30 +647,12 @@ func (s *SubgraphWise) Sample(rng *rand.Rand, g *graph.Graph, targets []int32) *
 		}
 	}
 	offsets[len(nodes)] = int32(len(indices))
-
-	L := s.Layers
-	if L < 1 {
-		L = 1
+	// Every layer trains on the full induced subgraph (src == dst set),
+	// and the loss is taken over the whole subgraph.
+	for l := range blocks {
+		blocks[l] = Block{SrcNodes: nodes, DstCount: len(nodes), Offsets: offsets, Indices: indices}
 	}
-	blocks := make([]Block, L)
-	var totalEdges int
-	for l := 0; l < L; l++ {
-		// Every layer trains on the full induced subgraph: src == dst set.
-		blocks[l] = Block{
-			SrcNodes: nodes,
-			DstCount: len(nodes),
-			Offsets:  offsets,
-			Indices:  indices,
-		}
-		totalEdges += len(indices)
-	}
-	return &MiniBatch{
-		Blocks:      blocks,
-		Targets:     nodes, // loss is taken over the whole subgraph
-		InputNodes:  nodes,
-		NumVertices: len(nodes),
-		NumEdges:    totalEdges,
-	}
+	return mb.seal()
 }
 
 // --- analytic expectation (Eq. 12) -------------------------------------------
