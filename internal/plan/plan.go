@@ -157,12 +157,6 @@ func (p *Plan) Bytes() int64 {
 		int64(len(p.batchNode)+len(p.blockOff)+len(p.blockIdx))*8
 }
 
-// refiller is the in-place form of a sampler (sample.NodeWise.SampleInto
-// and its siblings): Compile drives one reused batch through it.
-type refiller interface {
-	SampleInto(rng *rand.Rand, g *graph.Graph, targets []int32, mb *sample.MiniBatch) *sample.MiniBatch
-}
-
 // Compile runs the sampler once over the full (seed, epochs, targets)
 // batch structure and packs the result. smp must be unbiased and is
 // driven exactly as the live pipeline would drive it — sample.EpochPlan
@@ -170,9 +164,10 @@ type refiller interface {
 // so replay is bitwise-identical to live sampling. The key must match
 // the arguments (KeyFor over the same values).
 //
-// Compiling allocates nothing per batch: one rand.Rand is reseeded for
-// every batch, a sampler with SampleInto refills one MiniBatch, and
-// every plan array is sized once, after the first batch.
+// smp must be a sample.Refiller: compiling allocates nothing per batch,
+// because one rand.Rand is reseeded for every batch, one MiniBatch is
+// refilled through SampleInto, and every plan array is sized once,
+// after the first batch.
 func Compile(g *graph.Graph, smp sample.Sampler, key Key, targets []int32) (*Plan, error) {
 	if g == nil || smp == nil {
 		return nil, fmt.Errorf("plan: need a graph and a sampler")
@@ -189,9 +184,12 @@ func Compile(g *graph.Graph, smp sample.Sampler, key Key, targets []int32) (*Pla
 	if key.Targets != len(targets) || key.TargetsFP != TargetsFingerprint(targets) {
 		return nil, fmt.Errorf("plan: targets do not match key fingerprint")
 	}
+	into, ok := smp.(sample.Refiller)
+	if !ok {
+		return nil, fmt.Errorf("plan: sampler %q cannot refill a batch in place", key.Sampler)
+	}
 	L := max(smp.NumLayers(), 1)
 	p := &Plan{key: key, layers: L}
-	into, _ := smp.(refiller)
 	mb := &sample.MiniBatch{}
 	rng := rand.New(rand.NewSource(0))
 	for e := 0; e < key.Epochs; e++ {
@@ -208,11 +206,7 @@ func Compile(g *graph.Graph, smp sample.Sampler, key Key, targets []int32) (*Pla
 		}
 		for i, tg := range chunks {
 			rng.Seed(sample.BatchSeed(key.Seed, e, i))
-			if into != nil {
-				mb = into.SampleInto(rng, g, tg, mb)
-			} else {
-				mb = smp.Sample(rng, g, tg)
-			}
+			mb = into.SampleInto(rng, g, tg, mb)
 			if err := p.appendBatch(mb); err != nil {
 				return nil, fmt.Errorf("plan: epoch %d batch %d: %w", e, i, err)
 			}

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"gnnavigator/internal/gen"
@@ -94,6 +95,20 @@ func TestCompileReplayBitwise(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCompileRefusesSampleOnlySampler: a sampler without the in-place
+// SampleInto (here the frozen map reference) is an error, not a slower
+// compile.
+func TestCompileRefusesSampleOnlySampler(t *testing.T) {
+	g := testGraph(t)
+	targets := testTargets(500)
+	smp := sample.NewMapReference(&sample.NodeWise{Fanouts: []int{5, 3}})
+	key := KeyFor("test-ds", false, smp, 100, 7, 1, true, targets)
+	_, err := Compile(g, smp, key, targets)
+	if err == nil || !strings.Contains(err.Error(), "cannot refill a batch in place") {
+		t.Fatalf("Compile(Sample-only sampler) = %v, want a refill error", err)
 	}
 }
 

@@ -75,7 +75,7 @@ func TestSampleIntoZeroAllocs(t *testing.T) {
 		&LayerWise{Deltas: []int{40, 20}},
 		&SubgraphWise{WalkLength: 4, Layers: 2},
 	} {
-		into := s.(refiller)
+		into := s.(Refiller)
 		rng := rand.New(rand.NewSource(99))
 		mb := into.SampleInto(rng, g, tg, &MiniBatch{})
 		allocs := testing.AllocsPerRun(50, func() {

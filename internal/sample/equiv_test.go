@@ -186,11 +186,6 @@ func TestFrontierSurvivesGraphChange(t *testing.T) {
 	}
 }
 
-// refiller is the in-place form every sampler here has.
-type refiller interface {
-	SampleInto(rng *rand.Rand, g *graph.Graph, targets []int32, mb *MiniBatch) *MiniBatch
-}
-
 // TestSampleIntoReuseMatchesFresh drives one reused MiniBatch per
 // sampler through alternately large and small target sets: every refill
 // must equal a fresh Sample of the same batch bitwise, so no tail of a
@@ -203,7 +198,7 @@ func TestSampleIntoReuseMatchesFresh(t *testing.T) {
 	fresh := equivSamplers()
 	for i, sc := range equivSamplers() {
 		t.Run(sc.name, func(t *testing.T) {
-			into := sc.stamped.(refiller)
+			into := sc.stamped.(Refiller)
 			mb := &MiniBatch{}
 			for batch := 0; batch < 12; batch++ {
 				n := 3 + batch%3

@@ -106,13 +106,8 @@ func (mb *MiniBatch) Validate() error {
 	return nil
 }
 
-// Sampler produces mini-batches from target vertex sets.
-//
-// The three samplers here also have SampleInto(rng, g, targets, mb),
-// the body Sample runs on a fresh MiniBatch: it refills mb's blocks in
-// place, so the batch it returns is valid only until the next call with
-// the same mb. mb must own its slices — fresh, or last filled by the
-// same sampler — never a replayed plan batch that aliases plan arrays.
+// Sampler produces mini-batches from target vertex sets. The three
+// samplers here are also Refillers.
 type Sampler interface {
 	Name() string
 	// Sample expands targets into a layered mini-batch using rng. The
@@ -120,6 +115,16 @@ type Sampler interface {
 	Sample(rng *rand.Rand, g *graph.Graph, targets []int32) *MiniBatch
 	// NumLayers reports how many blocks Sample produces.
 	NumLayers() int
+}
+
+// Refiller is the in-place form of a Sampler. SampleInto is the body
+// Sample runs on a fresh MiniBatch: it refills mb's blocks in place, so
+// the batch it returns is valid only until the next call with the same
+// mb. mb must own its slices — fresh, or last filled by the same
+// sampler — never a replayed plan batch that aliases plan arrays.
+type Refiller interface {
+	Sampler
+	SampleInto(rng *rand.Rand, g *graph.Graph, targets []int32, mb *MiniBatch) *MiniBatch
 }
 
 // BiasFunc scores a candidate neighbor; higher means more likely to be
@@ -230,7 +235,7 @@ func (s *NodeWise) Sample(rng *rand.Rand, g *graph.Graph, targets []int32) *Mini
 	return s.SampleInto(rng, g, targets, &MiniBatch{})
 }
 
-// SampleInto refills mb with targets' batch and returns it; see Sampler
+// SampleInto refills mb with targets' batch and returns it; see Refiller
 // for what mb may be and how long the result stays valid.
 func (s *NodeWise) SampleInto(rng *rand.Rand, g *graph.Graph, targets []int32, mb *MiniBatch) *MiniBatch {
 	L := len(s.Fanouts)
@@ -464,7 +469,7 @@ func (s *LayerWise) Sample(rng *rand.Rand, g *graph.Graph, targets []int32) *Min
 	return s.SampleInto(rng, g, targets, &MiniBatch{})
 }
 
-// SampleInto refills mb with targets' batch and returns it; see Sampler
+// SampleInto refills mb with targets' batch and returns it; see Refiller
 // for what mb may be and how long the result stays valid.
 func (s *LayerWise) SampleInto(rng *rand.Rand, g *graph.Graph, targets []int32, mb *MiniBatch) *MiniBatch {
 	L := len(s.Deltas)
@@ -597,7 +602,7 @@ func (s *SubgraphWise) Sample(rng *rand.Rand, g *graph.Graph, targets []int32) *
 	return s.SampleInto(rng, g, targets, &MiniBatch{})
 }
 
-// SampleInto refills mb with targets' batch and returns it; see Sampler
+// SampleInto refills mb with targets' batch and returns it; see Refiller
 // for what mb may be and how long the result stays valid. Every block
 // shares one slice triple, refilled from the first block's.
 func (s *SubgraphWise) SampleInto(rng *rand.Rand, g *graph.Graph, targets []int32, mb *MiniBatch) *MiniBatch {
