@@ -35,6 +35,16 @@ func capture(t *testing.T, g *graph.Graph, smp sample.Sampler, tg []int32, prefe
 	return out
 }
 
+// goldenSamplerStreams holds the digest of the batch stream
+// TestFrontierPipelineEquivalence samples, per sampler. It was recorded
+// while the frozen map-based samplers still existed and produced these
+// streams through the inline loop.
+var goldenSamplerStreams = map[string]string{
+	"node-wise":     "b61ff0c726bfb1d9",
+	"layer-wise":    "0cbff3e5f6664aa6",
+	"subgraph-wise": "826beb14cbb43f4d",
+}
+
 // TestFrontierPipelineEquivalence is the fixture-pinned old-vs-new check
 // at the pipeline level: for every sampler mode, the stamped frontier
 // path through the staged engine at prefetch depths {0, 1, 4} must
@@ -64,6 +74,7 @@ func TestFrontierPipelineEquivalence(t *testing.T) {
 				t.Fatalf("no map reference for %s", smp.Name())
 			}
 			want := capture(t, g, ref, tg, 0)
+			requireGolden(t, want, goldenSamplerStreams[smp.Name()])
 			for _, depth := range []int{0, 1, 4} {
 				got := capture(t, g, smp, tg, depth)
 				if len(got) != len(want) {

@@ -2,7 +2,9 @@ package pipeline
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math"
+	"runtime"
 	"testing"
 
 	"gnnavigator/internal/cache"
@@ -56,6 +58,23 @@ func runDigests(t *testing.T, cfg Config) ([]digest, []int) {
 		t.Fatal(err)
 	}
 	return ds, epochEnds
+}
+
+// requireGolden fails unless the FNV-64a digest of the lines fmt prints
+// for items equals want. Dataset features are generated with multiply-adds
+// another architecture may fuse, so the digests hold on amd64 only.
+func requireGolden[T any](t *testing.T, items []T, want string) {
+	t.Helper()
+	if runtime.GOARCH != "amd64" {
+		return
+	}
+	h := fnv.New64a()
+	for _, it := range items {
+		fmt.Fprintf(h, "%+v\n", it)
+	}
+	if got := fmt.Sprintf("%016x", h.Sum64()); got != want {
+		t.Fatalf("stream digest %s, want %s", got, want)
+	}
 }
 
 func testConfig(t *testing.T) Config {
@@ -154,6 +173,25 @@ func TestCoupledSamplerEqualInline(t *testing.T) {
 	}
 }
 
+// goldenPolicyStreams and goldenPrecisionStreams are the digests of the
+// batch streams TestKernelEquivalenceThroughPipeline and
+// TestPrecisionEquivalenceThroughPipeline hand the consumer, per policy
+// and per precision. They were recorded while the frozen map+list cache
+// still existed and gathering through it produced these streams.
+var (
+	goldenPolicyStreams = map[cache.Policy]string{
+		cache.None:   "32486f8760f5c8c0",
+		cache.Static: "9bd4bbf5dde456d1",
+		cache.Freq:   "9bd4bbf5dde456d1", // admission order = Static's degree order
+		cache.FIFO:   "1fe7c7f64d0cc0c2",
+		cache.LRU:    "1fe7c7f64d0cc0c2", // every batch misses > capacity rows: order never decides an eviction
+	}
+	goldenPrecisionStreams = map[cache.Precision]string{
+		cache.Float16: "e575e4a77158a455",
+		cache.Int8:    "3a8bce9bc76f9920",
+	}
+)
+
 // TestKernelEquivalenceThroughPipeline pins the array-backed cache to
 // the frozen map+list reference through the full engine: for every
 // policy and prefetch depth in {0, 1, 4}, a run gathering through the
@@ -202,6 +240,7 @@ func TestKernelEquivalenceThroughPipeline(t *testing.T) {
 				return cache.NewKernelSource(ref, g, cache.Float32)
 			}
 			want := mk(refSrc(), 0)
+			requireGolden(t, want, goldenPolicyStreams[policy])
 			for _, depth := range []int{0, 1, 4} {
 				got := mk(newSrc(), depth)
 				if len(got) != len(want) {
@@ -248,6 +287,7 @@ func TestPrecisionEquivalenceThroughPipeline(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := mk(cache.NewKernelSource(refK, g, prec), 0)
+			requireGolden(t, want, goldenPrecisionStreams[prec])
 			for _, depth := range []int{0, 1, 4} {
 				c, err := cache.NewAtPrecision(cache.LRU, capacity, g, prec)
 				if err != nil {
