@@ -65,7 +65,7 @@ func TestGatherIntoZeroAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, src := range []FeatureSource{NewCachedSource(c, g), NewKernelSource(nil, g, prec)} {
+		for _, src := range []FeatureSource{NewCachedSource(c, g), newSource(nil, g, prec)} {
 			feats := tensor.GrowDense(nil, 512, g.FeatDim)
 			drive := func() {
 				for _, batch := range stream {

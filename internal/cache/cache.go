@@ -28,9 +28,9 @@
 // additionally keeps a bitset so the biased-sampling hot loop probes one
 // bit instead of four bytes; and hit/miss/update counters are atomics.
 // Steady-state LookupInto+Update performs zero allocations and zero
-// hashing. The pre-refactor map+list implementation is frozen in
-// mapref.go (NewMapReference) and the equivalence tests pin both to
-// identical hits, misses and evictions for every policy.
+// hashing. TestGoldenKernelTrace pins every policy's misses, update ops
+// and residency to a digest recorded against the map+list cache this
+// layout replaced.
 //
 // Construction: a Config names policy, capacity, precision and the
 // admission order or script a policy needs; Build turns it into a
@@ -38,7 +38,7 @@
 //
 // Concurrency contract (sharper than the old mutex-guarded version):
 // exactly one goroutine — the pipeline's cache stage — may issue
-// Lookup/LookupInto/Update, in batch order. Residency reads (Contains)
+// LookupInto/Update, in batch order. Residency reads (Contains)
 // and the counter accessors (Len, Stats, HitRate) are lock-free and safe
 // from any goroutine concurrently with the writer; this is what lets
 // cache-aware samplers probe residency without serializing against the
@@ -99,27 +99,6 @@ func (p Policy) Dynamic() bool { return p == FIFO || p == LRU || p == Opt }
 // admission order (Static from degree order, Freq from pre-sampled
 // access frequency).
 func (p Policy) Prefilled() bool { return p == Static || p == Freq }
-
-// Kernel is the lookup/update surface shared by the array-backed Cache
-// and the frozen MapReference: what the feature plane (source.go) and
-// the equivalence tests program against.
-type Kernel interface {
-	Policy() Policy
-	Capacity() int
-	Len() int
-	Contains(v int32) bool
-	// Lookup records an access to each node and returns the subset that
-	// missed; LookupInto is the zero-alloc variant appending into dst's
-	// storage (pass the previous result's [:0] to amortize).
-	Lookup(nodes []int32) []int32
-	LookupInto(dst, nodes []int32) []int32
-	// Update admits missed vertices per the policy and returns the number
-	// of replacement operations performed.
-	Update(miss []int32) int
-	Stats() (hits, misses, updates int64)
-	HitRate() float64
-	ResetStats()
-}
 
 // Cache is the array-backed vertex-feature cache: residency plus
 // hit/miss/update accounting. See the package comment for the layout
@@ -322,14 +301,8 @@ func (c *Cache) slotOf(v int32) int32 {
 	return atomic.LoadInt32(&arr[v])
 }
 
-// Policy returns the cache's policy.
-func (c *Cache) Policy() Policy { return c.policy }
-
 // Precision returns the width the cache's rows are priced at.
 func (c *Cache) Precision() Precision { return c.prec.OrDefault() }
-
-// Capacity returns the capacity in vertices.
-func (c *Cache) Capacity() int { return c.capacity }
 
 // Len returns the number of currently resident vertices.
 func (c *Cache) Len() int {
@@ -359,15 +332,10 @@ func (c *Cache) staticBit(v int32) bool {
 	return w < len(c.static) && c.static[w]>>(uint(v)&63)&1 == 1
 }
 
-// Lookup records an access to each node and returns the subset that
-// missed (these must be transferred from the host). For LRU, hits
-// refresh recency. Allocates the returned slice; hot paths should use
-// LookupInto.
-func (c *Cache) Lookup(nodes []int32) []int32 { return c.LookupInto(nil, nodes) }
-
-// LookupInto is Lookup appending the misses into dst's storage (pass
-// the previous result's [:0] to make steady-state lookup 0 allocs/op).
-// Writer-stage only.
+// LookupInto records an access to each node and appends the subset
+// that missed (these must be transferred from the host) to dst's
+// storage; pass the previous result's [:0] to make steady-state lookup
+// 0 allocs/op. For LRU, hits refresh recency. Writer-stage only.
 func (c *Cache) LookupInto(dst, nodes []int32) []int32 {
 	var hits, misses int64
 	switch {
@@ -541,13 +509,6 @@ func (c *Cache) HitRate() float64 {
 // Stats returns cumulative (hits, misses, updateOps).
 func (c *Cache) Stats() (hits, misses, updates int64) {
 	return c.hits.Load(), c.misses.Load(), c.updates.Load()
-}
-
-// ResetStats clears accounting but keeps residency.
-func (c *Cache) ResetStats() {
-	c.hits.Store(0)
-	c.misses.Store(0)
-	c.updates.Store(0)
 }
 
 // residentBits reports the number of set bits in the static bitset

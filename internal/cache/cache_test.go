@@ -26,7 +26,7 @@ func starGraph(t *testing.T) *graph.Graph {
 
 // TestNewValidation is every construction rejection in one table:
 // Build, and the builders that resolve through the same rules (New,
-// NewSource, NewMapReference), refuse each case.
+// NewSource), refuse each case.
 func TestNewValidation(t *testing.T) {
 	g := testGraph(t)
 	script := &OptScript{n: g.NumVertices()}
@@ -59,12 +59,6 @@ func TestNewValidation(t *testing.T) {
 			}
 		}
 	}
-	if _, err := NewMapReference(Config{Policy: Opt, Capacity: 3, Script: script}, g); err == nil {
-		t.Error("NewMapReference accepted opt")
-	}
-	if _, err := NewMapReference(Config{Policy: Freq, Capacity: 3}, g); err == nil {
-		t.Error("NewMapReference accepted freq without an admission order")
-	}
 }
 
 func TestNoneAlwaysMisses(t *testing.T) {
@@ -73,12 +67,12 @@ func TestNoneAlwaysMisses(t *testing.T) {
 		t.Fatal(err)
 	}
 	nodes := []int32{1, 2, 3}
-	miss := c.Lookup(nodes)
+	miss := c.LookupInto(nil, nodes)
 	if len(miss) != 3 {
 		t.Errorf("miss = %v, want all", miss)
 	}
 	c.Update(miss)
-	miss = c.Lookup(nodes)
+	miss = c.LookupInto(nil, nodes)
 	if len(miss) != 3 {
 		t.Errorf("None policy cached something: %v", miss)
 	}
@@ -96,7 +90,7 @@ func TestStaticCachesHighestDegree(t *testing.T) {
 	if !c.Contains(0) {
 		t.Error("hub not resident in static cache")
 	}
-	miss := c.Lookup([]int32{0, 1, 2})
+	miss := c.LookupInto(nil, []int32{0, 1, 2})
 	if len(miss) != 2 {
 		t.Errorf("miss = %v, want [1 2]", miss)
 	}
@@ -113,13 +107,13 @@ func TestFIFOEvictsInOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Update(c.Lookup([]int32{1, 2})) // cache: 1,2
+	c.Update(c.LookupInto(nil, []int32{1, 2})) // cache: 1,2
 	if c.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", c.Len())
 	}
 	// Access 1 (hit, but FIFO ignores recency), then insert 3 -> evicts 1.
-	c.Lookup([]int32{1})
-	c.Update(c.Lookup([]int32{3}))
+	c.LookupInto(nil, []int32{1})
+	c.Update(c.LookupInto(nil, []int32{3}))
 	if c.Contains(1) {
 		t.Error("FIFO kept 1; should evict oldest regardless of recency")
 	}
@@ -133,9 +127,9 @@ func TestLRURespectsRecency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Update(c.Lookup([]int32{1, 2})) // cache: 1,2
-	c.Lookup([]int32{1})              // 1 is now most recent
-	c.Update(c.Lookup([]int32{3}))    // evicts 2
+	c.Update(c.LookupInto(nil, []int32{1, 2})) // cache: 1,2
+	c.LookupInto(nil, []int32{1})              // 1 is now most recent
+	c.Update(c.LookupInto(nil, []int32{3}))    // evicts 2
 	if !c.Contains(1) {
 		t.Error("LRU evicted recently used 1")
 	}
@@ -171,25 +165,8 @@ func TestZeroCapacityDynamic(t *testing.T) {
 	if ops := c.Update([]int32{1, 2}); ops != 0 {
 		t.Errorf("zero-capacity cache performed %d update ops", ops)
 	}
-	if len(c.Lookup([]int32{1})) != 1 {
+	if len(c.LookupInto(nil, []int32{1})) != 1 {
 		t.Error("zero-capacity cache produced a hit")
-	}
-}
-
-func TestResetStats(t *testing.T) {
-	c, err := New(FIFO, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Update(c.Lookup([]int32{1, 2}))
-	c.Lookup([]int32{1})
-	c.ResetStats()
-	h, m, u := c.Stats()
-	if h != 0 || m != 0 || u != 0 {
-		t.Errorf("stats after reset = %d/%d/%d", h, m, u)
-	}
-	if !c.Contains(1) {
-		t.Error("ResetStats dropped residency")
 	}
 }
 
@@ -214,11 +191,11 @@ func TestLRUBatchResidencyProperty(t *testing.T) {
 			for i := range batch {
 				batch[i] = int32(rng.Intn(50))
 			}
-			c.Update(c.Lookup(batch))
+			c.Update(c.LookupInto(nil, batch))
 			if c.Len() > capacity {
 				return false
 			}
-			if miss := c.Lookup(batch); len(miss) != 0 {
+			if miss := c.LookupInto(nil, batch); len(miss) != 0 {
 				return false
 			}
 		}
@@ -246,7 +223,7 @@ func TestFIFOCapacityProperty(t *testing.T) {
 				batch[i] = int32(rng.Intn(50))
 				inBatch[batch[i]] = true
 			}
-			miss := c.Lookup(batch)
+			miss := c.LookupInto(nil, batch)
 			for _, v := range miss {
 				if !inBatch[v] {
 					return false
@@ -288,7 +265,7 @@ func TestStaticHitRateGrowsWithCapacity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.Lookup(accesses)
+		c.LookupInto(nil, accesses)
 		return c.HitRate()
 	}
 	small, large := rate(50), rate(500)

@@ -18,7 +18,7 @@ func TestChaosUpdateInjectedError(t *testing.T) {
 		t.Fatal(err)
 	}
 	faultinject.Arm(faultinject.CacheShard, faultinject.Spec{Kind: faultinject.Error, After: 1, Count: 1})
-	c.Update(c.Lookup([]int32{1, 2})) // hit 0: scheduled to pass
+	c.Update(c.LookupInto(nil, []int32{1, 2})) // hit 0: scheduled to pass
 	func() {
 		defer func() {
 			r := recover()
@@ -29,11 +29,11 @@ func TestChaosUpdateInjectedError(t *testing.T) {
 				t.Fatalf("Update panicked with %v, want ErrInjected", r)
 			}
 		}()
-		c.Update(c.Lookup([]int32{3})) // hit 1: fires
+		c.Update(c.LookupInto(nil, []int32{3})) // hit 1: fires
 	}()
 	// The schedule is exhausted (Count 1): the cache keeps working and
 	// the interrupted admission was simply skipped, not half-applied.
-	c.Update(c.Lookup([]int32{4}))
+	c.Update(c.LookupInto(nil, []int32{4}))
 	if !c.Contains(4) {
 		t.Error("cache stopped admitting after a contained injected fault")
 	}
@@ -50,7 +50,7 @@ func TestChaosUpdateDelayPreservesResults(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, batch := range [][]int32{{1, 2}, {3, 1}, {4, 5, 2}, {1, 3}} {
-			c.Update(c.Lookup(batch))
+			c.Update(c.LookupInto(nil, batch))
 		}
 		return c.Stats()
 	}

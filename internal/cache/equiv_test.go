@@ -39,78 +39,52 @@ func testGraph(t *testing.T) *graph.Graph {
 	return g
 }
 
-// kernelPair builds the array-backed cache and the frozen map+list
-// reference with identical parameters.
-func kernelPair(t *testing.T, policy Policy, capacity int, g *graph.Graph) (Kernel, Kernel) {
-	t.Helper()
-	if policy == Freq {
-		order := g.DegreeOrder() // any fixed admission order
-		c, err := Build(Config{Policy: Freq, Capacity: capacity, Order: order}, g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref, err := NewMapReference(Config{Policy: Freq, Capacity: capacity, Order: order}, g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c, ref
-	}
-	c, err := New(policy, capacity, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := NewMapReference(Config{Policy: policy, Capacity: capacity}, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c, ref
-}
-
-// TestKernelEquivalence pins the array-backed cache bitwise against the
-// frozen map+list reference for every policy: identical miss lists (in
-// order), identical per-batch update ops, identical cumulative stats,
-// and identical residency after every batch.
+// TestKernelEquivalence pins the feature plane to its cache kernel for
+// every policy at capacities 0, 1, 7 and 300: batch by batch, a source
+// NewSource builds reports exactly the misses and update ops of the
+// same kernel driven directly, and its Resident agrees with the
+// kernel's Contains; at the end its hit rate matches and its
+// transferred bytes price every miss at the row width. Policy None and
+// capacity 0 take the uncached plane, which holds no cache at all.
 func TestKernelEquivalence(t *testing.T) {
-	g := testGraph(t)
+	g := featuredGraph(t)
 	stream := accessStream(t, g, 60, 256, 11)
+	script, err := BuildOptScript(g.NumVertices(), sliceSeq(stream))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rowBytes := Float32.RowBytes(g.FeatDim)
 	for _, policy := range Policies() {
-		if policy == Opt {
-			// Script-driven: the frozen map+list reference predates the
-			// offline-optimal policy and has no counterpart to compare
-			// against. Opt's invariants are pinned in opt_test.go.
-			continue
-		}
 		t.Run(string(policy), func(t *testing.T) {
 			for _, capacity := range []int{0, 1, 7, 300} {
-				c, ref := kernelPair(t, policy, capacity, g)
-				var missC, missR []int32
+				cfg := Config{Policy: policy, Capacity: capacity, Order: g.DegreeOrder(), Script: script}
+				c, err := Build(cfg, g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				plane, err := NewSource(cfg, g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var miss []int32
+				var bytes int64
 				for bi, batch := range stream {
-					missC = c.LookupInto(missC[:0], batch)
-					missR = ref.LookupInto(missR[:0], batch)
-					if len(missC) != len(missR) {
-						t.Fatalf("cap %d batch %d: miss count %d vs %d", capacity, bi, len(missC), len(missR))
-					}
-					for i := range missC {
-						if missC[i] != missR[i] {
-							t.Fatalf("cap %d batch %d: miss[%d] = %d vs %d", capacity, bi, i, missC[i], missR[i])
-						}
-					}
-					if oc, or := c.Update(missC), ref.Update(missR); oc != or {
-						t.Fatalf("cap %d batch %d: update ops %d vs %d", capacity, bi, oc, or)
-					}
-					if c.Len() != ref.Len() {
-						t.Fatalf("cap %d batch %d: len %d vs %d", capacity, bi, c.Len(), ref.Len())
+					miss = c.LookupInto(miss[:0], batch)
+					ops := c.Update(miss)
+					bytes += int64(len(miss)) * rowBytes
+					if st := plane.Access(batch); st.Miss != len(miss) || st.CacheOps != ops {
+						t.Fatalf("cap %d batch %d: plane reports %d misses, %d ops; kernel %d, %d",
+							capacity, bi, st.Miss, st.CacheOps, len(miss), ops)
 					}
 					for _, v := range batch {
-						if c.Contains(v) != ref.Contains(v) {
+						if plane.Resident(v) != c.Contains(v) {
 							t.Fatalf("cap %d batch %d: residency of %d diverges", capacity, bi, v)
 						}
 					}
 				}
-				hc, mc, uc := c.Stats()
-				hr, mr, ur := ref.Stats()
-				if hc != hr || mc != mr || uc != ur {
-					t.Fatalf("cap %d: stats (%d,%d,%d) vs (%d,%d,%d)", capacity, hc, mc, uc, hr, mr, ur)
+				if plane.HitRate() != c.HitRate() || plane.TransferredBytes() != bytes {
+					t.Fatalf("cap %d: hit rate %v vs %v, bytes %d vs %d",
+						capacity, plane.HitRate(), c.HitRate(), plane.TransferredBytes(), bytes)
 				}
 			}
 		})
@@ -136,7 +110,7 @@ func TestFreqPrefill(t *testing.T) {
 			t.Errorf("Contains(%d) = %v, want %v", v, !want, want)
 		}
 	}
-	if ops := c.Update(c.Lookup([]int32{9, 10, 11})); ops != 0 {
+	if ops := c.Update(c.LookupInto(nil, []int32{9, 10, 11})); ops != 0 {
 		t.Errorf("freq cache performed %d update ops", ops)
 	}
 	if c.Contains(9) {

@@ -18,7 +18,7 @@ func sliceSeq(stream [][]int32) iter.Seq[[]int32] {
 }
 
 // driveStats replays a stream against k and returns (hits, misses, ops).
-func driveStats(k Kernel, stream [][]int32) (int64, int64, int64) {
+func driveStats(k *Cache, stream [][]int32) (int64, int64, int64) {
 	var miss []int32
 	var ops int64
 	for _, batch := range stream {
@@ -82,7 +82,7 @@ func TestOptDominatesOnlinePolicies(t *testing.T) {
 		oh, om, _ := driveStats(opt, stream)
 		optRate := float64(oh) / float64(oh+om)
 		for _, policy := range []Policy{Static, Freq, FIFO, LRU} {
-			var k Kernel
+			var k *Cache
 			if policy == Freq {
 				k, err = Build(Config{Policy: Freq, Capacity: capacity, Order: g.DegreeOrder()}, g)
 			} else {
@@ -180,7 +180,7 @@ func TestOptBeyondScriptHorizon(t *testing.T) {
 	h1, m1, _ := c.Stats()
 	// Replay past the horizon: hits/misses still accrue, residency is
 	// frozen (every candidate admission bypasses).
-	if ops := c.Update(c.Lookup(stream[0])); ops != 0 {
+	if ops := c.Update(c.LookupInto(nil, stream[0])); ops != 0 {
 		t.Errorf("beyond-horizon update performed %d ops", ops)
 	}
 	h2, m2, _ := c.Stats()

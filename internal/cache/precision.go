@@ -17,7 +17,7 @@ import "math"
 // Equivalence contract (two tiers):
 //
 //   - Float32 (and the zero value "") is the verbatim baseline: every
-//     pre-precision bitwise pin — cache vs frozen MapReference, pipeline
+//     pre-precision bitwise pin — the kernel trace golden, pipeline
 //     outputs at any prefetch depth or worker count — holds unchanged.
 //   - Float16/Int8 are tolerance-based against the float32 values, with
 //     proven per-element bounds (see below), and deterministic: a row's

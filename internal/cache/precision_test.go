@@ -204,9 +204,9 @@ func TestWidenRowFloat32Identity(t *testing.T) {
 
 // TestGatherConsistencyAcrossSources is the tolerance-tier equivalence
 // contract, end to end through the gather path: at every precision, a
-// cached source is bitwise-identical to a kernel source over the frozen
-// MapReference on the same access stream — so residency can never
-// change gathered values — and both stay within the precision's error
+// cached source is bitwise-identical to the uncached source on the same
+// access stream — so residency never changes a gathered value, against
+// the plain host path — and both stay within the precision's error
 // bound of the float32 gather.
 func TestGatherConsistencyAcrossSources(t *testing.T) {
 	g := featuredGraph(t)
@@ -217,12 +217,11 @@ func TestGatherConsistencyAcrossSources(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := NewMapReference(Config{Policy: LRU, Capacity: 300}, g)
+			cached := NewCachedSource(c, g)
+			host, err := NewSource(Config{Policy: None, Precision: prec}, g)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cached := NewCachedSource(c, g)
-			host := NewKernelSource(ref, g, prec)
 			var a, b *tensor.Dense
 			for bi, batch := range stream {
 				a, _ = cached.GatherInto(a, batch)
@@ -264,7 +263,13 @@ func TestPrecisionSourceAccounting(t *testing.T) {
 	g := featuredGraph(t)
 	stream := accessStream(t, g, 20, 256, 31)
 	sources := map[string]func(p Precision) FeatureSource{
-		"uncached": func(p Precision) FeatureSource { return NewKernelSource(nil, g, p) },
+		"uncached": func(p Precision) FeatureSource {
+			s, err := NewSource(Config{Policy: None, Precision: p}, g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		},
 		"lru": func(p Precision) FeatureSource {
 			c, err := NewAtPrecision(LRU, 300, g, p)
 			if err != nil {

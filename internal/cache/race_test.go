@@ -45,7 +45,7 @@ func TestConcurrentLookupUpdateRace(t *testing.T) {
 				for j := range nodes {
 					nodes[j] = int32((iter*13 + j) % 512)
 				}
-				miss := c.Lookup(nodes)
+				miss := c.LookupInto(nil, nodes)
 				c.Update(miss)
 			}
 			close(stop)
@@ -55,8 +55,8 @@ func TestConcurrentLookupUpdateRace(t *testing.T) {
 			if hits+misses == 0 || updates == 0 {
 				t.Errorf("no accounting recorded: hits=%d misses=%d updates=%d", hits, misses, updates)
 			}
-			if c.Len() > c.Capacity() {
-				t.Errorf("resident %d exceeds capacity %d", c.Len(), c.Capacity())
+			if c.Len() > c.capacity {
+				t.Errorf("resident %d exceeds capacity %d", c.Len(), c.capacity)
 			}
 		})
 	}

@@ -87,25 +87,22 @@ func NewSource(cfg Config, g *graph.Graph) (FeatureSource, error) {
 		return nil, err
 	}
 	if cfg.Policy == None || cfg.Capacity == 0 {
-		return NewKernelSource(nil, g, cfg.Precision), nil
+		return newSource(nil, g, cfg.Precision), nil
 	}
 	return NewCachedSource(cfg.build(g), g), nil
 }
 
-// NewCachedSource returns the cached feature plane over the array-backed
-// Cache at the cache's precision, so the two can never disagree on row
-// width. NewSource builds it from a Config; the benchmark harness calls
-// it directly.
+// NewCachedSource returns the cached feature plane over c at the cache's
+// precision, so the two can never disagree on row width. NewSource
+// builds it from a Config; the benchmark harness calls it directly.
 func NewCachedSource(c *Cache, g *graph.Graph) FeatureSource {
-	return NewKernelSource(c, g, c.Precision())
+	return newSource(c, g, c.Precision())
 }
 
-// NewKernelSource returns a feature plane over any cache Kernel (in
-// particular the frozen MapReference, so the equivalence tests can swap
-// kernels under an unchanged pipeline) at precision prec; a nil k is the
-// uncached plane.
-func NewKernelSource(k Kernel, g *graph.Graph, prec Precision) FeatureSource {
-	s := &source{k: k, g: g, rowBytes: prec.RowBytes(g.FeatDim), widen: prec.widen()}
+// newSource returns the feature plane over c at precision prec; a nil c
+// is the uncached plane.
+func newSource(c *Cache, g *graph.Graph, prec Precision) *source {
+	s := &source{c: c, g: g, rowBytes: prec.RowBytes(g.FeatDim), widen: prec.widen()}
 	// Bound once so per-batch gathers dispatch a pre-allocated closure
 	// (a fresh closure per call would cost one allocation per batch).
 	s.copyFn = s.copyRange
@@ -114,10 +111,10 @@ func NewKernelSource(k Kernel, g *graph.Graph, prec Precision) FeatureSource {
 
 // source is the one FeatureSource implementation. Every row is
 // gathered from the host feature array through the precision's fused
-// quantize→dequantize kernel; a cache kernel, when present, decides
-// which rows were resident and which crossed the link.
+// quantize→dequantize kernel; the cache, when present, decides which
+// rows were resident and which crossed the link.
 type source struct {
-	k        Kernel // nil: uncached, every row is transferred
+	c        *Cache // nil: uncached, every row is transferred
 	g        *graph.Graph
 	rowBytes int64
 	widen    widenFunc
@@ -141,10 +138,10 @@ func (s *source) copyRange(lo, hi int) {
 
 func (s *source) Access(nodes []int32) BatchStats {
 	miss, ops := nodes, 0
-	if s.k != nil {
-		miss = s.k.LookupInto(s.missBuf[:0], nodes)
+	if s.c != nil {
+		miss = s.c.LookupInto(s.missBuf[:0], nodes)
 		s.missBuf = miss
-		ops = s.k.Update(miss)
+		ops = s.c.Update(miss)
 	}
 	st := BatchStats{
 		Miss:          len(miss),
@@ -164,13 +161,13 @@ func (s *source) GatherInto(dst *tensor.Dense, nodes []int32) (*tensor.Dense, Ba
 	return dst, st
 }
 
-func (s *source) Resident(v int32) bool { return s.k != nil && s.k.Contains(v) }
+func (s *source) Resident(v int32) bool { return s.c != nil && s.c.Contains(v) }
 
 func (s *source) HitRate() float64 {
-	if s.k == nil {
+	if s.c == nil {
 		return 0
 	}
-	return s.k.HitRate()
+	return s.c.HitRate()
 }
 
 func (s *source) TransferredBytes() int64 { return s.bytes.Load() }

@@ -77,8 +77,8 @@ func TestNewSourceUncached(t *testing.T) {
 			t.Fatal(err)
 		}
 		gs := src.(*source)
-		if gs.k != nil {
-			t.Fatalf("%+v: got a cache kernel %T, want the uncached source", cfg, gs.k)
+		if gs.c != nil {
+			t.Fatalf("%+v: got a %s cache, want the uncached source", cfg, gs.c.policy)
 		}
 		if gs.rowBytes != Int8.RowBytes(g.FeatDim) {
 			t.Fatalf("%+v: rows priced at %d bytes, want int8's %d", cfg, gs.rowBytes, Int8.RowBytes(g.FeatDim))

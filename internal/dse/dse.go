@@ -117,9 +117,15 @@ type Constraints struct {
 	MinAccuracy float64
 }
 
-// finite reports whether v is an ordinary float (not NaN, not ±Inf).
-func finite(v float64) bool {
-	return !math.IsNaN(v) && !math.IsInf(v, 0)
+// finite reports whether every metric of p is an ordinary float (not
+// NaN, not ±Inf).
+func finite(p estimator.Prediction) bool {
+	for _, v := range [...]float64{p.TimeSec, p.MemoryGB, p.Accuracy} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // Satisfied reports whether a prediction meets the constraints (including
@@ -132,7 +138,7 @@ func (c Constraints) Satisfied(p estimator.Prediction) bool {
 	if !p.Feasible {
 		return false
 	}
-	if !finite(p.TimeSec) || !finite(p.MemoryGB) || !finite(p.Accuracy) {
+	if !finite(p) {
 		return false
 	}
 	if c.MaxTimeSec > 0 && p.TimeSec > c.MaxTimeSec {
@@ -425,19 +431,10 @@ func (e *Explorer) normalizedSpace(base backend.Config) Space {
 	return s
 }
 
-// dominates reports whether a dominates b: no worse on all of (T, Γ, Acc)
-// and strictly better on at least one.
-func dominates(a, b Point) bool {
-	if a.Pred.TimeSec > b.Pred.TimeSec || a.Pred.MemoryGB > b.Pred.MemoryGB ||
-		a.Pred.Accuracy < b.Pred.Accuracy {
-		return false
-	}
-	return a.Pred.TimeSec < b.Pred.TimeSec || a.Pred.MemoryGB < b.Pred.MemoryGB ||
-		a.Pred.Accuracy > b.Pred.Accuracy
-}
-
 // ParetoFront returns the non-dominated subset of points over
-// (minimize T, minimize Γ, maximize Acc), preserving input order.
+// (minimize T, minimize Γ, maximize Acc), preserving input order. A
+// point with a non-finite metric is never on the front, just as
+// Constraints.Satisfied calls it infeasible.
 //
 // It runs as a sort-and-sweep: points sorted by (T asc, Γ asc, Acc desc)
 // are swept once while an incremental staircase maps cache memory Γ to
@@ -446,24 +443,14 @@ func dominates(a, b Point) bool {
 // holds by the sort, and distinctness forces one of the three to be
 // strict). Cost: O(n log n) for the sort and the staircase searches,
 // plus a splice memmove per surviving point that is O(front size) in
-// the worst case (a fully anticorrelated T/Γ front) — still a flat
-// float64 copy, orders of magnitude cheaper per element than the
-// all-pairs reference's dominates() calls. Any non-finite coordinate
-// falls back to the quadratic reference, whose pairwise comparisons
-// define the semantics sorting NaNs would break.
+// the worst case (a fully anticorrelated T/Γ front) — a flat float64
+// copy.
 func ParetoFront(points []Point) []Point {
-	n := len(points)
-	if n <= 2 {
-		return paretoFrontQuadratic(points)
-	}
-	for _, p := range points {
-		if !finite(p.Pred.TimeSec) || !finite(p.Pred.MemoryGB) || !finite(p.Pred.Accuracy) {
-			return paretoFrontQuadratic(points)
+	ord := make([]int, 0, len(points))
+	for i, p := range points {
+		if finite(p.Pred) {
+			ord = append(ord, i)
 		}
-	}
-	ord := make([]int, n)
-	for i := range ord {
-		ord[i] = i
 	}
 	slices.SortFunc(ord, func(a, b int) int {
 		pa, pb := points[a].Pred, points[b].Pred
@@ -487,11 +474,12 @@ func ParetoFront(points []Point) []Point {
 			return a - b
 		}
 	})
-	dominated := make([]bool, n)
+	onFront := make([]bool, len(points))
 	// Staircase over processed points: gs strictly ascending, accs[i] the
 	// best accuracy among all points with Γ <= gs[i] (so also strictly
 	// ascending — entries a cheaper-Γ point already beats are elided).
 	var gs, accs []float64
+	n := len(ord)
 	for i := 0; i < n; {
 		p := points[ord[i]].Pred
 		// Identical ⟨T, Γ, Acc⟩ triples are adjacent in the sort order and
@@ -505,11 +493,10 @@ func ParetoFront(points []Point) []Point {
 			j++
 		}
 		k := sort.Search(len(gs), func(m int) bool { return gs[m] > p.MemoryGB }) - 1
-		if k >= 0 && accs[k] >= p.Accuracy {
+		if k < 0 || accs[k] < p.Accuracy {
 			for _, idx := range ord[i:j] {
-				dominated[idx] = true
+				onFront[idx] = true
 			}
-		} else {
 			// New best accuracy at this Γ: insert, dropping entries at
 			// Γ >= ours whose accuracy we match or beat.
 			pos := sort.Search(len(gs), func(m int) bool { return gs[m] >= p.MemoryGB })
@@ -524,27 +511,7 @@ func ParetoFront(points []Point) []Point {
 	}
 	var front []Point
 	for i, p := range points {
-		if !dominated[i] {
-			front = append(front, p)
-		}
-	}
-	return front
-}
-
-// paretoFrontQuadratic is the all-pairs O(n²) reference front: the
-// fallback for non-finite inputs and the oracle the equivalence tests
-// compare the sweep against.
-func paretoFrontQuadratic(points []Point) []Point {
-	var front []Point
-	for i, p := range points {
-		dominated := false
-		for j, q := range points {
-			if i != j && dominates(q, p) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
+		if onFront[i] {
 			front = append(front, p)
 		}
 	}
@@ -565,12 +532,9 @@ func Decide(candidates []Point, priority Priority) (Point, error) {
 	// anything else: a NaN metric would poison the min-max normalization
 	// (math.Min propagates NaN, turning every score NaN), and an Inf
 	// accuracy would set a guard band no finite candidate can meet.
-	scorable := func(p Point) bool {
-		return finite(p.Pred.TimeSec) && finite(p.Pred.MemoryGB) && finite(p.Pred.Accuracy)
-	}
 	finiteCands := make([]Point, 0, len(candidates))
 	for _, p := range candidates {
-		if scorable(p) {
+		if finite(p.Pred) {
 			finiteCands = append(finiteCands, p)
 		}
 	}

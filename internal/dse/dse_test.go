@@ -54,6 +54,17 @@ func smallSpace() Space {
 	}
 }
 
+// dominates reports whether a dominates b: no worse on all of (T, Γ, Acc)
+// and strictly better on at least one.
+func dominates(a, b Point) bool {
+	if a.Pred.TimeSec > b.Pred.TimeSec || a.Pred.MemoryGB > b.Pred.MemoryGB ||
+		a.Pred.Accuracy < b.Pred.Accuracy {
+		return false
+	}
+	return a.Pred.TimeSec < b.Pred.TimeSec || a.Pred.MemoryGB < b.Pred.MemoryGB ||
+		a.Pred.Accuracy > b.Pred.Accuracy
+}
+
 func TestExploreFindsCandidates(t *testing.T) {
 	ex := &Explorer{Est: sharedEstimator(t), Space: smallSpace()}
 	res, err := ex.Explore(baseCfg())

@@ -9,8 +9,8 @@ import (
 
 // goldenParetoFrontDigest is the FNV-64a digest of the fronts
 // TestGoldenParetoFront computes. It was recorded while the all-pairs
-// quadratic front still existed and the equivalence test proved the
-// sort-and-sweep equal to it on these point sets.
+// quadratic front still existed and the sort-and-sweep was proved equal
+// to it on these point sets.
 const goldenParetoFrontDigest = "0753eafbc88a9e4c"
 
 // paretoPointSets draws the random point sets the front is pinned on:
@@ -46,38 +46,16 @@ func paretoPointSets() [][]Point {
 }
 
 // TestGoldenParetoFront pins the input indices of ParetoFront's output
-// on every paretoPointSets set, and checks the front against its
-// definition: a point is on it exactly when no other point dominates
-// it, in input order.
+// on every paretoPointSets set.
 func TestGoldenParetoFront(t *testing.T) {
 	h := fnv.New64a()
-	for si, pts := range paretoPointSets() {
+	for _, pts := range paretoPointSets() {
 		front := ParetoFront(pts)
 		idx := make([]int, len(front))
 		for i, p := range front {
 			idx[i] = p.Cfg.BatchSize
 		}
 		fmt.Fprintf(h, "%d %v\n", len(pts), idx)
-		k := 0
-		for i, p := range pts {
-			dominated := false
-			for _, q := range pts {
-				if dominates(q, p) {
-					dominated = true
-					break
-				}
-			}
-			onFront := k < len(idx) && idx[k] == i
-			if onFront {
-				k++
-			}
-			if onFront == dominated {
-				t.Fatalf("set %d: point %d dominated=%v but on front=%v", si, i, dominated, onFront)
-			}
-		}
-		if k != len(idx) {
-			t.Fatalf("set %d: front %v out of input order", si, idx)
-		}
 	}
 	if got := fmt.Sprintf("%016x", h.Sum64()); got != goldenParetoFrontDigest {
 		t.Fatalf("digest %s, want %s", got, goldenParetoFrontDigest)

@@ -2,7 +2,6 @@ package dse
 
 import (
 	"math"
-	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
@@ -65,37 +64,32 @@ func mkPt(T, g, a float64) Point {
 	return Point{Pred: estimator.Prediction{TimeSec: T, MemoryGB: g, Accuracy: a, Feasible: true}}
 }
 
-// TestParetoFrontMatchesQuadratic cross-checks the sort-and-sweep front
-// against the all-pairs reference on random point sets. Values are drawn
-// from a coarse grid so ties — the delicate part of the sweep — occur
-// constantly.
+// TestParetoFrontMatchesQuadratic checks the sort-and-sweep front
+// against its all-pairs definition on every paretoPointSets set: a
+// point is on the front exactly when no other point dominates it, and
+// the front keeps input order.
 func TestParetoFrontMatchesQuadratic(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	grid := func(levels int) float64 {
-		return float64(rng.Intn(levels)) / float64(levels-1)
-	}
-	for _, n := range []int{0, 1, 2, 3, 5, 17, 100, 400} {
-		for _, levels := range []int{2, 4, 16} {
-			pts := make([]Point, n)
-			for i := range pts {
-				pts[i] = mkPt(grid(levels), grid(levels), grid(levels))
+	for si, pts := range paretoPointSets() {
+		front := ParetoFront(pts)
+		k := 0
+		for i, p := range pts {
+			dominated := false
+			for _, q := range pts {
+				if dominates(q, p) {
+					dominated = true
+					break
+				}
 			}
-			want := paretoFrontQuadratic(pts)
-			got := ParetoFront(pts)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("n=%d levels=%d: sweep front (%d pts) != quadratic front (%d pts)",
-					n, levels, len(got), len(want))
+			onFront := k < len(front) && front[k].Cfg.BatchSize == i
+			if onFront {
+				k++
+			}
+			if onFront == dominated {
+				t.Fatalf("set %d (n=%d): point %d dominated=%v, on front=%v", si, len(pts), i, dominated, onFront)
 			}
 		}
-	}
-	// Continuous values (ties only at duplicates) for good measure.
-	for _, n := range []int{50, 333} {
-		pts := make([]Point, n)
-		for i := range pts {
-			pts[i] = mkPt(rng.Float64(), rng.Float64(), rng.Float64())
-		}
-		if got, want := ParetoFront(pts), paretoFrontQuadratic(pts); !reflect.DeepEqual(got, want) {
-			t.Fatalf("continuous n=%d: sweep front != quadratic front", n)
+		if k != len(front) {
+			t.Fatalf("set %d (n=%d): front out of input order", si, len(pts))
 		}
 	}
 }
@@ -111,31 +105,42 @@ func TestParetoFrontDuplicatesKept(t *testing.T) {
 	}
 }
 
-// TestParetoFrontNaNFallback: non-finite coordinates route to the
-// quadratic reference instead of corrupting the sweep's sort. Points are
-// tagged through Cfg.BatchSize because reflect.DeepEqual can't compare
-// NaN predictions (NaN != NaN).
-func TestParetoFrontNaNFallback(t *testing.T) {
-	pts := []Point{
-		mkPt(math.NaN(), 1, 0.9),
-		mkPt(1, 1, 0.9),
-		mkPt(2, 2, 0.5),
-		mkPt(1, math.Inf(1), 0.9),
-	}
-	for i := range pts {
-		pts[i].Cfg.BatchSize = i
-	}
-	tags := func(front []Point) []int {
-		out := make([]int, len(front))
-		for i, p := range front {
-			out[i] = p.Cfg.BatchSize
+// TestParetoFrontExcludesNonFinite: a point with a NaN or infinite
+// metric is never on the front — Constraints.Satisfied calls it
+// infeasible — and never removes a finite point from it, at every input
+// size. Points are tagged through Cfg.BatchSize because
+// reflect.DeepEqual can't compare NaN predictions (NaN != NaN).
+func TestParetoFrontExcludesNonFinite(t *testing.T) {
+	tags := func(pts ...Point) []int {
+		for i := range pts {
+			pts[i].Cfg.BatchSize = i
+		}
+		out := []int{}
+		for _, p := range ParetoFront(pts) {
+			out = append(out, p.Cfg.BatchSize)
 		}
 		return out
 	}
-	want := tags(paretoFrontQuadratic(pts))
-	got := tags(ParetoFront(pts))
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("NaN input: sweep picked %v, reference %v", got, want)
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		got  []int
+		want []int
+	}{
+		{"lone NaN", tags(mkPt(nan, 1, 0.9)), []int{}},
+		{"NaN beside a finite point", tags(mkPt(nan, 1, 0.9), mkPt(2, 2, 0.5)), []int{1}},
+		{"mixed", tags(
+			mkPt(nan, 1, 0.9),
+			mkPt(1, 1, 0.9),
+			mkPt(2, 2, 0.5),
+			mkPt(1, inf, 0.9),
+			mkPt(-inf, 0, 1), // would dominate point 1 were it finite
+			mkPt(nan, nan, nan),
+		), []int{1}},
+	} {
+		if !reflect.DeepEqual(tc.got, tc.want) {
+			t.Errorf("%s: front %v, want %v", tc.name, tc.got, tc.want)
+		}
 	}
 }
 

@@ -175,9 +175,10 @@ func TestCoupledSamplerEqualInline(t *testing.T) {
 
 // goldenPolicyStreams and goldenPrecisionStreams are the digests of the
 // batch streams TestKernelEquivalenceThroughPipeline and
-// TestPrecisionEquivalenceThroughPipeline hand the consumer, per policy
-// and per precision. They were recorded while the frozen map+list cache
-// still existed and gathering through it produced these streams.
+// TestPrecisionEquivalenceThroughPipeline hand the consumer at prefetch
+// depth 0, per policy and per precision. They were recorded while a
+// frozen map+list cache still existed and gathering through it produced
+// these same streams.
 var (
 	goldenPolicyStreams = map[cache.Policy]string{
 		cache.None:   "32486f8760f5c8c0",
@@ -192,14 +193,13 @@ var (
 	}
 )
 
-// TestKernelEquivalenceThroughPipeline pins the array-backed cache to
-// the frozen map+list reference through the full engine: for every
-// policy and prefetch depth in {0, 1, 4}, a run gathering through the
-// new cache must hand the consumer bit-identical batches — same misses,
-// same eviction-driven update ops, same transfer bytes, same feature
-// matrices — as a run over the map reference. Run under -race (CI does)
-// this also exercises the lock-free Contains path against the writer
-// stage.
+// TestKernelEquivalenceThroughPipeline pins the cache through the full
+// engine: for every online policy, a run gathering through the cache at
+// prefetch depth 0 hands the consumer the recorded stream, and depths 1
+// and 4 hand it bit-identical batches — same misses, same
+// eviction-driven update ops, same transfer bytes, same feature
+// matrices. Run under -race (CI does) this also exercises the lock-free
+// Contains path against the writer stage.
 func TestKernelEquivalenceThroughPipeline(t *testing.T) {
 	d, err := dataset.Load(dataset.OgbnArxiv)
 	if err != nil {
@@ -210,61 +210,39 @@ func TestKernelEquivalenceThroughPipeline(t *testing.T) {
 	freqOrder := g.DegreeOrder() // any fixed admission order works here
 	for _, policy := range cache.Policies() {
 		if policy == cache.Opt {
-			// Script-driven: the frozen map+list reference has no
-			// offline-optimal counterpart. Opt's pipeline behaviour is
-			// covered by the backend ablation and cache/opt_test.go.
+			// Script-driven: Opt's pipeline behaviour is covered by the
+			// backend ablation and cache/opt_test.go.
 			continue
 		}
 		t.Run(string(policy), func(t *testing.T) {
-			mk := func(src cache.FeatureSource, prefetch int) []digest {
+			mk := func(prefetch int) []digest {
+				c, err := cache.Build(cache.Config{Policy: policy, Capacity: capacity, Order: freqOrder}, g)
+				if err != nil {
+					t.Fatal(err)
+				}
 				cfg := testConfig(t)
 				cfg.Epochs = 2
 				cfg.Prefetch = prefetch
-				cfg.Source = src
+				cfg.Source = cache.NewCachedSource(c, g)
 				ds, _ := runDigests(t, cfg)
 				return ds
 			}
-			ccfg := cache.Config{Policy: policy, Capacity: capacity, Order: freqOrder}
-			newSrc := func() cache.FeatureSource {
-				c, err := cache.Build(ccfg, g)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return cache.NewCachedSource(c, g)
-			}
-			refSrc := func() cache.FeatureSource {
-				ref, err := cache.NewMapReference(ccfg, g)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return cache.NewKernelSource(ref, g, cache.Float32)
-			}
-			want := mk(refSrc(), 0)
+			want := mk(0)
 			requireGolden(t, want, goldenPolicyStreams[policy])
-			for _, depth := range []int{0, 1, 4} {
-				got := mk(newSrc(), depth)
-				if len(got) != len(want) {
-					t.Fatalf("prefetch %d consumed %d batches, reference %d", depth, len(got), len(want))
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("policy %s prefetch %d batch %d differs:\nnew: %+v\nref: %+v",
-							policy, depth, i, got[i], want[i])
-					}
-				}
+			for _, depth := range []int{1, 4} {
+				requireSameDigests(t, depth, mk(depth), want)
 			}
 		})
 	}
 }
 
-// TestPrecisionEquivalenceThroughPipeline extends the kernel-equivalence
-// pin to the compact feature plane: at float16 and int8, a pipeline run
-// gathering through the quantized array-backed cache must hand the
-// consumer batches bit-identical to a run over the frozen map reference
-// whose kernel source takes every row through the same fused
-// quantize→dequantize round trip — same feature matrices, same misses,
-// same precision-scaled transfer bytes — at every prefetch depth. The
-// float32 leg of this contract is TestKernelEquivalenceThroughPipeline.
+// TestPrecisionEquivalenceThroughPipeline extends the kernel pin to the
+// compact feature plane: at float16 and int8, a pipeline run gathering
+// through a quantized LRU cache at prefetch depth 0 hands the consumer
+// the recorded stream — feature matrices through the fused
+// quantize→dequantize round trip, misses, precision-scaled transfer
+// bytes — and depths 1 and 4 hand it bit-identical batches. The float32
+// leg of this contract is TestKernelEquivalenceThroughPipeline.
 func TestPrecisionEquivalenceThroughPipeline(t *testing.T) {
 	d, err := dataset.Load(dataset.OgbnArxiv)
 	if err != nil {
@@ -274,37 +252,38 @@ func TestPrecisionEquivalenceThroughPipeline(t *testing.T) {
 	const capacity = 1200
 	for _, prec := range []cache.Precision{cache.Float16, cache.Int8} {
 		t.Run(string(prec), func(t *testing.T) {
-			mk := func(src cache.FeatureSource, prefetch int) []digest {
-				cfg := testConfig(t)
-				cfg.Epochs = 2
-				cfg.Prefetch = prefetch
-				cfg.Source = src
-				ds, _ := runDigests(t, cfg)
-				return ds
-			}
-			refK, err := cache.NewMapReference(cache.Config{Policy: cache.LRU, Capacity: capacity}, g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := mk(cache.NewKernelSource(refK, g, prec), 0)
-			requireGolden(t, want, goldenPrecisionStreams[prec])
-			for _, depth := range []int{0, 1, 4} {
+			mk := func(prefetch int) []digest {
 				c, err := cache.NewAtPrecision(cache.LRU, capacity, g, prec)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got := mk(cache.NewCachedSource(c, g), depth)
-				if len(got) != len(want) {
-					t.Fatalf("prefetch %d consumed %d batches, reference %d", depth, len(got), len(want))
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("precision %s prefetch %d batch %d differs:\nnew: %+v\nref: %+v",
-							prec, depth, i, got[i], want[i])
-					}
-				}
+				cfg := testConfig(t)
+				cfg.Epochs = 2
+				cfg.Prefetch = prefetch
+				cfg.Source = cache.NewCachedSource(c, g)
+				ds, _ := runDigests(t, cfg)
+				return ds
+			}
+			want := mk(0)
+			requireGolden(t, want, goldenPrecisionStreams[prec])
+			for _, depth := range []int{1, 4} {
+				requireSameDigests(t, depth, mk(depth), want)
 			}
 		})
+	}
+}
+
+// requireSameDigests fails unless the stream a run at the given
+// prefetch depth consumed equals the depth-0 stream want.
+func requireSameDigests(t *testing.T, depth int, got, want []digest) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("prefetch %d consumed %d batches, depth 0 %d", depth, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("prefetch %d batch %d differs:\ngot:     %+v\ndepth 0: %+v", depth, i, got[i], want[i])
+		}
 	}
 }
 

@@ -98,13 +98,16 @@ func TestCompileReplayBitwise(t *testing.T) {
 	}
 }
 
+// sampleOnly hides a sampler's in-place SampleInto: embedding the
+// interface promotes only Name, Sample and NumLayers.
+type sampleOnly struct{ sample.Sampler }
+
 // TestCompileRefusesSampleOnlySampler: a sampler without the in-place
-// SampleInto (here the frozen map reference) is an error, not a slower
-// compile.
+// SampleInto is an error, not a slower compile.
 func TestCompileRefusesSampleOnlySampler(t *testing.T) {
 	g := testGraph(t)
 	targets := testTargets(500)
-	smp := sample.NewMapReference(&sample.NodeWise{Fanouts: []int{5, 3}})
+	smp := sampleOnly{&sample.NodeWise{Fanouts: []int{5, 3}}}
 	key := KeyFor("test-ds", false, smp, 100, 7, 1, true, targets)
 	_, err := Compile(g, smp, key, targets)
 	if err == nil || !strings.Contains(err.Error(), "cannot refill a batch in place") {

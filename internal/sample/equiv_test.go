@@ -9,12 +9,11 @@ import (
 	"gnnavigator/internal/graph"
 )
 
-// equivSamplers returns (stamped, map-reference) pairs covering every
-// sampler mode, including biased node-wise selection.
+// equivSamplers returns one instance of every sampler mode, including
+// biased node-wise selection and layer-wise on both of its branches.
 func equivSamplers() []struct {
-	name    string
-	stamped Sampler
-	mapRef  Sampler
+	name string
+	s    Sampler
 } {
 	bias := func(v int32) float64 {
 		if v%3 == 0 {
@@ -22,28 +21,16 @@ func equivSamplers() []struct {
 		}
 		return 0
 	}
-	mk := func(name string, s Sampler) struct {
-		name    string
-		stamped Sampler
-		mapRef  Sampler
-	} {
-		return struct {
-			name    string
-			stamped Sampler
-			mapRef  Sampler
-		}{name, s, NewMapReference(s)}
-	}
 	return []struct {
-		name    string
-		stamped Sampler
-		mapRef  Sampler
+		name string
+		s    Sampler
 	}{
-		mk("node-wise", &NodeWise{Fanouts: []int{5, 3}}),
-		mk("node-wise-full", &NodeWise{Fanouts: []int{0}}),
-		mk("node-wise-biased", &NodeWise{Fanouts: []int{4, 4}, Bias: bias, BiasStrength: 0.7}),
-		mk("layer-wise", &LayerWise{Deltas: []int{40, 20}}),
-		mk(layerWiseSelecting, &LayerWise{Deltas: []int{3, 2}}),
-		mk("subgraph-wise", &SubgraphWise{WalkLength: 4, Layers: 2}),
+		{"node-wise", &NodeWise{Fanouts: []int{5, 3}}},
+		{"node-wise-full", &NodeWise{Fanouts: []int{0}}},
+		{"node-wise-biased", &NodeWise{Fanouts: []int{4, 4}, Bias: bias, BiasStrength: 0.7}},
+		{"layer-wise", &LayerWise{Deltas: []int{40, 20}}},
+		{layerWiseSelecting, &LayerWise{Deltas: []int{3, 2}}},
+		{"subgraph-wise", &SubgraphWise{WalkLength: 4, Layers: 2}},
 	}
 }
 
@@ -77,16 +64,15 @@ func requireEqualMiniBatch(t *testing.T, name string, batch int, want, got *Mini
 	if len(want.Blocks) != len(got.Blocks) {
 		t.Fatalf("%s batch %d: blocks %d != %d", name, batch, len(got.Blocks), len(want.Blocks))
 	}
-	// slices.Equal, not reflect.DeepEqual: the stamped path pre-sizes
-	// empty slices where the map reference leaves them nil, and a
-	// zero-edge block is equivalent either way.
+	// slices.Equal, not reflect.DeepEqual: a zero-edge block is
+	// equivalent whether its empty slices are nil or pre-sized.
 	for l := range want.Blocks {
 		w, g := &want.Blocks[l], &got.Blocks[l]
 		if w.DstCount != g.DstCount ||
 			!slices.Equal(w.SrcNodes, g.SrcNodes) ||
 			!slices.Equal(w.Offsets, g.Offsets) ||
 			!slices.Equal(w.Indices, g.Indices) {
-			t.Fatalf("%s batch %d block %d diverged from the map reference", name, batch, l)
+			t.Fatalf("%s batch %d block %d diverged", name, batch, l)
 		}
 	}
 	if !slices.Equal(want.Targets, got.Targets) ||
@@ -96,77 +82,42 @@ func requireEqualMiniBatch(t *testing.T, name string, batch int, want, got *Mini
 	}
 }
 
-// TestFrontierMatchesMapReference pins the stamped frontier path to the
-// frozen map implementation, bitwise, over a stream of batches sampled
-// from one stateful sampler instance (so scratch reuse across batches is
-// exercised, not just the first call).
-func TestFrontierMatchesMapReference(t *testing.T) {
-	g, err := gen.BarabasiAlbert(rand.New(rand.NewSource(10)), 500, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sc := range equivSamplers() {
-		t.Run(sc.name, func(t *testing.T) {
-			if sc.mapRef == nil {
-				t.Fatalf("no map reference for %s", sc.name)
-			}
-			for batch := 0; batch < 25; batch++ {
-				tg := targets(1+batch%40, 500, int64(batch))
-				want := sc.mapRef.Sample(BatchRNG(42, 0, batch), g, tg)
-				got := sc.stamped.Sample(BatchRNG(42, 0, batch), g, tg)
-				if err := got.Validate(); err != nil {
-					t.Fatalf("batch %d: %v", batch, err)
-				}
-				requireEqualMiniBatch(t, sc.name, batch, want, got)
-				if sc.name == layerWiseSelecting {
-					requireBudgetBelowCandidates(t, g, got, sc.stamped.(*LayerWise).Deltas)
-				}
-			}
-		})
-	}
-}
-
-// TestHubOverlayEquivalence drives the sparse Fisher-Yates overlay hard:
-// a graph whose first vertices have degree ~120 with fanout 20 puts
-// every hub pick on the overlay branch (degree > 64 and > 4·fanout), and
-// with 20 draws over 120 slots a draw lands on a previously displaced
-// slot (the overlay-read path) many times per batch. The map reference
-// shuffles a full copy, so any overlay bookkeeping bug diverges.
+// TestHubOverlayEquivalence drives the sparse Fisher-Yates overlay
+// hard: every hub of hubGraph takes the overlay branch at fanout 20, and
+// with 20 draws over ~120 slots a draw lands on a previously displaced
+// slot many times per pick. Each pick must equal a partial Fisher-Yates
+// over a full copy of the neighbourhood, drawn from a twin RNG. One
+// scratch serves every pick, so a stale overlay entry must never read
+// as live.
 func TestHubOverlayEquivalence(t *testing.T) {
-	const n = 400
-	rng := rand.New(rand.NewSource(21))
-	adj := make([][]int32, n)
-	for v := 0; v < 40; v++ { // hubs
-		for d := 0; d < 120; d++ {
-			adj[v] = append(adj[v], int32(40+rng.Intn(n-40)))
+	g := hubGraph(t)
+	const fanout = 20
+	var sc pickScratch
+	for round := 0; round < 50; round++ {
+		rng, twin := BatchRNG(5, 0, round), BatchRNG(5, 0, round)
+		for v := int32(0); v < 40; v++ {
+			ns := g.Neighbors(v)
+			if len(ns) <= 64 || len(ns) <= 4*fanout {
+				t.Fatalf("hub %d has degree %d: its picks would not take the overlay", v, len(ns))
+			}
+			got := sc.pickNeighbors(rng, ns, fanout, nil, 0)
+			want := slices.Clone(ns)
+			for i := 0; i < fanout; i++ {
+				j := i + twin.Intn(len(want)-i)
+				want[i], want[j] = want[j], want[i]
+			}
+			if !slices.Equal(got, want[:fanout]) {
+				t.Fatalf("round %d hub %d: overlay picked %v, full shuffle %v", round, v, got, want[:fanout])
+			}
 		}
-	}
-	for v := 40; v < n; v++ { // periphery
-		for d := 0; d < 4; d++ {
-			adj[v] = append(adj[v], int32(rng.Intn(n)))
-		}
-	}
-	g, err := graph.FromAdjList(adj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := &NodeWise{Fanouts: []int{20, 20}}
-	ref := NewMapReference(s)
-	for batch := 0; batch < 50; batch++ {
-		tg := make([]int32, 24)
-		for i := range tg {
-			tg[i] = int32((batch*24 + i) % 40) // target the hubs
-		}
-		want := ref.Sample(BatchRNG(5, 0, batch), g, tg)
-		got := s.Sample(BatchRNG(5, 0, batch), g, tg)
-		requireEqualMiniBatch(t, "hub-overlay", batch, want, got)
 	}
 }
 
 // TestFrontierSurvivesGraphChange checks the frontier tables regrow
 // correctly when one sampler instance is pointed at a larger graph (and
 // back) mid-stream — the table length follows NumVertices, and stale
-// stamps from the previous graph must never read as live.
+// stamps from the previous graph must never read as live. Every batch
+// must equal the one a fresh instance, which has no stamps, samples.
 func TestFrontierSurvivesGraphChange(t *testing.T) {
 	small, err := gen.BarabasiAlbert(rand.New(rand.NewSource(1)), 120, 3)
 	if err != nil {
@@ -177,10 +128,9 @@ func TestFrontierSurvivesGraphChange(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := &NodeWise{Fanouts: []int{4, 4}}
-	ref := NewMapReference(s)
 	for i, g := range []*graph.Graph{small, big, small, big} {
 		tg := targets(16, g.NumVertices(), int64(i))
-		want := ref.Sample(BatchRNG(7, 0, i), g, tg)
+		want := (&NodeWise{Fanouts: s.Fanouts}).Sample(BatchRNG(7, 0, i), g, tg)
 		got := s.Sample(BatchRNG(7, 0, i), g, tg)
 		requireEqualMiniBatch(t, "graph-change", i, want, got)
 	}
@@ -198,7 +148,7 @@ func TestSampleIntoReuseMatchesFresh(t *testing.T) {
 	fresh := equivSamplers()
 	for i, sc := range equivSamplers() {
 		t.Run(sc.name, func(t *testing.T) {
-			into := sc.stamped.(Refiller)
+			into := sc.s.(Refiller)
 			mb := &MiniBatch{}
 			for batch := 0; batch < 12; batch++ {
 				n := 3 + batch%3
@@ -206,7 +156,7 @@ func TestSampleIntoReuseMatchesFresh(t *testing.T) {
 					n = 120 + 20*batch
 				}
 				tg := targets(n, 500, int64(batch))
-				want := fresh[i].stamped.Sample(BatchRNG(42, 0, batch), g, tg)
+				want := fresh[i].s.Sample(BatchRNG(42, 0, batch), g, tg)
 				got := into.SampleInto(BatchRNG(42, 0, batch), g, tg, mb)
 				if got != mb {
 					t.Fatalf("batch %d: SampleInto returned a new MiniBatch", batch)

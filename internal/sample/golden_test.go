@@ -76,12 +76,12 @@ func TestGoldenSampleStream(t *testing.T) {
 		fmt.Fprintf(h, "%s\n", sc.name)
 		for batch := 0; batch < 25; batch++ {
 			tg := targets(1+batch%40, 500, int64(batch))
-			mb := sc.stamped.Sample(BatchRNG(42, 0, batch), g, tg)
+			mb := sc.s.Sample(BatchRNG(42, 0, batch), g, tg)
 			if err := mb.Validate(); err != nil {
 				t.Fatalf("%s batch %d: %v", sc.name, batch, err)
 			}
 			if sc.name == layerWiseSelecting {
-				requireBudgetBelowCandidates(t, g, mb, sc.stamped.(*LayerWise).Deltas)
+				requireBudgetBelowCandidates(t, g, mb, sc.s.(*LayerWise).Deltas)
 			}
 			hashMiniBatch(h, mb)
 		}

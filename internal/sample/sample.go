@@ -15,8 +15,8 @@
 // a caller's MiniBatch in place and grows a slice only when it is short:
 // steady state it performs no hashing and no allocation. Sample is
 // SampleInto on a fresh MiniBatch, so it allocates only the slices it
-// returns. mapref.go freezes the old hash-map implementation, and the
-// equivalence tests pin both paths to bitwise-identical output.
+// returns. TestGoldenSampleStream pins every strategy's output to a
+// digest recorded against the hash-map implementation this replaced.
 package sample
 
 import (
@@ -314,9 +314,9 @@ type pickScratch struct {
 // must ensure 0 < fanout < len(ns) — taking the whole neighborhood
 // consumes no randomness, and expand handles it inline by aliasing the
 // CSR slice read-only. With a bias, selection is a weighted draw where
-// weight(u) = 1 + strength*bias(u). The rng consumption is identical to
-// the frozen map-reference implementation, so draws (and thus batches)
-// are unchanged for a fixed seed.
+// weight(u) = 1 + strength*bias(u). The hub overlay draws and picks
+// exactly as the scratch-copy Fisher-Yates would, so a batch depends on
+// the seed alone, not on which branch a neighbourhood takes.
 func (sc *pickScratch) pickNeighbors(rng *rand.Rand, ns []int32, fanout int, bias BiasFunc, strength float64) []int32 {
 	if bias == nil || strength <= 0 {
 		if len(ns) > 64 && len(ns) > 4*fanout {
@@ -508,10 +508,10 @@ func (s *LayerWise) expand(rng *rand.Rand, g *graph.Graph, dst []int32, delta in
 		}
 	}
 	// Weighted reservoir-ish draw of delta distinct candidates.
-	// Candidates are keyed in ascending vertex order so the rng consumption
-	// (and hence the draw) matches the frozen map reference, whose
-	// randomized map iteration forced a sort. A scan of the bitmap yields
-	// that order in O(n/64 + candidates) and leaves the bitmap zeroed.
+	// Candidates are keyed in ascending vertex order, which fixes the rng
+	// consumption (and hence the draw) independent of any table layout.
+	// A scan of the bitmap yields that order in O(n/64 + candidates) and
+	// leaves the bitmap zeroed.
 	cands := tensor.Grow(s.cands, nc)
 	s.cands = cands
 	i := 0
@@ -716,21 +716,6 @@ func EpochPlan(seed int64, epoch int, targets []int32, b0 int, shuffle bool) [][
 	var out [][]int32
 	for start := 0; start < len(targets); start += b0 {
 		out = append(out, targets[start:min(start+b0, len(targets))])
-	}
-	return out
-}
-
-// dedup is the one-shot map-based dedup, kept for tests and the frozen
-// map reference path (mapref.go); the samplers use dedupWith, which
-// reuses a frontier table and output buffer instead.
-func dedup(vs []int32) []int32 {
-	seen := make(map[int32]bool, len(vs))
-	out := make([]int32, 0, len(vs))
-	for _, v := range vs {
-		if !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
 	}
 	return out
 }

@@ -20,6 +20,19 @@ func testGraph(t *testing.T) *graph.Graph {
 	return g
 }
 
+// dedup returns vs without repeats, in first-occurrence order.
+func dedup(vs []int32) []int32 {
+	seen := make(map[int32]bool, len(vs))
+	out := make([]int32, 0, len(vs))
+	for _, v := range vs {
+		if !seen[v] {
+			seen[v] = true
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
 func targets(n, max int, seed int64) []int32 {
 	rng := rand.New(rand.NewSource(seed))
 	out := make([]int32, n)
