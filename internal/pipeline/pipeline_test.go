@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"gnnavigator/internal/cache"
@@ -68,13 +69,18 @@ func requireGolden[T any](t *testing.T, items []T, want string) {
 	if runtime.GOARCH != "amd64" {
 		return
 	}
+	if got := streamDigest(items); got != want {
+		t.Fatalf("stream digest %s, want %s", got, want)
+	}
+}
+
+// streamDigest is the FNV-64a digest of the lines fmt prints for items.
+func streamDigest[T any](items []T) string {
 	h := fnv.New64a()
 	for _, it := range items {
 		fmt.Fprintf(h, "%+v\n", it)
 	}
-	if got := fmt.Sprintf("%016x", h.Sum64()); got != want {
-		t.Fatalf("stream digest %s, want %s", got, want)
-	}
+	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 func testConfig(t *testing.T) Config {
@@ -182,10 +188,10 @@ func TestCoupledSamplerEqualInline(t *testing.T) {
 var (
 	goldenPolicyStreams = map[cache.Policy]string{
 		cache.None:   "32486f8760f5c8c0",
-		cache.Static: "9bd4bbf5dde456d1",
-		cache.Freq:   "9bd4bbf5dde456d1", // admission order = Static's degree order
-		cache.FIFO:   "1fe7c7f64d0cc0c2",
-		cache.LRU:    "1fe7c7f64d0cc0c2", // every batch misses > capacity rows: order never decides an eviction
+		cache.Static: "9043a2c290b58f55",
+		cache.Freq:   "8296e4f4ff96bc9f",
+		cache.FIFO:   "0b3b1f33a4034682",
+		cache.LRU:    "e07d50fab7d9a71b",
 	}
 	goldenPrecisionStreams = map[cache.Precision]string{
 		cache.Float16: "e575e4a77158a455",
@@ -200,14 +206,23 @@ var (
 // eviction-driven update ops, same transfer bytes, same feature
 // matrices. Run under -race (CI does) this also exercises the lock-free
 // Contains path against the writer stage.
+//
+// The capacity (4,500 of the graph's 6,000 vertices) sits above one
+// batch's input set, so eviction order decides which rows stay resident
+// and FIFO and LRU diverge; Freq admits in reverse degree order, so it
+// diverges from Static's degree order. Policies that differ must hand
+// the consumer streams that differ: the five depth-0 digests are
+// pairwise distinct.
 func TestKernelEquivalenceThroughPipeline(t *testing.T) {
 	d, err := dataset.Load(dataset.OgbnArxiv)
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := d.Graph
-	const capacity = 1200
-	freqOrder := g.DegreeOrder() // any fixed admission order works here
+	const capacity = 4500
+	freqOrder := slices.Clone(g.DegreeOrder())
+	slices.Reverse(freqOrder)
+	streams := map[string]cache.Policy{}
 	for _, policy := range cache.Policies() {
 		if policy == cache.Opt {
 			// Script-driven: Opt's pipeline behaviour is covered by the
@@ -216,7 +231,11 @@ func TestKernelEquivalenceThroughPipeline(t *testing.T) {
 		}
 		t.Run(string(policy), func(t *testing.T) {
 			mk := func(prefetch int) []digest {
-				c, err := cache.Build(cache.Config{Policy: policy, Capacity: capacity, Order: freqOrder}, g)
+				cc := cache.Config{Policy: policy, Capacity: capacity}
+				if policy == cache.Freq {
+					cc.Order = freqOrder
+				}
+				c, err := cache.Build(cc, g)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -228,6 +247,10 @@ func TestKernelEquivalenceThroughPipeline(t *testing.T) {
 				return ds
 			}
 			want := mk(0)
+			if other, dup := streams[streamDigest(want)]; dup {
+				t.Errorf("%s hands the consumer the same stream as %s", policy, other)
+			}
+			streams[streamDigest(want)] = policy
 			requireGolden(t, want, goldenPolicyStreams[policy])
 			for _, depth := range []int{1, 4} {
 				requireSameDigests(t, depth, mk(depth), want)
