@@ -113,21 +113,6 @@ func BenchmarkSoftmaxRows(b *testing.B) {
 	})
 }
 
-func BenchmarkApply(b *testing.B) {
-	m := dense256(1)
-	relu := func(v float64) float64 {
-		if v > 0 {
-			return v
-		}
-		return 0
-	}
-	benchWorkers(b, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			m.Apply(relu)
-		}
-	})
-}
-
 func BenchmarkAddBias(b *testing.B) {
 	m := dense256(1)
 	bias := make([]float64, m.Cols)

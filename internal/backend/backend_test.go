@@ -9,6 +9,7 @@ import (
 	"gnnavigator/internal/graph"
 	"gnnavigator/internal/infer"
 	"gnnavigator/internal/model"
+	"gnnavigator/internal/nn"
 )
 
 // fastCfg returns a small, quick configuration for tests.
@@ -63,8 +64,12 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// templates lists every preset.
+var templates = []Template{TemplatePyG, TemplatePaFull, TemplatePaLow,
+	Template2PGraph, TemplateSAINT, TemplateFastGCN}
+
 func TestTemplatesInstantiate(t *testing.T) {
-	for _, tpl := range Templates() {
+	for _, tpl := range templates {
 		tpl := tpl
 		t.Run(string(tpl), func(t *testing.T) {
 			cfg, err := FromTemplate(tpl, dataset.Reddit2, model.SAGE, "rtx4090")
@@ -297,7 +302,7 @@ func TestTemplatesAcrossDatasets(t *testing.T) {
 		t.Skip("cross-product of templates x datasets is slow")
 	}
 	for _, ds := range dataset.Names() {
-		for _, tpl := range Templates() {
+		for _, tpl := range templates {
 			cfg, err := FromTemplate(tpl, ds, model.SAGE, "rtx4090")
 			if err != nil {
 				t.Fatalf("FromTemplate(%s, %s): %v", tpl, ds, err)
@@ -367,7 +372,7 @@ func TestParamsAtFullScaleMatchesBuiltModel(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						if want := m.NumParams(); got != want {
+						if want := nn.CountParams(m.Params()); got != want {
 							t.Errorf("%s/in %d/%s/%d layers/%d heads: closed form %d, built model %d",
 								name, inDim, kind, layers, heads, got, want)
 						}

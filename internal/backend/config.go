@@ -178,12 +178,6 @@ const (
 	TemplateFastGCN Template = "fast-gcn" // FastGCN layer-wise
 )
 
-// Templates lists all presets in presentation order.
-func Templates() []Template {
-	return []Template{TemplatePyG, TemplatePaFull, TemplatePaLow,
-		Template2PGraph, TemplateSAINT, TemplateFastGCN}
-}
-
 // FromTemplate instantiates a template for a dataset/model/platform triple.
 // The returned Config is a starting point; callers may tweak any knob —
 // that is the whole point of the reconfigurable backend.

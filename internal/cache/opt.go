@@ -40,9 +40,6 @@ type OptScript struct {
 	occPos []int32
 }
 
-// Accesses returns the script's total access count.
-func (s *OptScript) Accesses() int { return len(s.occPos) }
-
 // BuildOptScript compiles the future access order from a batch input
 // stream over a vertex space of size numVertices (two passes: counts,
 // then positions). plan.Plan.BatchInputs supplies the stream.

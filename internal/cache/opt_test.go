@@ -42,8 +42,8 @@ func TestOptHandComputedBelady(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if script.Accesses() != 7 {
-		t.Fatalf("Accesses = %d, want 7", script.Accesses())
+	if len(script.occPos) != 7 {
+		t.Fatalf("script holds %d accesses, want 7", len(script.occPos))
 	}
 	c, err := Build(Config{Policy: Opt, Capacity: 2, Script: script}, g)
 	if err != nil {

@@ -168,8 +168,8 @@ func Register(d *Dataset) error {
 	return nil
 }
 
-// MustLoad is Load that panics on error; for tests and examples where the
-// named datasets are known to exist.
+// MustLoad is Load that panics on error; for tests and the bench/ harness,
+// where the named datasets are known to exist.
 func MustLoad(name string) *Dataset {
 	d, err := Load(name)
 	if err != nil {

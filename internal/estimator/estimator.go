@@ -771,9 +771,9 @@ type Prediction struct {
 	Breakdown sim.MemoryBreakdown
 }
 
-// PredictBatchSize returns the gray-box E[|V_i|] of Eq. 12 for cfg: the
+// PredictVertices returns the gray-box E[|V_i|] of Eq. 12 for cfg: the
 // analytic collision model scaled by the learned residual.
-func (e *Estimator) PredictBatchSize(cfg backend.Config, st GraphStats) float64 {
+func (e *Estimator) PredictVertices(cfg backend.Config, st GraphStats) float64 {
 	base := analyticBatch(cfg, st)
 	ratio := math.Exp(e.batchRatio.Predict(features(cfg, st)))
 	v := base * clamp(ratio, 0.05, 5)
@@ -797,7 +797,7 @@ func (e *Estimator) Predict(cfg backend.Config) (Prediction, error) {
 	st := ProfileDataset(ds)
 	f := features(cfg, st)
 
-	vi := e.PredictBatchSize(cfg, st)
+	vi := e.PredictVertices(cfg, st)
 	edgeRatio := math.Exp(e.edgePerVertex.Predict(f))
 	edges := analyticEdges(cfg, st, vi) * clamp(edgeRatio, 0.05, 5)
 	hit := clamp(e.hitRate.Predict(f), 0, 1)

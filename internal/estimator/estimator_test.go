@@ -168,7 +168,7 @@ func TestCrossDatasetGeneralization(t *testing.T) {
 	}
 	var pred, truth []float64
 	for _, r := range testRecs {
-		pred = append(pred, e.PredictBatchSize(r.Cfg, r.Stats))
+		pred = append(pred, e.PredictVertices(r.Cfg, r.Stats))
 		truth = append(truth, r.Perf.MeanBatchSize)
 	}
 	if r2 := regress.R2(pred, truth); r2 < 0.3 {
@@ -196,7 +196,7 @@ func TestGrayBoxBeatsBlackBox(t *testing.T) {
 	}
 	var gb, bbp, truth []float64
 	for _, r := range test {
-		gb = append(gb, e.PredictBatchSize(r.Cfg, r.Stats))
+		gb = append(gb, e.PredictVertices(r.Cfg, r.Stats))
 		bbp = append(bbp, bb.Predict(r.Cfg))
 		truth = append(truth, r.Perf.MeanBatchSize)
 	}

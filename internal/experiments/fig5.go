@@ -45,7 +45,7 @@ func RunFig5(w io.Writer, f Fidelity) (*Fig5Result, error) {
 	fmt.Fprintln(w, "# Fig 5: mini-batch size prediction — gray-box vs black-box (train: AR, test: RD2)")
 	fmt.Fprintf(w, "%12s %12s %12s\n", "measured", "gray-box", "black-box")
 	for _, r := range testRecs {
-		g := gray.PredictBatchSize(r.Cfg, r.Stats)
+		g := gray.PredictVertices(r.Cfg, r.Stats)
 		b := black.Predict(r.Cfg)
 		m := r.Perf.MeanBatchSize
 		gp = append(gp, g)

@@ -201,7 +201,8 @@ func Reset() {
 }
 
 // Hits returns how many times site p has been passed (armed or not
-// since the point was first armed; counting survives Reset).
+// since the point was first armed; counting survives Reset). Only tests
+// call it; the estimator, backend and core tests count fired sites with it.
 func Hits(p Point) int64 {
 	if v, ok := hitLog.Load(p); ok {
 		return v.(*atomic.Int64).Load()

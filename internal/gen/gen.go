@@ -28,6 +28,9 @@ import (
 // pairs after the seed prefix), and a counting pass over that pool then
 // sizes the CSR arrays exactly. No per-vertex append slices, no CSR
 // re-copy: the whole graph costs a handful of flat allocations.
+//
+// Only tests call it: it is the small power-law graph that the cache,
+// sample, plan, pipeline and gnnserve tests share across packages.
 func BarabasiAlbert(rng *rand.Rand, n, m int) (*graph.Graph, error) {
 	if n <= m || m < 1 {
 		return nil, fmt.Errorf("gen: BarabasiAlbert requires n > m >= 1 (n=%d, m=%d)", n, m)
@@ -99,131 +102,6 @@ func BarabasiAlbert(rng *rand.Rand, n, m int) (*graph.Graph, error) {
 		slices.Sort(adj[offsets[v]:offsets[v+1]])
 	}
 	return graph.NewCSR(offsets, adj)
-}
-
-// RMAT generates a directed R-MAT graph with 2^scale vertices and
-// approximately edgeFactor * 2^scale distinct edges, using the standard
-// recursive quadrant probabilities (a, b, c, d), a+b+c+d ≈ 1.
-// Self-loops and duplicate edges are discarded.
-func RMAT(rng *rand.Rand, scale, edgeFactor int, a, b, c, d float64) (*graph.Graph, error) {
-	if scale < 1 || scale > 24 {
-		return nil, fmt.Errorf("gen: RMAT scale %d out of [1,24]", scale)
-	}
-	if s := a + b + c + d; s < 0.999 || s > 1.001 {
-		return nil, fmt.Errorf("gen: RMAT probabilities sum to %v, want 1", s)
-	}
-	n := 1 << scale
-	target := edgeFactor * n
-	seen := make(map[int64]bool, target)
-	adj := make([][]int32, n)
-	attempts := 0
-	for len(seen) < target && attempts < 20*target {
-		attempts++
-		var src, dst int
-		for level := 0; level < scale; level++ {
-			r := rng.Float64()
-			switch {
-			case r < a:
-				// top-left: no bit set
-			case r < a+b:
-				dst |= 1 << level
-			case r < a+b+c:
-				src |= 1 << level
-			default:
-				src |= 1 << level
-				dst |= 1 << level
-			}
-		}
-		if src == dst {
-			continue
-		}
-		key := int64(src)<<32 | int64(dst)
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		adj[src] = append(adj[src], int32(dst))
-	}
-	for v := range adj {
-		slices.Sort(adj[v])
-	}
-	return graph.FromAdjList(adj)
-}
-
-// SBMSpec configures a stochastic block model draw.
-type SBMSpec struct {
-	// CommunitySizes gives the number of vertices in each block.
-	CommunitySizes []int
-	// AvgIntraDegree is the expected number of within-community neighbors
-	// per vertex.
-	AvgIntraDegree float64
-	// AvgInterDegree is the expected number of cross-community neighbors
-	// per vertex.
-	AvgInterDegree float64
-}
-
-// SBM draws an undirected stochastic block model graph. It returns the
-// graph together with the community assignment (one block id per vertex).
-// Expected degrees are matched by sampling a fixed number of random
-// endpoints rather than by O(n^2) Bernoulli trials, which keeps generation
-// linear in the number of edges.
-func SBM(rng *rand.Rand, spec SBMSpec) (*graph.Graph, []int32, error) {
-	if len(spec.CommunitySizes) == 0 {
-		return nil, nil, fmt.Errorf("gen: SBM needs at least one community")
-	}
-	var n int
-	for i, s := range spec.CommunitySizes {
-		if s <= 0 {
-			return nil, nil, fmt.Errorf("gen: SBM community %d has size %d", i, s)
-		}
-		n += s
-	}
-	comm := make([]int32, n)
-	members := make([][]int32, len(spec.CommunitySizes))
-	v := 0
-	for c, s := range spec.CommunitySizes {
-		for i := 0; i < s; i++ {
-			comm[v] = int32(c)
-			members[c] = append(members[c], int32(v))
-			v++
-		}
-	}
-	adj := make([][]int32, n)
-	addEdge := func(a, b int32) {
-		if a == b {
-			return
-		}
-		adj[a] = append(adj[a], b)
-		adj[b] = append(adj[b], a)
-	}
-	// Intra-community edges: each vertex initiates AvgIntraDegree/2
-	// expected edges toward a random co-member.
-	for u := 0; u < n; u++ {
-		m := members[comm[u]]
-		if len(m) < 2 {
-			continue
-		}
-		edges := poissonish(rng, spec.AvgIntraDegree/2)
-		for i := 0; i < edges; i++ {
-			addEdge(int32(u), m[rng.Intn(len(m))])
-		}
-	}
-	// Inter-community edges toward any random vertex.
-	for u := 0; u < n; u++ {
-		edges := poissonish(rng, spec.AvgInterDegree/2)
-		for i := 0; i < edges; i++ {
-			addEdge(int32(u), int32(rng.Intn(n)))
-		}
-	}
-	for v := range adj {
-		slices.Sort(adj[v])
-		adj[v] = dedupSorted(adj[v])
-	}
-	g, err := graph.FromAdjList(adj)
-	if err != nil {
-		return nil, nil, err
-	}
-	return g, comm, nil
 }
 
 // PowerLawCommunitySpec describes the combined generator used for the
@@ -393,20 +271,6 @@ func AttachFeatures(rng *rand.Rand, g *graph.Graph, comm []int32, numClasses int
 		}
 	}
 	return nil
-}
-
-// poissonish draws a cheap non-negative integer with the given mean using
-// the floor+Bernoulli decomposition (exact mean, bounded variance). It
-// avoids a full Poisson sampler, which the pipeline does not need.
-func poissonish(rng *rand.Rand, mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	k := int(mean)
-	if rng.Float64() < mean-float64(k) {
-		k++
-	}
-	return k
 }
 
 func dedupSorted(s []int32) []int32 {

@@ -189,9 +189,6 @@ func (m *Model) Params() []*nn.Param {
 	return out
 }
 
-// NumParams returns |Φ|, the scalar parameter count (drives Γ_model).
-func (m *Model) NumParams() int { return nn.CountParams(m.Params()) }
-
 // Forward runs the network over a mini-batch. feats holds the raw features
 // of mb.InputNodes (row i ↔ InputNodes[i]). It returns logits for
 // mb.Targets in order.

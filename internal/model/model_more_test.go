@@ -1,6 +1,7 @@
 package model
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"gnnavigator/internal/dataset"
 	"gnnavigator/internal/nn"
 	"gnnavigator/internal/sample"
+	"gnnavigator/internal/tensor"
 )
 
 // TestThreeLayerModel exercises depth-3 block chains end to end.
@@ -94,13 +96,22 @@ func TestGATHeadsChangeParamCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Same total width, but 4 heads carry 4x the attention vectors.
-	if four.NumParams() <= one.NumParams()-1 && four.NumParams() != one.NumParams() {
-		t.Errorf("param counts: 1 head %d vs 4 heads %d", one.NumParams(), four.NumParams())
+	if numParams(four) <= numParams(one)-1 && numParams(four) != numParams(one) {
+		t.Errorf("param counts: 1 head %d vs 4 heads %d", numParams(one), numParams(four))
 	}
 	if len(four.Params()) <= len(one.Params()) {
 		t.Errorf("4 heads should expose more parameter tensors: %d vs %d",
 			len(four.Params()), len(one.Params()))
 	}
+}
+
+// frobeniusNorm returns sqrt(sum of squares) of m's elements.
+func frobeniusNorm(m *tensor.Dense) float64 {
+	var s float64
+	for _, v := range m.Data {
+		s += v * v
+	}
+	return math.Sqrt(s)
 }
 
 // TestDeterministicForward: same seed, same config, same output.
@@ -119,7 +130,7 @@ func TestDeterministicForward(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return logits.FrobeniusNorm()
+		return frobeniusNorm(logits)
 	}
 	if mk() != mk() {
 		t.Error("same seed produced different forward outputs")

@@ -410,7 +410,8 @@ func (o *Adam) SetState(params []*Param, st AdamState) error {
 	return nil
 }
 
-// CountParams returns the total number of scalars across params.
+// CountParams returns the total number of scalars across params. Only
+// tests call it; the model and backend tests check |Φ| against it.
 func CountParams(params []*Param) int {
 	var n int
 	for _, p := range params {

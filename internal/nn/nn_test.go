@@ -20,12 +20,17 @@ func numericalGrad(f func() float64, x *tensor.Dense, i int) float64 {
 	return (up - down) / (2 * h)
 }
 
+// fromSlice wraps data (not copied) as a rows x cols matrix.
+func fromSlice(rows, cols int, data []float64) *tensor.Dense {
+	return &tensor.Dense{Rows: rows, Cols: cols, Data: data}
+}
+
 func TestLinearForwardKnown(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	l := NewLinear(rng, "l", 2, 2)
-	l.W.Value = tensor.FromSlice(2, 2, []float64{1, 2, 3, 4})
-	l.B.Value = tensor.FromSlice(1, 2, []float64{0.5, -0.5})
-	x := tensor.FromSlice(1, 2, []float64{1, 1})
+	l.W.Value = fromSlice(2, 2, []float64{1, 2, 3, 4})
+	l.B.Value = fromSlice(1, 2, []float64{0.5, -0.5})
+	x := fromSlice(1, 2, []float64{1, 1})
 	y := l.Forward(x)
 	if math.Abs(y.At(0, 0)-4.5) > 1e-12 || math.Abs(y.At(0, 1)-5.5) > 1e-12 {
 		t.Errorf("Forward = %v, want [4.5 5.5]", y.Data)
@@ -123,7 +128,7 @@ func TestSoftmaxCrossEntropyKnown(t *testing.T) {
 }
 
 func TestAccuracy(t *testing.T) {
-	logits := tensor.FromSlice(3, 2, []float64{2, 1, 0, 5, 1, 0})
+	logits := fromSlice(3, 2, []float64{2, 1, 0, 5, 1, 0})
 	acc := Accuracy(logits, []int32{0, 1, 1})
 	if math.Abs(acc-2.0/3) > 1e-12 {
 		t.Errorf("Accuracy = %v, want 2/3", acc)

@@ -69,7 +69,8 @@ func Hold(keys ...Key) (release func()) {
 }
 
 // Held reports how many distinct keys are currently held — an upper
-// bound on the plans Shared retains.
+// bound on the plans Shared retains. Only tests call it; the estimator's
+// tests check across packages that a sweep leaves no plan held.
 func Held() int {
 	sharedMu.Lock()
 	defer sharedMu.Unlock()

@@ -365,12 +365,3 @@ func R2(pred, truth []float64) float64 {
 	}
 	return 1 - ssRes/ssTot
 }
-
-// PredictBatch maps r.Predict over rows.
-func PredictBatch(r Regressor, X [][]float64) []float64 {
-	out := make([]float64, len(X))
-	for i, x := range X {
-		out[i] = r.Predict(x)
-	}
-	return out
-}

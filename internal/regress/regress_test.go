@@ -35,6 +35,15 @@ func stepData(rng *rand.Rand, n int) ([][]float64, []float64) {
 	return X, y
 }
 
+// predictBatch maps r.Predict over rows.
+func predictBatch(r Regressor, X [][]float64) []float64 {
+	out := make([]float64, len(X))
+	for i, x := range X {
+		out[i] = r.Predict(x)
+	}
+	return out
+}
+
 func TestCheckXYErrors(t *testing.T) {
 	r := &Ridge{}
 	if err := r.Fit(nil, nil); err == nil {
@@ -62,7 +71,7 @@ func TestRidgeRecoversLinear(t *testing.T) {
 		t.Errorf("weights = %v, want [3 -2 1]", r.W)
 	}
 	teX, teY := linearData(rng, 50, 0.01)
-	if r2 := R2(PredictBatch(r, teX), teY); r2 < 0.99 {
+	if r2 := R2(predictBatch(r, teX), teY); r2 < 0.99 {
 		t.Errorf("ridge R2 = %v on clean linear data", r2)
 	}
 }
@@ -88,7 +97,7 @@ func TestTreeFitsStep(t *testing.T) {
 		t.Fatal(err)
 	}
 	teX, teY := stepData(rng, 100)
-	if r2 := R2(PredictBatch(tr, teX), teY); r2 < 0.95 {
+	if r2 := R2(predictBatch(tr, teX), teY); r2 < 0.95 {
 		t.Errorf("tree R2 = %v on step data", r2)
 	}
 	// A linear model cannot beat the tree here.
@@ -96,7 +105,7 @@ func TestTreeFitsStep(t *testing.T) {
 	if err := lin.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
-	if r2lin := R2(PredictBatch(lin, teX), teY); r2lin > 0.9 {
+	if r2lin := R2(predictBatch(lin, teX), teY); r2lin > 0.9 {
 		t.Errorf("ridge unexpectedly strong on step data: %v", r2lin)
 	}
 }
@@ -138,8 +147,8 @@ func TestForestBeatsSingleTreeOnNoisy(t *testing.T) {
 	if err := fo.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
-	mseTree := MSE(PredictBatch(tr, teX), teY)
-	mseForest := MSE(PredictBatch(fo, teX), teY)
+	mseTree := MSE(predictBatch(tr, teX), teY)
+	mseForest := MSE(predictBatch(fo, teX), teY)
 	if mseForest >= mseTree {
 		t.Errorf("forest MSE %v >= tree MSE %v", mseForest, mseTree)
 	}

@@ -106,7 +106,7 @@ func TestParallelKernelsBitwiseEqualSerial(t *testing.T) {
 		}},
 		{"Apply", func() *Dense {
 			c := a.Clone()
-			c.Apply(func(v float64) float64 { return v * v })
+			apply(c, func(v float64) float64 { return v * v })
 			return c
 		}},
 		{"AddBias", func() *Dense {
@@ -125,7 +125,7 @@ func TestParallelKernelsBitwiseEqualSerial(t *testing.T) {
 			return c
 		}},
 		{"ColSums", func() *Dense {
-			return FromSlice(1, k, a.ColSums())
+			return fromSlice(1, k, colSums(a))
 		}},
 	}
 	for _, kr := range kernels {
@@ -185,7 +185,7 @@ func TestNestedDispatchDoesNotDeadlock(t *testing.T) {
 	case <-time.After(10 * time.Second): // orders of magnitude above the expected runtime
 		t.Fatal("nested parallel dispatch deadlocked")
 	}
-	want := MatMul(a, b)
+	want := matMul(a, b)
 	for i, got := range results {
 		if got == nil {
 			t.Fatalf("result %d missing", i)
@@ -213,8 +213,8 @@ func TestWorkspaceReuse(t *testing.T) {
 		t.Fatalf("Get shape %dx%d", a.Rows, a.Cols)
 	}
 	ws.Put(a)
-	if ws.InUse() != 0 {
-		t.Fatalf("InUse after Put = %d, want 0", ws.InUse())
+	if inUse(ws) != 0 {
+		t.Fatalf("InUse after Put = %d, want 0", inUse(ws))
 	}
 	// Same element count: eligible for reuse (sync.Pool may legitimately
 	// drop items — e.g. ~1/4 under -race — so reuse is not asserted by
@@ -227,12 +227,12 @@ func TestWorkspaceReuse(t *testing.T) {
 	if &c.Data[0] == &b.Data[0] {
 		t.Error("Get returned an in-use buffer")
 	}
-	if ws.InUse() != 2 {
-		t.Fatalf("InUse = %d, want 2", ws.InUse())
+	if inUse(ws) != 2 {
+		t.Fatalf("InUse = %d, want 2", inUse(ws))
 	}
 	ws.ReleaseAll()
-	if ws.InUse() != 0 {
-		t.Fatalf("InUse after ReleaseAll = %d, want 0", ws.InUse())
+	if inUse(ws) != 0 {
+		t.Fatalf("InUse after ReleaseAll = %d, want 0", inUse(ws))
 	}
 	z := ws.GetZeroed(8, 4)
 	for i, v := range z.Data {
@@ -250,7 +250,7 @@ func TestNilWorkspaceDegradesToAlloc(t *testing.T) {
 	}
 	ws.Put(m)       // no-op
 	ws.ReleaseAll() // no-op
-	if ws.InUse() != 0 {
+	if inUse(ws) != 0 {
 		t.Fatal("nil workspace InUse != 0")
 	}
 }

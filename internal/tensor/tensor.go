@@ -68,14 +68,6 @@ func New(rows, cols int) *Dense {
 	return &Dense{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// FromSlice wraps data (not copied) as a Rows x Cols matrix.
-func FromSlice(rows, cols int, data []float64) *Dense {
-	if len(data) != rows*cols {
-		panic(fmt.Sprintf("tensor: data length %d != %d*%d", len(data), rows, cols))
-	}
-	return &Dense{Rows: rows, Cols: cols, Data: data}
-}
-
 // Clone returns a deep copy.
 func (m *Dense) Clone() *Dense {
 	out := New(m.Rows, m.Cols)
@@ -115,16 +107,6 @@ func (m *Dense) GlorotInit(rng *rand.Rand, fanIn, fanOut int) {
 	for i := range m.Data {
 		m.Data[i] = (rng.Float64()*2 - 1) * limit
 	}
-}
-
-// MatMul returns a·b (a: n×k, b: k×m → n×m).
-func MatMul(a, b *Dense) *Dense {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMul shape mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	out := New(a.Rows, b.Cols)
-	MatMulInto(out, a, b)
-	return out
 }
 
 // axpy4 adds x[0]·b0 + x[1]·b1 + x[2]·b2 + x[3]·b3 to o, one term at a
@@ -180,16 +162,6 @@ func MatMulInto(out, a, b *Dense) {
 	})
 }
 
-// MatMulT1 returns aᵀ·b (a: k×n, b: k×m → n×m). Used for dW = Xᵀ·dY.
-func MatMulT1(a, b *Dense) *Dense {
-	if a.Rows != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMulT1 shape mismatch %dx%d ᵀ· %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	out := New(a.Cols, b.Cols)
-	MatMulT1Into(out, a, b)
-	return out
-}
-
 // MatMulT1Into computes out = aᵀ·b, sharded over output rows (columns of
 // a). k is the outer loop: each pass takes four rows of a and b and adds
 // their contribution to every output row of the shard (axpy4), so a and
@@ -219,16 +191,6 @@ func MatMulT1Into(out, a, b *Dense) {
 			}
 		}
 	})
-}
-
-// MatMulT2 returns a·bᵀ (a: n×k, b: m×k → n×m). Used for dX = dY·Wᵀ.
-func MatMulT2(a, b *Dense) *Dense {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMulT2 shape mismatch %dx%d · %dx%dᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	out := New(a.Rows, b.Rows)
-	MatMulT2Into(out, a, b)
-	return out
 }
 
 // MatMulT2Into computes out = a·bᵀ, sharded over output rows. Every
@@ -327,23 +289,6 @@ func (m *Dense) ScaleInPlace(s float64) {
 	})
 }
 
-// Apply maps f over every element, in place. f must be pure: it is
-// invoked concurrently from the worker pool.
-func (m *Dense) Apply(f func(float64) float64) {
-	parallelFor(len(m.Data), flatGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			m.Data[i] = f(m.Data[i])
-		}
-	})
-}
-
-// ColSums returns the per-column sums (length Cols). Used for bias grads.
-func (m *Dense) ColSums() []float64 {
-	out := make([]float64, m.Cols)
-	m.ColSumsInto(out)
-	return out
-}
-
 // ColSumsInto accumulates per-column sums into dst (dst is overwritten),
 // each column top to bottom. One goroutine streams the rows: the loop is
 // memory-bound and a row is a few cache lines, so it is not sharded —
@@ -359,13 +304,6 @@ func (m *Dense) ColSumsInto(dst []float64) {
 			dst[j] += v
 		}
 	}
-}
-
-// GatherRows returns the matrix whose row i is m.Row(idx[i]).
-func GatherRows(m *Dense, idx []int32) *Dense {
-	out := New(len(idx), m.Cols)
-	GatherRowsInto(out, m, idx)
-	return out
 }
 
 // GatherRowsInto copies m.Row(idx[i]) into out.Row(i), sharded over idx.
@@ -454,13 +392,4 @@ func (m *Dense) ArgmaxRows() []int {
 		out[i] = bestJ
 	}
 	return out
-}
-
-// FrobeniusNorm returns sqrt(sum of squares).
-func (m *Dense) FrobeniusNorm() float64 {
-	var s float64
-	for _, v := range m.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
 }

@@ -9,10 +9,69 @@ import (
 
 func almostEq(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
+// fromSlice wraps data (not copied) as a rows x cols matrix.
+func fromSlice(rows, cols int, data []float64) *Dense {
+	if len(data) != rows*cols {
+		panic("tensor: fromSlice length mismatch")
+	}
+	return &Dense{Rows: rows, Cols: cols, Data: data}
+}
+
+// apply maps f over every element of m in place, sharded over the worker
+// pool the way the flat kernels are.
+func apply(m *Dense, f func(float64) float64) {
+	parallelFor(len(m.Data), flatGrain, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			m.Data[i] = f(m.Data[i])
+		}
+	})
+}
+
+// matMul returns a·b, matMulT1 aᵀ·b and matMulT2 a·bᵀ in fresh matrices.
+func matMul(a, b *Dense) *Dense {
+	out := New(a.Rows, b.Cols)
+	MatMulInto(out, a, b)
+	return out
+}
+
+func matMulT1(a, b *Dense) *Dense {
+	out := New(a.Cols, b.Cols)
+	MatMulT1Into(out, a, b)
+	return out
+}
+
+func matMulT2(a, b *Dense) *Dense {
+	out := New(a.Rows, b.Rows)
+	MatMulT2Into(out, a, b)
+	return out
+}
+
+func colSums(m *Dense) []float64 {
+	out := make([]float64, m.Cols)
+	m.ColSumsInto(out)
+	return out
+}
+
+func gatherRows(m *Dense, idx []int32) *Dense {
+	out := New(len(idx), m.Cols)
+	GatherRowsInto(out, m, idx)
+	return out
+}
+
+// inUse reports how many buffers ws has handed out since its last release.
+func inUse(ws *Workspace) int {
+	if ws == nil {
+		return 0
+	}
+	ws.mu.Lock()
+	defer ws.mu.Unlock()
+	return len(ws.inUse)
+}
+
 func TestMatMulKnown(t *testing.T) {
-	a := FromSlice(2, 3, []float64{1, 2, 3, 4, 5, 6})
-	b := FromSlice(3, 2, []float64{7, 8, 9, 10, 11, 12})
-	c := MatMul(a, b)
+	a := fromSlice(2, 3, []float64{1, 2, 3, 4, 5, 6})
+	b := fromSlice(3, 2, []float64{7, 8, 9, 10, 11, 12})
+	c := matMul(a, b)
 	want := []float64{58, 64, 139, 154}
 	for i, w := range want {
 		if !almostEq(c.Data[i], w) {
@@ -27,7 +86,7 @@ func TestMatMulPanicsOnShape(t *testing.T) {
 			t.Error("MatMul with mismatched shapes did not panic")
 		}
 	}()
-	MatMul(New(2, 3), New(2, 3))
+	matMul(New(2, 3), New(2, 3))
 }
 
 // naive computes aᵀ·b or a·bᵀ the slow obvious way to cross-check the
@@ -74,7 +133,7 @@ func TestMatMulTransposedAgainstNaive(t *testing.T) {
 		k, n, m := 1+rng.Intn(8), 1+rng.Intn(8), 1+rng.Intn(8)
 		a := randomDense(rng, k, n)
 		b := randomDense(rng, k, m)
-		got := MatMulT1(a, b)
+		got := matMulT1(a, b)
 		want := naiveT1(a, b)
 		for i := range got.Data {
 			if math.Abs(got.Data[i]-want.Data[i]) > 1e-9 {
@@ -83,7 +142,7 @@ func TestMatMulTransposedAgainstNaive(t *testing.T) {
 		}
 		c := randomDense(rng, n, k)
 		d := randomDense(rng, m, k)
-		got2 := MatMulT2(c, d)
+		got2 := matMulT2(c, d)
 		want2 := naiveT2(c, d)
 		for i := range got2.Data {
 			if math.Abs(got2.Data[i]-want2.Data[i]) > 1e-9 {
@@ -97,7 +156,7 @@ func TestMatMulTransposedAgainstNaive(t *testing.T) {
 	}
 }
 
-// (A·B)ᵀ == Bᵀ·Aᵀ is exercised indirectly: MatMulT1(A, I) must equal Aᵀ.
+// (A·B)ᵀ == Bᵀ·Aᵀ is exercised indirectly: matMulT1(A, I) must equal Aᵀ.
 func TestMatMulT1Identity(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	a := randomDense(rng, 4, 3)
@@ -105,7 +164,7 @@ func TestMatMulT1Identity(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		eye.Set(i, i, 1)
 	}
-	at := MatMulT1(a, eye) // aᵀ·I = aᵀ, shape 3x4
+	at := matMulT1(a, eye) // aᵀ·I = aᵀ, shape 3x4
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 4; j++ {
 			if !almostEq(at.At(i, j), a.At(j, i)) {
@@ -116,7 +175,7 @@ func TestMatMulT1Identity(t *testing.T) {
 }
 
 func TestAddBiasAndColSums(t *testing.T) {
-	m := FromSlice(2, 3, []float64{1, 2, 3, 4, 5, 6})
+	m := fromSlice(2, 3, []float64{1, 2, 3, 4, 5, 6})
 	m.AddBias([]float64{10, 20, 30})
 	want := []float64{11, 22, 33, 14, 25, 36}
 	for i, w := range want {
@@ -124,7 +183,7 @@ func TestAddBiasAndColSums(t *testing.T) {
 			t.Fatalf("AddBias[%d] = %v, want %v", i, m.Data[i], w)
 		}
 	}
-	sums := m.ColSums()
+	sums := colSums(m)
 	if !almostEq(sums[0], 25) || !almostEq(sums[1], 47) || !almostEq(sums[2], 69) {
 		t.Errorf("ColSums = %v", sums)
 	}
@@ -134,7 +193,7 @@ func TestGatherScatterRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	m := randomDense(rng, 6, 4)
 	idx := []int32{5, 0, 3}
-	g := GatherRows(m, idx)
+	g := gatherRows(m, idx)
 	if g.Rows != 3 || g.Cols != 4 {
 		t.Fatalf("gather shape %dx%d", g.Rows, g.Cols)
 	}
@@ -158,7 +217,7 @@ func TestGatherScatterRoundTrip(t *testing.T) {
 }
 
 func TestSoftmaxRows(t *testing.T) {
-	m := FromSlice(2, 3, []float64{0, 0, 0, 1000, 1000, 1000})
+	m := fromSlice(2, 3, []float64{0, 0, 0, 1000, 1000, 1000})
 	m.SoftmaxRows()
 	for i := 0; i < 2; i++ {
 		var sum float64
@@ -201,7 +260,7 @@ func TestSoftmaxRowsSumProperty(t *testing.T) {
 }
 
 func TestArgmaxRows(t *testing.T) {
-	m := FromSlice(2, 3, []float64{1, 9, 2, 7, 0, 3})
+	m := fromSlice(2, 3, []float64{1, 9, 2, 7, 0, 3})
 	am := m.ArgmaxRows()
 	if am[0] != 1 || am[1] != 0 {
 		t.Errorf("ArgmaxRows = %v, want [1 0]", am)
@@ -228,8 +287,8 @@ func TestGlorotInitRange(t *testing.T) {
 }
 
 func TestApplyScaleAdd(t *testing.T) {
-	m := FromSlice(1, 3, []float64{-1, 0, 2})
-	m.Apply(func(v float64) float64 { return math.Max(0, v) })
+	m := fromSlice(1, 3, []float64{-1, 0, 2})
+	apply(m, func(v float64) float64 { return math.Max(0, v) })
 	if m.Data[0] != 0 || m.Data[2] != 2 {
 		t.Errorf("Apply relu = %v", m.Data)
 	}
@@ -237,15 +296,8 @@ func TestApplyScaleAdd(t *testing.T) {
 	if m.Data[2] != 6 {
 		t.Errorf("ScaleInPlace = %v", m.Data)
 	}
-	m.AddInPlace(FromSlice(1, 3, []float64{1, 1, 1}))
+	m.AddInPlace(fromSlice(1, 3, []float64{1, 1, 1}))
 	if m.Data[0] != 1 || m.Data[2] != 7 {
 		t.Errorf("AddInPlace = %v", m.Data)
-	}
-}
-
-func TestFrobeniusNorm(t *testing.T) {
-	m := FromSlice(1, 2, []float64{3, 4})
-	if !almostEq(m.FrobeniusNorm(), 5) {
-		t.Errorf("FrobeniusNorm = %v, want 5", m.FrobeniusNorm())
 	}
 }

@@ -118,16 +118,6 @@ func (ws *Workspace) ReleaseAll() {
 	ws.mu.Unlock()
 }
 
-// InUse reports how many buffers are currently handed out (test hook).
-func (ws *Workspace) InUse() int {
-	if ws == nil {
-		return 0
-	}
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
-	return len(ws.inUse)
-}
-
 // Grow returns buf with length n, reusing its capacity and reallocating
 // only when it is insufficient. Contents are unspecified: callers must
 // overwrite every element they read. Shared helper for the scratch
