@@ -87,7 +87,7 @@ func TestTemplatesInstantiate(t *testing.T) {
 }
 
 func TestRunProducesSanePerf(t *testing.T) {
-	perf, err := Run(fastCfg())
+	perf, err := RunWith(fastCfg(), Options{})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -112,11 +112,11 @@ func TestRunProducesSanePerf(t *testing.T) {
 }
 
 func TestRunDeterministic(t *testing.T) {
-	a, err := Run(fastCfg())
+	a, err := RunWith(fastCfg(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(fastCfg())
+	b, err := RunWith(fastCfg(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestBiasedSamplingRaisesHitRate(t *testing.T) {
 
 func TestSkipTrainingFaster(t *testing.T) {
 	cfg := fastCfg()
-	full, err := Run(cfg)
+	full, err := RunWith(cfg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

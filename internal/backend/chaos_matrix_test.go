@@ -68,7 +68,7 @@ func TestChaosMatrixEveryPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The dist point only fires on multi-device runs, so it gets its own
+	// The halo point only fires on multi-device runs, so it gets its own
 	// trial config (and reference) on a two-device platform.
 	multi := cfg
 	multi.Platform = "rtx4090x2"
@@ -79,9 +79,9 @@ func TestChaosMatrixEveryPoint(t *testing.T) {
 	}
 
 	// The stage/worker sites run under the pipeline's (or the tensor
-	// pool's) panic containment (dist/halo fires inside the gather
-	// stage); the IO points are plain error-return sites, so Panic is
-	// out of contract there.
+	// pool's) panic containment (dist/halo fires in the consumer, which
+	// pipeline.Run contains too); the IO points are plain error-return
+	// sites, so Panic is out of contract there.
 	contained := map[faultinject.Point]bool{
 		faultinject.PipelineSample: true,
 		faultinject.PipelineGather: true,

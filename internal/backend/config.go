@@ -2,7 +2,7 @@
 // (Fig. 3): a single parameterized training engine whose configuration
 // space subsumes the systems the paper compares against. A Config selects
 // sampler, hop list, bias rate, cache ratio and policy, model architecture
-// and batch size; Run executes real mini-batch training on the scaled
+// and batch size; RunWith executes real mini-batch training on the scaled
 // synthetic graph while the simulator (internal/sim) prices every
 // iteration on the chosen hardware platform at paper scale.
 package backend
@@ -12,7 +12,6 @@ import (
 
 	"gnnavigator/internal/cache"
 	"gnnavigator/internal/dataset"
-	"gnnavigator/internal/dist"
 	"gnnavigator/internal/graph"
 	"gnnavigator/internal/hw"
 	"gnnavigator/internal/model"
@@ -63,17 +62,13 @@ type Config struct {
 
 	// Cat. 5: scale-out. Devices is the data-parallel device count K
 	// (0 or 1 = single device). K > 1 partitions the graph's vertices
-	// into K shards, gives each device its own feature-cache shard over
-	// its shard's vertices, meters halo-exchange and all-reduce traffic,
-	// and divides the simulator's per-device terms by K. The determinism
-	// contract extends across K: results are bitwise-identical to the
-	// single-device run. K must be a power of two (a tree all-reduce
-	// averages K equal replica gradients to exactly that gradient only
-	// then, which is what lets the run price the all-reduce instead of
-	// performing it) no larger than the platform's device count, and the
-	// Opt cache policy is single-device only (its
-	// Belady script indexes the global access stream, which shards do
-	// not see).
+	// into K parts, meters the halo rows each batch's consumers fetch
+	// from a remote owner and the gradient all-reduce, and divides the
+	// simulator's per-device terms by K. The feature plane is the
+	// single-device one at every K, so results — cache counters included
+	// — are bitwise-identical to the single-device run. K must be a power
+	// of two (see checkReduction) no larger than the platform's device
+	// count.
 	Devices int
 	// Partition selects the vertex partitioner for Devices > 1
 	// (graph.PartitionHash or graph.PartitionGreedy; empty = greedy).
@@ -139,14 +134,11 @@ func (c Config) Validate() error {
 		return fmt.Errorf("backend: device count %d < 0", c.Devices)
 	}
 	if k := c.DeviceCount(); k > 1 {
-		if err := dist.CheckReduction(k); err != nil {
-			return fmt.Errorf("backend: %w", err)
+		if err := checkReduction(k); err != nil {
+			return err
 		}
 		if p, _ := hw.Profile(c.Platform); k > p.DeviceCount() {
 			return fmt.Errorf("backend: %d devices requested but platform %q has %d", k, c.Platform, p.DeviceCount())
-		}
-		if c.CachePolicy == cache.Opt {
-			return fmt.Errorf("backend: opt cache policy is single-device only (its Belady script indexes the global access stream)")
 		}
 	}
 	if c.Partition != "" && !c.Partition.Valid() {
@@ -160,6 +152,17 @@ func (c Config) Validate() error {
 	}
 	if c.LR <= 0 {
 		return fmt.Errorf("backend: learning rate %v <= 0", c.LR)
+	}
+	return nil
+}
+
+// checkReduction reports whether K data-parallel devices may have their
+// gradient all-reduce priced instead of performed: K must be at least 2
+// and a power of two, the only counts for which a tree reduction
+// averages K equal replica gradients back to exactly that gradient.
+func checkReduction(k int) error {
+	if k < 2 || k&(k-1) != 0 {
+		return fmt.Errorf("backend: device count %d is not a power of two >= 2 (only then does averaging K equal replica gradients reproduce the gradient exactly)", k)
 	}
 	return nil
 }

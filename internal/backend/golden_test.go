@@ -66,9 +66,11 @@ func TestGoldenSageRun(t *testing.T) {
 const goldenTimingDigest = "5bd88abd90b2df0d"
 
 // goldenTimingDigestK2 is the same digest over multiCfg at two devices
-// (policies none through freq: opt cannot shard), recorded while every
-// K > 1 shard still stored its feature rows in timing-only runs.
-const goldenTimingDigestK2 = "ba98b71e4cf8e9b2"
+// (policies none through freq), re-recorded when K > 1 runs stopped
+// splitting the cache into per-device shards: only the fifo and lru rows
+// moved, to the single-device hit rate and transfer bytes, while every
+// other row, and the halo and all-reduce bytes of all rows, held.
+const goldenTimingDigestK2 = "c59be79b0003c7a4"
 
 // TestGoldenTimingOnlyPerf runs every cache policy at float32 and int8
 // timing-only (SkipTraining, no gather) and pins the whole Perf, on one
@@ -117,9 +119,13 @@ func timingOnlyDigest(t *testing.T, base Config, policies []cache.Policy) string
 const goldenCachedDigest = "1485f4b142d7e3f1"
 
 // goldenCachedDigestK2 is the same digest over the 12 runs at two
-// hash-partitioned devices, recorded at commit 481e388, while each
-// device still kept a cache shard of its own.
-const goldenCachedDigestK2 = "8ea4ab95c2dc87e9"
+// hash-partitioned devices. Recorded as 8ea4ab95c2dc87e9 at commit
+// 481e388, while each device kept a cache shard of its own; re-recorded
+// when K > 1 runs went to the one single-device cache: only the fifo
+// and lru rows moved, to the single-device hit rate and transfer bytes,
+// while the static and freq rows, and the halo and all-reduce bytes and
+// parameters of all rows, held.
+const goldenCachedDigestK2 = "71c04a73e4ea1e90"
 
 // TestGoldenCachedRun trains every non-trivial online and prefilled
 // cache policy at every precision, on one device and on two

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"gnnavigator/internal/cache"
@@ -12,12 +13,13 @@ import (
 	"gnnavigator/internal/faultinject"
 	"gnnavigator/internal/graph"
 	"gnnavigator/internal/model"
+	"gnnavigator/internal/sample"
 )
 
 // multiCfg is fastCfg on a 4-device platform with a prefilled cache and
-// dropout on — the state a sloppy scale-out would get wrong: sharded
-// residency (must union to the global cache) and the RNG chains (must
-// stay on the single logical training stream).
+// dropout on — the state a sloppy scale-out would get wrong: residency
+// (must be the single-device cache's) and the RNG chains (must stay on
+// the single logical training stream).
 func multiCfg() Config {
 	cfg := fastCfg()
 	cfg.Platform = "a100x4"
@@ -61,8 +63,9 @@ func multiPerfEqual(t *testing.T, label string, got, want *Perf) {
 // TestMultiDeviceBitwiseIdentical is the scale-out acceptance contract:
 // K-device runs produce final weights, accuracy history and
 // feature-plane counters bitwise-identical to the single-device run, at
-// K ∈ {2, 4} crossed with prefetch depths {-1, 1, 4}. Run under -race
-// this also shakes out data races in the per-partition fan-out.
+// K ∈ {2, 4} crossed with prefetch depths {-1, 1, 4}, and crossed with
+// every cache policy and both partitioners. Run under -race this also
+// shakes out data races between the stages and the halo count.
 func TestMultiDeviceBitwiseIdentical(t *testing.T) {
 	base := multiCfg()
 	ref, err := RunWith(base, Options{EvalBatch: 256})
@@ -99,33 +102,30 @@ func TestMultiDeviceBitwiseIdentical(t *testing.T) {
 			}
 		})
 	}
-}
 
-// TestMultiDeviceDynamicPolicy covers the dynamic-policy split: LRU
-// shards divide the capacity proportionally, so per-shard miss counters
-// may lawfully diverge from the global cache's — but the gathered
-// features, and therefore weights and accuracy, must not.
-func TestMultiDeviceDynamicPolicy(t *testing.T) {
-	base := multiCfg()
-	base.CachePolicy = cache.LRU
-	base.CacheRatio = 0.05
-	ref, err := RunWith(base, Options{EvalBatch: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := base
-	cfg.Devices = 2
-	cfg.Partition = graph.PartitionHash
-	p, err := RunWith(cfg, Options{EvalBatch: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Accuracy != ref.Accuracy || !reflect.DeepEqual(p.AccuracyHistory, ref.AccuracyHistory) {
-		t.Fatalf("k=2 LRU accuracy diverged: %v/%v vs %v/%v",
-			p.Accuracy, p.AccuracyHistory, ref.Accuracy, ref.AccuracyHistory)
-	}
-	if !reflect.DeepEqual(paramSnapshot(t, cfg, 0, ""), paramSnapshot(t, base, 0, "")) {
-		t.Fatal("k=2 LRU final weights differ from single-device run")
+	for _, policy := range []cache.Policy{cache.None, cache.Static, cache.Freq, cache.FIFO, cache.LRU, cache.Opt} {
+		one := base
+		one.CachePolicy, one.Epochs = policy, 1
+		if policy == cache.None {
+			one.CacheRatio = 0
+		}
+		ref, err := RunWith(one, Options{EvalBatch: 256})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int{2, 4} {
+			for _, part := range graph.PartitionStrategies() {
+				t.Run(fmt.Sprintf("k=%d/%s/%s", k, policy, part), func(t *testing.T) {
+					cfg := one
+					cfg.Devices, cfg.Partition = k, part
+					p, err := RunWith(cfg, Options{EvalBatch: 256})
+					if err != nil {
+						t.Fatal(err)
+					}
+					multiPerfEqual(t, cfg.Label(), p, ref)
+				})
+			}
+		}
 	}
 }
 
@@ -139,11 +139,6 @@ func TestMultiDeviceValidate(t *testing.T) {
 		{"non-power-of-two devices", func(c *Config) { c.Devices = 3 }},
 		{"more devices than platform", func(c *Config) { c.Devices = 8 }},
 		{"devices on single-device platform", func(c *Config) { c.Platform = "rtx4090"; c.Devices = 2 }},
-		{"opt policy multi-device", func(c *Config) {
-			c.Devices = 2
-			c.CacheRatio = 0.1
-			c.CachePolicy = cache.Opt
-		}},
 		{"bad partition strategy", func(c *Config) { c.Devices = 2; c.Partition = "metis" }},
 	}
 	for _, tc := range cases {
@@ -158,6 +153,7 @@ func TestMultiDeviceValidate(t *testing.T) {
 	good := multiCfg()
 	good.Devices = 4
 	good.Partition = graph.PartitionHash
+	good.CachePolicy = cache.Opt
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid multi-device config rejected: %v", err)
 	}
@@ -167,9 +163,9 @@ func TestMultiDeviceValidate(t *testing.T) {
 }
 
 // TestChaosDistHalo: an error armed at the halo-exchange point must
-// surface as a clean, recognizable run error — never a hang or a crash.
-// (The point fires inside the gather stage, whose panic containment the
-// chaos matrix exercises for the Panic kind.)
+// surface as a clean, recognizable run error — never a hang, a crash or
+// a detour through a panic. (The point fires in the consumer, whose
+// panic containment the chaos matrix exercises for the Panic kind.)
 func TestChaosDistHalo(t *testing.T) {
 	defer faultinject.Reset()
 	cfg := multiCfg()
@@ -182,6 +178,58 @@ func TestChaosDistHalo(t *testing.T) {
 	}
 	if err == nil || !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("injected halo fault surfaced as %v, want ErrInjected", err)
+	}
+	if strings.Contains(err.Error(), "panic") {
+		t.Fatalf("injected halo error went through a panic: %v", err)
+	}
+}
+
+// TestHaloHandComputed checks the halo count on a hand-built block:
+// destinations of both parts with remote neighbors, two of them in one
+// part sharing the same remote neighbor.
+func TestHaloHandComputed(t *testing.T) {
+	g, err := graph.FromAdjList([][]int32{{1}, {0, 2}, {1, 3}, {2}}) // path 0-1-2-3
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := graph.PartitionGraph(g, 2, graph.PartitionGreedy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int32{1, 0, 0, 1}; !reflect.DeepEqual(part.Owner, want) {
+		t.Fatalf("greedy owners %v, want %v", part.Owner, want)
+	}
+	// Block: dsts 1 and 2 (owner 0) aggregate {0, 3} and {3}; dst 3
+	// (owner 1) aggregates {2}. Remote rows: vertices 0 and 3 for part 0
+	// (3 fetched once), vertex 2 for part 1 -> 3 halo rows.
+	mb := &sample.MiniBatch{Blocks: []sample.Block{{
+		SrcNodes: []int32{1, 2, 3, 0},
+		DstCount: 3,
+		Offsets:  []int32{0, 2, 3, 4},
+		Indices:  []int32{3, 2, 2, 1},
+	}}}
+	h := newHaloMeter(part)
+	if got := h.rows(mb); got != 3 {
+		t.Fatalf("halo rows %d, want 3", got)
+	}
+	// Second batch with the same topology: the dedup stamps must reset.
+	if got := h.rows(mb); got != 3 {
+		t.Fatalf("second batch halo rows %d, want 3", got)
+	}
+}
+
+// TestReducerRejectsNonPowerOfTwo: the priced all-reduce stands in for a
+// tree reduction only at power-of-two K >= 2.
+func TestReducerRejectsNonPowerOfTwo(t *testing.T) {
+	for _, k := range []int{-2, 0, 1, 3, 6} {
+		if err := checkReduction(k); err == nil {
+			t.Errorf("K=%d accepted", k)
+		}
+	}
+	for _, k := range []int{2, 4, 8} {
+		if err := checkReduction(k); err != nil {
+			t.Errorf("K=%d rejected: %v", k, err)
+		}
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 
 	"gnnavigator/internal/cache"
 	"gnnavigator/internal/dataset"
-	"gnnavigator/internal/dist"
+	"gnnavigator/internal/faultinject"
 	"gnnavigator/internal/graph"
 	"gnnavigator/internal/infer"
 	"gnnavigator/internal/model"
@@ -42,9 +42,9 @@ type Perf struct {
 	// the simulator rescales it per batch into Eq. 6's t_transfer.
 	TransferredBytes int64
 	// HaloBytes is the cumulative device-to-device halo-exchange traffic
-	// (scaled feature width) the multi-device feature plane metered:
-	// rows whose consumer partition is not their owner. 0 for
-	// single-device runs.
+	// (scaled feature width): per batch, the input rows a partition's
+	// destinations aggregate from another partition's vertices, once per
+	// (consumer, vertex). 0 for single-device runs.
 	HaloBytes int64
 	// AllReduceBytes is the cumulative modeled interconnect traffic of
 	// the per-step gradient all-reduce: Iterations × ⌈2(K-1)/K · |Φ| · 4⌉
@@ -125,10 +125,8 @@ type Options struct {
 	SaveModelPath string
 }
 
-// Run executes cfg on the backend and returns its performance.
-func Run(cfg Config) (*Perf, error) { return RunWith(cfg, Options{}) }
-
-// RunWith executes cfg with explicit fidelity options.
+// RunWith executes cfg on the backend with explicit fidelity options
+// and returns its performance.
 //
 // Concurrent RunWith calls are safe and deterministic — each run owns
 // its sampler, cache, model, workspace and RNG chain, and the shared
@@ -163,21 +161,15 @@ func RunWith(cfg Config, opts Options) (*Perf, error) {
 		}
 	}
 	start := time.Now()
-	ds, err := dataset.Load(cfg.Dataset)
+	ds, g, err := loadGraph(cfg)
 	if err != nil {
 		return nil, err
 	}
-	g := ds.Graph
-	if cfg.Reorder {
-		g, err = g.Relabel(g.DegreeReorderPerm())
-		if err != nil {
-			return nil, fmt.Errorf("backend: reorder: %w", err)
-		}
-	}
 	pr := NewPricing(cfg, ds)
 
-	// Every run gathers through one feature plane: the direct graph
-	// source when nothing is cached, the cached source otherwise.
+	// Every run gathers through one feature plane, at every device count:
+	// the direct graph source when nothing is cached, the cached source
+	// otherwise.
 	prec := cfg.FeaturePrecision()
 	policy, capVertices := effectivePolicy(cfg, g)
 
@@ -238,22 +230,8 @@ func RunWith(cfg Config, opts Options) (*Perf, error) {
 		}
 	}
 
-	var src cache.FeatureSource
-	if devices := cfg.DeviceCount(); devices > 1 {
-		// Multi-device feature plane: partition the (possibly reordered)
-		// vertex set, shard the cache budget across the K partitions, and
-		// meter halo-exchange traffic. The shard construction walks the
-		// same global admission order the single-device cache uses, so
-		// prefilled residency — and every transfer counter — is bitwise
-		// the single-device run's.
-		part, err := graph.PartitionGraph(g, devices, cfg.PartitionStrategy())
-		if err != nil {
-			return nil, fmt.Errorf("backend: %w", err)
-		}
-		if src, err = dist.NewSource(g, part, ccfg); err != nil {
-			return nil, err
-		}
-	} else if src, err = cache.NewSource(ccfg, g); err != nil {
+	src, err := cache.NewSource(ccfg, g)
+	if err != nil {
 		return nil, err
 	}
 
@@ -285,6 +263,26 @@ func RunWith(cfg Config, opts Options) (*Perf, error) {
 			shapes[l] = model.Shape{Src: len(blk.SrcNodes), Dst: blk.DstCount, Edges: blk.NumEdges()}
 		}
 		return pr.FLOPs(shapes)
+	}
+	// A K-device run partitions the (possibly reordered) vertex set only
+	// to count each batch's halo rows, at the feature plane's row width.
+	var halo *haloMeter
+	if k := cfg.DeviceCount(); k > 1 {
+		part, err := graph.PartitionGraph(g, k, cfg.PartitionStrategy())
+		if err != nil {
+			return nil, fmt.Errorf("backend: %w", err)
+		}
+		halo = newHaloMeter(part)
+	}
+	haloRowBytes := prec.RowBytes(g.FeatDim)
+	batchHalo := func(mb *sample.MiniBatch) (int64, error) {
+		if halo == nil {
+			return 0, nil
+		}
+		if err := faultinject.Fire(faultinject.DistHalo); err != nil {
+			return 0, fmt.Errorf("backend: halo exchange: %w", err)
+		}
+		return halo.rows(mb) * haloRowBytes, nil
 	}
 
 	perf := &Perf{Feasible: true}
@@ -325,6 +323,10 @@ func RunWith(cfg Config, opts Options) (*Perf, error) {
 		if err != nil {
 			return err
 		}
+		haloBytes, err := batchHalo(mb)
+		if err != nil {
+			return err
+		}
 		bt := pr.Batch(sim.BatchVolumes{
 			SampledVertices: mb.NumVertices,
 			TargetVertices:  len(b.Targets),
@@ -335,7 +337,7 @@ func RunWith(cfg Config, opts Options) (*Perf, error) {
 			SampledEdges:    mb.NumEdges,
 			FLOPs:           flops,
 			WalkSteps:       walkSteps * len(b.Targets),
-			HaloBytes:       float64(b.HaloBytes),
+			HaloBytes:       float64(haloBytes),
 		}, pr.Workload(float64(mb.NumVertices)))
 		timings = append(timings, bt)
 		sumTiming.TSample += bt.TSample
@@ -345,7 +347,7 @@ func RunWith(cfg Config, opts Options) (*Perf, error) {
 		sumTiming.THalo += bt.THalo
 		sumTiming.TAllReduce += bt.TAllReduce
 
-		perf.HaloBytes += b.HaloBytes
+		perf.HaloBytes += haloBytes
 
 		sumBatch += float64(mb.NumVertices)
 		sumEdges += float64(mb.NumEdges)
@@ -478,6 +480,22 @@ func RunWith(cfg Config, opts Options) (*Perf, error) {
 	return perf, nil
 }
 
+// loadGraph loads cfg's dataset and the graph its run trains on: the
+// dataset's graph, degree-relabelled when cfg.Reorder is set.
+func loadGraph(cfg Config) (*dataset.Dataset, *graph.Graph, error) {
+	ds, err := dataset.Load(cfg.Dataset)
+	if err != nil {
+		return nil, nil, err
+	}
+	g := ds.Graph
+	if cfg.Reorder {
+		if g, err = g.Relabel(g.DegreeReorderPerm()); err != nil {
+			return nil, nil, fmt.Errorf("backend: reorder: %w", err)
+		}
+	}
+	return ds, g, nil
+}
+
 // buildSampler wires the configured sampling strategy, including the
 // cache-aware bias (2PGraph) when BiasRate > 0 and a residency view is
 // supplied — the feature plane implements sample.Residency, so p(η)
@@ -508,6 +526,44 @@ func buildSampler(cfg Config, res sample.Residency) (sample.Sampler, int, error)
 			cfg.WalkLength, nil
 	}
 	return nil, 0, fmt.Errorf("backend: unknown sampler %q", cfg.Sampler)
+}
+
+// haloMeter counts a K-device batch's halo rows: for each destination
+// vertex of the input-layer block, every sampled neighbor owned by a
+// different partition than the destination's owner is one row that
+// partition must fetch over the interconnect. Rows are deduplicated per
+// (consumer, vertex) within the batch — a device fetches each remote row
+// once per batch, however many of its destinations touch it.
+type haloMeter struct {
+	owner  []int32
+	stamps [][]int32 // stamps[c][u]: the last batch in which part c fetched u
+	batch  int32
+}
+
+func newHaloMeter(part *graph.Partition) *haloMeter {
+	h := &haloMeter{owner: part.Owner, stamps: make([][]int32, part.K)}
+	for c := range h.stamps {
+		h.stamps[c] = make([]int32, len(part.Owner))
+	}
+	return h
+}
+
+// rows returns mb's halo row count.
+func (h *haloMeter) rows(mb *sample.MiniBatch) int64 {
+	h.batch++
+	blk := &mb.Blocks[0]
+	var rows int64
+	for j := 0; j < blk.DstCount; j++ {
+		c := h.owner[blk.SrcNodes[j]]
+		st := h.stamps[c]
+		for _, idx := range blk.Indices[blk.Offsets[j]:blk.Offsets[j+1]] {
+			if u := blk.SrcNodes[idx]; h.owner[u] != c && st[u] != h.batch {
+				st[u] = h.batch
+				rows++
+			}
+		}
+	}
+	return rows
 }
 
 // freqSeedSalt decorrelates the Freq pre-sampling (mining) plan's RNG
@@ -596,16 +652,9 @@ func CompilePlan(cfg Config) (*plan.Plan, error) {
 	if cfg.BiasRate > 0 {
 		return nil, fmt.Errorf("backend: cannot compile a plan for cache-aware biased sampling (BiasRate %v)", cfg.BiasRate)
 	}
-	ds, err := dataset.Load(cfg.Dataset)
+	ds, g, err := loadGraph(cfg)
 	if err != nil {
 		return nil, err
-	}
-	g := ds.Graph
-	if cfg.Reorder {
-		g, err = g.Relabel(g.DegreeReorderPerm())
-		if err != nil {
-			return nil, fmt.Errorf("backend: reorder: %w", err)
-		}
 	}
 	preSmp, _, err := buildSampler(cfg, nil)
 	if err != nil {

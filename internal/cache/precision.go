@@ -149,8 +149,8 @@ func (p Precision) widen() widenFunc {
 // WidenRow applies the fused quantize→dequantize→widen transform to
 // one feature row: dst[j] = float64(dequant(quant(src[j]))). For
 // Float32 this is the plain widening copy. The cache's sources bind
-// the same kernels once; this entry point serves the multi-device
-// gather (internal/dist) and the equivalence tests.
+// the same kernels once; this entry point serves the equivalence
+// tests, here and in cmd/gnnserve.
 func (p Precision) WidenRow(dst []float64, src []float32) { p.widen()(dst, src) }
 
 func widenFloat32(dst []float64, src []float32) {

@@ -33,11 +33,6 @@ type BatchStats struct {
 	// TransferBytes is the host→device feature traffic this batch caused
 	// at the scaled graph's feature width.
 	TransferBytes int64
-	// HaloBytes is the device-to-device halo-exchange traffic this batch
-	// caused at the scaled feature width: rows a partition's consumer
-	// fetched from a remote owner. Always 0 for single-device sources;
-	// the multi-device plane (internal/dist) meters it.
-	HaloBytes int64
 }
 
 // FeatureSource serves feature rows to the device and accounts the

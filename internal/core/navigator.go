@@ -346,16 +346,3 @@ func (n *Navigator) Train(cfg backend.Config) (*backend.Perf, error) {
 	}
 	return backend.RunWith(cfg, opts)
 }
-
-// Run chains Explore and Train on the chosen guideline.
-func (n *Navigator) Run() (*Guidelines, *backend.Perf, error) {
-	g, err := n.Explore()
-	if err != nil {
-		return nil, nil, err
-	}
-	perf, err := n.Train(g.Chosen.Cfg)
-	if err != nil {
-		return g, nil, err
-	}
-	return g, perf, nil
-}

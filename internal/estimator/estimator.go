@@ -693,7 +693,7 @@ func BaselineAccuracy(dsName string, epochs int) (float64, error) {
 			Sampler: backend.SamplerSAGE, BatchSize: 1024, Fanouts: []int{10, 5},
 			CachePolicy: cache.None,
 		}
-		perf, err := backend.Run(cfg)
+		perf, err := backend.RunWith(cfg, backend.Options{})
 		if err != nil {
 			return 0, fmt.Errorf("estimator: baseline run on %s: %w", dsName, err)
 		}

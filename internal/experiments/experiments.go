@@ -111,7 +111,7 @@ func runTemplate(tpl backend.Template, task Task, ep int) (Row, error) {
 		return Row{}, err
 	}
 	cfg.Epochs = ep
-	perf, err := backend.Run(cfg)
+	perf, err := backend.RunWith(cfg, backend.Options{})
 	if err != nil {
 		return Row{}, err
 	}

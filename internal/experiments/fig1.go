@@ -87,7 +87,7 @@ func RunFig1b(w io.Writer, f Fidelity) ([]Fig1bPoint, error) {
 			return nil, err
 		}
 		cfg.Epochs = ep
-		return backend.Run(cfg)
+		return backend.RunWith(cfg, backend.Options{})
 	}
 	pa, err := run(backend.TemplatePaFull)
 	if err != nil {

@@ -94,7 +94,7 @@ func RunFig6(w io.Writer, f Fidelity) (*Fig6Result, error) {
 	fmt.Fprintf(w, "# Fig 6: design space exhausted on Reddit2+SAGE (%d configs, real runs)\n", len(grid))
 	res := &Fig6Result{}
 	for _, cfg := range grid {
-		perf, err := backend.Run(cfg)
+		perf, err := backend.RunWith(cfg, backend.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("fig6 %s: %w", cfg.Label(), err)
 		}

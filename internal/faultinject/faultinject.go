@@ -44,8 +44,7 @@ const (
 	// TensorWorker fires in the tensor worker pool, once per dispatched
 	// shard job (the sharded kernels' unit of work).
 	TensorWorker Point = "tensor/worker"
-	// CacheShard fires in Cache.Update — once per batch per cache (under
-	// dist.Source each device's shard is a cache of its own).
+	// CacheShard fires in Cache.Update, once per batch.
 	CacheShard Point = "cache/shard"
 	// PlanSave fires in plan.SaveFile before the file is written; with
 	// Kind Corrupt it bit-flips the serialized payload instead, which the
@@ -74,9 +73,8 @@ const (
 	// ServeFlush fires in the request coalescer before a coalesced batch
 	// is flushed through the inference engine (internal/infer).
 	ServeFlush Point = "serve/flush"
-	// DistHalo fires in the multi-device feature plane's halo-exchange
-	// step (dist.Source), once per batch, before remote-partition rows
-	// are classified and metered.
+	// DistHalo fires in backend.RunWith's consumer on multi-device runs,
+	// once per batch, before the batch's halo rows are counted.
 	DistHalo Point = "dist/halo"
 )
 

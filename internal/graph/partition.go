@@ -9,9 +9,8 @@ import (
 // assigns every vertex to exactly one of K parts; the part that owns a
 // vertex stores its feature row, and any other part that needs the row
 // (because one of its own vertices has an arc to it) must fetch it over
-// the inter-device interconnect. The per-part vertex counts split the
-// device cache capacity; the halo traffic itself is metered per batch by
-// the dist layer, not precomputed here.
+// the inter-device interconnect. The halo traffic itself is counted per
+// batch by the backend, not precomputed here.
 
 // PartitionStrategy selects the vertex-assignment heuristic.
 type PartitionStrategy string
@@ -47,8 +46,6 @@ type Partition struct {
 	K int
 	// Owner[v] is the part index owning vertex v, in [0, K).
 	Owner []int32
-	// VertexCounts[k] is the number of vertices owned by part k.
-	VertexCounts []int
 }
 
 // PartitionGraph partitions g into k parts with the given strategy.
@@ -74,11 +71,7 @@ func PartitionGraph(g *Graph, k int, strategy PartitionStrategy) (*Partition, er
 	default:
 		assignGreedy(g, k, owner)
 	}
-	p := &Partition{K: k, Owner: owner, VertexCounts: make([]int, k)}
-	for _, o := range owner {
-		p.VertexCounts[o]++
-	}
-	return p, nil
+	return &Partition{K: k, Owner: owner}, nil
 }
 
 // assignGreedy fills owner with the LDG assignment: walk vertices in

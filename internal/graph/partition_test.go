@@ -25,6 +25,15 @@ func pathGraph(t *testing.T, n int) *Graph {
 	return g
 }
 
+// vertexCounts returns the number of vertices each part owns.
+func vertexCounts(p *Partition) []int {
+	counts := make([]int, p.K)
+	for _, o := range p.Owner {
+		counts[o]++
+	}
+	return counts
+}
+
 // cutArcs counts stored arcs whose endpoints lie in different parts.
 // Undirected graphs store both arc directions, so each cut undirected
 // edge counts twice.
@@ -52,8 +61,8 @@ func TestPartitionK1Identity(t *testing.T) {
 				t.Fatalf("%s: Owner[%d] = %d, want 0", s, v, o)
 			}
 		}
-		if p.VertexCounts[0] != 7 {
-			t.Fatalf("%s: VertexCounts = %v, want [7]", s, p.VertexCounts)
+		if vertexCounts(p)[0] != 7 {
+			t.Fatalf("%s: vertex counts = %v, want [7]", s, vertexCounts(p))
 		}
 	}
 }
@@ -66,15 +75,8 @@ func TestPartitionKExceedsVertices(t *testing.T) {
 			t.Fatalf("%s: %v", s, err)
 		}
 		// Empty parts are allowed; every vertex still has exactly one owner.
-		total := 0
-		for k, c := range p.VertexCounts {
-			if c < 0 {
-				t.Fatalf("%s: VertexCounts[%d] = %d", s, k, c)
-			}
-			total += c
-		}
-		if total != 3 {
-			t.Fatalf("%s: vertex counts sum to %d, want 3", s, total)
+		if len(p.Owner) != 3 {
+			t.Fatalf("%s: %d owners, want 3", s, len(p.Owner))
 		}
 		for v, o := range p.Owner {
 			if o < 0 || int(o) >= 8 {
@@ -97,8 +99,8 @@ func TestPartitionSingleVertex(t *testing.T) {
 		if cut := cutArcs(g, p); cut != 0 {
 			t.Fatalf("%s: %d cut arcs, want 0", s, cut)
 		}
-		if p.VertexCounts[p.Owner[0]] != 1 {
-			t.Fatalf("%s: owner count mismatch: %v", s, p.VertexCounts)
+		if vertexCounts(p)[p.Owner[0]] != 1 {
+			t.Fatalf("%s: owner count mismatch: %v", s, vertexCounts(p))
 		}
 	}
 }
@@ -125,8 +127,8 @@ func TestPartitionGreedyHandComputed(t *testing.T) {
 	if cut := cutArcs(g, p); cut != 4 {
 		t.Fatalf("%d cut arcs, want 4", cut)
 	}
-	if !reflect.DeepEqual(p.VertexCounts, []int{2, 2}) {
-		t.Fatalf("VertexCounts = %v, want [2 2]", p.VertexCounts)
+	if !reflect.DeepEqual(vertexCounts(p), []int{2, 2}) {
+		t.Fatalf("vertex counts = %v, want [2 2]", vertexCounts(p))
 	}
 }
 
@@ -221,7 +223,7 @@ func TestPartitionGreedyBalanceCap(t *testing.T) {
 		t.Fatalf("PartitionGraph: %v", err)
 	}
 	cap := (n + 3) / 4
-	for k, c := range p.VertexCounts {
+	for k, c := range vertexCounts(p) {
 		if c > cap {
 			t.Fatalf("part %d has %d vertices, cap %d", k, c, cap)
 		}

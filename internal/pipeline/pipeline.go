@@ -39,6 +39,10 @@
 // across batches without locking. Scratch must never leak into the
 // returned MiniBatch; the returned slices stay valid while the producer
 // runs up to Prefetch batches ahead.
+//
+// The engine has no notion of device count: a K-device training run
+// drives it with the same feature plane as a single-device run, and its
+// consumer counts the batch's halo rows from Batch.MB.
 package pipeline
 
 import (
@@ -83,10 +87,6 @@ type Batch struct {
 	// TransferBytes is the host→device feature traffic this batch caused
 	// at the scaled feature width, as accounted by the feature source.
 	TransferBytes int64
-	// HaloBytes is the device-to-device halo-exchange traffic this batch
-	// caused at the scaled feature width; 0 unless the source is the
-	// multi-device feature plane (internal/dist).
-	HaloBytes int64
 	// Feats is the gathered input-feature matrix (row i = features of
 	// MB.InputNodes[i]); nil unless Config.Gather. It is owned by the
 	// pipeline's buffer ring and is valid only until the consumer
@@ -234,17 +234,6 @@ func (cfg *Config) sampleBatch(epoch, index int, targets []int32) (*Batch, error
 	return b, nil
 }
 
-// BatchAware is implemented by feature sources that need the full
-// minibatch topology — not just the input node list — before serving it.
-// The multi-device plane (dist.Source) uses it to classify halo rows:
-// which consumer partition each input row's destination vertices belong
-// to is only visible in the sampled blocks. The pipeline calls BeginBatch
-// on the gather stage's goroutine immediately before Access/GatherInto,
-// so implementations may keep the batch without locking.
-type BatchAware interface {
-	BeginBatch(mb *sample.MiniBatch)
-}
-
 // prepareBatch is the cache+gather stage's work for one batch: route the
 // batch's input rows through the feature plane (lookup/update/transfer
 // accounting, in batch order), then feature/label gather into the
@@ -253,16 +242,12 @@ func (cfg *Config) prepareBatch(b *Batch, buf *bufferSet) error {
 	if err := faultinject.Fire(faultinject.PipelineGather); err != nil {
 		return fmt.Errorf("pipeline: gather batch (%d,%d): %w", b.Epoch, b.Index, err)
 	}
-	if ba, ok := cfg.Source.(BatchAware); ok {
-		ba.BeginBatch(b.MB)
-	}
 	if cfg.Gather {
 		b.buf = buf
 		if cfg.Source != nil {
 			var st cache.BatchStats
 			buf.feats, st = cfg.Source.GatherInto(buf.feats, b.MB.InputNodes)
 			b.Miss, b.CacheOps, b.TransferBytes = st.Miss, st.CacheOps, st.TransferBytes
-			b.HaloBytes = st.HaloBytes
 		} else {
 			buf.feats = cache.GatherRowsInto(buf.feats, cfg.Graph, b.MB.InputNodes)
 		}
@@ -275,7 +260,6 @@ func (cfg *Config) prepareBatch(b *Batch, buf *bufferSet) error {
 	} else if cfg.Source != nil {
 		st := cfg.Source.Access(b.MB.InputNodes)
 		b.Miss, b.CacheOps, b.TransferBytes = st.Miss, st.CacheOps, st.TransferBytes
-		b.HaloBytes = st.HaloBytes
 	}
 	return nil
 }
