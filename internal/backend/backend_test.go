@@ -2,6 +2,7 @@ package backend
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"gnnavigator/internal/cache"
@@ -169,25 +170,41 @@ func TestBiasedSamplingRaisesHitRate(t *testing.T) {
 	}
 }
 
-func TestSkipTrainingFaster(t *testing.T) {
-	cfg := fastCfg()
-	full, err := RunWith(cfg, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	skip, err := RunWith(cfg, Options{SkipTraining: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if skip.Accuracy != 0 || len(skip.AccuracyHistory) != 0 {
-		t.Error("SkipTraining still reported accuracy")
-	}
-	// Timing model outputs must match (same seeds drive sampling).
-	if skip.TimeSec != full.TimeSec {
-		t.Errorf("timing differs with SkipTraining: %v vs %v", skip.TimeSec, full.TimeSec)
-	}
-	if skip.WallSec >= full.WallSec {
-		t.Logf("note: skip wall %v >= full wall %v (can happen on tiny configs)", skip.WallSec, full.WallSec)
+// TestTimingOnlyEqualsTrainedRun pins that a timing-only run is the
+// trained run without its train step: over TestGoldenCachedRun's grid
+// (every precision × policy, one device and two hash-partitioned), the
+// SkipTraining Perf equals the trained Perf in every field but the
+// accuracy ones and the wall clock.
+func TestTimingOnlyEqualsTrainedRun(t *testing.T) {
+	for _, k := range []int{1, 2} {
+		for _, prec := range cache.Precisions() {
+			for _, policy := range []cache.Policy{cache.None, cache.Static, cache.LRU, cache.FIFO, cache.Freq, cache.Opt} {
+				cfg := fastCfg()
+				cfg.Platform, cfg.Dropout, cfg.CachePolicy, cfg.Precision = "a100x4", 0.2, policy, prec
+				if policy != cache.None {
+					cfg.CacheRatio = 0.2
+				}
+				if k > 1 {
+					cfg.Devices, cfg.Partition = k, graph.PartitionHash
+				}
+				trained, err := RunWith(cfg, Options{EvalBatch: 256})
+				if err != nil {
+					t.Fatalf("%s: %v", cfg.Label(), err)
+				}
+				skip, err := RunWith(cfg, Options{SkipTraining: true})
+				if err != nil {
+					t.Fatalf("%s timing-only: %v", cfg.Label(), err)
+				}
+				if skip.Accuracy != 0 || len(skip.AccuracyHistory) != 0 {
+					t.Errorf("%s: timing-only run reported accuracy", cfg.Label())
+				}
+				trained.Accuracy, trained.AccuracyHistory = 0, nil
+				trained.WallSec, skip.WallSec = 0, 0
+				if !reflect.DeepEqual(*skip, *trained) {
+					t.Errorf("%s:\ntiming-only %+v\ntrained     %+v", cfg.Label(), *skip, *trained)
+				}
+			}
+		}
 	}
 }
 
