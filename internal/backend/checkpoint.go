@@ -6,21 +6,20 @@ import (
 	"io"
 
 	"gnnavigator/internal/faultinject"
-	"gnnavigator/internal/model"
 	"gnnavigator/internal/nn"
 	"gnnavigator/internal/safefile"
 )
 
 // Checkpoint persistence for RunWith: a periodic atomic snapshot of
-// everything the training consumer mutates that the pipeline cannot
-// re-derive — model parameters, Adam moments, and the per-epoch accuracy
-// history — keyed by the run config's fingerprint and the number of
-// completed epochs.
+// everything the trainer mutates that the pipeline cannot re-derive —
+// model parameters, Adam moments, and the per-epoch accuracy history —
+// keyed by the run config's fingerprint and the number of completed
+// epochs.
 //
 // Everything else (cache residency, plan position, Perf volume counters)
 // is a pure function of the config, so resume reconstructs it by
-// fast-forwarding the pipeline through the completed epochs with the NN
-// work skipped; see RunWith. That is what makes a resumed run
+// fast-forwarding the pipeline through the completed epochs while the
+// trainer sits them out; see trainer. That is what makes a resumed run
 // bitwise-identical to a never-interrupted one.
 //
 // Format: magic "GNAVCKP1", body, CRC-64/ECMA of the body as the
@@ -31,17 +30,16 @@ import (
 
 var ckptMagic = [8]byte{'G', 'N', 'A', 'V', 'C', 'K', 'P', '1'}
 
-// snapshotCheckpoint captures the training state after `epochs`
-// completed epochs (copies everywhere — the run keeps mutating the
-// originals).
-func snapshotCheckpoint(cfg Config, mdl *model.Model, opt *nn.Adam, epochs int, accHistory []float64) *Checkpoint {
-	params := mdl.Params()
+// snapshot captures the trainer's state after `epochs` completed epochs
+// (copies everywhere — the run keeps mutating the originals).
+func (t *trainer) snapshot(epochs int) *Checkpoint {
+	params := t.mdl.Params()
 	ck := &Checkpoint{
-		Fingerprint: cfg.Fingerprint(),
+		Fingerprint: t.cfg.Fingerprint(),
 		Epochs:      epochs,
 		Params:      make([][]float64, len(params)),
-		Adam:        opt.State(params),
-		AccHistory:  append([]float64(nil), accHistory...),
+		Adam:        t.opt.State(params),
+		AccHistory:  append([]float64(nil), t.history...),
 	}
 	for i, p := range params {
 		ck.Params[i] = append([]float64(nil), p.Value.Data...)
@@ -49,23 +47,41 @@ func snapshotCheckpoint(cfg Config, mdl *model.Model, opt *nn.Adam, epochs int, 
 	return ck
 }
 
-// restoreCheckpoint installs a verified snapshot into a freshly built
-// model/optimizer pair.
-func restoreCheckpoint(mdl *model.Model, opt *nn.Adam, ck *Checkpoint) error {
-	params := mdl.Params()
+// resume loads the checkpoint at path, checks that the trainer's run can
+// continue from it (same config, no more completed epochs than the run
+// wants, one accuracy entry per completed epoch) and installs it into
+// the freshly built model and optimizer; a trainer that fails to
+// resume is half-restored and must be dropped.
+func (t *trainer) resume(path string) error {
+	ck, err := LoadCheckpoint(path)
+	if err != nil {
+		return err
+	}
+	if ck.Fingerprint != t.cfg.Fingerprint() {
+		return fmt.Errorf("backend: checkpoint %s was taken under a different config", path)
+	}
+	if ck.Epochs > t.cfg.Epochs {
+		return fmt.Errorf("backend: checkpoint %s holds %d completed epochs, run wants %d", path, ck.Epochs, t.cfg.Epochs)
+	}
+	if len(ck.AccHistory) != ck.Epochs {
+		return fmt.Errorf("backend: checkpoint %s: %d accuracy entries for %d epochs", path, len(ck.AccHistory), ck.Epochs)
+	}
+	params := t.mdl.Params()
 	if len(ck.Params) != len(params) {
-		return fmt.Errorf("checkpoint holds %d params, model has %d", len(ck.Params), len(params))
+		return fmt.Errorf("backend: resume from %s: checkpoint holds %d params, model has %d", path, len(ck.Params), len(params))
 	}
 	for i, p := range params {
 		if len(ck.Params[i]) != len(p.Value.Data) {
-			return fmt.Errorf("checkpoint param %d holds %d scalars, model param %q has %d",
-				i, len(ck.Params[i]), p.Name, len(p.Value.Data))
+			return fmt.Errorf("backend: resume from %s: checkpoint param %d holds %d scalars, model param %q has %d",
+				path, i, len(ck.Params[i]), p.Name, len(p.Value.Data))
 		}
-	}
-	for i, p := range params {
 		copy(p.Value.Data, ck.Params[i])
 	}
-	return opt.SetState(params, ck.Adam)
+	if err := t.opt.SetState(params, ck.Adam); err != nil {
+		return fmt.Errorf("backend: resume from %s: %w", path, err)
+	}
+	t.resumed, t.history = ck.Epochs, ck.AccHistory
+	return nil
 }
 
 // Checkpoint is one resumable training snapshot.

@@ -208,7 +208,7 @@ func TestHaloHandComputed(t *testing.T) {
 		Offsets:  []int32{0, 2, 3, 4},
 		Indices:  []int32{3, 2, 2, 1},
 	}}}
-	h := newHaloMeter(part)
+	h := newHaloMeter(part, 1)
 	if got := h.rows(mb); got != 3 {
 		t.Fatalf("halo rows %d, want 3", got)
 	}

@@ -2,11 +2,13 @@ package backend
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"gnnavigator/internal/cache"
 	"gnnavigator/internal/dataset"
 	"gnnavigator/internal/model"
+	"gnnavigator/internal/plan"
 )
 
 // perfFingerprint strips the wall-clock field (the only legitimately
@@ -109,5 +111,71 @@ func TestEvaluatePrefetchEqual(t *testing.T) {
 		if got != serial {
 			t.Errorf("eval accuracy at prefetch %d = %v, serial = %v", depth, got, serial)
 		}
+	}
+}
+
+// TestRunFetchesPlanKeys pins that PlanKeys names exactly what RunWith
+// fetches through plan.Shared — no key held for a plan the run never
+// fetches, and no fetch the sweep did not hold — over every policy ×
+// bias × SharePlan, and that explicit plans are checked: a replayed plan
+// equals the live run bitwise, and a biased run or an incompatible plan
+// is refused.
+func TestRunFetchesPlanKeys(t *testing.T) {
+	valid := 0
+	for _, policy := range []cache.Policy{cache.None, cache.Static, cache.LRU, cache.Freq, cache.Opt} {
+		for _, bias := range []float64{0, 0.6} {
+			for _, share := range []bool{false, true} {
+				cfg := fastCfg()
+				cfg.CachePolicy, cfg.BiasRate = policy, bias
+				if policy != cache.None {
+					cfg.CacheRatio = 0.2
+				}
+				if cfg.Validate() != nil {
+					continue
+				}
+				valid++
+				opts := Options{SkipTraining: true, SharePlan: share}
+				_, shared, err := PlanKeys(cfg, opts)
+				if err != nil {
+					t.Fatalf("%s: %v", cfg.Label(), err)
+				}
+				plan.ResetCounters()
+				if _, err := RunWith(cfg, opts); err != nil {
+					t.Fatalf("%s: %v", cfg.Label(), err)
+				}
+				if fetched := plan.Compiles() + plan.CacheHits(); fetched != int64(len(shared)) {
+					t.Errorf("%s share=%v: RunWith fetched %d plans, PlanKeys named %d", cfg.Label(), share, fetched, len(shared))
+				}
+			}
+		}
+	}
+	if valid != 16 {
+		t.Fatalf("%d valid combinations, want 16", valid)
+	}
+
+	cfg := fastCfg()
+	cfg.CachePolicy, cfg.CacheRatio, cfg.Dropout = cache.LRU, 0.2, 0.2
+	p, err := CompilePlan(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := RunWith(cfg, Options{EvalBatch: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed, err := RunWith(cfg, Options{EvalBatch: 256, Plan: p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	perfEqual(t, "replayed vs live", replayed, live)
+	biased := cfg
+	biased.BiasRate = 0.6
+	if _, err := RunWith(biased, Options{Plan: p}); err == nil || !strings.Contains(err.Error(), "biased") {
+		t.Errorf("explicit plan under BiasRate > 0 returned %v", err)
+	}
+	other := cfg
+	other.Seed++
+	if _, err := RunWith(other, Options{Plan: p}); err == nil || !strings.Contains(err.Error(), "seed") {
+		t.Errorf("plan compiled for another seed returned %v", err)
 	}
 }

@@ -109,13 +109,9 @@ type Options struct {
 	CheckpointEvery int
 	// ResumeFrom, when set, loads a checkpoint written by a previous run
 	// of the *same* Config (fingerprint-checked) and continues from its
-	// completed-epoch count. The completed epochs are fast-forwarded
-	// through the full pipeline with the NN work skipped — sampling and
-	// cache evolution are pure functions of the config, so residency,
-	// plan position and every Perf volume counter reconstruct exactly —
-	// and the restored parameters/optimizer state make the remaining
-	// epochs bitwise-identical to a never-interrupted run (all Perf
-	// fields except wall-clock WallSec). Incompatible with SkipTraining.
+	// completed-epoch count, bitwise-identical to a never-interrupted run
+	// in every Perf field but WallSec (see trainer). Incompatible with
+	// SkipTraining.
 	ResumeFrom string
 	// SaveModelPath, when set, writes the trained model (config +
 	// parameters, GNAVMDL1 format) to this file after the run completes
@@ -126,374 +122,446 @@ type Options struct {
 }
 
 // RunWith executes cfg on the backend with explicit fidelity options
-// and returns its performance.
+// and returns its performance: it builds the run (newRun), drives it
+// through its epochs and assembles the Perf from what it metered.
 //
 // Concurrent RunWith calls are safe and deterministic — each run owns
 // its sampler, cache, model, workspace and RNG chain, and the shared
 // dataset/profile/baseline memoizations are locked. The Step-1
 // calibration fan-out relies on this.
 func RunWith(cfg Config, opts Options) (*Perf, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if opts.SkipTraining && (opts.ResumeFrom != "" || opts.CheckpointPath != "") {
-		return nil, fmt.Errorf("backend: checkpoint/resume requires training (SkipTraining is set)")
-	}
-	if opts.SkipTraining && opts.SaveModelPath != "" {
-		return nil, fmt.Errorf("backend: saving a model requires training (SkipTraining is set)")
-	}
-	// Resume: the checkpoint pins the run identity and the training state;
-	// everything else below reconstructs by replay.
-	var ck *Checkpoint
-	if opts.ResumeFrom != "" {
-		var err error
-		if ck, err = LoadCheckpoint(opts.ResumeFrom); err != nil {
-			return nil, err
-		}
-		if ck.Fingerprint != cfg.Fingerprint() {
-			return nil, fmt.Errorf("backend: checkpoint %s was taken under a different config", opts.ResumeFrom)
-		}
-		if ck.Epochs > cfg.Epochs {
-			return nil, fmt.Errorf("backend: checkpoint %s holds %d completed epochs, run wants %d", opts.ResumeFrom, ck.Epochs, cfg.Epochs)
-		}
-		if len(ck.AccHistory) != ck.Epochs {
-			return nil, fmt.Errorf("backend: checkpoint %s: %d accuracy entries for %d epochs", opts.ResumeFrom, len(ck.AccHistory), ck.Epochs)
-		}
-	}
 	start := time.Now()
-	ds, g, err := loadGraph(cfg)
+	r, err := newRun(cfg, opts)
 	if err != nil {
 		return nil, err
 	}
-	pr := NewPricing(cfg, ds)
+	if err := r.epochs(); err != nil {
+		return nil, err
+	}
+	perf := r.meter.perf(r.src)
+	if r.tr != nil {
+		perf.AccuracyHistory = r.tr.history
+		perf.Accuracy = r.tr.history[len(r.tr.history)-1]
+	}
+	perf.WallSec = time.Since(start).Seconds()
+	return perf, nil
+}
 
-	// Every run gathers through one feature plane, at every device count:
-	// the direct graph source when nothing is cached, the cached source
-	// otherwise.
-	prec := cfg.FeaturePrecision()
-	policy, capVertices := effectivePolicy(cfg, g)
+// run is one execution of a config. resolve decides it: validated
+// config and options, graph, the unbiased sampler its plans compile
+// with, the effective cache policy and the plan keys it fetches. newRun
+// builds the rest: the plan it replays (nil when it samples live), the
+// feature plane, the sampler the pipeline draws from, the meter and the
+// trainer, which is nil for a timing-only run.
+type run struct {
+	cfg       Config
+	opts      Options
+	ds        *dataset.Dataset
+	g         *graph.Graph
+	smp       sample.Sampler
+	walkSteps int
+	// plane is the feature plane's cache config before newRun adds the
+	// admission order or eviction script. runKey keys the run's own
+	// training stream; the run fetches it through plan.Shared when
+	// sharesRun is set. mineKey keys the salted one-epoch plan the Freq
+	// policy mines its admission order from.
+	plane           cache.Config
+	runKey, mineKey plan.Key
+	sharesRun       bool
 
-	// Epoch-plan resolution: an explicit opts.Plan is replayed as given;
-	// SharePlan (the calibration fan-out) and the Opt policy (which needs
-	// the exact future access order) fetch the run's plan through the
-	// single-flight plan.Shared. Cache-aware bias makes sampling
-	// depend on residency, so biased runs always sample live: SharePlan
-	// silently falls back, an explicit Plan is an error, and Opt+bias is
-	// already rejected by Validate.
-	var pl *plan.Plan
-	if opts.Plan != nil || sharesRunPlan(cfg, opts, policy) {
+	pl    *plan.Plan
+	src   cache.FeatureSource
+	live  sample.Sampler
+	meter meter
+	tr    *trainer
+}
+
+// resolve decides cfg's run. RunWith, PlanKeys and CompilePlan all start
+// here, so the keys PlanKeys names are the keys RunWith fetches.
+//
+// Epoch-plan resolution: an explicit opts.Plan is replayed as given;
+// SharePlan (the calibration fan-out) and the Opt policy (which needs
+// the exact future access order) fetch the run's plan through the
+// single-flight plan.Shared. Cache-aware bias makes sampling depend on
+// residency, so biased runs always sample live: SharePlan silently falls
+// back, an explicit Plan is an error, and Opt+bias is already rejected
+// by Validate. The Freq mining plan is always unbiased, so it is shared
+// across bias rates too.
+func resolve(cfg Config, opts Options) (*run, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if opts.SkipTraining && (opts.ResumeFrom != "" || opts.CheckpointPath != "" || opts.SaveModelPath != "") {
+		return nil, fmt.Errorf("backend: checkpoint, resume and model saving require training (SkipTraining is set)")
+	}
+	ds, err := dataset.Load(cfg.Dataset)
+	if err != nil {
+		return nil, err
+	}
+	r := &run{cfg: cfg, opts: opts, ds: ds, g: ds.Graph}
+	if cfg.Reorder {
+		if r.g, err = r.g.Relabel(r.g.DegreeReorderPerm()); err != nil {
+			return nil, fmt.Errorf("backend: reorder: %w", err)
+		}
+	}
+	if r.smp, r.walkSteps, err = buildSampler(cfg, nil); err != nil {
+		return nil, err
+	}
+	if opts.Plan != nil {
 		if cfg.BiasRate > 0 {
 			return nil, fmt.Errorf("backend: plan replay is incompatible with cache-aware biased sampling (BiasRate %v)", cfg.BiasRate)
 		}
-		preSmp, _, err := buildSampler(cfg, nil)
-		if err != nil {
-			return nil, err
+		if err := opts.Plan.CompatibleWith(r.smp, cfg.Seed, cfg.Epochs, cfg.BatchSize, true, ds.TrainIdx); err != nil {
+			return nil, fmt.Errorf("backend: %w", err)
 		}
-		if opts.Plan != nil {
-			if err := opts.Plan.CompatibleWith(preSmp, cfg.Seed, cfg.Epochs, cfg.BatchSize, true, ds.TrainIdx); err != nil {
-				return nil, fmt.Errorf("backend: %w", err)
-			}
-			pl = opts.Plan
-		} else if pl, err = plan.Shared(g, preSmp, runPlanKey(cfg, preSmp, ds.TrainIdx), ds.TrainIdx); err != nil {
+	}
+	// The device cache is sized from the float32-denominated byte budget
+	// (CacheRatio of the scaled graph's feature array): ratio·|V| rows at
+	// float32, 2–4× as many at compact precisions. A budget too small for
+	// one row downgrades the policy to None.
+	prec := cfg.FeaturePrecision()
+	r.plane = cache.Config{Policy: cfg.CachePolicy, Precision: prec,
+		Capacity: int(prec.EffectiveCacheRows(cfg.CacheRatio, float64(r.g.NumVertices()), r.g.FeatDim))}
+	if r.plane.Capacity == 0 {
+		r.plane.Policy = cache.None
+	}
+	r.runKey = plan.KeyFor(cfg.Dataset, cfg.Reorder, r.smp, cfg.BatchSize, cfg.Seed, cfg.Epochs, true, ds.TrainIdx)
+	r.sharesRun = opts.Plan == nil && (opts.SharePlan || r.plane.Policy == cache.Opt) && cfg.BiasRate == 0
+	if r.plane.Policy == cache.Freq {
+		r.mineKey = plan.KeyFor(cfg.Dataset, cfg.Reorder, r.smp, cfg.BatchSize, cfg.Seed+freqSeedSalt, 1, true, ds.TrainIdx)
+	}
+	return r, nil
+}
+
+// PlanKeys resolves, without running anything, what RunWith(cfg, opts)
+// will fetch through plan.Shared: the run's own plan key when it
+// replays a shared plan, and the mining key when its effective policy is
+// Freq. core is the run's plan key with Epochs zeroed — its sampling
+// core, shared by every probe that samples the same stream whatever its
+// epoch count, cache or bias. A sweep holds the keys (plan.Hold) for
+// exactly the runs that need them.
+func PlanKeys(cfg Config, opts Options) (core plan.Key, shared []plan.Key, err error) {
+	r, err := resolve(cfg, opts)
+	if err != nil {
+		return plan.Key{}, nil, err
+	}
+	if r.sharesRun {
+		shared = append(shared, r.runKey)
+	}
+	if r.plane.Policy == cache.Freq {
+		shared = append(shared, r.mineKey)
+	}
+	core = r.runKey
+	core.Epochs = 0
+	return core, shared, nil
+}
+
+// CompilePlan compiles (through plan.Shared, so a held key is reused) the
+// epoch plan cfg's training run follows — the artifact `gnnavigator
+// -save-plan` persists and `-load-plan` feeds back through Options.Plan.
+// Requires unbiased sampling: a cache-aware bias makes the sampling
+// depend on residency, which a pre-compiled plan cannot reflect.
+func CompilePlan(cfg Config) (*plan.Plan, error) {
+	r, err := resolve(cfg, Options{})
+	if err != nil {
+		return nil, err
+	}
+	if cfg.BiasRate > 0 {
+		return nil, fmt.Errorf("backend: cannot compile a plan for cache-aware biased sampling (BiasRate %v)", cfg.BiasRate)
+	}
+	return plan.Shared(r.g, r.smp, r.runKey, r.ds.TrainIdx)
+}
+
+// newRun resolves cfg and builds its run. Every run gathers through one
+// feature plane, at every device count: the direct graph source when
+// nothing is cached, the cached source otherwise.
+func newRun(cfg Config, opts Options) (*run, error) {
+	r, err := resolve(cfg, opts)
+	if err != nil {
+		return nil, err
+	}
+	r.pl, r.live = opts.Plan, r.smp
+	if r.sharesRun {
+		if r.pl, err = plan.Shared(r.g, r.smp, r.runKey, r.ds.TrainIdx); err != nil {
 			return nil, err
 		}
 	}
 
 	// Admission order of the prefilled policies: Static takes g's degree
-	// order; Freq pre-samples, mining the order from a compiled plan: an
-	// unbiased instance of the run's own sampler compiles a salted
-	// one-epoch plan (fetched through plan.Shared, so every probe of a
-	// calibration fan-out that holds it reuses the same pre-sampling
-	// pass), and the most frequently touched input vertices fill the
-	// cache before training. The mining plan is always unbiased —
-	// matching the legacy pre-sample pass, which drew without residency
-	// bias even for biased runs — so it is shared across bias rates too.
+	// order; Freq pre-samples, mining the order from the salted one-epoch
+	// plan (fetched through plan.Shared, so every probe of a calibration
+	// fan-out that holds it reuses the same pre-sampling pass): the most
+	// frequently touched input vertices fill the cache before training.
 	// Opt (the Belady upper bound) mines the run's own plan for the exact
 	// future access order the device cache will see.
-	ccfg := cache.Config{Policy: policy, Capacity: capVertices, Precision: prec}
-	switch policy {
+	ccfg := r.plane
+	switch ccfg.Policy {
 	case cache.Static:
-		ccfg.Order = g.DegreeOrder()
+		ccfg.Order = r.g.DegreeOrder()
 	case cache.Freq:
-		preSmp, _, err := buildSampler(cfg, nil)
+		minePl, err := plan.Shared(r.g, r.smp, r.mineKey, r.ds.TrainIdx)
 		if err != nil {
 			return nil, err
 		}
-		minePl, err := plan.Shared(g, preSmp, miningPlanKey(cfg, preSmp, ds.TrainIdx), ds.TrainIdx)
-		if err != nil {
-			return nil, err
-		}
-		ccfg.Order = minePl.CountOrder(g)
+		ccfg.Order = minePl.CountOrder(r.g)
 	case cache.Opt:
-		if ccfg.Script, err = cache.BuildOptScript(g.NumVertices(), pl.BatchInputs(cfg.Epochs)); err != nil {
+		if ccfg.Script, err = cache.BuildOptScript(r.g.NumVertices(), r.pl.BatchInputs(cfg.Epochs)); err != nil {
+			return nil, err
+		}
+	}
+	if r.src, err = cache.NewSource(ccfg, r.g); err != nil {
+		return nil, err
+	}
+	// Cache-aware bias reads the feature plane's residency, so only a
+	// biased run needs a sampler of its own.
+	if cfg.BiasRate > 0 {
+		if r.live, _, err = buildSampler(cfg, r.src); err != nil {
 			return nil, err
 		}
 	}
 
-	src, err := cache.NewSource(ccfg, g)
-	if err != nil {
-		return nil, err
-	}
-
-	smp, walkSteps, err := buildSampler(cfg, src)
-	if err != nil {
-		return nil, err
-	}
-
-	// Every batch is priced with the closed-form FLOPs count and every
-	// all-reduce from the closed-form |Φ|, so a timing-only run builds no
-	// model.
-	var mdl *model.Model
-	var opt *nn.Adam
-	if !opts.SkipTraining {
-		if mdl, err = model.New(pr.Model); err != nil {
-			return nil, err
-		}
-		opt = nn.NewAdam(cfg.LR)
-		if ck != nil {
-			if err := restoreCheckpoint(mdl, opt, ck); err != nil {
-				return nil, fmt.Errorf("backend: resume from %s: %w", opts.ResumeFrom, err)
-			}
-		}
-	}
-	shapes := make([]model.Shape, cfg.Layers)
-	batchFLOPs := func(mb *sample.MiniBatch) (float64, error) {
-		for l := range shapes {
-			blk := &mb.Blocks[l]
-			shapes[l] = model.Shape{Src: len(blk.SrcNodes), Dst: blk.DstCount, Edges: blk.NumEdges()}
-		}
-		return pr.FLOPs(shapes)
-	}
+	pr := NewPricing(cfg, r.ds)
+	r.meter = meter{pr: pr, walkSteps: r.walkSteps, shapes: make([]model.Shape, cfg.Layers)}
 	// A K-device run partitions the (possibly reordered) vertex set only
 	// to count each batch's halo rows, at the feature plane's row width.
-	var halo *haloMeter
 	if k := cfg.DeviceCount(); k > 1 {
-		part, err := graph.PartitionGraph(g, k, cfg.PartitionStrategy())
+		part, err := graph.PartitionGraph(r.g, k, cfg.PartitionStrategy())
 		if err != nil {
 			return nil, fmt.Errorf("backend: %w", err)
 		}
-		halo = newHaloMeter(part)
+		r.meter.halo = newHaloMeter(part, r.plane.Precision.RowBytes(r.g.FeatDim))
 	}
-	haloRowBytes := prec.RowBytes(g.FeatDim)
-	batchHalo := func(mb *sample.MiniBatch) (int64, error) {
-		if halo == nil {
-			return 0, nil
+	if !opts.SkipTraining {
+		if r.tr, err = newTrainer(cfg, opts, pr.Model, r.g, r.ds.ValIdx); err != nil {
+			return nil, err
 		}
+	}
+	return r, nil
+}
+
+// epochs runs the epoch loop on the staged pipeline engine: sampling and
+// cache lookup+gather run up to opts.Prefetch batches ahead of the one
+// consumer, which meters each batch and then trains on it, so all model
+// state stays single-threaded. Cache-aware biased sampling against a
+// dynamic cache reads residency the lookup stage mutates, so those runs
+// fuse the two producer stages.
+func (r *run) epochs() error {
+	return pipeline.Run(pipeline.Config{
+		Graph:     r.g,
+		Sampler:   r.live,
+		Source:    r.src,
+		Seed:      r.cfg.Seed,
+		Epochs:    r.cfg.Epochs,
+		BatchSize: r.cfg.BatchSize,
+		Targets:   r.ds.TrainIdx,
+		Shuffle:   true,
+		Gather:    r.tr != nil,
+		Prefetch:  r.opts.Prefetch,
+		Plan:      r.pl,
+		Ctx:       r.opts.Ctx,
+		// Keyed on the effective policy, not cfg.CachePolicy: a
+		// zero-capacity cache is downgraded to None, and a prefilled
+		// (None/Static/Freq) residency never needs stage fusion.
+		CoupledSampler: r.cfg.BiasRate > 0 && r.plane.Policy.Dynamic(),
+	}, func(b *pipeline.Batch) error {
+		if err := r.meter.batch(b); err != nil || r.tr == nil {
+			return err
+		}
+		return r.tr.step(b)
+	}, func(epoch int) error {
+		if r.meter.epochEnd(); r.tr == nil {
+			return nil
+		}
+		return r.tr.epochEnd(epoch)
+	})
+}
+
+// meter prices a run batch by batch and accumulates the volumes its Perf
+// reports. It reads only the batch and Pricing (closed-form FLOPs and
+// |Φ|), so a timing-only run meters exactly what the trained run does.
+type meter struct {
+	pr        Pricing
+	walkSteps int
+	shapes    []model.Shape
+	halo      *haloMeter // nil on one device
+	// vols holds the volume fields of the Perf, with MeanBatchSize,
+	// MeanBatchEdges and TimeBreakdown summed until perf averages them.
+	vols  Perf
+	epoch []sim.BatchTiming // the current epoch's batches
+}
+
+// batch prices one batch and adds its volumes.
+func (m *meter) batch(b *pipeline.Batch) error {
+	mb := b.MB
+	for l := range m.shapes {
+		blk := &mb.Blocks[l]
+		m.shapes[l] = model.Shape{Src: len(blk.SrcNodes), Dst: blk.DstCount, Edges: blk.NumEdges()}
+	}
+	flops, err := m.pr.FLOPs(m.shapes)
+	if err != nil {
+		return err
+	}
+	var haloBytes int64
+	if m.halo != nil {
 		if err := faultinject.Fire(faultinject.DistHalo); err != nil {
-			return 0, fmt.Errorf("backend: halo exchange: %w", err)
+			return fmt.Errorf("backend: halo exchange: %w", err)
 		}
-		return halo.rows(mb) * haloRowBytes, nil
+		haloBytes = m.halo.rows(mb) * m.halo.rowBytes
 	}
+	bt := m.pr.Batch(sim.BatchVolumes{
+		SampledVertices: mb.NumVertices,
+		TargetVertices:  len(b.Targets),
+		InputVertices:   len(mb.InputNodes),
+		MissVertices:    b.Miss,
+		TransferBytes:   float64(b.TransferBytes),
+		CacheUpdateOps:  b.CacheOps,
+		SampledEdges:    mb.NumEdges,
+		FLOPs:           flops,
+		WalkSteps:       m.walkSteps * len(b.Targets),
+		HaloBytes:       float64(haloBytes),
+	}, m.pr.Workload(float64(mb.NumVertices)))
+	m.epoch = append(m.epoch, bt)
+	p := &m.vols
+	sum := &p.TimeBreakdown
+	sum.TSample += bt.TSample
+	sum.TTransfer += bt.TTransfer
+	sum.TReplace += bt.TReplace
+	sum.TCompute += bt.TCompute
+	sum.THalo += bt.THalo
+	sum.TAllReduce += bt.TAllReduce
+	p.HaloBytes += haloBytes
+	p.MeanBatchSize += float64(mb.NumVertices)
+	p.MeanBatchEdges += float64(mb.NumEdges)
+	p.PeakBatchSize = max(p.PeakBatchSize, mb.NumVertices)
+	p.PeakBatchEdges = max(p.PeakBatchEdges, mb.NumEdges)
+	p.Iterations++
+	return nil
+}
 
-	perf := &Perf{Feasible: true}
-	var sumBatch, sumEdges float64
-	var sumTiming sim.BatchTiming
+// epochEnd closes an epoch: Eq. 4's epoch time over its batches.
+func (m *meter) epochEnd() {
+	m.vols.EpochTimes = append(m.vols.EpochTimes, sim.EpochTime(m.epoch))
+	m.epoch = m.epoch[:0]
+}
 
+// perf assembles the run's Perf from the meter, the feature plane's
+// counters and Pricing. The all-reduce is metered once per step,
+// timing-only and fast-forwarded steps included: it is a pure function
+// of the config.
+func (m *meter) perf(src cache.FeatureSource) *Perf {
+	p := m.vols
+	n := float64(p.Iterations)
+	tb := &p.TimeBreakdown
+	tb.TSample, tb.TTransfer, tb.TReplace = tb.TSample/n, tb.TTransfer/n, tb.TReplace/n
+	tb.TCompute, tb.THalo, tb.TAllReduce = tb.TCompute/n, tb.THalo/n, tb.TAllReduce/n
+	p.MeanBatchSize /= n
+	p.MeanBatchEdges /= n
+	p.AllReduceBytes = int64(p.Iterations) * m.pr.stepWire
+	var sumEpoch float64
+	for _, t := range p.EpochTimes {
+		sumEpoch += t
+	}
+	p.TimeSec = sumEpoch / float64(len(p.EpochTimes))
+	p.HitRate = src.HitRate()
+	p.TransferredBytes = src.TransferredBytes()
+
+	// Eq. 9-10 memory at paper scale, under the peak batch's workload.
+	p.Breakdown, p.Feasible = m.pr.Memory(p.PeakBatchSize, p.PeakBatchEdges,
+		m.pr.Workload(float64(p.PeakBatchSize)))
+	p.MemoryGB = p.Breakdown.Total() / 1e9
+	return &p
+}
+
+// trainer is a run's NN half: model, Adam, workspace arena, evaluation
+// engine, checkpoint cadence and save path. A resumed trainer sits out
+// the epochs its checkpoint holds: the pipeline still runs them, so
+// residency and every volume (pure functions of the config) reconstruct
+// exactly, while step and validation skip them.
+type trainer struct {
+	cfg     Config
+	opts    Options
+	valIdx  []int32
+	mdl     *model.Model
+	opt     *nn.Adam
+	ws      *tensor.Workspace
+	eval    *infer.Engine
+	resumed int       // leading epochs the checkpoint holds
+	history []float64 // validation accuracy per completed epoch
+}
+
+func newTrainer(cfg Config, opts Options, mc model.Config, g *graph.Graph, valIdx []int32) (*trainer, error) {
+	mdl, err := model.New(mc)
+	if err != nil {
+		return nil, err
+	}
+	t := &trainer{cfg: cfg, opts: opts, valIdx: valIdx, mdl: mdl, opt: nn.NewAdam(cfg.LR), ws: tensor.NewWorkspace()}
+	if opts.ResumeFrom != "" {
+		if err := t.resume(opts.ResumeFrom); err != nil {
+			return nil, err
+		}
+	}
 	// The run owns one workspace arena: every forward/backward
 	// intermediate is recycled after the optimizer step. The gathered
 	// feature matrix lives in the pipeline's buffer ring, so the gather
 	// for batch i+1 can fill one buffer while batch i trains from
 	// another without the steady-state loop allocating.
-	ws := tensor.NewWorkspace()
-	if mdl != nil {
-		mdl.SetWorkspace(ws)
-	}
-
-	// resumeEpochs is how many leading epochs are fast-forwarded: the
-	// pipeline runs them in full (sampling, cache evolution, volume
-	// accounting — all pure functions of cfg, so they reconstruct the
-	// interrupted run's state exactly), but the NN train step and the
-	// per-epoch validation are skipped; the checkpoint supplies their
-	// results.
-	resumeEpochs := 0
-	if ck != nil {
-		resumeEpochs = ck.Epochs
-	}
-
-	// The epoch loop runs on the staged pipeline engine: a sampler stage
-	// and a cache-lookup+gather stage run up to opts.Prefetch batches
-	// ahead of this consumer, which keeps all model state single-threaded.
-	// Cache-aware biased sampling against a dynamic cache reads residency
-	// that the lookup stage mutates, so those runs fuse the two producer
-	// stages to preserve the serial residency sequence.
-	var timings []sim.BatchTiming
-	consume := func(b *pipeline.Batch) error {
-		mb := b.MB
-		flops, err := batchFLOPs(mb)
-		if err != nil {
-			return err
-		}
-		haloBytes, err := batchHalo(mb)
-		if err != nil {
-			return err
-		}
-		bt := pr.Batch(sim.BatchVolumes{
-			SampledVertices: mb.NumVertices,
-			TargetVertices:  len(b.Targets),
-			InputVertices:   len(mb.InputNodes),
-			MissVertices:    b.Miss,
-			TransferBytes:   float64(b.TransferBytes),
-			CacheUpdateOps:  b.CacheOps,
-			SampledEdges:    mb.NumEdges,
-			FLOPs:           flops,
-			WalkSteps:       walkSteps * len(b.Targets),
-			HaloBytes:       float64(haloBytes),
-		}, pr.Workload(float64(mb.NumVertices)))
-		timings = append(timings, bt)
-		sumTiming.TSample += bt.TSample
-		sumTiming.TTransfer += bt.TTransfer
-		sumTiming.TReplace += bt.TReplace
-		sumTiming.TCompute += bt.TCompute
-		sumTiming.THalo += bt.THalo
-		sumTiming.TAllReduce += bt.TAllReduce
-
-		perf.HaloBytes += haloBytes
-
-		sumBatch += float64(mb.NumVertices)
-		sumEdges += float64(mb.NumEdges)
-		perf.PeakBatchSize = max(perf.PeakBatchSize, mb.NumVertices)
-		perf.PeakBatchEdges = max(perf.PeakBatchEdges, mb.NumEdges)
-		perf.Iterations++
-
-		if !opts.SkipTraining && b.Epoch >= resumeEpochs {
-			if cfg.Dropout > 0 {
-				// Per-batch mask stream: a pure function of (seed, epoch,
-				// index), like every other random draw in the run — so a
-				// resumed run's masks match the uninterrupted run's exactly.
-				// The salt decorrelates the dropout chain from the sampler's.
-				mdl.SeedDropout(sample.BatchSeed(cfg.Seed^dropoutSeedSalt, b.Epoch, b.Index))
-			}
-			logits, err := mdl.Forward(mb, b.Feats, true)
-			if err != nil {
-				return err
-			}
-			_, dLogits := nn.SoftmaxCrossEntropyWS(ws, logits, b.Labels)
-			// K data-parallel replicas compute this same gradient, and
-			// their average is it: the all-reduce is priced
-			// (AllReduceBytes), not performed.
-			mdl.Backward(dLogits)
-			opt.Step(mdl.Params())
-			ws.ReleaseAll()
-		}
-		return nil
-	}
+	mdl.SetWorkspace(t.ws)
 	// One inference engine for the whole run: per-epoch validation reuses
 	// its sampler's frontier tables and pick scratch instead of regrowing
 	// them every epoch, and shares the run's workspace arena (the engine
 	// only attaches its own when the model has none). Each Accuracy call
 	// is a fresh pipeline run, so the single-producer contract holds.
-	var evalEng *infer.Engine
-	if !opts.SkipTraining {
-		if evalEng, err = infer.New(infer.Config{
-			Graph: g, Model: mdl, Seed: cfg.Seed + 29, Prefetch: opts.Prefetch,
-		}); err != nil {
-			return nil, err
-		}
+	t.eval, err = infer.New(infer.Config{Graph: g, Model: mdl, Seed: cfg.Seed + 29, Prefetch: opts.Prefetch})
+	return t, err
+}
+
+// step trains on one batch.
+func (t *trainer) step(b *pipeline.Batch) error {
+	if b.Epoch < t.resumed {
+		return nil
 	}
-	ckptEvery := opts.CheckpointEvery
-	if ckptEvery <= 0 {
-		ckptEvery = 1
+	if t.cfg.Dropout > 0 {
+		// Per-batch mask stream: a pure function of (seed, epoch, index),
+		// like every other random draw in the run — so a resumed run's
+		// masks match the uninterrupted run's exactly. The salt
+		// decorrelates the dropout chain from the sampler's.
+		t.mdl.SeedDropout(sample.BatchSeed(t.cfg.Seed^dropoutSeedSalt, b.Epoch, b.Index))
 	}
-	epochEnd := func(epoch int) error {
-		perf.EpochTimes = append(perf.EpochTimes, sim.EpochTime(timings))
-		timings = timings[:0]
-		if opts.SkipTraining {
-			return nil
-		}
-		if epoch < resumeEpochs {
-			// Fast-forwarded epoch: the checkpoint recorded its validation
-			// accuracy; re-evaluating would waste work (the restored
-			// parameters are post-resume, not this epoch's).
-			acc := ck.AccHistory[epoch]
-			perf.AccuracyHistory = append(perf.AccuracyHistory, acc)
-			perf.Accuracy = acc
-			return nil
-		}
-		acc, err := evalEng.Accuracy(opts.Ctx, ds.ValIdx, opts.EvalBatch)
+	logits, err := t.mdl.Forward(b.MB, b.Feats, true)
+	if err != nil {
+		return err
+	}
+	_, dLogits := nn.SoftmaxCrossEntropyWS(t.ws, logits, b.Labels)
+	// K data-parallel replicas compute this same gradient, and their
+	// average is it: the all-reduce is priced (AllReduceBytes), not
+	// performed.
+	t.mdl.Backward(dLogits)
+	t.opt.Step(t.mdl.Params())
+	t.ws.ReleaseAll()
+	return nil
+}
+
+// epochEnd validates after a trained epoch, snapshots on the checkpoint
+// cadence (CheckpointEvery <= 0 means every epoch) and, after the last
+// epoch, saves the model.
+func (t *trainer) epochEnd(epoch int) error {
+	last := epoch == t.cfg.Epochs-1
+	if epoch >= t.resumed {
+		acc, err := t.eval.Accuracy(t.opts.Ctx, t.valIdx, t.opts.EvalBatch)
 		if err != nil {
 			return err
 		}
-		perf.AccuracyHistory = append(perf.AccuracyHistory, acc)
-		perf.Accuracy = acc
-		if opts.CheckpointPath != "" && ((epoch+1)%ckptEvery == 0 || epoch == cfg.Epochs-1) {
-			snap := snapshotCheckpoint(cfg, mdl, opt, epoch+1, perf.AccuracyHistory)
-			if err := SaveCheckpoint(opts.CheckpointPath, snap); err != nil {
+		t.history = append(t.history, acc)
+		if t.opts.CheckpointPath != "" && (last || (epoch+1)%max(t.opts.CheckpointEvery, 1) == 0) {
+			if err := SaveCheckpoint(t.opts.CheckpointPath, t.snapshot(epoch+1)); err != nil {
 				return err
 			}
 		}
-		return nil
 	}
-	err = pipeline.Run(pipeline.Config{
-		Graph:     g,
-		Sampler:   smp,
-		Source:    src,
-		Seed:      cfg.Seed,
-		Epochs:    cfg.Epochs,
-		BatchSize: cfg.BatchSize,
-		Targets:   ds.TrainIdx,
-		Shuffle:   true,
-		Gather:    !opts.SkipTraining,
-		Prefetch:  opts.Prefetch,
-		Plan:      pl,
-		Ctx:       opts.Ctx,
-		// Keyed on the effective policy, not cfg.CachePolicy: a
-		// zero-capacity cache is downgraded to None above, and a
-		// prefilled (None/Static/Freq) residency never needs stage
-		// fusion.
-		CoupledSampler: cfg.BiasRate > 0 && policy.Dynamic(),
-	}, consume, epochEnd)
-	if err != nil {
-		return nil, err
+	if last && t.opts.SaveModelPath != "" {
+		return model.Save(t.opts.SaveModelPath, t.mdl)
 	}
-
-	if opts.SaveModelPath != "" {
-		if err := model.Save(opts.SaveModelPath, mdl); err != nil {
-			return nil, err
-		}
-	}
-
-	// Aggregate timing/volumes. The all-reduce is metered once per step,
-	// timing-only and fast-forwarded steps included: it is a pure
-	// function of the config.
-	perf.AllReduceBytes = int64(perf.Iterations) * pr.stepWire
-	n := float64(perf.Iterations)
-	perf.MeanBatchSize = sumBatch / n
-	perf.MeanBatchEdges = sumEdges / n
-	perf.TimeBreakdown = sim.BatchTiming{
-		TSample: sumTiming.TSample / n, TTransfer: sumTiming.TTransfer / n,
-		TReplace: sumTiming.TReplace / n, TCompute: sumTiming.TCompute / n,
-		THalo: sumTiming.THalo / n, TAllReduce: sumTiming.TAllReduce / n,
-	}
-	var sumEpoch float64
-	for _, t := range perf.EpochTimes {
-		sumEpoch += t
-	}
-	perf.TimeSec = sumEpoch / float64(len(perf.EpochTimes))
-	perf.HitRate = src.HitRate()
-	perf.TransferredBytes = src.TransferredBytes()
-
-	// Eq. 9-10 memory at paper scale, under the peak batch's workload.
-	perf.Breakdown, perf.Feasible = pr.Memory(perf.PeakBatchSize, perf.PeakBatchEdges,
-		pr.Workload(float64(perf.PeakBatchSize)))
-	perf.MemoryGB = perf.Breakdown.Total() / 1e9
-	perf.WallSec = time.Since(start).Seconds()
-	return perf, nil
-}
-
-// loadGraph loads cfg's dataset and the graph its run trains on: the
-// dataset's graph, degree-relabelled when cfg.Reorder is set.
-func loadGraph(cfg Config) (*dataset.Dataset, *graph.Graph, error) {
-	ds, err := dataset.Load(cfg.Dataset)
-	if err != nil {
-		return nil, nil, err
-	}
-	g := ds.Graph
-	if cfg.Reorder {
-		if g, err = g.Relabel(g.DegreeReorderPerm()); err != nil {
-			return nil, nil, fmt.Errorf("backend: reorder: %w", err)
-		}
-	}
-	return ds, g, nil
+	return nil
 }
 
 // buildSampler wires the configured sampling strategy, including the
@@ -535,13 +603,14 @@ func buildSampler(cfg Config, res sample.Residency) (sample.Sampler, int, error)
 // (consumer, vertex) within the batch — a device fetches each remote row
 // once per batch, however many of its destinations touch it.
 type haloMeter struct {
-	owner  []int32
-	stamps [][]int32 // stamps[c][u]: the last batch in which part c fetched u
-	batch  int32
+	rowBytes int64 // one row at the feature plane's width
+	owner    []int32
+	stamps   [][]int32 // stamps[c][u]: the last batch in which part c fetched u
+	batch    int32
 }
 
-func newHaloMeter(part *graph.Partition) *haloMeter {
-	h := &haloMeter{owner: part.Owner, stamps: make([][]int32, part.K)}
+func newHaloMeter(part *graph.Partition, rowBytes int64) *haloMeter {
+	h := &haloMeter{rowBytes: rowBytes, owner: part.Owner, stamps: make([][]int32, part.K)}
 	for c := range h.stamps {
 		h.stamps[c] = make([]int32, len(part.Owner))
 	}
@@ -576,89 +645,3 @@ const freqSeedSalt = 0x5eed
 // dropoutSeedSalt decorrelates the per-batch dropout mask streams from
 // the sampling chain rooted at the same (Seed, epoch, batch) triple.
 const dropoutSeedSalt = 0x1d40
-
-// effectivePolicy sizes the device cache from the float32-denominated
-// byte budget (CacheRatio of the scaled graph's feature array): at the
-// float32 baseline this is exactly ratio·|V| rows, at compact precisions
-// the same Γ budget holds 2–4× the vertices (the ratio is
-// scale-invariant; memory accounting uses the full-scale ratio). A
-// budget too small for one row downgrades the policy to None.
-func effectivePolicy(cfg Config, g *graph.Graph) (cache.Policy, int) {
-	capVertices := int(cfg.FeaturePrecision().EffectiveCacheRows(cfg.CacheRatio, float64(g.NumVertices()), g.FeatDim))
-	if capVertices == 0 {
-		return cache.None, 0
-	}
-	return cfg.CachePolicy, capVertices
-}
-
-// sharesRunPlan reports whether RunWith fetches the run's own epoch plan
-// through plan.Shared rather than sampling live or replaying opts.Plan.
-func sharesRunPlan(cfg Config, opts Options, policy cache.Policy) bool {
-	return opts.Plan == nil && (opts.SharePlan || policy == cache.Opt) && cfg.BiasRate == 0
-}
-
-// runPlanKey is the plan key of cfg's training stream under the
-// unbiased sampler smp.
-func runPlanKey(cfg Config, smp sample.Sampler, targets []int32) plan.Key {
-	return plan.KeyFor(cfg.Dataset, cfg.Reorder, smp, cfg.BatchSize, cfg.Seed, cfg.Epochs, true, targets)
-}
-
-// miningPlanKey is the salted one-epoch plan key the Freq policy mines
-// its admission order from.
-func miningPlanKey(cfg Config, smp sample.Sampler, targets []int32) plan.Key {
-	return plan.KeyFor(cfg.Dataset, cfg.Reorder, smp, cfg.BatchSize, cfg.Seed+freqSeedSalt, 1, true, targets)
-}
-
-// PlanKeys resolves, without running anything, what RunWith(cfg, opts)
-// will fetch through plan.Shared: the run's own plan key when it
-// replays a shared plan, and the mining key when its effective policy is
-// Freq. core is the run's plan key with Epochs zeroed — its sampling
-// core, shared by every probe that samples the same stream whatever its
-// epoch count, cache or bias. A sweep holds the keys (plan.Hold) for
-// exactly the runs that need them.
-func PlanKeys(cfg Config, opts Options) (core plan.Key, shared []plan.Key, err error) {
-	if err := cfg.Validate(); err != nil {
-		return plan.Key{}, nil, err
-	}
-	ds, err := dataset.Load(cfg.Dataset)
-	if err != nil {
-		return plan.Key{}, nil, err
-	}
-	smp, _, err := buildSampler(cfg, nil)
-	if err != nil {
-		return plan.Key{}, nil, err
-	}
-	policy, _ := effectivePolicy(cfg, ds.Graph)
-	core = runPlanKey(cfg, smp, ds.TrainIdx)
-	if sharesRunPlan(cfg, opts, policy) {
-		shared = append(shared, core)
-	}
-	if policy == cache.Freq {
-		shared = append(shared, miningPlanKey(cfg, smp, ds.TrainIdx))
-	}
-	core.Epochs = 0
-	return core, shared, nil
-}
-
-// CompilePlan compiles (through plan.Shared, so a held key is reused) the
-// epoch plan cfg's training run follows — the artifact `gnnavigator
-// -save-plan` persists and `-load-plan` feeds back through Options.Plan.
-// Requires unbiased sampling: a cache-aware bias makes the sampling
-// depend on residency, which a pre-compiled plan cannot reflect.
-func CompilePlan(cfg Config) (*plan.Plan, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.BiasRate > 0 {
-		return nil, fmt.Errorf("backend: cannot compile a plan for cache-aware biased sampling (BiasRate %v)", cfg.BiasRate)
-	}
-	ds, g, err := loadGraph(cfg)
-	if err != nil {
-		return nil, err
-	}
-	preSmp, _, err := buildSampler(cfg, nil)
-	if err != nil {
-		return nil, err
-	}
-	return plan.Shared(g, preSmp, runPlanKey(cfg, preSmp, ds.TrainIdx), ds.TrainIdx)
-}

@@ -56,9 +56,6 @@ type Input struct {
 	// CalibSamples is the number of probe configs per calibration dataset
 	// (default 16).
 	CalibSamples int
-	// AugmentGraphs adds this many random power-law graphs to calibration
-	// (the paper's data enhancement; default 0).
-	AugmentGraphs int
 
 	// Final-training hyperparameters.
 	Layers int     // default 2
@@ -214,46 +211,11 @@ func New(in Input) (*Navigator, error) {
 		}
 		records = append(records, recs...)
 	}
-	if in.AugmentGraphs > 0 {
-		augRecords, err := augment(in)
-		if err != nil {
-			return nil, err
-		}
-		records = append(records, augRecords...)
-	}
 	est, err := estimator.Train(records)
 	if err != nil {
 		return nil, fmt.Errorf("core: estimator training: %w", err)
 	}
 	return &Navigator{in: in, est: est, base: base}, nil
-}
-
-// augment profiles random power-law graphs (without accuracy, to keep
-// data enhancement cheap) and returns their records.
-func augment(in Input) ([]estimator.Record, error) {
-	sets, err := dataset.PowerLawAugment(in.Seed+999, in.AugmentGraphs)
-	if err != nil {
-		return nil, err
-	}
-	var records []estimator.Record
-	for i, d := range sets {
-		if err := dataset.Register(d); err != nil {
-			// Already registered by an earlier Navigator in this process.
-			d2, lerr := dataset.Load(d.Name)
-			if lerr != nil {
-				return nil, err
-			}
-			d = d2
-		}
-		cfgs := estimator.ProbeConfigs(d.Name, in.Model, in.Platform, 4, in.Seed+int64(i)*7)
-		recs, err := estimator.Collect(cfgs, false,
-			backend.Options{Prefetch: in.Prefetch, Ctx: in.Ctx})
-		if err != nil {
-			return nil, err
-		}
-		records = append(records, recs...)
-	}
-	return records, nil
 }
 
 func defaultFanouts(layers int) []int {

@@ -254,30 +254,3 @@ func TestZeroSpaceDefaults(t *testing.T) {
 		t.Errorf("zero Space not replaced by DefaultSpace: %+v", n.in.Space)
 	}
 }
-
-func TestAugmentedCalibration(t *testing.T) {
-	if testing.Short() {
-		t.Skip("augmentation profiling is slow")
-	}
-	n, err := New(Input{
-		Dataset:       dataset.OgbnProducts,
-		Model:         model.SAGE,
-		Platform:      "rtx4090",
-		CalibDatasets: []string{dataset.OgbnArxiv},
-		CalibSamples:  12,
-		AugmentGraphs: 2,
-		Epochs:        2,
-		Space: dse.Space{
-			BatchSizes:  []int{1024},
-			FanoutSets:  [][]int{{10, 5}},
-			CacheRatios: []float64{0, 0.2},
-		},
-		Seed: 5,
-	})
-	if err != nil {
-		t.Fatalf("New with augmentation: %v", err)
-	}
-	if _, err := n.Explore(); err != nil {
-		t.Fatalf("Explore: %v", err)
-	}
-}

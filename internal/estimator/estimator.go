@@ -458,10 +458,12 @@ func ProbeConfigs(dsName string, kind model.Kind, platform string, n int, seed i
 		case 2:
 			cfg.Precision = cache.Int8
 		}
-		// On multi-device platforms, roughly half the probes scale out so
-		// the time residual sees the comm-overhead-vs-K-speedup tradeoff
+		// On multi-device platforms, roughly half the probes scale out
 		// (power-of-two counts up to the platform's; single-device
-		// platforms never draw one). The partitioner alternates too.
+		// platforms never draw one), and the partitioner alternates too.
+		// No learned model prices time: K reaches T through the white-box
+		// terms, and the halo is priced partition-blind (see Predict;
+		// ROADMAP item 4 owns the fix).
 		if maxDev := plat.DeviceCount(); maxDev > 1 && rng.Intn(2) == 0 {
 			k := 2
 			for k*2 <= maxDev && rng.Intn(2) == 0 {
@@ -555,12 +557,12 @@ func features(cfg backend.Config, st GraphStats) []float64 {
 		math.Log(b0) - st.LogVertices, // batch/graph size ratio
 		// Feature-plane storage width relative to float32 (1, 0.5, 0.25):
 		// the accuracy regressor reads the quantization cost off it, the
-		// time/memory residuals the payload shrinkage.
+		// hit-rate regressor the extra rows a narrower width fits.
 		float64(cfg.FeaturePrecision().BytesPerScalar()) / 4,
-		// Scale-out: the device count K (time residuals read the K-divided
-		// compute/transfer terms and the comm overhead off it; accuracy is
-		// K-invariant by the determinism contract) and the partitioner
-		// (greedy 0, hash 1 — hash cuts more edges, so more halo traffic).
+		// Scale-out: the device count K and the partitioner (greedy 0,
+		// hash 1). Every volume and the accuracy are K-invariant, so the
+		// regressors read nothing real off them; they stay until the
+		// predictions are re-recorded (ROADMAP item 4).
 		math.Log2(float64(cfg.DeviceCount())),
 		partitionCode(cfg),
 	}
@@ -826,8 +828,10 @@ func (e *Estimator) Predict(cfg backend.Config) (Prediction, error) {
 	}
 	// Under a random (owner-uniform) partition a batch row is remote with
 	// probability (K-1)/K, so the expected halo payload is that fraction
-	// of the batch's rows at the scaled storage width (greedy partitions
-	// cut less; the time residual corrects).
+	// of the batch's rows at the scaled storage width. The price is
+	// partition-blind and counts a remote row once, where a run fetches
+	// it once per consuming partition; nothing corrects it (ROADMAP item
+	// 4 owns the fix).
 	var haloBytes float64
 	if k := float64(cfg.DeviceCount()); k > 1 {
 		haloBytes = vi * (k - 1) / k * float64(cfg.FeaturePrecision().RowBytes(ds.Graph.FeatDim))

@@ -10,9 +10,9 @@ import (
 )
 
 // TestProbeConfigsDrawDevices: on a multi-device platform the probe pool
-// must include scaled-out configurations (or the time residual never
-// sees the comm-overhead-vs-speedup tradeoff); on a single-device
-// platform it must draw none.
+// must include scaled-out configurations (the volume models take K and
+// the partitioner as features, so the probes must vary them); on a
+// single-device platform it must draw none.
 func TestProbeConfigsDrawDevices(t *testing.T) {
 	multi := 0
 	for _, c := range ProbeConfigs(dataset.OgbnArxiv, model.SAGE, "a100x4", 40, 5) {
