@@ -11,6 +11,7 @@ import (
 
 	"gnnavigator/internal/cache"
 	"gnnavigator/internal/graph"
+	"gnnavigator/internal/model"
 )
 
 // goldenSageDigest is the FNV-64a digest of the final parameters and the
@@ -25,11 +26,41 @@ const goldenSageDigest = "db47c076516f0579"
 // dropout on, so exact zeros reach the matmuls and the masks ride the
 // serial rng.
 func TestGoldenSageRun(t *testing.T) {
+	cfg := fastCfg()
+	cfg.Seed, cfg.Dropout = 1, 0.2
+	checkGoldenRun(t, cfg, goldenSageDigest)
+}
+
+// goldenGCNDigest and goldenGATDigest are TestGoldenSageRun's digest
+// over the same run with the model swapped, recorded at commit 5fe43a3:
+// GCN's layer output carries one bias and a ReLU, GAT's a bias and an
+// ELU over two concatenated attention heads.
+const (
+	goldenGCNDigest = "3063f68e74d43325"
+	goldenGATDigest = "3a9c29b66a65ba09"
+)
+
+// TestGoldenGCNRun is TestGoldenSageRun for a two-layer GCN.
+func TestGoldenGCNRun(t *testing.T) {
+	cfg := fastCfg()
+	cfg.Seed, cfg.Dropout, cfg.Model = 1, 0.2, model.GCN
+	checkGoldenRun(t, cfg, goldenGCNDigest)
+}
+
+// TestGoldenGATRun is TestGoldenSageRun for a two-layer, two-head GAT.
+func TestGoldenGATRun(t *testing.T) {
+	cfg := fastCfg()
+	cfg.Seed, cfg.Dropout, cfg.Model, cfg.Heads = 1, 0.2, model.GAT, 2
+	checkGoldenRun(t, cfg, goldenGATDigest)
+}
+
+// checkGoldenRun trains cfg uncached and compares the FNV-64a digest of
+// its final parameters and accuracy history against want.
+func checkGoldenRun(t *testing.T, cfg Config, want string) {
+	t.Helper()
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("golden recorded on amd64; %s may fuse multiply-adds", runtime.GOARCH)
 	}
-	cfg := fastCfg()
-	cfg.Seed, cfg.Dropout = 1, 0.2
 	ckpt := filepath.Join(t.TempDir(), "final.ckpt")
 	perf, err := RunWith(cfg, Options{EvalBatch: 256, CheckpointPath: ckpt})
 	if err != nil {
@@ -53,8 +84,8 @@ func TestGoldenSageRun(t *testing.T) {
 	for _, a := range perf.AccuracyHistory {
 		put(a)
 	}
-	if got := fmt.Sprintf("%016x", h.Sum64()); got != goldenSageDigest {
-		t.Fatalf("digest %s, want %s (accuracy history %v)", got, goldenSageDigest, perf.AccuracyHistory)
+	if got := fmt.Sprintf("%016x", h.Sum64()); got != want {
+		t.Fatalf("digest %s, want %s (accuracy history %v)", got, want, perf.AccuracyHistory)
 	}
 }
 

@@ -257,41 +257,57 @@ func TestWorkspaceIterationsStayClean(t *testing.T) {
 // TestMeanAggregateTermOrder pins meanAggregate to its definition, bit
 // for bit: per output element, +0 plus each source row in order (self
 // first), then one multiply by 1/n. A third of the input rows are
-// negative zeros, so a sum that started anywhere but +0 would show.
+// negative zeros, so a sum that started anywhere but +0 would show. Two
+// blocks run: bigBatch's random one, and one whose destination i has
+// i%8 neighbours, so every count 0–7 — a full group of four sources,
+// a remainder, both, or neither — occurs on many rows of every shard,
+// with and without the self row.
 func TestMeanAggregateTermOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	blk := &bigBatch(rng).Blocks[0]
 	h := randFeats(rng, eqSrc0, eqIn)
 	for r := 0; r < h.Rows; r += 3 {
 		for j := range h.Row(r) {
 			h.Row(r)[j] = math.Copysign(0, -1)
 		}
 	}
-	for _, includeSelf := range []bool{false, true} {
-		agg, div := meanAggregate(tensor.NewWorkspace(), blk, h, includeSelf)
-		for i := 0; i < blk.DstCount; i++ {
-			var srcs []int
-			if includeSelf {
-				srcs = append(srcs, i)
-			}
-			for _, ix := range blk.Indices[blk.Offsets[i]:blk.Offsets[i+1]] {
-				srcs = append(srcs, int(ix))
-			}
-			wantDiv := float64(max(len(srcs), 1))
-			if div[i] != wantDiv {
-				t.Fatalf("self=%v dst %d: divisor %v, want %v", includeSelf, i, div[i], wantDiv)
-			}
-			for j := 0; j < h.Cols; j++ {
-				want := 0.0
-				for _, r := range srcs {
-					want += h.At(r, j)
+	fan := sample.Block{SrcNodes: bigBatch(rng).InputNodes, DstCount: eqDst0, Offsets: make([]int32, eqDst0+1)}
+	for i := 0; i < fan.DstCount; i++ {
+		for k := 0; k < i%8; k++ {
+			fan.Indices = append(fan.Indices, int32(rng.Intn(eqSrc0)))
+		}
+		fan.Offsets[i+1] = int32(len(fan.Indices))
+	}
+	for _, tc := range []struct {
+		name string
+		blk  *sample.Block
+	}{{"random", &bigBatch(rng).Blocks[0]}, {"fan0-7", &fan}} {
+		name, blk := tc.name, tc.blk
+		for _, includeSelf := range []bool{false, true} {
+			agg, div := meanAggregate(tensor.NewWorkspace(), blk, h, includeSelf)
+			for i := 0; i < blk.DstCount; i++ {
+				var srcs []int
+				if includeSelf {
+					srcs = append(srcs, i)
 				}
-				if len(srcs) > 0 {
-					want *= 1 / float64(len(srcs))
+				for _, ix := range blk.Indices[blk.Offsets[i]:blk.Offsets[i+1]] {
+					srcs = append(srcs, int(ix))
 				}
-				if got := agg.At(i, j); math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("self=%v dst %d col %d: %v (%#x), want %v (%#x)", includeSelf, i, j,
-						got, math.Float64bits(got), want, math.Float64bits(want))
+				wantDiv := float64(max(len(srcs), 1))
+				if div[i] != wantDiv {
+					t.Fatalf("%s self=%v dst %d: divisor %v, want %v", name, includeSelf, i, div[i], wantDiv)
+				}
+				for j := 0; j < h.Cols; j++ {
+					want := 0.0
+					for _, r := range srcs {
+						want += h.At(r, j)
+					}
+					if len(srcs) > 0 {
+						want *= 1 / float64(len(srcs))
+					}
+					if got := agg.At(i, j); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s self=%v dst %d col %d: %v (%#x), want %v (%#x)", name, includeSelf, i, j,
+							got, math.Float64bits(got), want, math.Float64bits(want))
+					}
 				}
 			}
 		}

@@ -1,6 +1,8 @@
 package plan
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -387,5 +389,28 @@ func TestHoldRelease(t *testing.T) {
 	}
 	if fetch() == first {
 		t.Error("plan retained after its last release")
+	}
+}
+
+// TestTargetsFingerprintMatchesFNV pins TargetsFingerprint to FNV-64a
+// from hash/fnv over the little-endian bytes of each id, on an empty
+// list, one id and 10,000 ids, negative ones among them: every stored
+// and cached plan key holds this value.
+func TestTargetsFingerprintMatchesFNV(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	many := make([]int32, 10_000)
+	for i := range many {
+		many[i] = int32(rng.Uint32())
+	}
+	for _, ids := range [][]int32{nil, {-7}, many} {
+		h := fnv.New64a()
+		var b [4]byte
+		for _, v := range ids {
+			binary.LittleEndian.PutUint32(b[:], uint32(v))
+			h.Write(b[:])
+		}
+		if got, want := TargetsFingerprint(ids), h.Sum64(); got != want {
+			t.Errorf("%d ids: fingerprint %#x, want %#x", len(ids), got, want)
+		}
 	}
 }
