@@ -106,7 +106,7 @@ func (l *gatLayer) buildEdges(blk *sample.Block) {
 	l.dstOff[blk.DstCount] = int32(e)
 }
 
-func (l *gatLayer) Forward(blk *sample.Block, h *tensor.Dense) *tensor.Dense {
+func (l *gatLayer) Forward(blk *sample.Block, h *tensor.Dense, epi *nn.Epilogue, train bool) *tensor.Dense {
 	l.blk = blk
 	l.h = h
 	l.buildEdges(blk)
@@ -191,8 +191,7 @@ func (l *gatLayer) Forward(blk *sample.Block, h *tensor.Dense) *tensor.Dense {
 			}
 		})
 	}
-	out.AddBias(l.bias.Value.Data)
-	return out
+	return epi.Forward(out, l.bias.Value.Data, nil, nil, train)
 }
 
 func (l *gatLayer) Backward(dy *tensor.Dense, needInput bool) *tensor.Dense {

@@ -4,12 +4,19 @@
 // Backwards). Everything is pure Go on the tensor/nn substrate; the
 // "device" that executes it is modeled separately in internal/sim.
 //
+// Every layer ends in one nn.Epilogue, run in place over its output:
+// bias (GraphSAGE's two paths summed), activation (ReLU; ELU for GAT;
+// none on the output layer) and the next layer's input dropout. Layer
+// 0's input dropout writes a buffer of its own, since the feature matrix
+// belongs to the caller. Mean aggregation adds four source rows per pass
+// over the output row, in edge order.
+//
 // A model may be attached to a tensor.Workspace (SetWorkspace), in which
 // case all forward/backward intermediates come from the arena and the
 // training loop owner recycles them once per iteration with
-// ws.ReleaseAll(). Aggregation loops are sharded over destination-row
-// ranges on the tensor worker pool; outputs are bitwise-identical at any
-// parallelism setting.
+// ws.ReleaseAll(). Aggregation loops and epilogues are sharded over
+// disjoint row or element ranges on the tensor worker pool; outputs are
+// bitwise-identical at any parallelism setting.
 package model
 
 import (
@@ -45,8 +52,12 @@ type Config struct {
 
 // convLayer is one graph convolution with cached state for backward.
 type convLayer interface {
-	Forward(blk *sample.Block, h *tensor.Dense) *tensor.Dense
-	// Backward accumulates the layer's parameter gradients and, when
+	// Forward computes the layer's linear part over h and finishes it
+	// with epi, in place: bias, activation and the next layer's dropout.
+	Forward(blk *sample.Block, h *tensor.Dense, epi *nn.Epilogue, train bool) *tensor.Dense
+	// Backward takes the gradient at the layer's pre-bias output (epi's
+	// Backward has run), accumulates the layer's parameter gradients and,
+	// when
 	// needInput is set, returns the gradient with respect to h (nil
 	// otherwise: the bottom layer's input is the feature matrix, which
 	// nothing trains).
@@ -57,15 +68,15 @@ type convLayer interface {
 
 // Model is a stack of graph convolutions with activations and dropout.
 type Model struct {
-	cfg      Config
-	layers   []convLayer
-	acts     []nn.Activation
-	dropouts []*nn.Dropout
-	rng      *rand.Rand
-	ws       *tensor.Workspace
-
-	// cached per-forward state for backward
-	lastBatch *sample.MiniBatch
+	cfg    Config
+	layers []convLayer
+	// inDrop is layer 0's input dropout. epis[l] is layer l's epilogue:
+	// its bias, its activation (none on the output layer) and layer
+	// l+1's input dropout.
+	inDrop *nn.Dropout
+	epis   []*nn.Epilogue
+	rng    *rand.Rand
+	ws     *tensor.Workspace
 }
 
 // layerDims returns layer l's input and output widths and its head
@@ -115,7 +126,7 @@ func New(cfg Config) (*Model, error) {
 		cfg.Heads = 1
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	m := &Model{cfg: cfg, rng: rng}
+	m := &Model{cfg: cfg, rng: rng, inDrop: &nn.Dropout{P: cfg.Dropout, Rng: rng}}
 	for l := 0; l < cfg.Layers; l++ {
 		in, out, heads := cfg.layerDims(l)
 		var layer convLayer
@@ -128,19 +139,20 @@ func New(cfg Config) (*Model, error) {
 			layer = newGATLayer(rng, fmt.Sprintf("gat%d", l), in, out, heads)
 		}
 		m.layers = append(m.layers, layer)
+		epi := &nn.Epilogue{}
 		if l < cfg.Layers-1 {
+			epi.Act = nn.ReLU
 			if cfg.Kind == GAT {
-				m.acts = append(m.acts, &nn.ELU{Alpha: 1})
-			} else {
-				m.acts = append(m.acts, &nn.ReLU{})
+				epi.Act = nn.ELU
 			}
+			epi.Drop = &nn.Dropout{P: cfg.Dropout, Rng: rng}
 		}
-		m.dropouts = append(m.dropouts, &nn.Dropout{P: cfg.Dropout, Rng: rng})
+		m.epis = append(m.epis, epi)
 	}
 	return m, nil
 }
 
-// SetWorkspace attaches ws to every layer, activation and dropout so the
+// SetWorkspace attaches ws to every layer and the input dropout so the
 // whole forward/backward pass draws intermediates from the arena. The
 // caller owns the recycle point: call ws.ReleaseAll() only after the
 // iteration's outputs (logits, gradients) are no longer needed. A nil ws
@@ -150,12 +162,7 @@ func (m *Model) SetWorkspace(ws *tensor.Workspace) {
 	for _, l := range m.layers {
 		l.setWorkspace(ws)
 	}
-	for _, a := range m.acts {
-		a.SetWorkspace(ws)
-	}
-	for _, d := range m.dropouts {
-		d.WS = ws
-	}
+	m.inDrop.WS = ws
 }
 
 // Workspace returns the attached arena (nil if none).
@@ -169,8 +176,11 @@ func (m *Model) Workspace() *tensor.Workspace { return m.ws }
 // — independent of how many batches ran before it in this process.
 func (m *Model) SeedDropout(seed int64) {
 	rng := rand.New(rand.NewSource(seed))
-	for _, d := range m.dropouts {
-		d.Rng = rng
+	m.inDrop.Rng = rng
+	for _, e := range m.epis {
+		if e.Drop != nil {
+			e.Drop.Rng = rng
+		}
 	}
 }
 
@@ -199,14 +209,9 @@ func (m *Model) Forward(mb *sample.MiniBatch, feats *tensor.Dense, train bool) (
 	if feats.Rows != len(mb.InputNodes) {
 		return nil, fmt.Errorf("model: feats rows %d != input nodes %d", feats.Rows, len(mb.InputNodes))
 	}
-	m.lastBatch = mb
-	h := feats
+	h := m.inDrop.Forward(feats, train)
 	for l, layer := range m.layers {
-		h = m.dropouts[l].Forward(h, train)
-		h = layer.Forward(&mb.Blocks[l], h)
-		if l < len(m.acts) {
-			h = m.acts[l].Forward(h)
-		}
+		h = layer.Forward(&mb.Blocks[l], h, m.epis[l], train)
 	}
 	return h, nil
 }
@@ -215,17 +220,14 @@ func (m *Model) Forward(mb *sample.MiniBatch, feats *tensor.Dense, train bool) (
 // gradients, and yields nothing else: the gradient with respect to the
 // input features has no reader, so layer 0 computes only its dW and db
 // and skips its dX matmuls, aggregate scatter and dropout mask — the
-// widest of each in the whole pass.
+// widest of each in the whole pass. Each epilogue's backward runs in
+// place on the dX its layer above returned; the output layer's is a
+// no-op, so dLogits is only read.
 func (m *Model) Backward(dLogits *tensor.Dense) {
 	d := dLogits
 	for l := len(m.layers) - 1; l >= 0; l-- {
-		if l < len(m.acts) {
-			d = m.acts[l].Backward(d)
-		}
+		m.epis[l].Backward(d)
 		d = m.layers[l].Backward(d, l > 0)
-		if l > 0 {
-			d = m.dropouts[l].Backward(d)
-		}
 	}
 }
 
@@ -288,29 +290,43 @@ func layerFLOPs(cfg Config, l int, s Shape) float64 {
 // rows (plus optionally the dst row itself). It returns the aggregate and
 // the per-dst divisor used (for backward), both drawn from ws. The loop
 // is sharded over destination rows, which write disjoint output rows.
+// Per element the sum is +0 plus each source in edge order (self first),
+// four sources to a pass over the row — (((row+s0)+s1)+s2)+s3, the same
+// additions in the same order as one at a time — then one multiply by
+// 1/n.
 func meanAggregate(ws *tensor.Workspace, blk *sample.Block, h *tensor.Dense, includeSelf bool) (*tensor.Dense, []float64) {
 	agg := ws.Get(blk.DstCount, h.Cols)
 	div := ws.Get(1, blk.DstCount).Data
 	tensor.ParallelRows(blk.DstCount, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			row := agg.Row(i)
-			for j := range row {
-				row[j] = 0
-			}
-			n := 0
+			nbrs := blk.Indices[blk.Offsets[i]:blk.Offsets[i+1]]
+			n := len(nbrs)
 			if includeSelf {
-				src := h.Row(i) // dst i is src position i by the prefix invariant
+				src := h.Row(i)[:len(row)] // dst i is src position i by the prefix invariant
 				for j := range row {
-					row[j] += src[j]
+					row[j] = 0 + src[j]
 				}
 				n++
+			} else {
+				for j := range row {
+					row[j] = 0
+				}
 			}
-			for _, ix := range blk.Indices[blk.Offsets[i]:blk.Offsets[i+1]] {
-				src := h.Row(int(ix))
+			for ; len(nbrs) >= 4; nbrs = nbrs[4:] {
+				s0 := h.Row(int(nbrs[0]))[:len(row)]
+				s1 := h.Row(int(nbrs[1]))[:len(row)]
+				s2 := h.Row(int(nbrs[2]))[:len(row)]
+				s3 := h.Row(int(nbrs[3]))[:len(row)]
+				for j := range row {
+					row[j] = (((row[j] + s0[j]) + s1[j]) + s2[j]) + s3[j]
+				}
+			}
+			for _, ix := range nbrs {
+				src := h.Row(int(ix))[:len(row)]
 				for j := range row {
 					row[j] += src[j]
 				}
-				n++
 			}
 			if n > 0 {
 				inv := 1 / float64(n)
@@ -385,12 +401,12 @@ func (l *gcnLayer) setWorkspace(ws *tensor.Workspace) {
 	l.lin.WS = ws
 }
 
-func (l *gcnLayer) Forward(blk *sample.Block, h *tensor.Dense) *tensor.Dense {
+func (l *gcnLayer) Forward(blk *sample.Block, h *tensor.Dense, epi *nn.Epilogue, train bool) *tensor.Dense {
 	l.blk = blk
 	l.srcRows = h.Rows
 	agg, div := meanAggregate(l.ws, blk, h, true)
 	l.div = div
-	return l.lin.Forward(agg)
+	return epi.Forward(l.lin.Product(agg), l.lin.B.Value.Data, nil, nil, train)
 }
 
 func (l *gcnLayer) Backward(dy *tensor.Dense, needInput bool) *tensor.Dense {
@@ -432,17 +448,20 @@ func (l *sageLayer) setWorkspace(ws *tensor.Workspace) {
 	l.nb.WS = ws
 }
 
-func (l *sageLayer) Forward(blk *sample.Block, h *tensor.Dense) *tensor.Dense {
+func (l *sageLayer) Forward(blk *sample.Block, h *tensor.Dense, epi *nn.Epilogue, train bool) *tensor.Dense {
 	l.blk = blk
 	l.srcRows = h.Rows
 	// Self path: dst rows are the src prefix (aliased, not copied).
 	l.hdrDst = tensor.Dense{Rows: blk.DstCount, Cols: h.Cols, Data: h.Data[:blk.DstCount*h.Cols]}
-	ySelf := l.self.Forward(&l.hdrDst)
+	ySelf := l.self.Product(&l.hdrDst)
 	agg, div := meanAggregate(l.ws, blk, h, false)
 	l.div = div
-	yNb := l.nb.Forward(agg)
-	ySelf.AddInPlace(yNb)
-	return ySelf
+	yNb := l.nb.Product(agg)
+	// (ySelf + b_self) + (yNb + b_nb), then the rest of the epilogue;
+	// backward reads neither product, so yNb goes back to the arena.
+	y := epi.Forward(ySelf, l.self.B.Value.Data, yNb, l.nb.B.Value.Data, train)
+	l.ws.Put(yNb)
+	return y
 }
 
 func (l *sageLayer) Backward(dy *tensor.Dense, needInput bool) *tensor.Dense {

@@ -154,8 +154,8 @@ func chainBatch(rng *rand.Rand, layers int) *sample.MiniBatch {
 // TestInputGradientIsDead proves the half of the backward pass that
 // Model.Backward skips is dead: with dropout on, the parameter gradients
 // it leaves equal, bit for bit, those of the same layers chained by hand
-// with needInput=true everywhere and the bottom dropout mask applied —
-// the pass as it ran while Backward still returned dX.
+// with needInput=true everywhere — the pass as it ran while Backward
+// still returned dX.
 func TestInputGradientIsDead(t *testing.T) {
 	for _, kind := range []Kind{GCN, SAGE, GAT} {
 		for _, layers := range []int{2, 3} {
@@ -185,11 +185,8 @@ func TestInputGradientIsDead(t *testing.T) {
 			}
 			d := dLogits
 			for l := layers - 1; l >= 0; l-- {
-				if l < len(m.acts) {
-					d = m.acts[l].Backward(d)
-				}
+				m.epis[l].Backward(d)
 				d = m.layers[l].Backward(d, true)
-				d = m.dropouts[l].Backward(d)
 			}
 			if d.Rows != feats.Rows || d.Cols != feats.Cols {
 				t.Fatalf("%s/%d: full chain's dX is %dx%d, want %dx%d", kind, layers, d.Rows, d.Cols, feats.Rows, feats.Cols)
@@ -307,6 +304,113 @@ func TestMeanAggregateTermOrder(t *testing.T) {
 					if got := agg.At(i, j); math.Float64bits(got) != math.Float64bits(want) {
 						t.Fatalf("%s self=%v dst %d col %d: %v (%#x), want %v (%#x)", name, includeSelf, i, j,
 							got, math.Float64bits(got), want, math.Float64bits(want))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestEpilogueTermOrder pins the fused epilogue to the passes it
+// replaced, written out here one element at a time: forward y+b (or
+// (y+b)+(y2+b2), GraphSAGE's two paths), then ReLU or ELU, then the
+// next layer's mask — serial draws, survivors ×1/keep, dropped +0;
+// backward dy·mask (a dropped entry keeps dy·0, a signed zero), then
+// the activation's derivative at the pre-activation value. A third of
+// the inputs and of dy are −0, and some dropped entries carry a
+// negative dy. It runs serial and at four workers, bit for bit.
+func TestEpilogueTermOrder(t *testing.T) {
+	prev := tensor.Parallelism()
+	t.Cleanup(func() { tensor.SetParallelism(prev) })
+	const rows, cols, p, seed = eqDst0, eqHid, 0.3, 23
+	rng := rand.New(rand.NewSource(31))
+	negZeroThird := func(m *tensor.Dense) *tensor.Dense {
+		for i := 0; i < len(m.Data); i += 3 {
+			m.Data[i] = math.Copysign(0, -1)
+		}
+		return m
+	}
+	y := negZeroThird(randFeats(rng, rows, cols))
+	y2 := negZeroThird(randFeats(rng, rows, cols))
+	dy := negZeroThird(randFeats(rng, rows, cols))
+	b := randFeats(rng, 1, cols).Data
+	b2 := randFeats(rng, 1, cols).Data
+	b[1], b2[1] = math.Copysign(0, -1), math.Copysign(0, -1) // -0 + -0 stays -0
+
+	for _, act := range []nn.Act{nn.ReLU, nn.ELU} {
+		for _, twoPaths := range []bool{false, true} {
+			for _, train := range []bool{false, true} {
+				// The unfused definition.
+				keep := 1 - p
+				draws := rand.New(rand.NewSource(seed))
+				wantY, wantD := make([]float64, len(y.Data)), make([]float64, len(y.Data))
+				var droppedNeg int
+				for i, v := range y.Data {
+					j := i % cols
+					pre := v + b[j]
+					if twoPaths {
+						pre = (v + b[j]) + (y2.Data[i] + b2[j])
+					}
+					out := pre
+					switch act {
+					case nn.ReLU:
+						if !(pre > 0) {
+							out = 0
+						}
+					case nn.ELU:
+						if pre <= 0 {
+							out = 1 * (math.Exp(pre) - 1)
+						}
+					}
+					g := dy.Data[i]
+					if train {
+						mask := 0.0
+						if draws.Float64() < keep {
+							mask = 1 / keep
+							out *= mask
+						} else {
+							out = 0
+							if g < 0 {
+								droppedNeg++
+							}
+						}
+						g *= mask
+					}
+					switch act {
+					case nn.ReLU:
+						if !(pre > 0) {
+							g = 0
+						}
+					case nn.ELU:
+						if pre <= 0 {
+							g *= 1 * math.Exp(pre)
+						}
+					}
+					wantY[i], wantD[i] = out, g
+				}
+				if train && droppedNeg == 0 {
+					t.Fatal("no dropped entry carries a negative dy")
+				}
+				for _, workers := range []int{1, 4} {
+					tensor.SetParallelism(workers)
+					e := &nn.Epilogue{Act: act, Drop: &nn.Dropout{P: p, Rng: rand.New(rand.NewSource(seed))}}
+					var second *tensor.Dense
+					if twoPaths {
+						second = y2.Clone()
+					}
+					gotY := e.Forward(y.Clone(), b, second, b2, train)
+					gotD := dy.Clone()
+					e.Backward(gotD)
+					for _, c := range []struct {
+						pass      string
+						got, want []float64
+					}{{"forward", gotY.Data, wantY}, {"backward", gotD.Data, wantD}} {
+						for i, w := range c.want {
+							if g := c.got[i]; math.Float64bits(g) != math.Float64bits(w) {
+								t.Fatalf("act %d two=%v train=%v workers=%d: %s elem %d = %v (%#x), want %v (%#x)",
+									act, twoPaths, train, workers, c.pass, i, g, math.Float64bits(g), w, math.Float64bits(w))
+							}
+						}
 					}
 				}
 			}

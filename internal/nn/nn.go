@@ -1,15 +1,21 @@
 // Package nn provides the neural-network building blocks for the pure-Go
-// GNN trainer: parameterized linear layers, activations with exact
-// backward passes, dropout, the softmax cross-entropy loss, and the Adam
-// optimizer.
+// GNN trainer: parameterized linear layers, the Epilogue that finishes a
+// graph convolution (bias, ReLU or ELU, the next layer's dropout, with an
+// exact backward pass), the input dropout, the softmax cross-entropy
+// loss, and the Adam optimizer.
 //
-// Every layer optionally carries a *tensor.Workspace (the WS field, nil
-// by default). With a workspace attached, forward/backward passes draw
-// their outputs and scratch from the arena instead of allocating, so a
-// steady-state training iteration is allocation-free; the owner of the
-// training loop calls ws.ReleaseAll() once per iteration. With WS nil
-// every layer behaves exactly as before (fresh allocations), which keeps
-// standalone use and old call sites working unchanged.
+// The Epilogue works in place: one sharded pass over the layer's output
+// replaces a pass and a fresh buffer per step, and saves only what its
+// backward reads. Dropout masks are drawn serially, one rng draw per
+// element in order, so the mask stream is the same at every worker
+// count; applying them is sharded.
+//
+// Linear and Dropout optionally carry a *tensor.Workspace (the WS field,
+// nil by default). With a workspace attached, forward/backward passes
+// draw their outputs and scratch from the arena instead of allocating,
+// so a steady-state training iteration is allocation-free; the owner of
+// the training loop calls ws.ReleaseAll() once per iteration. With WS
+// nil they allocate fresh buffers, which keeps standalone use working.
 package nn
 
 import (
@@ -66,10 +72,17 @@ func NewLinear(rng *rand.Rand, name string, in, out int) *Linear {
 
 // Forward computes X·W + b and caches X.
 func (l *Linear) Forward(x *tensor.Dense) *tensor.Dense {
+	y := l.Product(x)
+	y.AddBias(l.B.Value.Data)
+	return y
+}
+
+// Product computes X·W alone and caches X. The caller adds the bias: a
+// graph convolution does it in its Epilogue's pass.
+func (l *Linear) Product(x *tensor.Dense) *tensor.Dense {
 	l.x = x
 	y := l.WS.Get(x.Rows, l.W.Value.Cols)
 	tensor.MatMulInto(y, x, l.W.Value)
-	y.AddBias(l.B.Value.Data)
 	return y
 }
 
@@ -102,174 +115,188 @@ func (l *Linear) BackwardInput(dy *tensor.Dense) *tensor.Dense {
 // Params returns the layer's trainable parameters.
 func (l *Linear) Params() []*Param { return []*Param{l.W, l.B} }
 
-// Activation is an elementwise nonlinearity with an exact derivative.
-type Activation interface {
-	// Forward applies the nonlinearity, returning a new matrix and caching
-	// what the backward pass needs.
-	Forward(x *tensor.Dense) *tensor.Dense
-	// Backward maps upstream gradients through the nonlinearity.
-	Backward(dy *tensor.Dense) *tensor.Dense
-	// SetWorkspace attaches (or detaches, with nil) the buffer arena.
-	// Part of the interface so new activations cannot silently miss the
-	// zero-alloc wiring.
-	SetWorkspace(ws *tensor.Workspace)
-	Name() string
-}
+// Act names the nonlinearity an Epilogue applies.
+type Act uint8
 
-// ReLU is max(0, x).
-type ReLU struct {
-	WS   *tensor.Workspace
-	mask []bool
-}
-
-// Name implements Activation.
-func (r *ReLU) Name() string { return "relu" }
-
-// SetWorkspace implements Activation.
-func (r *ReLU) SetWorkspace(ws *tensor.Workspace) { r.WS = ws }
-
-// Forward implements Activation.
-func (r *ReLU) Forward(x *tensor.Dense) *tensor.Dense {
-	out := r.WS.Get(x.Rows, x.Cols)
-	r.mask = tensor.Grow(r.mask, len(x.Data))
-	mask := r.mask
-	tensor.ParallelRange(len(x.Data), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v := x.Data[i]
-			if v > 0 {
-				mask[i] = true
-				out.Data[i] = v
-			} else {
-				mask[i] = false
-				out.Data[i] = 0
-			}
-		}
-	})
-	return out
-}
-
-// Backward implements Activation.
-func (r *ReLU) Backward(dy *tensor.Dense) *tensor.Dense {
-	out := r.WS.Get(dy.Rows, dy.Cols)
-	mask := r.mask
-	tensor.ParallelRange(len(dy.Data), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if mask[i] {
-				out.Data[i] = dy.Data[i]
-			} else {
-				out.Data[i] = 0
-			}
-		}
-	})
-	return out
-}
-
-// ELU is x for x>0, alpha*(e^x - 1) otherwise.
-type ELU struct {
-	Alpha float64
-	WS    *tensor.Workspace
-	// With a workspace attached, x aliases the forward input, which
-	// stays valid through backward because workspace buffers are only
-	// recycled at iteration end. Without one, x is a private clone so
-	// standalone callers may mutate their input between passes (the
-	// seed behavior).
-	x *tensor.Dense
-}
-
-// Name implements Activation.
-func (e *ELU) Name() string { return "elu" }
-
-// SetWorkspace implements Activation.
-func (e *ELU) SetWorkspace(ws *tensor.Workspace) { e.WS = ws }
-
-// Forward implements Activation.
-func (e *ELU) Forward(x *tensor.Dense) *tensor.Dense {
-	if e.Alpha == 0 {
-		e.Alpha = 1
-	}
-	if e.WS == nil {
-		e.x = x.Clone()
-	} else {
-		e.x = x
-	}
-	out := e.WS.Get(x.Rows, x.Cols)
-	alpha := e.Alpha
-	tensor.ParallelRange(len(x.Data), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v := x.Data[i]
-			if v <= 0 {
-				v = alpha * (math.Exp(v) - 1)
-			}
-			out.Data[i] = v
-		}
-	})
-	return out
-}
-
-// Backward implements Activation.
-func (e *ELU) Backward(dy *tensor.Dense) *tensor.Dense {
-	out := e.WS.Get(dy.Rows, dy.Cols)
-	alpha := e.Alpha
-	x := e.x
-	tensor.ParallelRange(len(dy.Data), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			g := dy.Data[i]
-			if v := x.Data[i]; v <= 0 {
-				g *= alpha * math.Exp(v)
-			}
-			out.Data[i] = g
-		}
-	})
-	return out
-}
+const (
+	// Identity applies none: the output layer's epilogue adds its bias
+	// and nothing else.
+	Identity Act = iota
+	// ReLU is max(0, x).
+	ReLU
+	// ELU is x for x > 0 and e^x − 1 otherwise (α = 1).
+	ELU
+)
 
 // Dropout zeroes activations with probability P during training and
 // rescales survivors by 1/(1-P) (inverted dropout).
 type Dropout struct {
-	P    float64
-	Rng  *rand.Rand
-	WS   *tensor.Workspace
+	P   float64
+	Rng *rand.Rand
+	// WS, when non-nil, supplies Forward's output buffer.
+	WS *tensor.Workspace
+	// mask holds 1/(1-P) for a kept element and 0 for a dropped one; it
+	// is valid while on.
 	mask []float64
 	on   bool
 }
 
-// Forward applies dropout when train is true; identity otherwise. The
-// mask draw stays serial so the rng sequence is independent of the
-// parallelism setting.
-func (d *Dropout) Forward(x *tensor.Dense, train bool) *tensor.Dense {
-	if !train || d.P <= 0 {
-		d.on = false
-		return x
+// draw turns the mask on and fills it for n elements when train is set
+// and P > 0, and turns it off otherwise. The draw is serial, one
+// Rng.Float64() per element in order, so the rng sequence is
+// independent of the parallelism setting; only applying the mask is
+// sharded.
+func (d *Dropout) draw(n int, train bool) bool {
+	d.on = train && d.P > 0
+	if !d.on {
+		return false
 	}
 	keep := 1 - d.P
-	out := d.WS.Get(x.Rows, x.Cols)
-	d.mask = tensor.Grow(d.mask, len(x.Data))
-	d.on = true
-	for i, v := range x.Data {
+	scale := 1 / keep
+	d.mask = tensor.Grow(d.mask, n)
+	for i := range d.mask {
 		if d.Rng.Float64() < keep {
-			d.mask[i] = 1 / keep
-			out.Data[i] = v * d.mask[i]
+			d.mask[i] = scale
 		} else {
 			d.mask[i] = 0
-			out.Data[i] = 0
 		}
 	}
-	return out
+	return true
 }
 
-// Backward maps gradients through the dropout mask.
-func (d *Dropout) Backward(dy *tensor.Dense) *tensor.Dense {
-	if !d.on {
-		return dy
+// masked is v under a mask entry m: v·m where kept, +0 where dropped
+// (never v·0, which would carry v's sign).
+func masked(v, m float64) float64 {
+	if m == 0 {
+		return 0
 	}
-	out := d.WS.Get(dy.Rows, dy.Cols)
+	return v * m
+}
+
+// Forward returns x itself when the mask is off (eval, or P <= 0), and
+// otherwise x under a freshly drawn mask in a new buffer: the dropout
+// on a network's input, which it does not own. Every later layer's
+// dropout runs inside the Epilogue below it. Nothing needs its
+// backward: no gradient flows into a network's input.
+func (d *Dropout) Forward(x *tensor.Dense, train bool) *tensor.Dense {
+	if !d.draw(len(x.Data), train) {
+		return x
+	}
+	out := d.WS.Get(x.Rows, x.Cols)
 	mask := d.mask
-	tensor.ParallelRange(len(dy.Data), func(lo, hi int) {
+	tensor.ParallelRange(len(x.Data), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			out.Data[i] = dy.Data[i] * mask[i]
+			out.Data[i] = masked(x.Data[i], mask[i])
 		}
 	})
 	return out
+}
+
+// Epilogue is the elementwise tail of one graph convolution, run in
+// place over the layer's output in one sharded pass: bias, activation,
+// then the next layer's dropout. It saves what its backward pass reads —
+// the ReLU mask, ELU's derivative (the pre-activation input is
+// overwritten) and the dropout mask.
+type Epilogue struct {
+	Act Act
+	// Drop is the next layer's input dropout; nil on the output layer.
+	Drop *Dropout
+
+	relu []bool    // ReLU: x > 0
+	elu  []float64 // ELU: e^x where x <= 0, 1 elsewhere
+}
+
+// Forward runs the epilogue over y in place and returns it. Per
+// element: y + b, or (y + b) + (y2 + b2) when y2 is non-nil (a layer
+// with two linear paths), then the activation, then — when train is set
+// and Drop is on — Drop's mask, drawn here, before the pass.
+func (e *Epilogue) Forward(y *tensor.Dense, b []float64, y2 *tensor.Dense, b2 []float64, train bool) *tensor.Dense {
+	n := len(y.Data)
+	drop := e.Drop != nil && e.Drop.draw(n, train)
+	switch e.Act {
+	case ReLU:
+		e.relu = tensor.Grow(e.relu, n)
+	case ELU:
+		e.elu = tensor.Grow(e.elu, n)
+	}
+	cols := y.Cols
+	tensor.ParallelRows(y.Rows, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			off := i * cols
+			row := y.Data[off : off+cols]
+			if y2 == nil {
+				for j := range row {
+					row[j] += b[j]
+				}
+			} else {
+				row2 := y2.Data[off : off+cols]
+				for j := range row {
+					row[j] = (row[j] + b[j]) + (row2[j] + b2[j])
+				}
+			}
+			switch e.Act {
+			case ReLU:
+				mask := e.relu[off : off+cols]
+				for j, v := range row {
+					mask[j] = v > 0
+					if !mask[j] {
+						row[j] = 0
+					}
+				}
+			case ELU:
+				der := e.elu[off : off+cols]
+				for j, v := range row {
+					if v <= 0 {
+						ex := math.Exp(v)
+						row[j], der[j] = ex-1, ex
+					} else {
+						der[j] = 1
+					}
+				}
+			}
+			if drop {
+				mask := e.Drop.mask[off : off+cols]
+				for j, v := range row {
+					row[j] = masked(v, mask[j])
+				}
+			}
+		}
+	})
+	return y
+}
+
+// Backward maps dy, the gradient at the epilogue's output, to the
+// gradient at its input, in place: dy·mask where the dropout was on (a
+// dropped entry keeps dy·0, a signed zero), then the activation's
+// derivative. The bias gradient is the layer's: colsums of the result.
+func (e *Epilogue) Backward(dy *tensor.Dense) {
+	drop := e.Drop != nil && e.Drop.on
+	if !drop && e.Act == Identity {
+		return
+	}
+	tensor.ParallelRange(len(dy.Data), func(lo, hi int) {
+		d := dy.Data[lo:hi]
+		if drop {
+			mask := e.Drop.mask[lo:hi]
+			for i := range d {
+				d[i] *= mask[i]
+			}
+		}
+		switch e.Act {
+		case ReLU:
+			mask := e.relu[lo:hi]
+			for i := range d {
+				if !mask[i] {
+					d[i] = 0
+				}
+			}
+		case ELU:
+			der := e.elu[lo:hi]
+			for i := range d {
+				d[i] *= der[i]
+			}
+		}
+	})
 }
 
 // SoftmaxCrossEntropy computes mean cross-entropy loss over rows of logits

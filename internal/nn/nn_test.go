@@ -75,37 +75,57 @@ func TestLinearGradCheck(t *testing.T) {
 	}
 }
 
+// TestActivationsGradCheck checks the Epilogue's backward pass against
+// central differences of its forward pass, for every activation, with
+// and without dropout, over the two-path form (y+b)+(y2+b2). The loss
+// is Σ w⊙out; dropout redraws from the same seed on every pass.
 func TestActivationsGradCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for _, act := range []Activation{&ReLU{}, &ELU{Alpha: 1}} {
-		x := tensor.New(2, 5)
-		for i := range x.Data {
-			x.Data[i] = rng.NormFloat64()
-			// Keep away from the ReLU kink where the numerical gradient
-			// is ill-defined.
-			if math.Abs(x.Data[i]) < 0.05 {
-				x.Data[i] = 0.1
+	for _, act := range []Act{Identity, ReLU, ELU} {
+		for _, p := range []float64{0, 0.5} {
+			x, x2, w := tensor.New(4, 5), tensor.New(4, 5), tensor.New(4, 5)
+			b, b2 := tensor.New(1, 5), tensor.New(1, 5)
+			for _, m := range []*tensor.Dense{x, x2, w, b, b2} {
+				for i := range m.Data {
+					m.Data[i] = rng.NormFloat64()
+				}
 			}
-		}
-		// loss = sum(act(x))
-		loss := func() float64 {
-			y := act.Forward(x)
-			var s float64
-			for _, v := range y.Data {
-				s += v
+			// Keep the pre-activation away from the ReLU kink, where the
+			// numerical gradient is ill-defined.
+			for i := range x.Data {
+				j := i % 5
+				if pre := (x.Data[i] + b.Data[j]) + (x2.Data[i] + b2.Data[j]); math.Abs(pre) < 0.05 {
+					x.Data[i] += 0.1
+				}
 			}
-			return s
-		}
-		_ = act.Forward(x)
-		ones := tensor.New(2, 5)
-		for i := range ones.Data {
-			ones.Data[i] = 1
-		}
-		dx := act.Backward(ones)
-		for i := range x.Data {
-			want := numericalGrad(loss, x, i)
-			if math.Abs(dx.Data[i]-want) > 1e-4 {
-				t.Errorf("%s grad[%d] = %v, want %v", act.Name(), i, dx.Data[i], want)
+			e := &Epilogue{Act: act, Drop: &Dropout{P: p}}
+			run := func() *tensor.Dense {
+				e.Drop.Rng = rand.New(rand.NewSource(8))
+				return e.Forward(x.Clone(), b.Data, x2.Clone(), b2.Data, true)
+			}
+			loss := func() float64 {
+				var s float64
+				for i, v := range run().Data {
+					s += w.Data[i] * v
+				}
+				return s
+			}
+			run()
+			dy := w.Clone()
+			e.Backward(dy)
+			db := tensor.New(1, 5)
+			dy.ColSumsInto(db.Data)
+			for _, check := range []struct {
+				name string
+				m    *tensor.Dense
+				grad *tensor.Dense
+			}{{"x", x, dy}, {"x2", x2, dy}, {"b", b, db}, {"b2", b2, db}} {
+				for i := range check.m.Data {
+					want := numericalGrad(loss, check.m, i)
+					if got := check.grad.Data[i]; math.Abs(got-want) > 1e-4 {
+						t.Errorf("act %d p=%v: %s grad[%d] = %v, want %v", act, p, check.name, i, got, want)
+					}
+				}
 			}
 		}
 	}
@@ -152,7 +172,7 @@ func TestDropoutTrainEval(t *testing.T) {
 			t.Fatal("eval-mode dropout modified input")
 		}
 	}
-	// Train mode: some zeros, survivors scaled by 2.
+	// Train mode: some zeros, survivors scaled by 2; the input is kept.
 	y = d.Forward(x, true)
 	var zeros, twos int
 	for _, v := range y.Data {
@@ -168,15 +188,21 @@ func TestDropoutTrainEval(t *testing.T) {
 	if zeros == 0 || twos == 0 {
 		t.Errorf("dropout degenerate: zeros=%d twos=%d", zeros, twos)
 	}
-	// Backward respects the same mask.
+	if x.Data[0] != 1 {
+		t.Fatal("train-mode dropout wrote its input")
+	}
+	// Inside an epilogue, the same seed draws the same mask, and
+	// backward respects it.
+	e := &Epilogue{Drop: &Dropout{P: 0.5, Rng: rand.New(rand.NewSource(4))}}
+	ye := e.Forward(x.Clone(), make([]float64, 10), nil, nil, true)
 	dy := tensor.New(10, 10)
 	for i := range dy.Data {
 		dy.Data[i] = 1
 	}
-	dx := d.Backward(dy)
-	for i := range dx.Data {
-		if (y.Data[i] == 0) != (dx.Data[i] == 0) {
-			t.Fatal("dropout backward mask mismatch")
+	e.Backward(dy)
+	for i := range dy.Data {
+		if ye.Data[i] != y.Data[i] || (y.Data[i] == 0) != (dy.Data[i] == 0) {
+			t.Fatal("epilogue dropout forward or backward mask mismatch")
 		}
 	}
 }

@@ -34,9 +34,7 @@ package plan
 
 import (
 	"cmp"
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"iter"
 	"math/rand"
 	"slices"
@@ -84,16 +82,24 @@ func SamplerDesc(s sample.Sampler) string {
 	return s.Name()
 }
 
-// TargetsFingerprint hashes a target list (FNV-1a over little-endian
-// ids) for key identity without retaining the slice.
+// TargetsFingerprint hashes a target list (FNV-64a over little-endian
+// ids) for key identity without retaining the slice. The loop is
+// hash/fnv's, inlined: a Write call per 4-byte id cost more than the
+// hashing, and a run derives this key several times.
 func TargetsFingerprint(targets []int32) uint64 {
-	h := fnv.New64a()
-	var b [4]byte
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
 	for _, v := range targets {
-		binary.LittleEndian.PutUint32(b[:], uint32(v))
-		h.Write(b[:])
+		u := uint32(v)
+		h = (h ^ uint64(u&0xff)) * prime64
+		h = (h ^ uint64(u>>8&0xff)) * prime64
+		h = (h ^ uint64(u>>16&0xff)) * prime64
+		h = (h ^ uint64(u>>24)) * prime64
 	}
-	return h.Sum64()
+	return h
 }
 
 // KeyFor assembles the plan key for one sampling configuration.
