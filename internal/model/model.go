@@ -56,11 +56,10 @@ type convLayer interface {
 	// with epi, in place: bias, activation and the next layer's dropout.
 	Forward(blk *sample.Block, h *tensor.Dense, epi *nn.Epilogue, train bool) *tensor.Dense
 	// Backward takes the gradient at the layer's pre-bias output (epi's
-	// Backward has run), accumulates the layer's parameter gradients and,
-	// when
-	// needInput is set, returns the gradient with respect to h (nil
-	// otherwise: the bottom layer's input is the feature matrix, which
-	// nothing trains).
+	// Backward has run), accumulates the layer's parameter gradients
+	// and, when needInput is set, returns the gradient with respect to h
+	// (nil otherwise: the bottom layer's input is the feature matrix,
+	// which nothing trains).
 	Backward(dy *tensor.Dense, needInput bool) *tensor.Dense
 	Params() []*nn.Param
 	setWorkspace(ws *tensor.Workspace)
