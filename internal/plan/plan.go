@@ -84,8 +84,7 @@ func SamplerDesc(s sample.Sampler) string {
 
 // TargetsFingerprint hashes a target list (FNV-64a over little-endian
 // ids) for key identity without retaining the slice. The loop is
-// hash/fnv's, inlined: a Write call per 4-byte id cost more than the
-// hashing, and a run derives this key several times.
+// hash/fnv's, inlined, without a Write call per 4-byte id.
 func TargetsFingerprint(targets []int32) uint64 {
 	const (
 		offset64 = 14695981039346656037
