@@ -257,6 +257,10 @@ func TestInfeasibleWhenCacheExceedsMemory(t *testing.T) {
 	}
 }
 
+// TestReorderRuns: a degree-reordered run trains and validates on the
+// same vertices as the plain run, only under new ids. With the node-wise
+// sampler and no cache nothing reads the ids themselves, so the two runs
+// must agree in accuracy history and every volume.
 func TestReorderRuns(t *testing.T) {
 	cfg := fastCfg()
 	cfg.Reorder = true
@@ -268,6 +272,22 @@ func TestReorderRuns(t *testing.T) {
 	}
 	if perf.HitRate <= 0 {
 		t.Error("reordered run has zero hit rate with static cache")
+	}
+
+	opts := Options{EvalBatch: 512}
+	plain, err := RunWith(fastCfg(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg = fastCfg()
+	cfg.Reorder = true
+	reordered, err := RunWith(cfg, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain.WallSec, reordered.WallSec = 0, 0
+	if !reflect.DeepEqual(*reordered, *plain) {
+		t.Errorf("reordered run differs from the plain run:\nreordered: %+v\nplain:     %+v", *reordered, *plain)
 	}
 }
 
