@@ -154,12 +154,15 @@ func RunWith(cfg Config, opts Options) (*Perf, error) {
 // feature plane, the sampler the pipeline draws from, the meter and the
 // trainer, which is nil for a timing-only run.
 type run struct {
-	cfg       Config
-	opts      Options
-	ds        *dataset.Dataset
-	g         *graph.Graph
-	smp       sample.Sampler
-	walkSteps int
+	cfg  Config
+	opts Options
+	ds   *dataset.Dataset
+	g    *graph.Graph
+	// trainIdx and valIdx are the dataset's splits in g's vertex ids:
+	// the dataset's own slices, or their images under a reorder.
+	trainIdx, valIdx []int32
+	smp              sample.Sampler
+	walkSteps        int
 	// plane is the feature plane's cache config before newRun adds the
 	// admission order or eviction script. runKey keys the run's own
 	// training stream; the run fetches it through plan.Shared when
@@ -198,11 +201,13 @@ func resolve(cfg Config, opts Options) (*run, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &run{cfg: cfg, opts: opts, ds: ds, g: ds.Graph}
+	r := &run{cfg: cfg, opts: opts, ds: ds, g: ds.Graph, trainIdx: ds.TrainIdx, valIdx: ds.ValIdx}
 	if cfg.Reorder {
-		if r.g, err = r.g.Relabel(r.g.DegreeReorderPerm()); err != nil {
+		perm := r.g.DegreeReorderPerm()
+		if r.g, err = r.g.Relabel(perm); err != nil {
 			return nil, fmt.Errorf("backend: reorder: %w", err)
 		}
+		r.trainIdx, r.valIdx = relabelIDs(perm, ds.TrainIdx), relabelIDs(perm, ds.ValIdx)
 	}
 	if r.smp, r.walkSteps, err = buildSampler(cfg, nil); err != nil {
 		return nil, err
@@ -211,7 +216,7 @@ func resolve(cfg Config, opts Options) (*run, error) {
 		if cfg.BiasRate > 0 {
 			return nil, fmt.Errorf("backend: plan replay is incompatible with cache-aware biased sampling (BiasRate %v)", cfg.BiasRate)
 		}
-		if err := opts.Plan.CompatibleWith(r.smp, cfg.Seed, cfg.Epochs, cfg.BatchSize, true, ds.TrainIdx); err != nil {
+		if err := opts.Plan.CompatibleWith(r.smp, cfg.Seed, cfg.Epochs, cfg.BatchSize, true, r.trainIdx); err != nil {
 			return nil, fmt.Errorf("backend: %w", err)
 		}
 	}
@@ -225,10 +230,10 @@ func resolve(cfg Config, opts Options) (*run, error) {
 	if r.plane.Capacity == 0 {
 		r.plane.Policy = cache.None
 	}
-	r.runKey = plan.KeyFor(cfg.Dataset, cfg.Reorder, r.smp, cfg.BatchSize, cfg.Seed, cfg.Epochs, true, ds.TrainIdx)
+	r.runKey = plan.KeyFor(cfg.Dataset, cfg.Reorder, r.smp, cfg.BatchSize, cfg.Seed, cfg.Epochs, true, r.trainIdx)
 	r.sharesRun = opts.Plan == nil && (opts.SharePlan || r.plane.Policy == cache.Opt) && cfg.BiasRate == 0
 	if r.plane.Policy == cache.Freq {
-		r.mineKey = plan.KeyFor(cfg.Dataset, cfg.Reorder, r.smp, cfg.BatchSize, cfg.Seed+freqSeedSalt, 1, true, ds.TrainIdx)
+		r.mineKey = plan.KeyFor(cfg.Dataset, cfg.Reorder, r.smp, cfg.BatchSize, cfg.Seed+freqSeedSalt, 1, true, r.trainIdx)
 	}
 	return r, nil
 }
@@ -269,7 +274,7 @@ func CompilePlan(cfg Config) (*plan.Plan, error) {
 	if cfg.BiasRate > 0 {
 		return nil, fmt.Errorf("backend: cannot compile a plan for cache-aware biased sampling (BiasRate %v)", cfg.BiasRate)
 	}
-	return plan.Shared(r.g, r.smp, r.runKey, r.ds.TrainIdx)
+	return plan.Shared(r.g, r.smp, r.runKey, r.trainIdx)
 }
 
 // newRun resolves cfg and builds its run. Every run gathers through one
@@ -282,7 +287,7 @@ func newRun(cfg Config, opts Options) (*run, error) {
 	}
 	r.pl, r.live = opts.Plan, r.smp
 	if r.sharesRun {
-		if r.pl, err = plan.Shared(r.g, r.smp, r.runKey, r.ds.TrainIdx); err != nil {
+		if r.pl, err = plan.Shared(r.g, r.smp, r.runKey, r.trainIdx); err != nil {
 			return nil, err
 		}
 	}
@@ -299,7 +304,7 @@ func newRun(cfg Config, opts Options) (*run, error) {
 	case cache.Static:
 		ccfg.Order = r.g.DegreeOrder()
 	case cache.Freq:
-		minePl, err := plan.Shared(r.g, r.smp, r.mineKey, r.ds.TrainIdx)
+		minePl, err := plan.Shared(r.g, r.smp, r.mineKey, r.trainIdx)
 		if err != nil {
 			return nil, err
 		}
@@ -332,7 +337,7 @@ func newRun(cfg Config, opts Options) (*run, error) {
 		r.meter.halo = newHaloMeter(part, r.plane.Precision.RowBytes(r.g.FeatDim))
 	}
 	if !opts.SkipTraining {
-		if r.tr, err = newTrainer(cfg, opts, pr.Model, r.g, r.ds.ValIdx); err != nil {
+		if r.tr, err = newTrainer(cfg, opts, pr.Model, r.g, r.valIdx); err != nil {
 			return nil, err
 		}
 	}
@@ -353,7 +358,7 @@ func (r *run) epochs() error {
 		Seed:      r.cfg.Seed,
 		Epochs:    r.cfg.Epochs,
 		BatchSize: r.cfg.BatchSize,
-		Targets:   r.ds.TrainIdx,
+		Targets:   r.trainIdx,
 		Shuffle:   true,
 		Gather:    r.tr != nil,
 		Prefetch:  r.opts.Prefetch,
@@ -633,6 +638,15 @@ func (h *haloMeter) rows(mb *sample.MiniBatch) int64 {
 		}
 	}
 	return rows
+}
+
+// relabelIDs maps ids through perm (perm[old] = new), keeping their order.
+func relabelIDs(perm, ids []int32) []int32 {
+	out := make([]int32, len(ids))
+	for i, v := range ids {
+		out[i] = perm[v]
+	}
+	return out
 }
 
 // freqSeedSalt decorrelates the Freq pre-sampling (mining) plan's RNG
