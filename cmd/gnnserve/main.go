@@ -48,7 +48,6 @@ func main() {
 		maxBatch  = flag.Int("max-batch", 256, "coalescer: most vertices one flush carries")
 		reqLimit  = flag.Int("request-limit", 1024, "maximum vertices in a single /predict request")
 		batchSize = flag.Int("batch-size", 512, "engine minibatch size")
-		prefetch  = flag.Int("prefetch", 0, "engine pipeline depth (<= 0 inline; results identical at any depth)")
 		fanout    = flag.Int("fanout", 15, "neighbors sampled per layer (0 = whole neighborhood)")
 		seed      = flag.Int64("seed", 1, "sampling seed (predictions are a pure function of seed+targets)")
 		procs     = flag.Int("procs", 0, "tensor kernel workers (0 = GOMAXPROCS, 1 = serial; negative is an error)")
@@ -96,7 +95,6 @@ func main() {
 		Source:    src,
 		Seed:      *seed,
 		BatchSize: *batchSize,
-		Prefetch:  *prefetch,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -6,8 +6,6 @@ import (
 	"testing"
 
 	"gnnavigator/internal/cache"
-	"gnnavigator/internal/dataset"
-	"gnnavigator/internal/model"
 	"gnnavigator/internal/plan"
 )
 
@@ -23,30 +21,30 @@ func perfFingerprint(p *Perf) Perf {
 // pipelined engine: full backend.RunWith (sampling, cache, gather,
 // forward, backward, Adam, per-epoch evaluation) at prefetch depths
 // {0, 1, 4} must produce bitwise-identical Perf. Per-batch RNGs are
-// derived from (seed, epoch, batchIndex), so how far the producer stages
-// run ahead cannot change any draw; run under -race (CI does) this also
-// shakes out stage/consumer races.
+// derived from (seed, epoch, batchIndex), so how far the producer runs
+// ahead cannot change any draw; run under -race (CI does) this also
+// shakes out producer/consumer races.
 func TestRunPrefetchBitwiseEqualSerial(t *testing.T) {
 	cases := []struct {
 		name   string
 		mutate func(*Config)
 	}{
-		// Dynamic cache: the lookup stage mutates residency ahead of the
+		// Dynamic cache: the producer mutates residency ahead of the
 		// consumer.
 		{"fifo-cache", func(c *Config) {
 			c.CacheRatio = 0.2
 			c.CachePolicy = cache.FIFO
 		}},
-		// Biased sampling against a dynamic cache: the coupled path, where
-		// the sampler and cache stages must stay fused.
+		// Biased sampling against a dynamic cache: each batch samples
+		// against the residency the producer left after the one before.
 		{"coupled-bias-lru", func(c *Config) {
 			c.CacheRatio = 0.2
 			c.CachePolicy = cache.LRU
 			c.BiasRate = 0.9
 		}},
 		// Frequency pre-fill: the pre-sample admission pass must be
-		// deterministic and independent of the pipeline depth, and the
-		// immutable residency lets the bias run unfused.
+		// deterministic and independent of the pipeline depth, under a
+		// bias reading its immutable residency.
 		{"freq-bias", func(c *Config) {
 			c.CacheRatio = 0.2
 			c.CachePolicy = cache.Freq
@@ -82,35 +80,6 @@ func TestRunPrefetchBitwiseEqualSerial(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestEvaluatePrefetchEqual pins the standalone evaluation path to the
-// same contract.
-func TestEvaluatePrefetchEqual(t *testing.T) {
-	d, err := dataset.Load(dataset.OgbnArxiv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := model.New(model.Config{
-		Kind: model.SAGE, InDim: d.Graph.FeatDim, Hidden: 16,
-		OutDim: d.Graph.NumClasses, Layers: 2, Seed: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, err := evaluate(m, d.Graph, d.ValIdx, 1200, 7, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, depth := range []int{1, 3} {
-		got, err := evaluate(m, d.Graph, d.ValIdx, 1200, 7, depth)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != serial {
-			t.Errorf("eval accuracy at prefetch %d = %v, serial = %v", depth, got, serial)
-		}
 	}
 }
 

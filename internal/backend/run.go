@@ -75,7 +75,8 @@ type Options struct {
 	// Prefetch is the minibatch pipeline depth: sampling, cache lookup
 	// and feature gather for batch i+k overlap training compute for
 	// batch i (internal/pipeline). <= 0 runs the inline serial loop.
-	// Outputs are bitwise-identical at every depth.
+	// Outputs are bitwise-identical at every depth. Per-epoch validation
+	// always runs inline.
 	Prefetch int
 	// SharePlan fetches the run's epoch plan through the single-flight
 	// plan.Shared and replays it instead of sampling live — the
@@ -347,9 +348,7 @@ func newRun(cfg Config, opts Options) (*run, error) {
 // epochs runs the epoch loop on the staged pipeline engine: sampling and
 // cache lookup+gather run up to opts.Prefetch batches ahead of the one
 // consumer, which meters each batch and then trains on it, so all model
-// state stays single-threaded. Cache-aware biased sampling against a
-// dynamic cache reads residency the lookup stage mutates, so those runs
-// fuse the two producer stages.
+// state stays single-threaded.
 func (r *run) epochs() error {
 	return pipeline.Run(pipeline.Config{
 		Graph:     r.g,
@@ -364,10 +363,6 @@ func (r *run) epochs() error {
 		Prefetch:  r.opts.Prefetch,
 		Plan:      r.pl,
 		Ctx:       r.opts.Ctx,
-		// Keyed on the effective policy, not cfg.CachePolicy: a
-		// zero-capacity cache is downgraded to None, and a prefilled
-		// (None/Static/Freq) residency never needs stage fusion.
-		CoupledSampler: r.cfg.BiasRate > 0 && r.plane.Policy.Dynamic(),
 	}, func(b *pipeline.Batch) error {
 		if err := r.meter.batch(b); err != nil || r.tr == nil {
 			return err
@@ -516,7 +511,7 @@ func newTrainer(cfg Config, opts Options, mc model.Config, g *graph.Graph, valId
 	// them every epoch, and shares the run's workspace arena (the engine
 	// only attaches its own when the model has none). Each Accuracy call
 	// is a fresh pipeline run, so the single-producer contract holds.
-	t.eval, err = infer.New(infer.Config{Graph: g, Model: mdl, Seed: cfg.Seed + 29, Prefetch: opts.Prefetch})
+	t.eval, err = infer.New(infer.Config{Graph: g, Model: mdl, Seed: cfg.Seed + 29})
 	return t, err
 }
 
@@ -572,7 +567,7 @@ func (t *trainer) epochEnd(epoch int) error {
 // buildSampler wires the configured sampling strategy, including the
 // cache-aware bias (2PGraph) when BiasRate > 0 and a residency view is
 // supplied — the feature plane implements sample.Residency, so p(η)
-// reads device residency through the same abstraction the gather stage
+// reads device residency through the same abstraction the gather step
 // transfers through. It returns the per-target random-walk step count
 // for host-cost accounting (SAINT only).
 func buildSampler(cfg Config, res sample.Residency) (sample.Sampler, int, error) {

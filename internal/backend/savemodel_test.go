@@ -26,7 +26,7 @@ func TestSaveModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := dataset.MustLoad(cfg.Dataset)
-	acc, err := evaluate(loaded, d.Graph, d.ValIdx, 512, cfg.Seed+29, 0)
+	acc, err := evaluate(loaded, d.Graph, d.ValIdx, 512, cfg.Seed+29)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,17 +36,16 @@
 // admission order or script a policy needs; Build turns it into a
 // Cache and NewSource into the feature plane a run gathers through.
 //
-// Concurrency contract (sharper than the old mutex-guarded version):
-// exactly one goroutine — the pipeline's cache stage — may issue
-// LookupInto/Update, in batch order. Residency reads (Contains)
-// and the counter accessors (Len, Stats, HitRate) are lock-free and safe
-// from any goroutine concurrently with the writer; this is what lets
-// cache-aware samplers probe residency without serializing against the
-// gather stage. Determinism is still an ordering property: biased
-// samplers whose p(η) reads residency of a *dynamic* (FIFO/LRU) cache
-// must run fused with the cache stage (pipeline.Config.CoupledSampler).
-// Static and Freq residency is immutable after construction, so Contains
-// is order-independent and samplers may read it freely.
+// Concurrency contract: exactly one goroutine — the one running the
+// pipeline's producer loop — may issue LookupInto/Update, in batch
+// order. Residency reads (Contains) and the counter accessors (Len,
+// Stats, HitRate) are lock-free and safe from any goroutine concurrently
+// with the writer: slot values are read and written with element
+// atomics, and the counters are atomics. The pipeline samples on the
+// writer's goroutine, so a biased sampler whose p(η) reads residency of
+// a dynamic (FIFO/LRU) cache sees exactly the residency the previous
+// batch left; other goroutines (diagnostics, /stats) see some recent
+// residency.
 package cache
 
 import (
@@ -107,11 +106,10 @@ type Cache struct {
 	policy   Policy
 	capacity int
 
-	// slots maps vertex -> slot index (−1 = absent). It is published
-	// through an atomic pointer so lock-free Contains readers survive the
-	// lazy growth a graph-less cache performs on first admission; slot
-	// values themselves are written/read with element atomics.
-	slots atomic.Pointer[[]int32]
+	// slots maps vertex -> slot index (−1 = absent) over the whole
+	// vertex space, sized once by Build. Slot values are written and
+	// read with element atomics, so Contains is lock-free.
+	slots []int32
 
 	// Intrusive eviction ring over slot indices: next/prev thread the
 	// FIFO/LRU order through the slot arrays, head is the next victim,
@@ -172,6 +170,9 @@ type Config struct {
 // own (Static's degree order from g) — the one home of the construction
 // rules every builder shares.
 func (cfg *Config) resolve(g *graph.Graph) error {
+	if g == nil {
+		return fmt.Errorf("cache: need a graph to size the vertex space")
+	}
 	if !cfg.Policy.Valid() {
 		return fmt.Errorf("cache: unknown policy %q", cfg.Policy)
 	}
@@ -187,17 +188,14 @@ func (cfg *Config) resolve(g *graph.Graph) error {
 	case cfg.Policy == Freq && cfg.Order == nil:
 		return fmt.Errorf("cache: freq policy needs a pre-sampled admission order")
 	case cfg.Policy == Static && cfg.Order == nil:
-		if g == nil {
-			return fmt.Errorf("cache: static policy needs an admission order or a graph to take the degree order from")
-		}
 		cfg.Order = g.DegreeOrder()
 	}
 	return nil
 }
 
-// Build builds the cache cfg describes over g, which sizes the slot
-// table. g may be nil when cfg carries everything the policy needs: the
-// slot table then grows lazily.
+// Build builds the cache cfg describes over g, whose vertex count sizes
+// the slot table (or Opt's script, when that covers more vertices). A nil
+// g is an error.
 func Build(cfg Config, g *graph.Graph) (*Cache, error) {
 	if err := cfg.resolve(g); err != nil {
 		return nil, err
@@ -208,16 +206,14 @@ func Build(cfg Config, g *graph.Graph) (*Cache, error) {
 // build is Build after resolve.
 func (cfg *Config) build(g *graph.Graph) *Cache {
 	c := &Cache{policy: cfg.Policy, capacity: cfg.Capacity, head: -1, tail: -1, prec: cfg.Precision.OrDefault()}
-	maxV := int32(-1)
-	if g != nil {
-		maxV = int32(g.NumVertices()) - 1
-	}
+	n := g.NumVertices()
 	if cfg.Policy == Opt {
-		maxV = max(maxV, int32(cfg.Script.n)-1)
+		n = max(n, cfg.Script.n)
 	}
-	empty := []int32{}
-	c.slots.Store(&empty)
-	c.growSlots(maxV)
+	c.slots = make([]int32, n)
+	for i := range c.slots {
+		c.slots[i] = -1
+	}
 	switch {
 	case cfg.Policy == Opt:
 		c.initOpt(cfg.Script)
@@ -236,18 +232,10 @@ func (cfg *Config) build(g *graph.Graph) *Cache {
 func (c *Cache) prefill(order []int32) {
 	n := min(c.capacity, len(order))
 	c.vertexOf = make([]int32, n)
-	var maxV int32 = -1
-	for _, v := range order[:n] {
-		if v > maxV {
-			maxV = v
-		}
-	}
-	c.growSlots(maxV)
-	c.static = make([]uint64, int(maxV)/64+1)
-	slots := *c.slots.Load()
+	c.static = make([]uint64, (len(c.slots)+63)/64)
 	for i, v := range order[:n] {
 		c.static[v>>6] |= 1 << (uint(v) & 63)
-		slots[v] = int32(i)
+		c.slots[v] = int32(i)
 		c.vertexOf[i] = v
 	}
 	c.staticLen = n
@@ -268,38 +256,8 @@ func NewAtPrecision(policy Policy, capacity int, g *graph.Graph, prec Precision)
 	return Build(Config{Policy: policy, Capacity: capacity, Precision: prec}, g)
 }
 
-// growSlots ensures the slot table covers vertex v, publishing a larger
-// array when needed. Writer-side only; readers keep seeing a consistent
-// (possibly stale-length) snapshot through the atomic pointer.
-func (c *Cache) growSlots(v int32) {
-	cur := c.slots.Load()
-	var old []int32
-	if cur != nil {
-		old = *cur
-	}
-	if int(v) < len(old) {
-		return
-	}
-	n := max(64, len(old)*2)
-	for n <= int(v) {
-		n *= 2
-	}
-	grown := make([]int32, n)
-	copy(grown, old)
-	for i := len(old); i < n; i++ {
-		grown[i] = -1
-	}
-	c.slots.Store(&grown)
-}
-
 // slotOf returns v's slot (−1 absent) via the lock-free read path.
-func (c *Cache) slotOf(v int32) int32 {
-	arr := *c.slots.Load()
-	if int(v) >= len(arr) {
-		return -1
-	}
-	return atomic.LoadInt32(&arr[v])
-}
+func (c *Cache) slotOf(v int32) int32 { return atomic.LoadInt32(&c.slots[v]) }
 
 // Precision returns the width the cache's rows are priced at.
 func (c *Cache) Precision() Precision { return c.prec.OrDefault() }
@@ -314,9 +272,8 @@ func (c *Cache) Len() int {
 
 // Contains reports whether v is resident without touching accounting or
 // recency state. Lock-free: prefilled policies probe the immutable
-// bitset, dynamic policies read the slot table atomically (the value a
-// concurrent reader sees is some batch-boundary-consistent residency;
-// order-dependent consumers must run fused with the writer stage).
+// bitset, dynamic policies read the slot table atomically (a reader on
+// another goroutine than the writer's sees some recent residency).
 func (c *Cache) Contains(v int32) bool {
 	if c.policy.Prefilled() {
 		return c.staticBit(v)
@@ -327,15 +284,12 @@ func (c *Cache) Contains(v int32) bool {
 	return c.slotOf(v) >= 0
 }
 
-func (c *Cache) staticBit(v int32) bool {
-	w := int(v) >> 6
-	return w < len(c.static) && c.static[w]>>(uint(v)&63)&1 == 1
-}
+func (c *Cache) staticBit(v int32) bool { return c.static[v>>6]>>(uint(v)&63)&1 == 1 }
 
 // LookupInto records an access to each node and appends the subset
 // that missed (these must be transferred from the host) to dst's
 // storage; pass the previous result's [:0] to make steady-state lookup
-// 0 allocs/op. For LRU, hits refresh recency. Writer-stage only.
+// 0 allocs/op. For LRU, hits refresh recency. Writer only.
 func (c *Cache) LookupInto(dst, nodes []int32) []int32 {
 	var hits, misses int64
 	switch {
@@ -357,13 +311,9 @@ func (c *Cache) LookupInto(dst, nodes []int32) []int32 {
 		// next-use key in the eviction heap. Admissions are deferred to
 		// Update, which reads the already-advanced cursors — correct
 		// because a batch's input vertices are distinct.
-		arr := *c.slots.Load()
 		for _, v := range nodes {
 			next := c.scriptAdvance(v)
-			s := int32(-1)
-			if int(v) < len(arr) {
-				s = atomic.LoadInt32(&arr[v])
-			}
+			s := c.slotOf(v)
 			if s < 0 {
 				misses++
 				dst = append(dst, v)
@@ -374,16 +324,9 @@ func (c *Cache) LookupInto(dst, nodes []int32) []int32 {
 			c.heapFix(s)
 		}
 	default:
-		// Hoist the slot-array snapshot out of the loop: the writer is
-		// the only goroutine that swaps it (growSlots), so one load
-		// covers the whole batch.
-		arr := *c.slots.Load()
 		lru := c.policy == LRU
 		for _, v := range nodes {
-			s := int32(-1)
-			if int(v) < len(arr) {
-				s = atomic.LoadInt32(&arr[v])
-			}
+			s := c.slotOf(v)
 			if s < 0 {
 				misses++
 				dst = append(dst, v)
@@ -403,12 +346,11 @@ func (c *Cache) LookupInto(dst, nodes []int32) []int32 {
 // Update admits missed vertices according to the policy, evicting as
 // needed, and returns the number of replacement operations performed
 // (the stale-data volume of Eq. 5). None, Static and Freq never update.
-// Writer-stage only; zero allocations once the slot table covers the
-// touched vertex range.
+// Writer only; zero allocations.
 func (c *Cache) Update(miss []int32) int {
 	if err := faultinject.Fire(faultinject.CacheShard); err != nil {
-		// Update has no error return; the pipeline's gather-stage
-		// containment converts this panic back into a clean error.
+		// Update has no error return; the pipeline's panic containment
+		// converts this panic back into a clean error.
 		panic(err)
 	}
 	if !c.policy.Dynamic() || c.capacity == 0 {
@@ -417,18 +359,7 @@ func (c *Cache) Update(miss []int32) int {
 	if c.policy == Opt {
 		return c.optUpdate(miss)
 	}
-	// One growth check covers the batch, so the admission loop works on
-	// a single slot-array snapshot.
-	maxV := int32(-1)
-	for _, v := range miss {
-		if v > maxV {
-			maxV = v
-		}
-	}
-	if maxV >= 0 {
-		c.growSlots(maxV)
-	}
-	arr := *c.slots.Load()
+	arr := c.slots
 	var ops int
 	for _, v := range miss {
 		if atomic.LoadInt32(&arr[v]) >= 0 {

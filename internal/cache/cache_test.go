@@ -24,6 +24,17 @@ func starGraph(t *testing.T) *graph.Graph {
 	return g
 }
 
+// vertexSpace is an edgeless graph over n vertices: all a cache reads of
+// its graph is the vertex count that sizes its slot table.
+func vertexSpace(t *testing.T, n int) *graph.Graph {
+	t.Helper()
+	g, err := graph.NewCSR(make([]int64, n+1), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 // TestNewValidation is every construction rejection in one table:
 // Build, and the builders that resolve through the same rules (New,
 // NewSource), refuse each case.
@@ -35,9 +46,9 @@ func TestNewValidation(t *testing.T) {
 		cfg  Config
 		g    *graph.Graph
 	}{
-		{"unknown policy", Config{Policy: "bogus", Capacity: 4}, nil},
-		{"negative capacity", Config{Policy: FIFO, Capacity: -1}, nil},
-		{"static, nil graph, no order", Config{Policy: Static, Capacity: 4}, nil},
+		{"nil graph", Config{Policy: LRU, Capacity: 4}, nil},
+		{"unknown policy", Config{Policy: "bogus", Capacity: 4}, g},
+		{"negative capacity", Config{Policy: FIFO, Capacity: -1}, g},
 		{"freq without an admission order", Config{Policy: Freq, Capacity: 3}, g},
 		{"opt without a script", Config{Policy: Opt, Capacity: 3}, g},
 		{"opt with an order but no script", Config{Policy: Opt, Capacity: 3, Order: []int32{1, 2, 3}}, g},
@@ -48,10 +59,8 @@ func TestNewValidation(t *testing.T) {
 		if _, err := Build(tc.cfg, tc.g); err == nil {
 			t.Errorf("Build accepted %s", tc.name)
 		}
-		if tc.g != nil {
-			if _, err := NewSource(tc.cfg, tc.g); err == nil {
-				t.Errorf("NewSource accepted %s", tc.name)
-			}
+		if _, err := NewSource(tc.cfg, tc.g); err == nil {
+			t.Errorf("NewSource accepted %s", tc.name)
 		}
 		if tc.cfg.Order == nil && tc.cfg.Script == nil && tc.cfg.Precision == "" {
 			if _, err := New(tc.cfg.Policy, tc.cfg.Capacity, tc.g); err == nil {
@@ -62,7 +71,7 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestNoneAlwaysMisses(t *testing.T) {
-	c, err := New(None, 100, nil)
+	c, err := New(None, 100, vertexSpace(t, 64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +112,7 @@ func TestStaticCachesHighestDegree(t *testing.T) {
 }
 
 func TestFIFOEvictsInOrder(t *testing.T) {
-	c, err := New(FIFO, 2, nil)
+	c, err := New(FIFO, 2, vertexSpace(t, 64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +132,7 @@ func TestFIFOEvictsInOrder(t *testing.T) {
 }
 
 func TestLRURespectsRecency(t *testing.T) {
-	c, err := New(LRU, 2, nil)
+	c, err := New(LRU, 2, vertexSpace(t, 64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +148,7 @@ func TestLRURespectsRecency(t *testing.T) {
 }
 
 func TestUpdateCountsOps(t *testing.T) {
-	c, err := New(FIFO, 2, nil)
+	c, err := New(FIFO, 2, vertexSpace(t, 64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +167,7 @@ func TestUpdateCountsOps(t *testing.T) {
 }
 
 func TestZeroCapacityDynamic(t *testing.T) {
-	c, err := New(LRU, 0, nil)
+	c, err := New(LRU, 0, vertexSpace(t, 64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +191,7 @@ func TestLRUBatchResidencyProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		capacity := 1 + rng.Intn(20)
-		c, err := New(LRU, capacity, nil)
+		c, err := New(LRU, capacity, vertexSpace(t, 64))
 		if err != nil {
 			return false
 		}
@@ -212,7 +221,7 @@ func TestFIFOCapacityProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		capacity := 1 + rng.Intn(20)
-		c, err := New(FIFO, capacity, nil)
+		c, err := New(FIFO, capacity, vertexSpace(t, 64))
 		if err != nil {
 			return false
 		}

@@ -106,11 +106,10 @@ func (c *Cache) prefillOpt() {
 		return cmp.Compare(sc.occPos[sc.occOff[a]], sc.occPos[sc.occOff[b]])
 	})
 	n := min(c.capacity, len(touched))
-	arr := *c.slots.Load()
 	for i := 0; i < n; i++ {
 		v := touched[i]
 		s := int32(i)
-		arr[v] = s
+		c.slots[v] = s
 		c.vertexOf[s] = v
 		c.nextUse[s] = sc.occPos[sc.occOff[v]]
 		c.heapPush(s)
@@ -165,16 +164,7 @@ func (c *Cache) futureOf(v int32) int32 {
 // accounting mirrors the ring policies: evict and admit each count one
 // replacement op; a bypass counts none.
 func (c *Cache) optUpdate(miss []int32) int {
-	maxV := int32(-1)
-	for _, v := range miss {
-		if v > maxV {
-			maxV = v
-		}
-	}
-	if maxV >= 0 {
-		c.growSlots(maxV)
-	}
-	arr := *c.slots.Load()
+	arr := c.slots
 	var ops int
 	for _, v := range miss {
 		if atomic.LoadInt32(&arr[v]) >= 0 {

@@ -5,22 +5,22 @@ import (
 	"testing"
 )
 
-// TestConcurrentLookupUpdateRace exercises the concurrency contract the
-// pipelined engine relies on: one writer goroutine issuing Lookup/Update
-// in order (the cache stage) while other goroutines read Contains, Len,
-// HitRate and Stats (biased samplers and diagnostics). Run under -race
-// (CI does) this fails loudly if any path drops the mutex.
+// TestConcurrentLookupUpdateRace exercises the concurrency contract: one
+// writer goroutine issuing Lookup/Update in order (the pipeline's
+// producer) while other goroutines read Contains, Len, HitRate and Stats
+// (diagnostics such as serving statistics). Run under -race (CI does)
+// this fails loudly if any path drops an element or counter atomic.
 func TestConcurrentLookupUpdateRace(t *testing.T) {
 	for _, pol := range []Policy{FIFO, LRU} {
 		t.Run(string(pol), func(t *testing.T) {
-			c, err := New(pol, 64, nil)
+			c, err := New(pol, 64, vertexSpace(t, 512))
 			if err != nil {
 				t.Fatal(err)
 			}
 			var wg sync.WaitGroup
 			stop := make(chan struct{})
 
-			// Readers: the sampler-side view.
+			// Readers: the diagnostic view.
 			for r := 0; r < 3; r++ {
 				wg.Add(1)
 				go func(r int) {
@@ -39,7 +39,7 @@ func TestConcurrentLookupUpdateRace(t *testing.T) {
 				}(r)
 			}
 
-			// Single writer: the pipeline's cache stage.
+			// Single writer: the pipeline's producer.
 			nodes := make([]int32, 32)
 			for iter := 0; iter < 400; iter++ {
 				for j := range nodes {
@@ -62,8 +62,8 @@ func TestConcurrentLookupUpdateRace(t *testing.T) {
 	}
 }
 
-// TestPolicyDynamic pins the classification the pipeline uses to decide
-// stage fusion.
+// TestPolicyDynamic pins which policies mutate residency at run time:
+// only those allocate an eviction ring and admit on Update.
 func TestPolicyDynamic(t *testing.T) {
 	if None.Dynamic() || Static.Dynamic() {
 		t.Error("none/static misreported as dynamic")

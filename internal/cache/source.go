@@ -10,15 +10,15 @@ import (
 // The feature plane.
 //
 // A FeatureSource is the single abstraction every layer that touches
-// vertex features programs against: the pipeline's cache+gather stage,
+// vertex features programs against: the pipeline's cache+gather step,
 // the backend's transfer accounting, and (through Resident) the
 // cache-aware biased samplers. A source gathers every row from the host
 // array and accounts the rows a device cache did not hold as
 // transferred bytes, which internal/sim prices as Eq. 6's t_transfer.
 //
-// Sources follow the same single-stage contract as samplers: Access and
-// GatherInto run on exactly one goroutine per pipeline run (the cache
-// stage, or the fused producer), so sources keep mutable scratch across
+// Sources follow the same single-goroutine contract as samplers: Access
+// and GatherInto run on exactly one goroutine per pipeline run (the
+// caller's, or the producer), so sources keep mutable scratch across
 // batches without locking. Resident (like Cache.Contains), HitRate and
 // TransferredBytes are lock-free and safe from other goroutines.
 
@@ -113,8 +113,8 @@ type source struct {
 	g        *graph.Graph
 	rowBytes int64
 	widen    widenFunc
-	// bytes is read by serving statistics while the gathering stage
-	// adds to it.
+	// bytes is read by serving statistics while the gathering
+	// goroutine adds to it.
 	bytes atomic.Int64
 
 	missBuf []int32 // lookup scratch, reused across batches

@@ -1,6 +1,6 @@
 // Package faultinject provides named, deterministic fault-injection
 // points for the chaos test suite. A point is a call site in a
-// production path (the pipeline's stages, the tensor worker pool, the
+// production path (the pipeline's producer, the tensor worker pool, the
 // cache's update path, plan/checkpoint/model IO, estimator probe runs,
 // the serving path)
 // that consults this package's registry on every pass: disarmed — the
@@ -35,11 +35,11 @@ type Point string
 // The injection-point catalog. Each constant is a real call site in the
 // named subsystem; the chaos suite arms each in turn.
 const (
-	// PipelineSample fires in the pipeline's sampler stage, once per
+	// PipelineSample fires in the pipeline's producer loop, once per
 	// batch, before the minibatch is sampled (or replayed from a plan).
 	PipelineSample Point = "pipeline/sample"
-	// PipelineGather fires in the pipeline's cache-lookup+gather stage,
-	// once per batch, before the feature plane is touched.
+	// PipelineGather fires in the pipeline's producer loop, once per
+	// batch, after sampling and before the feature plane is touched.
 	PipelineGather Point = "pipeline/gather"
 	// TensorWorker fires in the tensor worker pool, once per dispatched
 	// shard job (the sharded kernels' unit of work).

@@ -8,25 +8,26 @@
 //
 //   - Accuracy — the evaluation loop RunWith's per-epoch validation
 //     runs on, pinned bitwise-identical to the pre-extraction
-//     evaluateWith at every prefetch depth;
+//     evaluateWith;
 //   - Predict — per-request class inference for a handful of target
 //     vertices, the serving path behind internal/serve and cmd/gnnserve.
 //
 // Determinism: every batch draws from sample.BatchRNG(Seed, 0, index),
 // so a call's outputs are a pure function of (engine seed, target list,
-// batch size) — independent of prefetch depth, worker count, and
-// whatever ran before it on this engine.
+// batch size) — independent of worker count and of whatever ran before
+// it on this engine.
 //
 // Concurrency: the sampler's scratch, the feature plane's single-writer
 // contract and the model workspace all assume one run at a time, so an
 // Engine serializes Predict/Accuracy calls behind an internal mutex.
 // Concurrent callers coalesce better through a Coalescer (coalesce.go),
-// which batches them into one Predict per flush. The same mutex guards
-// Predict's resident gather buffer: inline runs (Prefetch <= 0, the
-// serving default) gather into it instead of allocating a feature matrix
-// per call, which is most of what a small Predict would otherwise
-// allocate. Accuracy keeps nothing: its batches are BatchSize wide, and
-// a training run would hold that matrix between epochs for no gain.
+// which batches them into one Predict per flush. Every call runs the
+// pipeline inline, on the caller's goroutine. The same mutex guards
+// Predict's resident gather buffer: Predict gathers into it instead of
+// allocating a feature matrix per call, which is most of what a small
+// Predict would otherwise allocate. Accuracy keeps nothing: its batches
+// are BatchSize wide, and a training run would hold that matrix between
+// epochs for no gain.
 package infer
 
 import (
@@ -68,9 +69,6 @@ type Config struct {
 	Seed int64
 	// BatchSize chunks the target list (default 512).
 	BatchSize int
-	// Prefetch is the pipeline lookahead depth; <= 0 runs the inline
-	// zero-goroutine path. Outputs are bitwise-identical at any depth.
-	Prefetch int
 }
 
 // Stats aggregates one call's pipeline volumes — the serving analogue
@@ -164,10 +162,10 @@ func (e *Engine) Source() cache.FeatureSource { return e.cfg.Source }
 
 // run is the one pipeline loop both entry points share: sample → gather
 // (through the feature plane when one is configured) → forward, with
-// the workspace recycled after each batch's visit. Batches arrive in
-// strictly increasing index order at any prefetch depth. scratch, when
-// non-nil, is the gather buffer an inline run fills instead of a fresh
-// one; it must be guarded by e.mu.
+// the workspace recycled after each batch's visit, inline on the
+// caller's goroutine. Batches arrive in strictly increasing index order.
+// scratch, when non-nil, is the gather buffer the run fills instead of a
+// fresh one; it must be guarded by e.mu.
 func (e *Engine) run(ctx context.Context, targets []int32, scratch *pipeline.Scratch, visit func(b *pipeline.Batch, logits *tensor.Dense) error) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -181,7 +179,6 @@ func (e *Engine) run(ctx context.Context, targets []int32, scratch *pipeline.Scr
 		BatchSize: e.cfg.BatchSize,
 		Targets:   targets,
 		Gather:    true,
-		Prefetch:  e.cfg.Prefetch,
 		Scratch:   scratch,
 		Ctx:       ctx,
 	}, func(b *pipeline.Batch) error {

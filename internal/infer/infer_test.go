@@ -82,29 +82,29 @@ func frozenEvaluate(m *model.Model, g *graph.Graph, idx []int32, limit int, seed
 }
 
 // TestAccuracyMatchesFrozenEvaluate is the extraction's acceptance test:
-// Engine.Accuracy must be bitwise-identical to the loop it replaced, at
-// every prefetch depth, and stable across repeated calls on one engine
+// Engine.Accuracy must be bitwise-identical to the loop it replaced, run
+// at every prefetch depth, and stable across repeated calls on one engine
 // (warm sampler scratch must not leak into results). Run under -race in
 // CI.
 func TestAccuracyMatchesFrozenEvaluate(t *testing.T) {
 	d, m := evalFixture(t)
-	want, err := frozenEvaluate(m, d.Graph, d.ValIdx, 1200, 7, 0)
+	eng, err := infer.New(infer.Config{Graph: d.Graph, Model: m, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, depth := range []int{0, 1, 4} {
-		eng, err := infer.New(infer.Config{Graph: d.Graph, Model: m, Seed: 7, Prefetch: depth})
+	for call := 0; call < 2; call++ {
+		got, err := eng.Accuracy(context.Background(), d.ValIdx, 1200)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for call := 0; call < 2; call++ {
-			got, err := eng.Accuracy(context.Background(), d.ValIdx, 1200)
+		for _, depth := range []int{0, 1, 4} {
+			want, err := frozenEvaluate(m, d.Graph, d.ValIdx, 1200, 7, depth)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Errorf("prefetch %d call %d: accuracy %v, frozen reference %v (not bitwise)",
-					depth, call, got, want)
+				t.Errorf("call %d: accuracy %v, frozen reference at prefetch %d %v (not bitwise)",
+					call, got, depth, want)
 			}
 		}
 	}
@@ -113,9 +113,9 @@ func TestAccuracyMatchesFrozenEvaluate(t *testing.T) {
 	}
 }
 
-// TestPredictDeterministicAcrossPrefetch pins Predict's outputs — every
-// class and every logit — across prefetch depths and repeated calls.
-func TestPredictDeterministicAcrossPrefetch(t *testing.T) {
+// TestPredictDeterministicAcrossCalls pins Predict's outputs — every
+// class and every logit — across engines and repeated calls.
+func TestPredictDeterministicAcrossCalls(t *testing.T) {
 	d, m := evalFixture(t)
 	targets := d.ValIdx[:700] // spans two 512-vertex pipeline batches
 	eng0, err := infer.New(infer.Config{Graph: d.Graph, Model: m, Seed: 3})
@@ -133,23 +133,23 @@ func TestPredictDeterministicAcrossPrefetch(t *testing.T) {
 	if base.Stats.Batches != 2 || base.Stats.SampledVertices == 0 {
 		t.Errorf("implausible stats: %+v", base.Stats)
 	}
-	for _, depth := range []int{0, 1, 4} {
-		eng, err := infer.New(infer.Config{Graph: d.Graph, Model: m, Seed: 3, Prefetch: depth})
-		if err != nil {
-			t.Fatal(err)
-		}
+	eng, err := infer.New(infer.Config{Graph: d.Graph, Model: m, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for call := 0; call < 2; call++ {
 		got, err := eng.Predict(context.Background(), targets)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := range targets {
 			if got.Classes[i] != base.Classes[i] {
-				t.Fatalf("prefetch %d: class[%d] = %d, want %d", depth, i, got.Classes[i], base.Classes[i])
+				t.Fatalf("call %d: class[%d] = %d, want %d", call, i, got.Classes[i], base.Classes[i])
 			}
 			for j, v := range got.Logits.Row(i) {
 				if math.Float64bits(v) != math.Float64bits(base.Logits.Row(i)[j]) {
-					t.Fatalf("prefetch %d: logits[%d][%d] = %v, want %v (not bitwise)",
-						depth, i, j, v, base.Logits.Row(i)[j])
+					t.Fatalf("call %d: logits[%d][%d] = %v, want %v (not bitwise)",
+						call, i, j, v, base.Logits.Row(i)[j])
 				}
 			}
 		}
@@ -285,10 +285,9 @@ func TestZipfBeatsUniformHitRate(t *testing.T) {
 // inline gather buffer across calls. A fresh engine's first call has
 // nothing resident and allocates exactly as a scratch-less run does; a
 // warm engine gathers into a buffer still holding a larger, different
-// call's rows. Every logit must be identical bit for bit at every
-// prefetch depth (the async path ignores the scratch), and Accuracy on
-// the warm engine — which keeps no buffer of its own — must still match
-// the frozen scratch-less loop.
+// call's rows. Every logit must be identical bit for bit, and Accuracy
+// on the warm engine — which keeps no buffer of its own — must still
+// match the frozen scratch-less loop.
 func TestResidentScratchIsBitwiseInvisible(t *testing.T) {
 	d, m := evalFixture(t)
 	small, big := d.ValIdx[:40], d.ValIdx[300:1000]
@@ -296,43 +295,41 @@ func TestResidentScratchIsBitwiseInvisible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, depth := range []int{0, 1, 4} {
-		cfg := infer.Config{Graph: d.Graph, Model: m, Seed: 3, Prefetch: depth}
-		fresh, err := infer.New(cfg)
-		if err != nil {
-			t.Fatal(err)
+	cfg := infer.Config{Graph: d.Graph, Model: m, Seed: 3}
+	fresh, err := infer.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.Predict(context.Background(), small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := infer.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := warm.Predict(context.Background(), big); err != nil {
+		t.Fatal(err)
+	}
+	got, err := warm.Predict(context.Background(), small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got.Classes, want.Classes) {
+		t.Errorf("classes differ on a warm engine")
+	}
+	for i, v := range got.Logits.Data {
+		if math.Float64bits(v) != math.Float64bits(want.Logits.Data[i]) {
+			t.Fatalf("logit %d = %v on a warm engine, %v on a fresh one (not bitwise)",
+				i, v, want.Logits.Data[i])
 		}
-		want, err := fresh.Predict(context.Background(), small)
-		if err != nil {
-			t.Fatal(err)
-		}
-		warm, err := infer.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := warm.Predict(context.Background(), big); err != nil {
-			t.Fatal(err)
-		}
-		got, err := warm.Predict(context.Background(), small)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(got.Classes, want.Classes) {
-			t.Errorf("prefetch %d: classes differ on a warm engine", depth)
-		}
-		for i, v := range got.Logits.Data {
-			if math.Float64bits(v) != math.Float64bits(want.Logits.Data[i]) {
-				t.Fatalf("prefetch %d: logit %d = %v on a warm engine, %v on a fresh one (not bitwise)",
-					depth, i, v, want.Logits.Data[i])
-			}
-		}
-		acc, err := warm.Accuracy(context.Background(), d.ValIdx, 600)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Float64bits(acc) != math.Float64bits(wantAcc) {
-			t.Errorf("prefetch %d: accuracy %v on a warm engine, frozen reference %v (not bitwise)", depth, acc, wantAcc)
-		}
+	}
+	acc, err := warm.Accuracy(context.Background(), d.ValIdx, 600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(acc) != math.Float64bits(wantAcc) {
+		t.Errorf("accuracy %v on a warm engine, frozen reference %v (not bitwise)", acc, wantAcc)
 	}
 }
 

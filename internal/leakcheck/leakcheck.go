@@ -17,8 +17,8 @@ import (
 // as a substring of a goroutine's stack dump, which includes its
 // "created by" line.
 const (
-	// PipelineStage matches the sampler/gather/producer stages of
-	// pipeline.Run's async path.
+	// PipelineStage matches the producer goroutine of pipeline.Run's
+	// async path.
 	PipelineStage = "gnnavigator/internal/pipeline.runAsync"
 	// FanOutTask matches tensor.ForEachIndex task goroutines (not the
 	// resident pool workers, which tensor.ensureWorkers creates).

@@ -12,21 +12,23 @@ import (
 	"gnnavigator/internal/leakcheck"
 )
 
-// Teardown is checked with leakcheck: a leaked stage goroutine is
+// Teardown is checked with leakcheck: a leaked producer goroutine is
 // identified by its frames, so the tensor pool's resident workers —
 // spawned lazily, possibly during the very run under test — never read
 // as leaks.
 
 // TestChaosConsumerErrorNoGoroutineLeak: a consumer error mid-epoch must
-// shut every stage goroutine down (sampler and gather for the split
-// topology, the fused producer for the coupled one), leave no goroutine
-// behind, and deliver no batch after the failing one.
+// shut the producer down, leave no goroutine behind, and deliver no batch
+// after the failing one — with a plain sampler and with one coupled to
+// the cache the producer updates (coupleSampler).
 func TestChaosConsumerErrorNoGoroutineLeak(t *testing.T) {
 	for _, coupled := range []bool{false, true} {
 		t.Run(fmt.Sprintf("coupled=%v", coupled), func(t *testing.T) {
 			cfg := testConfig(t)
 			cfg.Prefetch = 4
-			cfg.CoupledSampler = coupled
+			if coupled {
+				coupleSampler(t, &cfg)
+			}
 			boom := errors.New("consumer boom")
 			n := 0
 			done := false
@@ -54,8 +56,8 @@ func TestChaosConsumerErrorNoGoroutineLeak(t *testing.T) {
 
 // TestChaosInjectedStageErrors arms the sampler and gather injection
 // points in turn and asserts the run degrades to a clean error — wrapping
-// the sentinel, after a teardown that leaks nothing — at the inline path,
-// a deep prefetch, and the fused producer.
+// the sentinel, after a teardown that leaks nothing — at the inline path
+// and a deep prefetch, with a plain and a cache-coupled sampler.
 func TestChaosInjectedStageErrors(t *testing.T) {
 	for _, point := range []faultinject.Point{faultinject.PipelineSample, faultinject.PipelineGather} {
 		for _, prefetch := range []int{0, 4} {
@@ -65,7 +67,9 @@ func TestChaosInjectedStageErrors(t *testing.T) {
 					cfg := testConfig(t)
 					cfg.Epochs = 2
 					cfg.Prefetch = prefetch
-					cfg.CoupledSampler = coupled
+					if coupled {
+						coupleSampler(t, &cfg)
+					}
 					faultinject.Arm(point, faultinject.Spec{Kind: faultinject.Error, After: 3, Count: 1})
 					n := 0
 					err := Run(cfg, func(b *Batch) error { n++; return nil }, nil)
@@ -82,9 +86,9 @@ func TestChaosInjectedStageErrors(t *testing.T) {
 	}
 }
 
-// TestChaosStagePanicContained: an injected panic inside a stage
+// TestChaosStagePanicContained: an injected panic inside the producer
 // goroutine must come back as an error from Run — never crash the
-// process or strand the sibling stages.
+// process or strand the consumer.
 func TestChaosStagePanicContained(t *testing.T) {
 	for _, prefetch := range []int{0, 4} {
 		t.Run(fmt.Sprintf("prefetch=%d", prefetch), func(t *testing.T) {
@@ -104,7 +108,7 @@ func TestChaosStagePanicContained(t *testing.T) {
 
 // TestChaosConsumerPanicContained: a panic on the consumer side (model
 // compute, a rethrown kernel *WorkerPanic) also converts to an error
-// after the stages tear down.
+// after the producer tears down.
 func TestChaosConsumerPanicContained(t *testing.T) {
 	cfg := testConfig(t)
 	cfg.Prefetch = 3
@@ -124,7 +128,8 @@ func TestChaosConsumerPanicContained(t *testing.T) {
 
 // TestChaosContextCancel: cancelling the run context stops the pipeline
 // at batch granularity with ctx.Err() and a full teardown, at every
-// topology — and never ends the partial epoch it was cancelled in.
+// depth and with a cache-coupled sampler — and never ends the partial
+// epoch it was cancelled in.
 func TestChaosContextCancel(t *testing.T) {
 	for _, prefetch := range []int{0, 4} {
 		for _, coupled := range []bool{false, true} {
@@ -133,7 +138,9 @@ func TestChaosContextCancel(t *testing.T) {
 				defer cancel()
 				cfg := testConfig(t)
 				cfg.Prefetch = prefetch
-				cfg.CoupledSampler = coupled
+				if coupled {
+					coupleSampler(t, &cfg)
+				}
 				cfg.Ctx = ctx
 				n, ends := 0, 0
 				err := Run(cfg, func(b *Batch) error {
@@ -177,7 +184,7 @@ func TestChaosContextDeadline(t *testing.T) {
 	}
 }
 
-// TestChaosDelayOnlySlowsRun: a Delay fault is a slow stage, not a
+// TestChaosDelayOnlySlowsRun: a Delay fault is a slow gather, not a
 // failed one — the run must still complete with every batch delivered.
 func TestChaosDelayOnlySlowsRun(t *testing.T) {
 	defer faultinject.Reset()

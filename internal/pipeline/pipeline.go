@@ -11,34 +11,36 @@
 // epochEnd at each epoch boundary, consume). Config.Prefetch only picks
 // what sits between them. At depth <= 0 emit prepares the batch into one
 // buffer set and delivers it on the caller's goroutine: the inline path,
-// zero goroutines. At depth > 0 the same stages run as goroutines:
+// zero goroutines. At depth > 0 one producer goroutine runs the same
+// loop and prepares each batch — sample, cache lookup/update, gather, in
+// batch order — and the consumer stays on the caller's goroutine:
 //
-//	Sampler ──chA──▶ CacheLookup+Gather ──chB──▶ Consumer (train/eval)
+//	Producer (sample → lookup/update → gather) ──out──▶ Consumer (train/eval)
 //
-// chA/chB are each bounded by the prefetch depth, so across both queues
-// plus in-flight work the sampler runs at most ~2·Prefetch+3 batches
-// ahead of the consumer. The memory-heavy product — the gathered feature
-// matrix — is bounded tighter: it lives in a recycled ring of exactly
-// Prefetch+2 buffer sets (the generalized double buffer: one being
-// filled, up to Prefetch queued, one in use by the consumer), so
-// steady-state prefetch allocates nothing and holds at most Prefetch+2
-// feature matrices regardless of queue occupancy.
+// out holds at most Prefetch batches, so with one batch being prepared
+// and one being consumed the producer runs at most Prefetch+1 batches
+// ahead of the consumer. The gathered feature matrices live in a
+// recycled ring of exactly Prefetch+2 buffer sets (the generalized double
+// buffer: one being filled, up to Prefetch queued, one in use by the
+// consumer), so steady-state prefetch allocates nothing.
 //
 // Determinism contract: every batch draws from an RNG derived from
 // (Seed, epoch, batchIndex) — sample.BatchRNG — never from a shared
 // stream, so its draws do not depend on pipeline timing; the cache is
-// mutated by exactly one stage in batch order; and the consumer receives
-// batches strictly in (epoch, index) order. Together these make the
-// engine's output bitwise-identical at every prefetch depth; the inline
-// path is the reference.
+// read and mutated by one goroutine, the producer, in batch order, so a
+// sampler that reads residency (a cache-aware bias) sees exactly the
+// residency the inline loop would; and the consumer receives batches
+// strictly in (epoch, index) order. Together these make the engine's
+// output bitwise-identical at every prefetch depth; the inline path is
+// the reference.
 //
 // Scratch contract: the engine invokes Config.Sampler.Sample from exactly
-// one goroutine per run (the caller's, the sampler stage, or the fused
-// producer), so samplers may keep mutable per-stage scratch — the
-// epoch-stamped frontier tables and pick buffers of internal/sample —
-// across batches without locking. Scratch must never leak into the
-// returned MiniBatch; the returned slices stay valid while the producer
-// runs up to Prefetch batches ahead.
+// one goroutine per run (the caller's, or the producer), so samplers may
+// keep mutable per-run scratch — the epoch-stamped frontier tables and
+// pick buffers of internal/sample — across batches without locking.
+// Scratch must never leak into the returned MiniBatch; the returned
+// slices stay valid while the producer runs up to Prefetch+1 batches
+// ahead.
 //
 // The engine has no notion of device count: a K-device training run
 // drives it with the same feature plane as a single-device run, and its
@@ -49,7 +51,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
 	"gnnavigator/internal/cache"
 	"gnnavigator/internal/faultinject"
@@ -100,7 +101,7 @@ type Batch struct {
 }
 
 // bufferSet is one slot of the gather ring: the feature matrix and label
-// slice a batch carries from the gather stage to the consumer.
+// slice a batch carries from its gather to the consumer.
 type bufferSet struct {
 	feats  *tensor.Dense
 	labels []int32
@@ -143,23 +144,16 @@ type Config struct {
 	// substitution — replayed batches are bitwise-identical to live
 	// sampling at every prefetch depth. The plan must be compatible with
 	// (Sampler, Seed, Epochs, BatchSize, Shuffle, Targets); Sampler is
-	// then consulted only for its identity, never invoked. Incompatible
-	// with CoupledSampler: a cache-aware bias makes sampling depend on
-	// residency, which a pre-compiled plan cannot reflect.
+	// then consulted only for its identity, never invoked. The caller
+	// must not pair a plan with a sampler that reads residency: a
+	// cache-aware bias makes sampling depend on it, which a pre-compiled
+	// plan cannot reflect (backend refuses the combination).
 	Plan *plan.Plan
 
-	// Prefetch is the lookahead depth: how many batches each stage may
-	// run ahead of the consumer, capped at 64. <= 0 runs the inline path
-	// (no goroutines), which is the bitwise reference for every depth.
+	// Prefetch is the lookahead depth: how many prepared batches may
+	// wait for the consumer, capped at 64. <= 0 runs the inline path (no
+	// goroutines), which is the bitwise reference for every depth.
 	Prefetch int
-	// CoupledSampler declares that the sampler reads mutable cache state
-	// (a cache-aware bias against a dynamic FIFO/LRU cache). The engine
-	// then fuses the sampler and cache stages into one goroutine so each
-	// batch samples against exactly the post-batch-(i-1) residency the
-	// serial loop would see — still overlapped with the consumer, but
-	// never racing ahead of the cache. Static caches don't need this:
-	// their residency is immutable, so Contains is order-independent.
-	CoupledSampler bool
 
 	// Scratch, when non-nil, is the buffer set the inline path (Prefetch
 	// <= 0) gathers into instead of a fresh one; Batch.Feats and
@@ -168,8 +162,9 @@ type Config struct {
 	// owns its ring and ignores it.
 	Scratch *Scratch
 
-	// Ctx, when non-nil, cancels the run: every stage checks it between
-	// batches, and Run returns ctx.Err() after tearing the stages down.
+	// Ctx, when non-nil, cancels the run: the producer and the consumer
+	// check it between batches, and Run returns ctx.Err() after tearing
+	// the producer down.
 	// Cancellation is cooperative at batch granularity — a batch already
 	// in flight completes, but no further batch is sampled, gathered, or
 	// delivered. nil means no cancellation (run to completion).
@@ -200,9 +195,6 @@ func (cfg *Config) validate() error {
 		return fmt.Errorf("pipeline: epochs %d < 1", cfg.Epochs)
 	}
 	if cfg.Plan != nil {
-		if cfg.CoupledSampler {
-			return fmt.Errorf("pipeline: plan replay cannot drive a coupled (cache-aware) sampler")
-		}
 		if err := cfg.Plan.CompatibleWith(cfg.Sampler, cfg.Seed, cfg.Epochs, cfg.BatchSize, cfg.Shuffle, cfg.Targets); err != nil {
 			return fmt.Errorf("pipeline: %w", err)
 		}
@@ -264,10 +256,10 @@ func (cfg *Config) prepareBatch(b *Batch, buf *bufferSet) error {
 	return nil
 }
 
-// recoveredErr converts a recovered panic value into the error a stage
-// reports through the shutdown path. Panics already contained once by the
-// tensor pool (*tensor.WorkerPanic) pass through as errors, keeping the
-// original stack; anything else is wrapped with the stage name.
+// recoveredErr converts a recovered panic value into the error Run
+// returns. Panics already contained once by the tensor pool
+// (*tensor.WorkerPanic) pass through as errors, keeping the original
+// stack; anything else is wrapped with where it was recovered.
 func recoveredErr(where string, r any) error {
 	if wp, ok := r.(*tensor.WorkerPanic); ok {
 		return fmt.Errorf("pipeline: %s: %w", where, wp)
@@ -283,7 +275,7 @@ func recoveredErr(where string, r any) error {
 
 // produce is the one epoch loop: every (epoch, batch) in order, a
 // cancellation check, the sampler stage's work, then emit. The first
-// error — cancellation, a stage failure, or emit's — ends the loop.
+// error — cancellation, a sampling failure, or emit's — ends the loop.
 func (cfg *Config) produce(emit func(*Batch) error) error {
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		for i, targets := range cfg.plan(epoch) {
@@ -306,11 +298,11 @@ func (cfg *Config) produce(emit func(*Batch) error) error {
 // index) order, and epochEnd (optional) after the last batch of each
 // epoch — both on the calling goroutine, so consumers may use non-thread-
 // safe state (model, optimizer, workspace) freely. Run returns the first
-// callback or stage error after shutting the stages down; no goroutine
-// outlives the call, and no batch is delivered after the first failure.
-// Panics — a stage's, the consumer's, or a *tensor.WorkerPanic rethrown
-// by a kernel dispatched from either — are contained here and returned as
-// errors after the teardown completes.
+// callback or producer error after shutting the producer down; no
+// goroutine outlives the call, and no batch is delivered after the first
+// failure. Panics — the producer's, the consumer's, or a
+// *tensor.WorkerPanic rethrown by a kernel dispatched from either — are
+// contained here and returned as errors after the teardown completes.
 func Run(cfg Config, consume func(*Batch) error, epochEnd func(epoch int) error) (err error) {
 	if err := cfg.validate(); err != nil {
 		return err
@@ -363,65 +355,17 @@ func Run(cfg Config, consume func(*Batch) error, epochEnd func(epoch int) error)
 	return epochEnd(epoch)
 }
 
-// errStopped is what a stage's send or buffer acquire returns once the
-// consumer has left: the stage unwinds without recording a failure.
+// errStopped is what the producer's send or buffer acquire returns once
+// the consumer has left: the producer unwinds without recording a
+// failure.
 var errStopped = errors.New("pipeline: stopped")
 
-// runAsync runs the stages as goroutines, up to Prefetch batches ahead
-// of deliver. It takes its own copy of cfg, which the stages share: only
-// that copy moves to the heap, so an inline run allocates no Config.
+// runAsync runs produce on one producer goroutine, which prepares each
+// batch and queues it up to Prefetch deep for deliver on the caller's
+// goroutine. It takes its own copy of cfg, which the producer shares:
+// only that copy moves to the heap, so an inline run allocates no Config.
 func runAsync(cfg Config, deliver func(*Batch) error) error {
 	depth := min(cfg.Prefetch, maxPrefetch)
-
-	// done tears the stages down on early exit (consumer error): senders
-	// select against it, so none blocks forever on an abandoned channel.
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	defer func() {
-		close(done)
-		wg.Wait()
-	}()
-
-	// stageErr records the first stage failure (injected error, cancelled
-	// context, or recovered panic). A failing stage records here, then
-	// closes its output channel; the closure drains downstream, the
-	// consumer loop ends without seeing another batch, and runAsync
-	// returns this error — the same shutdown path a consumer error takes,
-	// driven from the producer side.
-	var (
-		errMu    sync.Mutex
-		stageErr error
-	)
-	// stage runs body on its own goroutine and closes out when it returns.
-	stage := func(name string, out chan *Batch, body func() error) {
-		wg.Add(1)
-		go func() {
-			var err error
-			defer func() {
-				if r := recover(); r != nil {
-					err = recoveredErr(name, r)
-				}
-				if err != nil && err != errStopped {
-					errMu.Lock()
-					if stageErr == nil {
-						stageErr = err
-					}
-					errMu.Unlock()
-				}
-				close(out)
-				wg.Done()
-			}()
-			err = body()
-		}()
-	}
-	send := func(ch chan *Batch, b *Batch) error {
-		select {
-		case ch <- b:
-			return nil
-		case <-done:
-			return errStopped
-		}
-	}
 
 	// Gather ring: one set being filled, up to depth queued, one held by
 	// the consumer. Only Gather runs draw from it (the consumer returns
@@ -431,41 +375,52 @@ func runAsync(cfg Config, deliver func(*Batch) error) error {
 	for i := 0; i < depth+2; i++ {
 		free <- &bufferSet{}
 	}
+	// out is the prefetch queue itself, depth batches deep.
 	out := make(chan *Batch, depth)
-	prepare := func(b *Batch) error {
-		var buf *bufferSet
-		if cfg.Gather {
+	// done tears the producer down on early exit (consumer error or
+	// panic): its acquire and send select against it, so it never blocks
+	// on an abandoned channel. exited closes once it has returned.
+	done, exited := make(chan struct{}), make(chan struct{})
+	defer func() {
+		close(done)
+		<-exited
+	}()
+
+	// prodErr is the producer's failure (injected error, cancelled
+	// context, or recovered panic). The producer writes it before it
+	// closes out, so the consumer reads it once out is drained.
+	var prodErr error
+	go func() {
+		defer close(exited)
+		defer close(out)
+		defer func() {
+			if r := recover(); r != nil {
+				prodErr = recoveredErr("producer", r)
+			}
+		}()
+		err := cfg.produce(func(b *Batch) error {
+			var buf *bufferSet
+			if cfg.Gather {
+				select {
+				case buf = <-free:
+				case <-done:
+					return errStopped
+				}
+			}
+			if err := cfg.prepareBatch(b, buf); err != nil {
+				return err
+			}
 			select {
-			case buf = <-free:
+			case out <- b:
+				return nil
 			case <-done:
 				return errStopped
 			}
-		}
-		if err := cfg.prepareBatch(b, buf); err != nil {
-			return err
-		}
-		return send(out, b)
-	}
-
-	if cfg.CoupledSampler {
-		// Fused producer: sample→lookup→update→gather sequentially per
-		// batch, so cache-reading samplers observe exactly the serial
-		// residency sequence.
-		stage("producer stage", out, func() error { return cfg.produce(prepare) })
-	} else {
-		sampled := make(chan *Batch, depth)
-		stage("sampler stage", sampled, func() error {
-			return cfg.produce(func(b *Batch) error { return send(sampled, b) })
 		})
-		stage("gather stage", out, func() error {
-			for b := range sampled {
-				if err := prepare(b); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-	}
+		if err != errStopped {
+			prodErr = err
+		}
+	}()
 
 	for b := range out {
 		if err := deliver(b); err != nil {
@@ -477,9 +432,6 @@ func runAsync(cfg Config, deliver func(*Batch) error) error {
 			b.buf = nil
 		}
 	}
-	// out closed: either the stages finished cleanly, or one failed and
-	// shut the channel early.
-	errMu.Lock()
-	defer errMu.Unlock()
-	return stageErr
+	// out closed: the producer finished, or failed and recorded why.
+	return prodErr
 }

@@ -101,7 +101,7 @@ func testConfig(t *testing.T) Config {
 	}
 }
 
-// mustCache builds an array-backed cache over g (which may be nil).
+// mustCache builds an array-backed cache over g.
 func mustCache(t *testing.T, policy cache.Policy, capacity int, g *graph.Graph) *cache.Cache {
 	t.Helper()
 	c, err := cache.New(policy, capacity, g)
@@ -109,6 +109,21 @@ func mustCache(t *testing.T, policy cache.Policy, capacity int, g *graph.Graph) 
 		t.Fatal(err)
 	}
 	return c
+}
+
+// coupleSampler makes cfg gather through an LRU cache its sampler reads
+// (a cache-aware bias against a dynamic cache): the one workload whose
+// draws depend on what the previous batch admitted, so the producer
+// must sample and update in batch order for it to match inline.
+func coupleSampler(t *testing.T, cfg *Config) {
+	t.Helper()
+	src := cache.NewCachedSource(mustCache(t, cache.LRU, 1500, cfg.Graph), cfg.Graph)
+	cfg.Source = src
+	cfg.Sampler = &sample.NodeWise{
+		Fanouts:      []int{6, 4},
+		Bias:         sample.ResidencyBias(src),
+		BiasStrength: 0.9,
+	}
 }
 
 // TestAsyncBitwiseEqualInline: the engine's core promise — any prefetch
@@ -148,34 +163,21 @@ func TestAsyncBitwiseEqualInline(t *testing.T) {
 	}
 }
 
-// TestCoupledSamplerEqualInline covers the fused producer: a bias func
-// reading dynamic cache residency must see the serial residency sequence
-// at any depth.
-func TestCoupledSamplerEqualInline(t *testing.T) {
+// TestBiasedLRUSamplerEqualInline: a bias reading dynamic cache
+// residency must see the inline residency sequence at any depth, since
+// the producer samples each batch only after updating the cache for the
+// one before.
+func TestBiasedLRUSamplerEqualInline(t *testing.T) {
 	mk := func(prefetch int) ([]digest, []int) {
 		cfg := testConfig(t)
 		cfg.Prefetch = prefetch
-		cfg.CoupledSampler = true
-		src := cache.NewCachedSource(mustCache(t, cache.LRU, 1500, cfg.Graph), cfg.Graph)
-		cfg.Source = src
-		cfg.Sampler = &sample.NodeWise{
-			Fanouts:      []int{6, 4},
-			Bias:         sample.ResidencyBias(src),
-			BiasStrength: 0.9,
-		}
+		coupleSampler(t, &cfg)
 		return runDigests(t, cfg)
 	}
 	ref, _ := mk(0)
 	for _, depth := range []int{1, 4} {
 		got, _ := mk(depth)
-		if len(got) != len(ref) {
-			t.Fatalf("prefetch %d consumed %d batches, inline %d", depth, len(got), len(ref))
-		}
-		for i := range ref {
-			if got[i] != ref[i] {
-				t.Fatalf("coupled prefetch %d batch %d differs: %+v vs %+v", depth, i, got[i], ref[i])
-			}
-		}
+		requireSameDigests(t, depth, got, ref)
 	}
 }
 
@@ -204,8 +206,7 @@ var (
 // prefetch depth 0 hands the consumer the recorded stream, and depths 1
 // and 4 hand it bit-identical batches — same misses, same
 // eviction-driven update ops, same transfer bytes, same feature
-// matrices. Run under -race (CI does) this also exercises the lock-free
-// Contains path against the writer stage.
+// matrices.
 //
 // The capacity (4,500 of the graph's 6,000 vertices) sits above one
 // batch's input set, so eviction order decides which rows stay resident
@@ -314,8 +315,8 @@ func requireSameDigests(t *testing.T, depth int, got, want []digest) {
 // live sampling: a compiled plan driven through the pipeline must hand
 // the consumer bit-identical batches — same minibatch structure, same
 // gathered features, same epoch boundaries — at prefetch depths 0, 1
-// and 4. Run under -race (CI does) this also exercises concurrent
-// replay against the gather stage.
+// and 4. Run under -race (CI does) this also exercises the producer's
+// replay and gather against the consumer.
 func TestPlanReplayBitwiseEqualLive(t *testing.T) {
 	base := testConfig(t)
 	key := plan.KeyFor(dataset.OgbnArxiv, false, base.Sampler,
@@ -348,8 +349,8 @@ func TestPlanReplayBitwiseEqualLive(t *testing.T) {
 	}
 }
 
-// TestPlanValidation: incompatible plans and plan-driven coupled
-// samplers are rejected up front, not silently mis-replayed.
+// TestPlanValidation: incompatible plans are rejected up front, not
+// silently mis-replayed.
 func TestPlanValidation(t *testing.T) {
 	base := testConfig(t)
 	key := plan.KeyFor(dataset.OgbnArxiv, false, base.Sampler,
@@ -363,12 +364,6 @@ func TestPlanValidation(t *testing.T) {
 	cfg.Seed = base.Seed + 1
 	if err := Run(cfg, func(*Batch) error { return nil }, nil); err == nil {
 		t.Error("plan with mismatched seed accepted")
-	}
-	cfg = testConfig(t)
-	cfg.Plan = pl
-	cfg.CoupledSampler = true
-	if err := Run(cfg, func(*Batch) error { return nil }, nil); err == nil {
-		t.Error("plan accepted for a coupled (cache-aware) sampler")
 	}
 	// A longer plan may replay a shorter run (epoch-prefix rule)...
 	cfg = testConfig(t)
@@ -387,15 +382,18 @@ func TestPlanValidation(t *testing.T) {
 }
 
 // TestOrderingAndEpochEnds: batches arrive in strict (epoch, index)
-// order with epochEnd interleaved exactly once per epoch, at every depth
-// and topology — the delivery step all of them share.
+// order with epochEnd interleaved exactly once per epoch, at every depth,
+// with a plain sampler and with one coupled to the cache it gathers
+// through — the delivery step all of them share.
 func TestOrderingAndEpochEnds(t *testing.T) {
 	for _, prefetch := range []int{0, 1, 4} {
 		for _, coupled := range []bool{false, true} {
 			t.Run(fmt.Sprintf("prefetch=%d/coupled=%v", prefetch, coupled), func(t *testing.T) {
 				cfg := testConfig(t)
 				cfg.Prefetch = prefetch
-				cfg.CoupledSampler = coupled
+				if coupled {
+					coupleSampler(t, &cfg)
+				}
 				var ds []digest
 				var ends []int
 				err := Run(cfg, func(b *Batch) error {
@@ -437,8 +435,8 @@ func TestOrderingAndEpochEnds(t *testing.T) {
 }
 
 // TestConsumeErrorStopsPipeline: a consumer error propagates out of Run
-// and shuts the stages down without deadlocking (the test would hang
-// otherwise, and -race would flag leaked stages touching the cache).
+// and shuts the producer down without deadlocking (the test would hang
+// otherwise, and -race would flag a leaked producer touching the cache).
 func TestConsumeErrorStopsPipeline(t *testing.T) {
 	cfg := testConfig(t)
 	cfg.Prefetch = 3

@@ -133,11 +133,10 @@ type Refiller interface {
 type BiasFunc func(v int32) float64
 
 // Residency is the device-residency view a locality-aware bias reads —
-// the feature plane (cache.FeatureSource) implements it. Resident must
-// be safe to call from the sampler stage while the cache stage runs;
-// when the underlying residency is dynamic (FIFO/LRU) the two stages
-// must be fused (pipeline.Config.CoupledSampler) for the reads to be
-// deterministic.
+// the feature plane (cache.FeatureSource) implements it. The pipeline
+// samples each batch on the goroutine that updates the cache, after the
+// previous batch's update, so the reads are deterministic even when the
+// underlying residency is dynamic (FIFO/LRU).
 type Residency interface {
 	Resident(v int32) bool
 }
@@ -157,7 +156,7 @@ func ResidencyBias(r Residency) BiasFunc {
 // replaced every hash map in the batch-assembly hot path: membership is
 // stamp[v] == epoch, lookup is one array read, and reset is an epoch
 // bump. Each sampler owns the Frontier scratch it needs, one per pipeline
-// producer stage, so steady-state sampling performs no hashing and no
+// producer, so steady-state sampling performs no hashing and no
 // per-batch table allocation.
 type Frontier = graph.Frontier
 
@@ -210,8 +209,8 @@ func (mb *MiniBatch) seal() *MiniBatch {
 // The sampler owns reusable scratch (neighbor-selection buffers plus the
 // epoch-stamped Frontier position table), so a NodeWise value must not be
 // shared across concurrent Sample calls. In the pipelined engine
-// (internal/pipeline) every Sample call happens on the single
-// sampler-stage goroutine, which satisfies this contract; the scratch
+// (internal/pipeline) every Sample call happens on the single producer
+// goroutine, which satisfies this contract; the scratch
 // never leaks into the returned MiniBatch, so batches Sample hands
 // downstream stay valid while later batches are sampled.
 type NodeWise struct {
