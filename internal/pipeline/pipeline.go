@@ -118,7 +118,7 @@ type Scratch struct{ buf bufferSet }
 type Config struct {
 	Graph   *graph.Graph
 	Sampler sample.Sampler
-	// Source is the feature plane the gather stage routes rows through:
+	// Source is the feature plane the gather step routes rows through:
 	// cache lookup/update, transfer accounting and (when Gather is set)
 	// the row copies all happen behind it, in batch order. nil disables
 	// transfer accounting; Gather then copies rows straight from Graph.
@@ -135,10 +135,10 @@ type Config struct {
 	// Shuffle re-permutes Targets per epoch (training); false keeps the
 	// given order (evaluation).
 	Shuffle bool
-	// Gather fills Batch.Feats/Batch.Labels in the gather stage.
+	// Gather fills Batch.Feats/Batch.Labels in the gather step.
 	Gather bool
 
-	// Plan, when set, replaces the sampler stage with plan replay: each
+	// Plan, when set, replaces live sampling with plan replay: each
 	// batch's minibatch is decoded from the compiled epoch plan instead of
 	// being re-sampled. The determinism contract makes this a pure
 	// substitution — replayed batches are bitwise-identical to live
@@ -210,7 +210,7 @@ func (cfg *Config) plan(epoch int) [][]int32 {
 	return sample.EpochPlan(cfg.Seed, epoch, cfg.Targets, cfg.BatchSize, cfg.Shuffle)
 }
 
-// sampleBatch is the sampler stage's work for one batch: live sampling
+// sampleBatch is the sampling step for one batch: live sampling
 // through the per-batch RNG, or plan replay when Config.Plan is set.
 func (cfg *Config) sampleBatch(epoch, index int, targets []int32) (*Batch, error) {
 	if err := faultinject.Fire(faultinject.PipelineSample); err != nil {
@@ -226,7 +226,7 @@ func (cfg *Config) sampleBatch(epoch, index int, targets []int32) (*Batch, error
 	return b, nil
 }
 
-// prepareBatch is the cache+gather stage's work for one batch: route the
+// prepareBatch is the cache+gather step for one batch: route the
 // batch's input rows through the feature plane (lookup/update/transfer
 // accounting, in batch order), then feature/label gather into the
 // batch's buffer set.
@@ -274,7 +274,7 @@ func recoveredErr(where string, r any) error {
 }
 
 // produce is the one epoch loop: every (epoch, batch) in order, a
-// cancellation check, the sampler stage's work, then emit. The first
+// cancellation check, sampleBatch, then emit. The first
 // error — cancellation, a sampling failure, or emit's — ends the loop.
 func (cfg *Config) produce(emit func(*Batch) error) error {
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
