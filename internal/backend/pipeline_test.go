@@ -83,12 +83,14 @@ func TestRunPrefetchBitwiseEqualSerial(t *testing.T) {
 	}
 }
 
-// TestRunFetchesPlanKeys pins that PlanKeys names exactly what RunWith
-// fetches through plan.Shared — no key held for a plan the run never
-// fetches, and no fetch the sweep did not hold — over every policy ×
-// bias × SharePlan, and that explicit plans are checked: a replayed plan
-// equals the live run bitwise, and a biased run or an incompatible plan
-// is refused.
+// TestRunFetchesPlanKeys pins what RunWith fetches through
+// Options.Plans over every policy × bias × share (a Cache or nil): the
+// run's own plan when the run is unbiased and either shares or uses Opt,
+// plus the mining plan under Freq. Two runs sharing one Cache compile
+// each of those once, hit each once and keep each; two runs with a nil
+// Cache compile each twice and hit none. It also pins that explicit
+// plans are checked: a replayed plan equals the live run bitwise, and a
+// biased run or an incompatible plan is refused.
 func TestRunFetchesPlanKeys(t *testing.T) {
 	valid := 0
 	for _, policy := range []cache.Policy{cache.None, cache.Static, cache.LRU, cache.Freq, cache.Opt} {
@@ -103,17 +105,33 @@ func TestRunFetchesPlanKeys(t *testing.T) {
 					continue
 				}
 				valid++
-				opts := Options{SkipTraining: true, SharePlan: share}
-				_, shared, err := PlanKeys(cfg, opts)
-				if err != nil {
-					t.Fatalf("%s: %v", cfg.Label(), err)
+				var keys int64
+				if bias == 0 && (share || policy == cache.Opt) {
+					keys++
+				}
+				if policy == cache.Freq {
+					keys++
+				}
+				opts := Options{SkipTraining: true}
+				if share {
+					opts.Plans = plan.Cache{}
 				}
 				plan.ResetCounters()
-				if _, err := RunWith(cfg, opts); err != nil {
-					t.Fatalf("%s: %v", cfg.Label(), err)
+				for range 2 {
+					if _, err := RunWith(cfg, opts); err != nil {
+						t.Fatalf("%s: %v", cfg.Label(), err)
+					}
 				}
-				if fetched := plan.Compiles() + plan.CacheHits(); fetched != int64(len(shared)) {
-					t.Errorf("%s share=%v: RunWith fetched %d plans, PlanKeys named %d", cfg.Label(), share, fetched, len(shared))
+				wantCompiles, wantHits := 2*keys, int64(0)
+				if share {
+					wantCompiles, wantHits = keys, keys
+				}
+				if c, h := plan.Compiles(), plan.CacheHits(); c != wantCompiles || h != wantHits {
+					t.Errorf("%s share=%v: two runs made (compiles=%d, hits=%d), want (%d, %d)",
+						cfg.Label(), share, c, h, wantCompiles, wantHits)
+				}
+				if share && int64(len(opts.Plans)) != keys {
+					t.Errorf("%s: the Cache kept %d plans, want %d", cfg.Label(), len(opts.Plans), keys)
 				}
 			}
 		}

@@ -78,16 +78,17 @@ type Options struct {
 	// Outputs are bitwise-identical at every depth. Per-epoch validation
 	// always runs inline.
 	Prefetch int
-	// SharePlan fetches the run's epoch plan through the single-flight
-	// plan.Shared and replays it instead of sampling live — the
-	// calibration fan-out's "compile once, replay everywhere" path: probes
-	// differing only in cache/model knobs share one compiled plan while
-	// the fan-out holds its key (plan.Hold; see PlanKeys). The
-	// determinism contract makes replay bitwise-identical to live
-	// sampling, so results are unchanged. Runs with cache-aware bias
-	// (BiasRate > 0) silently fall back to live sampling; their access
-	// stream depends on residency and cannot be replayed.
-	SharePlan bool
+	// Plans, when non-nil, is the plan cache the run fetches its epoch
+	// plan through and keeps what it compiles in: the calibration
+	// fan-out's "compile once, replay everywhere" path, where probes
+	// differing only in cache/model knobs replay the plan the first one
+	// compiled. The determinism contract makes replay bitwise-identical
+	// to live sampling, so results are unchanged. Runs with cache-aware
+	// bias (BiasRate > 0) silently fall back to live sampling; their
+	// access stream depends on residency and cannot be replayed. The Freq
+	// and Opt policies fetch their plans through Plans too, which
+	// compiles them afresh when it is nil.
+	Plans plan.Cache
 	// Plan supplies an explicit pre-compiled epoch plan to replay
 	// (gnnavigator -load-plan). It must be compatible with the run's
 	// (sampler, seed, epochs, batch size, targets); incompatibility — or
@@ -166,7 +167,7 @@ type run struct {
 	walkSteps        int
 	// plane is the feature plane's cache config before newRun adds the
 	// admission order or eviction script. runKey keys the run's own
-	// training stream; the run fetches it through plan.Shared when
+	// training stream; the run fetches it through opts.Plans when
 	// sharesRun is set. mineKey keys the salted one-epoch plan the Freq
 	// policy mines its admission order from.
 	plane           cache.Config
@@ -180,17 +181,17 @@ type run struct {
 	tr    *trainer
 }
 
-// resolve decides cfg's run. RunWith, PlanKeys and CompilePlan all start
-// here, so the keys PlanKeys names are the keys RunWith fetches.
+// resolve decides cfg's run. RunWith, SamplingCore and CompilePlan all
+// start here.
 //
-// Epoch-plan resolution: an explicit opts.Plan is replayed as given;
-// SharePlan (the calibration fan-out) and the Opt policy (which needs
-// the exact future access order) fetch the run's plan through the
-// single-flight plan.Shared. Cache-aware bias makes sampling depend on
-// residency, so biased runs always sample live: SharePlan silently falls
-// back, an explicit Plan is an error, and Opt+bias is already rejected
-// by Validate. The Freq mining plan is always unbiased, so it is shared
-// across bias rates too.
+// Epoch-plan resolution: an explicit opts.Plan is replayed as given; a
+// non-nil opts.Plans (the calibration fan-out) and the Opt policy (which
+// needs the exact future access order) fetch the run's plan through
+// opts.Plans. Cache-aware bias makes sampling depend on residency, so
+// biased runs always sample live: a Plans cache is silently not used
+// for the run's plan, an explicit Plan is an error, and Opt+bias is
+// already rejected by Validate. The Freq mining plan is always
+// unbiased, so it is shared across bias rates too.
 func resolve(cfg Config, opts Options) (*run, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -232,41 +233,32 @@ func resolve(cfg Config, opts Options) (*run, error) {
 		r.plane.Policy = cache.None
 	}
 	r.runKey = plan.KeyFor(cfg.Dataset, cfg.Reorder, r.smp, cfg.BatchSize, cfg.Seed, cfg.Epochs, true, r.trainIdx)
-	r.sharesRun = opts.Plan == nil && (opts.SharePlan || r.plane.Policy == cache.Opt) && cfg.BiasRate == 0
+	r.sharesRun = opts.Plan == nil && (opts.Plans != nil || r.plane.Policy == cache.Opt) && cfg.BiasRate == 0
 	if r.plane.Policy == cache.Freq {
-		r.mineKey = plan.KeyFor(cfg.Dataset, cfg.Reorder, r.smp, cfg.BatchSize, cfg.Seed+freqSeedSalt, 1, true, r.trainIdx)
+		r.mineKey = r.runKey
+		r.mineKey.Seed, r.mineKey.Epochs = cfg.Seed+freqSeedSalt, 1
 	}
 	return r, nil
 }
 
-// PlanKeys resolves, without running anything, what RunWith(cfg, opts)
-// will fetch through plan.Shared: the run's own plan key when it
-// replays a shared plan, and the mining key when its effective policy is
-// Freq. core is the run's plan key with Epochs zeroed — its sampling
-// core, shared by every probe that samples the same stream whatever its
-// epoch count, cache or bias. A sweep holds the keys (plan.Hold) for
-// exactly the runs that need them.
-func PlanKeys(cfg Config, opts Options) (core plan.Key, shared []plan.Key, err error) {
+// SamplingCore resolves, without running anything, cfg's sampling
+// core: the run's plan key with Epochs zeroed, shared by every probe
+// that samples the same stream whatever its epoch count, cache or bias.
+func SamplingCore(cfg Config, opts Options) (plan.Key, error) {
 	r, err := resolve(cfg, opts)
 	if err != nil {
-		return plan.Key{}, nil, err
+		return plan.Key{}, err
 	}
-	if r.sharesRun {
-		shared = append(shared, r.runKey)
-	}
-	if r.plane.Policy == cache.Freq {
-		shared = append(shared, r.mineKey)
-	}
-	core = r.runKey
+	core := r.runKey
 	core.Epochs = 0
-	return core, shared, nil
+	return core, nil
 }
 
-// CompilePlan compiles (through plan.Shared, so a held key is reused) the
-// epoch plan cfg's training run follows — the artifact `gnnavigator
-// -save-plan` persists and `-load-plan` feeds back through Options.Plan.
-// Requires unbiased sampling: a cache-aware bias makes the sampling
-// depend on residency, which a pre-compiled plan cannot reflect.
+// CompilePlan compiles the epoch plan cfg's training run follows — the
+// artifact `gnnavigator -save-plan` persists and `-load-plan` feeds back
+// through Options.Plan. Requires unbiased sampling: a cache-aware bias
+// makes the sampling depend on residency, which a pre-compiled plan
+// cannot reflect.
 func CompilePlan(cfg Config) (*plan.Plan, error) {
 	r, err := resolve(cfg, Options{})
 	if err != nil {
@@ -275,7 +267,7 @@ func CompilePlan(cfg Config) (*plan.Plan, error) {
 	if cfg.BiasRate > 0 {
 		return nil, fmt.Errorf("backend: cannot compile a plan for cache-aware biased sampling (BiasRate %v)", cfg.BiasRate)
 	}
-	return plan.Shared(r.g, r.smp, r.runKey, r.trainIdx)
+	return plan.Compile(r.g, r.smp, r.runKey, r.trainIdx)
 }
 
 // newRun resolves cfg and builds its run. Every run gathers through one
@@ -288,16 +280,16 @@ func newRun(cfg Config, opts Options) (*run, error) {
 	}
 	r.pl, r.live = opts.Plan, r.smp
 	if r.sharesRun {
-		if r.pl, err = plan.Shared(r.g, r.smp, r.runKey, r.trainIdx); err != nil {
+		if r.pl, err = opts.Plans.Get(r.g, r.smp, r.runKey, r.trainIdx); err != nil {
 			return nil, err
 		}
 	}
 
 	// Admission order of the prefilled policies: Static takes g's degree
 	// order; Freq pre-samples, mining the order from the salted one-epoch
-	// plan (fetched through plan.Shared, so every probe of a calibration
-	// fan-out that holds it reuses the same pre-sampling pass): the most
-	// frequently touched input vertices fill the cache before training.
+	// plan (fetched through opts.Plans, so every probe of a calibration
+	// core reuses the same pre-sampling pass): the most frequently
+	// touched input vertices fill the cache before training.
 	// Opt (the Belady upper bound) mines the run's own plan for the exact
 	// future access order the device cache will see.
 	ccfg := r.plane
@@ -305,7 +297,7 @@ func newRun(cfg Config, opts Options) (*run, error) {
 	case cache.Static:
 		ccfg.Order = r.g.DegreeOrder()
 	case cache.Freq:
-		minePl, err := plan.Shared(r.g, r.smp, r.mineKey, r.trainIdx)
+		minePl, err := opts.Plans.Get(r.g, r.smp, r.mineKey, r.trainIdx)
 		if err != nil {
 			return nil, err
 		}
@@ -345,10 +337,10 @@ func newRun(cfg Config, opts Options) (*run, error) {
 	return r, nil
 }
 
-// epochs runs the epoch loop on the staged pipeline engine: sampling and
-// cache lookup+gather run up to opts.Prefetch batches ahead of the one
-// consumer, which meters each batch and then trains on it, so all model
-// state stays single-threaded.
+// epochs runs the epoch loop through pipeline.Run: at opts.Prefetch > 0
+// one producer goroutine samples, updates the cache and gathers up to
+// opts.Prefetch+1 batches ahead of the consumer, which meters each batch
+// and then trains on it, so all model state stays single-threaded.
 func (r *run) epochs() error {
 	return pipeline.Run(pipeline.Config{
 		Graph:     r.g,
@@ -647,8 +639,8 @@ func relabelIDs(perm, ids []int32) []int32 {
 // freqSeedSalt decorrelates the Freq pre-sampling (mining) plan's RNG
 // chain from the training epochs' (sample.BatchRNG over (Seed, epoch,
 // batch)): the admission counts come from a statistically identical but
-// independent one-epoch plan, compiled through plan.Shared and mined
-// with plan.CountOrder.
+// independent one-epoch plan, fetched through Options.Plans and mined
+// with Plan.CountOrder.
 const freqSeedSalt = 0x5eed
 
 // dropoutSeedSalt decorrelates the per-batch dropout mask streams from

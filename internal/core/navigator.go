@@ -301,8 +301,8 @@ func (n *Navigator) Train(cfg backend.Config) (*backend.Perf, error) {
 			return nil, fmt.Errorf("core: save plan: %w", err)
 		}
 		if opts.Plan == nil {
-			// Replay the plan just compiled: the run skips its sampler
-			// stage and is guaranteed consistent with the saved artifact.
+			// Replay the plan just compiled: the run never calls its
+			// sampler and is guaranteed consistent with the saved artifact.
 			opts.Plan = p
 		}
 	}

@@ -10,7 +10,6 @@ import (
 	"gnnavigator/internal/dataset"
 	"gnnavigator/internal/faultinject"
 	"gnnavigator/internal/model"
-	"gnnavigator/internal/plan"
 )
 
 // probeCfgs draws a pair of cheap probe configs for the retry tests.
@@ -81,22 +80,17 @@ func TestChaosProbeNoRetryOnCancel(t *testing.T) {
 	}
 }
 
-// TestChaosProbeFailureReleasesPlans: a probe that fails mid-sweep
-// fails the sweep without leaving any core's plans held, at every
-// worker count.
-func TestChaosProbeFailureReleasesPlans(t *testing.T) {
+// TestChaosProbeFailureFailsSweep: a probe that fails mid-sweep fails
+// the sweep with its error, at every worker count.
+func TestChaosProbeFailureFailsSweep(t *testing.T) {
 	defer faultinject.Reset()
 	cfgs := sharedProbeSet(t)
-	held := plan.Held()
 	for _, workers := range []int{1, 2, 4} {
 		faultinject.Arm(faultinject.EstimatorProbe, faultinject.Spec{Kind: faultinject.Error, After: 2})
 		_, err := CollectWith(cfgs, false, workers)
 		faultinject.Reset()
 		if !errors.Is(err, faultinject.ErrInjected) {
 			t.Fatalf("workers=%d: collect returned %v, want ErrInjected", workers, err)
-		}
-		if n := plan.Held(); n != held {
-			t.Errorf("workers=%d: %d plan keys held after a failed sweep, want %d", workers, n, held)
 		}
 	}
 }

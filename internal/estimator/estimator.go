@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -266,31 +265,31 @@ func Collect(cfgs []backend.Config, withAccuracy bool, opts ...backend.Options) 
 //
 // Compile once, replay everywhere: probes that share a sampling core
 // (sampler, batch size, seed — see ProbeConfigs) differ only in
-// cache/model knobs, so they fetch one compiled epoch plan through
-// plan.Shared instead of each re-sampling the identical stream. A core's
-// worker holds the core's plan keys (backend.PlanKeys) while it runs the
-// core's probes and releases them when it is done, so a plan is resident
-// only while its core is being profiled. Replay is bitwise-identical to
-// live sampling, so records are unchanged; biased probes fall back to
-// live sampling automatically.
+// cache/model knobs, so they fetch one compiled epoch plan through a
+// plan.Cache instead of each re-sampling the identical stream. A core's
+// worker builds that Cache when it starts the core's probes and drops it
+// when it is done, so a plan is resident only while its core is being
+// profiled, and no two workers ever share one. Replay is
+// bitwise-identical to live sampling, so records are unchanged; biased
+// probes fall back to live sampling automatically. Any Plans the caller
+// sets in opts is replaced by the core's own.
 func CollectWith(cfgs []backend.Config, withAccuracy bool, workers int, opts ...backend.Options) ([]Record, error) {
 	runOpts := backend.Options{}
 	if len(opts) > 0 {
 		runOpts = opts[0]
 	}
 	runOpts.SkipTraining = !withAccuracy
-	runOpts.SharePlan = true
 	if workers <= 0 {
 		workers = tensor.Parallelism()
 	}
 	out := make([]Record, len(cfgs))
-	collect := func(i int) error {
+	collect := func(i int, probeOpts backend.Options) error {
 		cfg := cfgs[i]
 		ds, err := dataset.Load(cfg.Dataset)
 		if err != nil {
 			return err
 		}
-		perf, err := runProbe(cfg, runOpts)
+		perf, err := runProbe(cfg, probeOpts)
 		if err != nil {
 			return fmt.Errorf("estimator: collect %s: %w", cfg.Label(), err)
 		}
@@ -302,13 +301,13 @@ func CollectWith(cfgs []backend.Config, withAccuracy bool, workers int, opts ...
 	// failure no further (expensive) profiling run starts, in any core.
 	var failed atomic.Bool
 	if err := tensor.ForEachIndexErr(len(groups), workers, func(gi int) error {
-		grp := groups[gi]
-		defer plan.Hold(grp.keys...)()
-		for _, i := range grp.probes {
+		coreOpts := runOpts
+		coreOpts.Plans = plan.Cache{}
+		for _, i := range groups[gi] {
 			if failed.Load() {
 				return nil
 			}
-			if err := collect(i); err != nil {
+			if err := collect(i, coreOpts); err != nil {
 				failed.Store(true)
 				return err
 			}
@@ -320,39 +319,26 @@ func CollectWith(cfgs []backend.Config, withAccuracy bool, workers int, opts ...
 	return out, nil
 }
 
-// probeGroup is one sampling core's probes, as indices in cfgs order,
-// and the distinct shared-plan keys they fetch.
-type probeGroup struct {
-	probes []int
-	keys   []plan.Key
-}
-
-// groupByCore partitions cfgs by sampling core (backend.PlanKeys), in
-// order of each core's first probe. A probe whose keys cannot be
-// resolved forms a group of its own that holds nothing; its run then
-// reports the error.
-func groupByCore(cfgs []backend.Config, opts backend.Options) []probeGroup {
-	var groups []probeGroup
+// groupByCore partitions cfgs by sampling core (backend.SamplingCore)
+// into lists of probe indices in cfgs order, in order of each core's
+// first probe. A probe whose core cannot be resolved forms a group of
+// its own; its run then reports the error.
+func groupByCore(cfgs []backend.Config, opts backend.Options) [][]int {
+	var groups [][]int
 	at := map[plan.Key]int{}
 	for i, cfg := range cfgs {
-		core, keys, err := backend.PlanKeys(cfg, opts)
+		core, err := backend.SamplingCore(cfg, opts)
 		if err != nil {
-			groups = append(groups, probeGroup{probes: []int{i}})
+			groups = append(groups, []int{i})
 			continue
 		}
 		gi, ok := at[core]
 		if !ok {
 			gi = len(groups)
 			at[core] = gi
-			groups = append(groups, probeGroup{})
+			groups = append(groups, nil)
 		}
-		grp := &groups[gi]
-		grp.probes = append(grp.probes, i)
-		for _, k := range keys {
-			if !slices.Contains(grp.keys, k) {
-				grp.keys = append(grp.keys, k)
-			}
-		}
+		groups[gi] = append(groups[gi], i)
 	}
 	return groups
 }
@@ -360,7 +346,7 @@ func groupByCore(cfgs []backend.Config, opts backend.Options) []probeGroup {
 // samplingCore is the subset of probe knobs that determines an epoch
 // plan (the plan.Key dimensions): sampler shape, batch size and seed.
 // Probes built over the same core sample identical streams, so their
-// profiling runs share one compiled plan (Collect sets SharePlan).
+// profiling runs share one compiled plan (Collect sets Plans).
 type samplingCore struct {
 	sampler    backend.SamplerKind
 	batchSize  int

@@ -15,9 +15,10 @@ package graph
 // at epoch 1. Growing the table likewise restarts at epoch 1 because the
 // new arrays are all-zero.
 //
-// A Frontier is single-owner scratch: samplers embed one per producer
-// stage and the pipeline engine guarantees each stage runs on one
-// goroutine, so no locking is needed. The zero value is ready to use.
+// A Frontier is single-owner scratch: samplers embed one, and the
+// pipeline engine calls a run's sampler from one goroutine (the caller's
+// or its one producer), so no locking is needed. The zero value is ready
+// to use.
 type Frontier struct {
 	pos   []int32
 	stamp []uint32

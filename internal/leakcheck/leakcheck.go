@@ -17,9 +17,9 @@ import (
 // as a substring of a goroutine's stack dump, which includes its
 // "created by" line.
 const (
-	// PipelineStage matches the producer goroutine of pipeline.Run's
+	// PipelineProducer matches the producer goroutine of pipeline.Run's
 	// async path.
-	PipelineStage = "gnnavigator/internal/pipeline.runAsync"
+	PipelineProducer = "gnnavigator/internal/pipeline.runAsync"
 	// FanOutTask matches tensor.ForEachIndex task goroutines (not the
 	// resident pool workers, which tensor.ensureWorkers creates).
 	FanOutTask = "gnnavigator/internal/tensor.ForEachIndex"

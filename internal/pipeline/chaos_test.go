@@ -49,7 +49,7 @@ func TestChaosConsumerErrorNoGoroutineLeak(t *testing.T) {
 			if n != 5 {
 				t.Fatalf("consumed %d batches, want 5", n)
 			}
-			leakcheck.Check(t, leakcheck.PipelineStage)
+			leakcheck.Check(t, leakcheck.PipelineProducer)
 		})
 	}
 }
@@ -79,7 +79,7 @@ func TestChaosInjectedStageErrors(t *testing.T) {
 					if n > 3 {
 						t.Fatalf("consumed %d batches past the injected failure at hit 3", n)
 					}
-					leakcheck.Check(t, leakcheck.PipelineStage)
+					leakcheck.Check(t, leakcheck.PipelineProducer)
 				})
 			}
 		}
@@ -101,7 +101,7 @@ func TestChaosStagePanicContained(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), "injected panic") {
 				t.Fatalf("Run returned %v, want contained injected panic", err)
 			}
-			leakcheck.Check(t, leakcheck.PipelineStage)
+			leakcheck.Check(t, leakcheck.PipelineProducer)
 		})
 	}
 }
@@ -123,7 +123,7 @@ func TestChaosConsumerPanicContained(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "consumer boom") {
 		t.Fatalf("Run returned %v, want contained consumer panic", err)
 	}
-	leakcheck.Check(t, leakcheck.PipelineStage)
+	leakcheck.Check(t, leakcheck.PipelineProducer)
 }
 
 // TestChaosContextCancel: cancelling the run context stops the pipeline
@@ -156,7 +156,7 @@ func TestChaosContextCancel(t *testing.T) {
 				if ends != 0 {
 					t.Fatalf("cancelled run ended %d epoch(s)", ends)
 				}
-				leakcheck.Check(t, leakcheck.PipelineStage)
+				leakcheck.Check(t, leakcheck.PipelineProducer)
 			})
 		}
 	}
@@ -179,7 +179,7 @@ func TestChaosContextDeadline(t *testing.T) {
 			if !errors.Is(err, context.DeadlineExceeded) {
 				t.Fatalf("Run returned %v, want context.DeadlineExceeded", err)
 			}
-			leakcheck.Check(t, leakcheck.PipelineStage)
+			leakcheck.Check(t, leakcheck.PipelineProducer)
 		})
 	}
 }

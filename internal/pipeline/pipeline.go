@@ -1,4 +1,4 @@
-// Package pipeline is the staged minibatch engine behind backend.RunWith
+// Package pipeline is the minibatch engine behind backend.RunWith
 // and infer.Engine: the epoch loop, extracted from the trainer and
 // reorganized as a bounded producer/consumer pipeline so host-side work
 // (sampling, cache maintenance, feature gather) for batch i+1 overlaps

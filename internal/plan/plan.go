@@ -11,13 +11,13 @@
 // Three consumers:
 //
 //   - Replay: pipeline.Config.Plan serves batches straight from the
-//     packed arrays, skipping the sampler stage. Replayed batches are
+//     packed arrays instead of calling the sampler. Replayed batches are
 //     bitwise-identical to live sampling at every prefetch depth (the
 //     pipeline equivalence tests pin this under -race).
 //   - Sharing: calibration probes that differ only in cache/model
-//     dimensions sample identical plans; the single-flight cache
-//     (Shared) compiles each unique key exactly once while the sweep
-//     that needs it Holds it, and lets it go when the hold is released.
+//     dimensions sample identical plans; the calibration worker of one
+//     sampling core fetches them through one Cache, which compiles each
+//     unique key once and goes when the worker is done with the core.
 //   - Mining: VertexCounts/CountOrder extract exact per-vertex access
 //     counts (the freq policy's admission order), and BatchInputs
 //     exposes the exact future access order that powers the Belady
@@ -56,13 +56,6 @@ type Key struct {
 	Shuffle   bool
 	Targets   int    // len(targets)
 	TargetsFP uint64 // FNV-1a fingerprint of the target ids
-}
-
-// String renders the key as a stable cache-map identifier.
-func (k Key) String() string {
-	return fmt.Sprintf("%s/reorder=%v/%s/b=%d/seed=%d/ep=%d/shuf=%v/t=%d:%016x",
-		k.Dataset, k.Reorder, k.Sampler, k.BatchSize, k.Seed, k.Epochs, k.Shuffle,
-		k.Targets, k.TargetsFP)
 }
 
 // SamplerDesc renders the sampling-relevant identity of a sampler — the

@@ -296,100 +296,67 @@ func TestBatchInputsPrefix(t *testing.T) {
 	}
 }
 
-// TestSharedSingleFlight: one compile per unique held key, hits for
-// every repeat, and failure is not cached.
-func TestSharedSingleFlight(t *testing.T) {
+// TestCacheGet: a nil Cache compiles on every Get and keeps nothing; a
+// Cache compiles a key once and then serves the same plan as hits; a
+// failed compile (mismatched fingerprint or sampler) is not kept, so
+// the next Get compiles.
+func TestCacheGet(t *testing.T) {
 	g := testGraph(t)
 	targets := testTargets(200)
 	smp := func() *sample.NodeWise { return &sample.NodeWise{Fanouts: []int{3}} }
-	keyA := KeyFor("test-shared-a", false, smp(), 64, 21, 1, true, targets)
-	keyB := KeyFor("test-shared-b", false, smp(), 64, 21, 1, true, targets)
-	keyC := KeyFor("test-shared-c", false, smp(), 64, 21, 1, true, targets)
-	defer Hold(keyA, keyB, keyC)()
-	ResetCounters()
-	a1, err := Shared(g, smp(), keyA, targets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a2, err := Shared(g, smp(), keyA, targets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a1 != a2 {
-		t.Error("same key returned distinct plans")
-	}
-	if _, err := Shared(g, smp(), keyB, targets); err != nil {
-		t.Fatal(err)
-	}
-	if c, h := Compiles(), CacheHits(); c != 2 || h != 1 {
-		t.Errorf("counters (compiles=%d, hits=%d), want (2, 1)", c, h)
-	}
-	// A key whose targets fingerprint does not match the targets fails.
-	badKey := keyC
-	badKey.TargetsFP++
-	if _, err := Shared(g, smp(), badKey, targets); err == nil {
-		t.Fatal("mismatched fingerprint compiled")
-	}
-	// A failing compile must not poison the cell: a sampler that does not
-	// match the key fails Compile, and the next caller compiles cleanly.
-	if _, err := Shared(g, &sample.NodeWise{Fanouts: []int{4}}, keyC, targets); err == nil {
-		t.Fatal("mismatched sampler compiled")
-	}
-	if _, err := Shared(g, smp(), keyC, targets); err != nil {
-		t.Errorf("retry after failed compile: %v", err)
-	}
-}
-
-// TestHoldRelease: an unheld fetch is not retained, a held key compiles
-// once across sequential fetches, holds nest, and the last release drops
-// the plan.
-func TestHoldRelease(t *testing.T) {
-	g := testGraph(t)
-	targets := testTargets(200)
-	smp := func() *sample.NodeWise { return &sample.NodeWise{Fanouts: []int{3}} }
-	key := KeyFor("test-hold", false, smp(), 64, 22, 1, true, targets)
-	fetch := func() *Plan {
+	key := KeyFor("test-cache", false, smp(), 64, 21, 1, true, targets)
+	get := func(c Cache) *Plan {
 		t.Helper()
-		p, err := Shared(g, smp(), key, targets)
+		p, err := c.Get(g, smp(), key, targets)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return p
 	}
-	held := Held()
-	ResetCounters()
-	if a, b := fetch(), fetch(); a == b {
-		t.Error("unheld fetches returned one retained plan")
-	}
-	if c, h := Compiles(), CacheHits(); c != 2 || h != 0 {
-		t.Errorf("unheld: (compiles=%d, hits=%d), want (2, 0)", c, h)
-	}
-	if Held() != held {
-		t.Errorf("unheld fetches left %d keys held, want %d", Held(), held)
+	counters := func(what string, compiles, hits int64) {
+		t.Helper()
+		if c, h := Compiles(), CacheHits(); c != compiles || h != hits {
+			t.Errorf("%s: (compiles=%d, hits=%d), want (%d, %d)", what, c, h, compiles, hits)
+		}
 	}
 
 	ResetCounters()
-	outer := Hold(key)
-	inner := Hold(key)
-	first := fetch()
-	if fetch() != first || fetch() != first {
-		t.Error("held key returned distinct plans")
+	var none Cache
+	if a, b := get(none), get(none); a == b {
+		t.Error("nil Cache returned one plan twice")
 	}
-	if c, h := Compiles(), CacheHits(); c != 1 || h != 2 {
-		t.Errorf("held: (compiles=%d, hits=%d), want (1, 2)", c, h)
+	counters("nil Cache", 2, 0)
+	if len(none) != 0 {
+		t.Errorf("nil Cache kept %d plans", len(none))
 	}
-	inner()
-	inner() // release is idempotent
-	if fetch() != first {
-		t.Error("plan dropped while an outer hold remains")
+
+	ResetCounters()
+	c := Cache{}
+	first := get(c)
+	if get(c) != first || get(c) != first {
+		t.Error("Cache returned distinct plans for one key")
 	}
-	outer()
-	if Held() != held {
-		t.Errorf("last release left %d keys held, want %d", Held(), held)
+	counters("Cache", 1, 2)
+	if len(c) != 1 {
+		t.Errorf("Cache kept %d plans, want 1", len(c))
 	}
-	if fetch() == first {
-		t.Error("plan retained after its last release")
+
+	ResetCounters()
+	c = Cache{}
+	badKey := key
+	badKey.TargetsFP++
+	if _, err := c.Get(g, smp(), badKey, targets); err == nil {
+		t.Fatal("mismatched fingerprint compiled")
 	}
+	if _, err := c.Get(g, &sample.NodeWise{Fanouts: []int{4}}, key, targets); err == nil {
+		t.Fatal("mismatched sampler compiled")
+	}
+	counters("failed compiles", 0, 0)
+	if len(c) != 0 {
+		t.Errorf("failed compiles kept %d plans", len(c))
+	}
+	get(c)
+	counters("retry after failed compiles", 1, 0)
 }
 
 // TestTargetsFingerprintMatchesFNV pins TargetsFingerprint to FNV-64a

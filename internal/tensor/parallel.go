@@ -51,10 +51,10 @@ type job struct {
 }
 
 // WorkerPanic wraps a panic recovered on a pool worker (or a ForEachIndex
-// task goroutine) and rethrown on the dispatching goroutine — the value a
-// containment layer above (pipeline stages, ForEachIndexErr) sees when a
-// sharded kernel or fanned-out task panics. It implements error so those
-// layers can propagate it as one.
+// task goroutine) and rethrown on the dispatching goroutine — the value
+// a containment layer above (the pipeline producer, ForEachIndexErr)
+// sees when a sharded kernel or fanned-out task panics. It implements
+// error so those layers can propagate it as one.
 type WorkerPanic struct {
 	// Value is the original panic value.
 	Value any
