@@ -296,15 +296,76 @@ func TestBatchInputsPrefix(t *testing.T) {
 	}
 }
 
-// TestCacheGet: a nil Cache compiles on every Get and keeps nothing; a
-// Cache compiles a key once and then serves the same plan as hits; a
-// failed compile (mismatched fingerprint or sampler) is not kept, so
-// the next Get compiles.
-func TestCacheGet(t *testing.T) {
+// TestSharedSingleFlight: plans are shared per key — one Cache compiles
+// each unique key once and serves every repeat as a hit, and a failed
+// compile (mismatched fingerprint or sampler) is not kept, so the next
+// Get for that key compiles cleanly. The name is kept from the former
+// process-wide plan.Shared, whose guarantees Cache.Get now carries.
+func TestSharedSingleFlight(t *testing.T) {
 	g := testGraph(t)
 	targets := testTargets(200)
 	smp := func() *sample.NodeWise { return &sample.NodeWise{Fanouts: []int{3}} }
-	key := KeyFor("test-cache", false, smp(), 64, 21, 1, true, targets)
+	keyA := KeyFor("test-shared-a", false, smp(), 64, 21, 1, true, targets)
+	keyB := KeyFor("test-shared-b", false, smp(), 64, 21, 1, true, targets)
+	keyC := KeyFor("test-shared-c", false, smp(), 64, 21, 1, true, targets)
+	c := Cache{}
+	get := func(key Key) *Plan {
+		t.Helper()
+		p, err := c.Get(g, smp(), key, targets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	ResetCounters()
+	if get(keyA) != get(keyA) {
+		t.Error("same key returned distinct plans")
+	}
+	if get(keyB) == get(keyA) {
+		t.Error("distinct keys returned one plan")
+	}
+	if n, h := Compiles(), CacheHits(); n != 2 || h != 2 {
+		t.Errorf("counters (compiles=%d, hits=%d), want (2, 2)", n, h)
+	}
+	if len(c) != 2 {
+		t.Errorf("Cache kept %d plans, want 2", len(c))
+	}
+
+	ResetCounters()
+	badKey := keyC
+	badKey.TargetsFP++
+	if _, err := c.Get(g, smp(), badKey, targets); err == nil {
+		t.Fatal("mismatched fingerprint compiled")
+	}
+	if _, err := c.Get(g, &sample.NodeWise{Fanouts: []int{4}}, keyC, targets); err == nil {
+		t.Fatal("mismatched sampler compiled")
+	}
+	if n, h := Compiles(), CacheHits(); n != 0 || h != 0 {
+		t.Errorf("failed compiles: (compiles=%d, hits=%d), want (0, 0)", n, h)
+	}
+	if len(c) != 2 {
+		t.Errorf("failed compiles left %d plans kept, want 2", len(c))
+	}
+	first := get(keyC)
+	if get(keyC) != first {
+		t.Error("retried key returned distinct plans")
+	}
+	if n, h := Compiles(), CacheHits(); n != 1 || h != 1 {
+		t.Errorf("retry after failed compiles: (compiles=%d, hits=%d), want (1, 1)", n, h)
+	}
+}
+
+// TestHoldRelease: a plan is retained exactly as long as its owner's
+// Cache — a nil Cache compiles on every Get and keeps nothing, a Cache
+// compiles a key once and serves the same plan after, and a fresh Cache
+// (the previous owner's plans released with it) compiles the key again.
+// The name is kept from the former plan.Hold, whose retention scope a
+// Cache's lifetime now sets.
+func TestHoldRelease(t *testing.T) {
+	g := testGraph(t)
+	targets := testTargets(200)
+	smp := func() *sample.NodeWise { return &sample.NodeWise{Fanouts: []int{3}} }
+	key := KeyFor("test-hold", false, smp(), 64, 22, 1, true, targets)
 	get := func(c Cache) *Plan {
 		t.Helper()
 		p, err := c.Get(g, smp(), key, targets)
@@ -315,8 +376,8 @@ func TestCacheGet(t *testing.T) {
 	}
 	counters := func(what string, compiles, hits int64) {
 		t.Helper()
-		if c, h := Compiles(), CacheHits(); c != compiles || h != hits {
-			t.Errorf("%s: (compiles=%d, hits=%d), want (%d, %d)", what, c, h, compiles, hits)
+		if n, h := Compiles(), CacheHits(); n != compiles || h != hits {
+			t.Errorf("%s: (compiles=%d, hits=%d), want (%d, %d)", what, n, h, compiles, hits)
 		}
 	}
 
@@ -342,21 +403,10 @@ func TestCacheGet(t *testing.T) {
 	}
 
 	ResetCounters()
-	c = Cache{}
-	badKey := key
-	badKey.TargetsFP++
-	if _, err := c.Get(g, smp(), badKey, targets); err == nil {
-		t.Fatal("mismatched fingerprint compiled")
+	if get(Cache{}) == first {
+		t.Error("a fresh Cache served a plan kept by another")
 	}
-	if _, err := c.Get(g, &sample.NodeWise{Fanouts: []int{4}}, key, targets); err == nil {
-		t.Fatal("mismatched sampler compiled")
-	}
-	counters("failed compiles", 0, 0)
-	if len(c) != 0 {
-		t.Errorf("failed compiles kept %d plans", len(c))
-	}
-	get(c)
-	counters("retry after failed compiles", 1, 0)
+	counters("fresh Cache", 1, 0)
 }
 
 // TestTargetsFingerprintMatchesFNV pins TargetsFingerprint to FNV-64a
